@@ -123,6 +123,12 @@ where
     let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
         .map(|w| Mutex::new((w..n).step_by(workers).collect()))
         .collect();
+    // Read before any worker starts: a thief may drain a deque whose owner
+    // has not run yet.
+    let seeded: Vec<u64> = deques
+        .iter()
+        .map(|d| d.lock().expect("deque poisoned").len() as u64)
+        .collect();
 
     let mut tagged: Vec<(usize, T)> = Vec::with_capacity(n);
     let mut stats = DriveStats {
@@ -133,10 +139,11 @@ where
             .map(|me| {
                 let deques = &deques;
                 let f = &f;
+                let queue_depth_hwm = seeded[me];
                 scope.spawn(move || {
                     let mut out: Vec<(usize, T)> = Vec::new();
                     let mut ws = WorkerStats {
-                        queue_depth_hwm: deques[me].lock().expect("deque poisoned").len() as u64,
+                        queue_depth_hwm,
                         ..WorkerStats::default()
                     };
                     loop {

@@ -11,7 +11,7 @@
 //! contract at `-j {1,4,8}`, cold and warm.
 
 use omp_offload::telemetry::{KernelProfile, SiteProfile};
-use omp_offload::OverheadLedger;
+use omp_offload::{LedgerUnit, OverheadLedger, LEDGER_FIELDS};
 use sim_des::VirtDuration;
 use std::fmt::Write as _;
 
@@ -84,109 +84,12 @@ fn unesc(s: &str) -> String {
     out
 }
 
-/// The ledger's duration fields, in serialization order.
-const LEDGER_NS: &[&str] = &[
-    "mm_alloc",
-    "mm_copy",
-    "mm_free",
-    "mm_prefault",
-    "mm_map",
-    "mm_saved",
-    "mi_fault_stall",
-    "tlb_stall",
-    "kernel_compute",
-    "recovery_backoff",
-    "recovery_prefault",
-];
-
-/// The ledger's counter fields, in serialization order.
-const LEDGER_U64: &[&str] = &[
-    "maps_elided",
-    "kernels",
-    "copies",
-    "bytes_copied",
-    "maps",
-    "replayed_pages",
-    "zero_filled_pages",
-    "prefault_calls",
-    "retries",
-    "recoveries",
-    "degradations",
-    "evicted_for_retry",
-    "recovery_prefaults",
-];
-
-fn ledger_ns(l: &OverheadLedger, field: &str) -> u64 {
-    let d = match field {
-        "mm_alloc" => l.mm_alloc,
-        "mm_copy" => l.mm_copy,
-        "mm_free" => l.mm_free,
-        "mm_prefault" => l.mm_prefault,
-        "mm_map" => l.mm_map,
-        "mm_saved" => l.mm_saved,
-        "mi_fault_stall" => l.mi_fault_stall,
-        "tlb_stall" => l.tlb_stall,
-        "kernel_compute" => l.kernel_compute,
-        "recovery_backoff" => l.recovery_backoff,
-        "recovery_prefault" => l.recovery_prefault,
-        _ => unreachable!("unknown ledger duration field {field}"),
-    };
-    d.as_nanos()
-}
-
-fn ledger_ns_mut<'a>(l: &'a mut OverheadLedger, field: &str) -> Option<&'a mut VirtDuration> {
-    Some(match field {
-        "mm_alloc" => &mut l.mm_alloc,
-        "mm_copy" => &mut l.mm_copy,
-        "mm_free" => &mut l.mm_free,
-        "mm_prefault" => &mut l.mm_prefault,
-        "mm_map" => &mut l.mm_map,
-        "mm_saved" => &mut l.mm_saved,
-        "mi_fault_stall" => &mut l.mi_fault_stall,
-        "tlb_stall" => &mut l.tlb_stall,
-        "kernel_compute" => &mut l.kernel_compute,
-        "recovery_backoff" => &mut l.recovery_backoff,
-        "recovery_prefault" => &mut l.recovery_prefault,
-        _ => return None,
-    })
-}
-
-fn ledger_u64(l: &OverheadLedger, field: &str) -> u64 {
-    match field {
-        "maps_elided" => l.maps_elided,
-        "kernels" => l.kernels,
-        "copies" => l.copies,
-        "bytes_copied" => l.bytes_copied,
-        "maps" => l.maps,
-        "replayed_pages" => l.replayed_pages,
-        "zero_filled_pages" => l.zero_filled_pages,
-        "prefault_calls" => l.prefault_calls,
-        "retries" => l.retries,
-        "recoveries" => l.recoveries,
-        "degradations" => l.degradations,
-        "evicted_for_retry" => l.evicted_for_retry,
-        "recovery_prefaults" => l.recovery_prefaults,
-        _ => unreachable!("unknown ledger counter field {field}"),
+/// The line key a ledger field is serialized under.
+fn ledger_key(unit: LedgerUnit) -> &'static str {
+    match unit {
+        LedgerUnit::Ns => "ledger_ns",
+        LedgerUnit::Count => "ledger",
     }
-}
-
-fn ledger_u64_mut<'a>(l: &'a mut OverheadLedger, field: &str) -> Option<&'a mut u64> {
-    Some(match field {
-        "maps_elided" => &mut l.maps_elided,
-        "kernels" => &mut l.kernels,
-        "copies" => &mut l.copies,
-        "bytes_copied" => &mut l.bytes_copied,
-        "maps" => &mut l.maps,
-        "replayed_pages" => &mut l.replayed_pages,
-        "zero_filled_pages" => &mut l.zero_filled_pages,
-        "prefault_calls" => &mut l.prefault_calls,
-        "retries" => &mut l.retries,
-        "recoveries" => &mut l.recoveries,
-        "degradations" => &mut l.degradations,
-        "evicted_for_retry" => &mut l.evicted_for_retry,
-        "recovery_prefaults" => &mut l.recovery_prefaults,
-        _ => return None,
-    })
 }
 
 impl SweepResult {
@@ -198,11 +101,9 @@ impl SweepResult {
         let _ = writeln!(out, "kernels {}", self.kernels);
         let _ = writeln!(out, "makespan_ns {}", self.makespan.as_nanos());
         let _ = writeln!(out, "memory_digest {:016x}", self.memory_digest);
-        for f in LEDGER_NS {
-            let _ = writeln!(out, "ledger_ns {f} {}", ledger_ns(&self.ledger, f));
-        }
-        for f in LEDGER_U64 {
-            let _ = writeln!(out, "ledger {f} {}", ledger_u64(&self.ledger, f));
+        for f in &LEDGER_FIELDS {
+            let key = ledger_key(f.unit);
+            let _ = writeln!(out, "{key} {} {}", f.name, (f.get)(&self.ledger));
         }
         for d in &self.diagnostics {
             let _ = writeln!(out, "diag {}", esc(d));
@@ -285,21 +186,15 @@ impl SweepResult {
                     r.memory_digest = u64::from_str_radix(rest, 16)
                         .map_err(|_| format!("line {}: bad digest {rest:?}", no + 2))?;
                 }
-                "ledger_ns" => {
+                "ledger_ns" | "ledger" => {
                     let (f, v) = rest
                         .split_once(' ')
-                        .ok_or_else(|| format!("line {}: bad ledger_ns", no + 2))?;
-                    let slot = ledger_ns_mut(&mut r.ledger, f)
+                        .ok_or_else(|| format!("line {}: bad {key}", no + 2))?;
+                    let field = LEDGER_FIELDS
+                        .iter()
+                        .find(|d| d.name == f && ledger_key(d.unit) == key)
                         .ok_or_else(|| format!("line {}: unknown ledger field {f:?}", no + 2))?;
-                    *slot = VirtDuration::from_nanos(num(v)?);
-                }
-                "ledger" => {
-                    let (f, v) = rest
-                        .split_once(' ')
-                        .ok_or_else(|| format!("line {}: bad ledger", no + 2))?;
-                    let slot = ledger_u64_mut(&mut r.ledger, f)
-                        .ok_or_else(|| format!("line {}: unknown ledger field {f:?}", no + 2))?;
-                    *slot = num(v)?;
+                    (field.set)(&mut r.ledger, num(v)?);
                 }
                 "diag" => r.diagnostics.push(unesc(rest)),
                 "telemetry_events" => r.telemetry_events = num(rest)?,
@@ -494,10 +389,89 @@ mod tests {
     }
 
     #[test]
+    fn text_bytes_are_pinned() {
+        // Cache entries and wire bodies are these bytes: every ledger field
+        // gets a distinct value so any reordering or renaming shows up.
+        let ns = VirtDuration::from_nanos;
+        let r = SweepResult {
+            ledger: OverheadLedger {
+                mm_alloc: ns(101),
+                mm_copy: ns(102),
+                mm_free: ns(103),
+                mm_prefault: ns(104),
+                mm_map: ns(105),
+                mm_saved: ns(106),
+                mi_fault_stall: ns(107),
+                tlb_stall: ns(108),
+                kernel_compute: ns(109),
+                recovery_backoff: ns(110),
+                recovery_prefault: ns(111),
+                maps_elided: 201,
+                kernels: 202,
+                copies: 203,
+                bytes_copied: 204,
+                maps: 205,
+                replayed_pages: 206,
+                zero_filled_pages: 207,
+                prefault_calls: 208,
+                retries: 209,
+                recoveries: 210,
+                degradations: 211,
+                evicted_for_retry: 212,
+                recovery_prefaults: 213,
+            },
+            ..sample()
+        };
+        let golden = r"sweepresult v1
+ops 12
+kernels 3
+makespan_ns 42000
+memory_digest deadbeef00421234
+ledger_ns mm_alloc 101
+ledger_ns mm_copy 102
+ledger_ns mm_free 103
+ledger_ns mm_prefault 104
+ledger_ns mm_map 105
+ledger_ns mm_saved 106
+ledger_ns mi_fault_stall 107
+ledger_ns tlb_stall 108
+ledger_ns kernel_compute 109
+ledger_ns recovery_backoff 110
+ledger_ns recovery_prefault 111
+ledger maps_elided 201
+ledger kernels 202
+ledger copies 203
+ledger bytes_copied 204
+ledger maps 205
+ledger replayed_pages 206
+ledger zero_filled_pages 207
+ledger prefault_calls 208
+ledger retries 209
+ledger recoveries 210
+ledger degradations 211
+ledger evicted_for_retry 212
+ledger recovery_prefaults 213
+diag MC001: stray\nexit
+diag back\\slash
+telemetry_events 99
+dropped_events 0
+site 4096 8192 2 0 0 0 0 0 0 0 0 55 0
+tenant 0 deadbeef00421234 42000 7
+tenant 3 0123456789abcdef 40000 7
+kernelrow axpy 3 5000 0 9 0 0
+";
+        assert_eq!(r.to_text(), golden);
+        assert_eq!(SweepResult::parse(golden).unwrap(), r);
+    }
+
+    #[test]
     fn parse_rejects_garbage() {
         assert!(SweepResult::parse("nope").is_err());
         assert!(SweepResult::parse("sweepresult v1\nfrob 3").is_err());
         assert!(SweepResult::parse("sweepresult v1\nledger bogus 3").is_err());
+        // A field under the other unit's key is unknown, not coerced.
+        assert!(SweepResult::parse("sweepresult v1\nledger mm_alloc 3").is_err());
+        assert!(SweepResult::parse("sweepresult v1\nledger_ns maps 3").is_err());
         assert!(SweepResult::parse("sweepresult v1\nsite 1 2 3").is_err());
         assert!(SweepResult::parse("sweepresult v1\ntenant 1 beef").is_err());
         assert!(SweepResult::parse("sweepresult v1\ntenant x beef 1 2").is_err());

@@ -55,7 +55,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Tunables of one server instance.
@@ -331,6 +331,30 @@ struct Inflight {
 }
 
 impl Shared {
+    fn new(addr: SelfAddr, cfg: ServerConfig) -> Shared {
+        Shared {
+            cache: ResultCache::open(&cfg.cache),
+            addr,
+            start: Instant::now(),
+            metrics: ServeMetrics::new(cfg.jobs),
+            captures: Mutex::new(HashMap::new()),
+            raw_index: Mutex::new(HashMap::new()),
+            plans: Mutex::new(HashMap::new()),
+            models: [CostPreset::Mi300a.model(), CostPreset::Mi300aNoThp.model()],
+            inflight: Mutex::new(HashMap::new()),
+            shutdown: AtomicBool::new(false),
+            requests: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            simulated: AtomicU64::new(0),
+            in_flight: AtomicU64::new(0),
+            evicted: AtomicU64::new(0),
+            busy_rejections: AtomicU64::new(0),
+            malformed: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
+            cfg,
+        }
+    }
+
     fn model_for(&self, preset: CostPreset) -> apu_mem::CostModel {
         match preset {
             CostPreset::Mi300a => self.models[0].clone(),
@@ -400,6 +424,42 @@ impl Drop for SlotGuard {
     }
 }
 
+/// Settles one in-flight sweep even if its worker unwinds: deregisters the
+/// coalescing key, releases the admitted slots, then publishes the outcome —
+/// `Err("sweep panicked")` when the worker never produced one — so no
+/// waiter, present or future, parks on a dead rendezvous.
+struct InflightGuard {
+    key: u64,
+    inflight: Arc<Inflight>,
+    slots: Option<SlotGuard>,
+    done: Option<SweepDone>,
+}
+
+impl Drop for InflightGuard {
+    fn drop(&mut self) {
+        // Deregister and release slots before publishing: a client holding
+        // its response (or a STATS reader it wakes) must observe these
+        // cells as no longer in flight, and a late identical request must
+        // start fresh (it will hit the cache) rather than park on a
+        // completed rendezvous.
+        if let Some(slots) = self.slots.take() {
+            let inflight = &slots.shared.inflight;
+            inflight
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .remove(&self.key);
+        }
+        let outcome = self.done.take();
+        let mut done = self
+            .inflight
+            .done
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *done = Some(outcome.unwrap_or_else(|| Err("sweep panicked".to_string())));
+        self.inflight.cv.notify_all();
+    }
+}
+
 enum Listener {
     Unix(UnixListener),
     Tcp(TcpListener),
@@ -466,31 +526,9 @@ pub struct Server {
 
 impl Server {
     fn new(listener: Listener, addr: SelfAddr, cfg: ServerConfig) -> Server {
-        let cache = ResultCache::open(&cfg.cache);
-        let metrics = ServeMetrics::new(cfg.jobs);
         Server {
             listener,
-            shared: Arc::new(Shared {
-                cache,
-                addr,
-                start: Instant::now(),
-                metrics,
-                captures: Mutex::new(HashMap::new()),
-                raw_index: Mutex::new(HashMap::new()),
-                plans: Mutex::new(HashMap::new()),
-                models: [CostPreset::Mi300a.model(), CostPreset::Mi300aNoThp.model()],
-                inflight: Mutex::new(HashMap::new()),
-                shutdown: AtomicBool::new(false),
-                requests: AtomicU64::new(0),
-                hits: AtomicU64::new(0),
-                simulated: AtomicU64::new(0),
-                in_flight: AtomicU64::new(0),
-                evicted: AtomicU64::new(0),
-                busy_rejections: AtomicU64::new(0),
-                malformed: AtomicU64::new(0),
-                coalesced: AtomicU64::new(0),
-                cfg,
-            }),
+            shared: Arc::new(Shared::new(addr, cfg)),
         }
     }
 
@@ -786,25 +824,35 @@ fn handle_sweep(verb: Verb, body: &str, shared: &Arc<Shared>) -> Response {
     let worker_inflight = Arc::clone(&inflight);
     let worker_corpus = corpus.clone();
     std::thread::spawn(move || {
-        let slots = SlotGuard {
-            shared: Arc::clone(&worker_shared),
-            n,
-        };
-        let done: SweepDone = match run_resident_sweep(&worker_corpus, &worker_shared) {
+        let sweep = || match run_resident_sweep(&worker_corpus, &worker_shared) {
             Ok((results, hits, simulated)) => Ok((Arc::new(results), hits, simulated)),
             Err(e) => Err(format!("sweep failed: {e}")),
         };
-        // Deregister and release slots before publishing: a client holding
-        // its response (or a STATS reader it wakes) must observe these
-        // cells as no longer in flight, and a late identical request must
-        // start fresh (it will hit the cache) rather than park on a
-        // completed rendezvous.
-        worker_shared.inflight.lock().unwrap().remove(&key);
-        drop(slots);
-        *worker_inflight.done.lock().unwrap() = Some(done);
-        worker_inflight.cv.notify_all();
+        sweep_worker(&worker_shared, key, n, worker_inflight, sweep);
     });
     wait_for_sweep(verb, &corpus, &inflight, shared)
+}
+
+/// The sweep thread's body: run `sweep` for the in-flight sweep registered
+/// under `key` holding `n` admitted slots. An [`InflightGuard`] settles the
+/// registration whether `sweep` returns or panics.
+fn sweep_worker(
+    shared: &Arc<Shared>,
+    key: u64,
+    n: u64,
+    inflight: Arc<Inflight>,
+    sweep: impl FnOnce() -> SweepDone,
+) {
+    let mut guard = InflightGuard {
+        key,
+        inflight,
+        slots: Some(SlotGuard {
+            shared: Arc::clone(shared),
+            n,
+        }),
+        done: None,
+    };
+    guard.done = Some(sweep());
 }
 
 /// Park on an in-flight sweep until its worker publishes, then render this
@@ -1069,5 +1117,37 @@ impl Client {
     /// Ask the server to drain and exit.
     pub fn shutdown(&mut self) -> Result<Response, ProtoError> {
         self.roundtrip(&Frame::bare(Verb::Shutdown))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_sweep_deregisters_releases_and_fails_its_waiters() {
+        let addr = SelfAddr::Tcp(SocketAddr::from(([127, 0, 0, 1], 0)));
+        let shared = Arc::new(Shared::new(addr, ServerConfig::default()));
+        shared.try_admit(3).unwrap();
+        let inflight = Arc::new(Inflight::default());
+        shared
+            .inflight
+            .lock()
+            .unwrap()
+            .insert(7, Arc::clone(&inflight));
+        let waiter = {
+            let (shared, inflight) = (Arc::clone(&shared), Arc::clone(&inflight));
+            std::thread::spawn(move || wait_for_sweep(Verb::Sweep, &[], &inflight, &shared))
+        };
+        let worker = {
+            let (shared, inflight) = (Arc::clone(&shared), Arc::clone(&inflight));
+            std::thread::spawn(move || {
+                sweep_worker(&shared, 7, 3, inflight, || panic!("injected sweep panic"))
+            })
+        };
+        assert!(worker.join().is_err(), "the sweep closure panics");
+        assert!(shared.inflight.lock().unwrap().is_empty());
+        assert_eq!(shared.in_flight.load(Ordering::Relaxed), 0);
+        assert_eq!(waiter.join().unwrap(), Response::err("sweep panicked"));
     }
 }

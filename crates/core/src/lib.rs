@@ -83,4 +83,7 @@ pub use sanitize::SanitizerReport;
 pub use shard::{MapLookupCache, ShardContention, ShardedMappingTable, SHARD_COUNT};
 pub use telemetry::{TelemetryMode, TelemetryReport};
 pub use tenant::{Tenant, TenantPool, MAX_TENANTS, TENANT_VA_STRIDE};
-pub use trace::{KernelTraceEntry, OverheadLedger, RecoveryAction, RecoveryEvent};
+pub use trace::{
+    KernelTraceEntry, LedgerField, LedgerUnit, OverheadLedger, RecoveryAction, RecoveryEvent,
+    LEDGER_FIELDS,
+};

@@ -45,7 +45,7 @@
 //! omp_ledger_ns_total{field="mm_alloc"} 12345
 //! ```
 
-use crate::trace::OverheadLedger;
+use crate::trace::{LedgerUnit, OverheadLedger, LEDGER_FIELDS};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -753,78 +753,9 @@ impl MetricsRegistry {
     }
 }
 
-/// The ledger's virtual-time fields as one labelled counter family
-/// (integer nanoseconds, so the exposition is exact).
-const LEDGER_NS_FIELDS: &[&str] = &[
-    "mm_alloc",
-    "mm_copy",
-    "mm_free",
-    "mm_prefault",
-    "mm_map",
-    "mm_saved",
-    "mi_fault_stall",
-    "tlb_stall",
-    "kernel_compute",
-    "recovery_backoff",
-    "recovery_prefault",
-];
-
-/// The ledger's event-count fields as one labelled counter family.
-const LEDGER_OPS_FIELDS: &[&str] = &[
-    "maps",
-    "maps_elided",
-    "kernels",
-    "copies",
-    "bytes_copied",
-    "replayed_pages",
-    "zero_filled_pages",
-    "prefault_calls",
-    "retries",
-    "recoveries",
-    "degradations",
-    "evicted_for_retry",
-    "recovery_prefaults",
-];
-
-fn ledger_ns(ledger: &OverheadLedger, field: &str) -> u64 {
-    match field {
-        "mm_alloc" => ledger.mm_alloc.as_nanos(),
-        "mm_copy" => ledger.mm_copy.as_nanos(),
-        "mm_free" => ledger.mm_free.as_nanos(),
-        "mm_prefault" => ledger.mm_prefault.as_nanos(),
-        "mm_map" => ledger.mm_map.as_nanos(),
-        "mm_saved" => ledger.mm_saved.as_nanos(),
-        "mi_fault_stall" => ledger.mi_fault_stall.as_nanos(),
-        "tlb_stall" => ledger.tlb_stall.as_nanos(),
-        "kernel_compute" => ledger.kernel_compute.as_nanos(),
-        "recovery_backoff" => ledger.recovery_backoff.as_nanos(),
-        "recovery_prefault" => ledger.recovery_prefault.as_nanos(),
-        _ => unreachable!("unknown ns field {field}"),
-    }
-}
-
-fn ledger_ops(ledger: &OverheadLedger, field: &str) -> u64 {
-    match field {
-        "maps" => ledger.maps,
-        "maps_elided" => ledger.maps_elided,
-        "kernels" => ledger.kernels,
-        "copies" => ledger.copies,
-        "bytes_copied" => ledger.bytes_copied,
-        "replayed_pages" => ledger.replayed_pages,
-        "zero_filled_pages" => ledger.zero_filled_pages,
-        "prefault_calls" => ledger.prefault_calls,
-        "retries" => ledger.retries,
-        "recoveries" => ledger.recoveries,
-        "degradations" => ledger.degradations,
-        "evicted_for_retry" => ledger.evicted_for_retry,
-        "recovery_prefaults" => ledger.recovery_prefaults,
-        _ => unreachable!("unknown ops field {field}"),
-    }
-}
-
 /// Build the derivable-class families of one run: the full overhead
-/// ledger (virtual nanoseconds and event counts) plus the lookup-cache
-/// hit/miss/invalidation counters.
+/// ledger ([`LEDGER_FIELDS`]: virtual nanoseconds, exact as integers, and
+/// event counts) plus the lookup-cache hit/miss/invalidation counters.
 ///
 /// This is the contract surface: feeding the telemetry *fold* here must
 /// produce exactly what [`crate::OmpRuntime::metrics_snapshot`] built
@@ -836,26 +767,27 @@ pub fn derivable_snapshot(
     cache_misses: u64,
     cache_invalidations: u64,
 ) -> MetricsSnapshot {
+    let fields = |unit| {
+        LEDGER_FIELDS
+            .iter()
+            .filter(|f| f.unit == unit)
+            .map(|f| Sample::labelled("field", f.name, (f.get)(ledger)))
+            .collect()
+    };
     let mut snap = MetricsSnapshot::default();
     snap.push(FamilySnapshot {
         name: "omp_ledger_ns_total".into(),
         help: "Overhead-ledger virtual-time fields, integer nanoseconds.".into(),
         kind: MetricKind::Counter,
         class: MetricClass::Derivable,
-        samples: LEDGER_NS_FIELDS
-            .iter()
-            .map(|f| Sample::labelled("field", f, ledger_ns(ledger, f)))
-            .collect(),
+        samples: fields(LedgerUnit::Ns),
     });
     snap.push(FamilySnapshot {
         name: "omp_ledger_ops_total".into(),
         help: "Overhead-ledger event counts.".into(),
         kind: MetricKind::Counter,
         class: MetricClass::Derivable,
-        samples: LEDGER_OPS_FIELDS
-            .iter()
-            .map(|f| Sample::labelled("field", f, ledger_ops(ledger, f)))
-            .collect(),
+        samples: fields(LedgerUnit::Count),
     });
     snap.push(FamilySnapshot {
         name: "omp_lookup_cache_events_total".into(),

@@ -167,10 +167,8 @@ impl OmpRuntime {
             rt.mapping.enable_metrics();
         }
         if let Some(from) = degraded_from {
-            let a0 = rt.anchor(0);
             rt.log_recovery(
                 0,
-                a0,
                 0,
                 RecoveryAction::StartupDegradation { from, to: config },
             );
@@ -373,8 +371,7 @@ impl OmpRuntime {
         let d = self.pool_allocate_recovered(thread, len)?;
         let pages = self.mem().page_size().pages_covering(d, len);
         let cost = self.mem().cost().pool_alloc_cost(pages);
-        self.ledger.mm_alloc += cost;
-        self.emit(
+        self.charge(
             thread,
             a0,
             EventKind::PoolAlloc {
@@ -431,8 +428,7 @@ impl OmpRuntime {
             let d = self.pool_allocate_recovered(thread, len)?;
             let pages = self.mem().page_size().pages_covering(d, len);
             let cost = self.mem().cost().pool_alloc_cost(pages);
-            self.ledger.mm_alloc += cost;
-            self.emit(
+            self.charge(
                 thread,
                 a0,
                 EventKind::PoolAlloc {
@@ -567,6 +563,34 @@ impl OmpRuntime {
     /// (resolving its access set against the GPU page table), run the real
     /// body if present, and exit the data environment.
     pub fn target(&mut self, thread: usize, region: TargetRegion<'_>) -> Result<(), OmpError> {
+        self.launch(thread, region, false)
+    }
+
+    /// `#pragma omp target nowait`: like [`target`](Self::target), but the
+    /// host thread continues immediately after dispatch. The region's exit
+    /// maps (`from`-transfers, releases) are deferred until the matching
+    /// [`taskwait`](Self::taskwait), as in real deferred target tasks.
+    ///
+    /// The body (if any) executes immediately against memory — callers must
+    /// not read results on the host before `taskwait` (a data race under
+    /// real OpenMP as well).
+    pub fn target_nowait(
+        &mut self,
+        thread: usize,
+        region: TargetRegion<'_>,
+    ) -> Result<(), OmpError> {
+        self.launch(thread, region, true)
+    }
+
+    /// The body of [`target`](Self::target) and
+    /// [`target_nowait`](Self::target_nowait): `nowait` selects the
+    /// asynchronous dispatch and defers the exit maps to `taskwait`.
+    fn launch(
+        &mut self,
+        thread: usize,
+        region: TargetRegion<'_>,
+        nowait: bool,
+    ) -> Result<(), OmpError> {
         let TargetRegion {
             name,
             mut maps,
@@ -582,7 +606,7 @@ impl OmpRuntime {
                 maps,
                 raw: raw_accesses,
                 globals: globals.iter().map(|g| g.0).collect(),
-                nowait: false,
+                nowait,
             });
             self.record(thread, op);
             return Ok(());
@@ -591,7 +615,8 @@ impl OmpRuntime {
         let op_idx = self.note_op();
         // Elision rewrites the map list up front so everything downstream —
         // begin maps, the sanitizer's kernel hook, argument translation,
-        // and the exit maps — sees the promoted `alloc` entries.
+        // and the exit maps (deferred to `taskwait` under nowait) — sees the
+        // promoted `alloc` entries.
         self.elide_rewrite(thread, &mut maps, op_idx);
         for e in &maps {
             self.begin_map(thread, e)?;
@@ -632,227 +657,62 @@ impl OmpRuntime {
 
         self.prepare_dispatch(thread, &access)?;
         let a0 = self.anchor(thread);
-        let mut attempt: u32 = 0;
-        let out = loop {
-            match self
-                .hsa
-                .dispatch_kernel(thread, compute, &access, self.xnack)
-            {
-                Ok(out) => {
-                    if attempt > 0 {
-                        let a = self.anchor(thread);
-                        self.log_recovery(thread, a, attempt + 1, RecoveryAction::RetriedDispatch);
-                    }
-                    break out;
-                }
-                Err(MemError::Injected { kind }) => {
-                    attempt += 1;
-                    if attempt >= self.recovery.max_attempts {
-                        return Err(OmpError::RecoveryExhausted {
-                            kind,
-                            attempts: attempt,
-                        });
-                    }
-                    self.charge_backoff(thread, attempt);
-                }
-                Err(e) => return Err(e.into()),
+        let xnack = self.xnack;
+        let (out, token) = self.with_retry(thread, RecoveryAction::RetriedDispatch, |hsa| {
+            if nowait {
+                hsa.dispatch_kernel_nowait(thread, compute, &access, xnack)
+                    .map(|(out, token)| (out, Some(token)))
+            } else {
+                hsa.dispatch_kernel(thread, compute, &access, xnack)
+                    .map(|out| (out, None))
             }
-        };
+        })?;
         let cost = self.mem().cost();
         let fault_stall = cost.fault_stall(out.replayed_pages, out.zero_filled_pages);
         let tlb_stall = cost.tlb_miss * out.tlb_misses;
-        self.ledger.mi_fault_stall += fault_stall;
-        self.ledger.tlb_stall += tlb_stall;
-        self.ledger.kernel_compute += compute;
-        self.ledger.kernels += 1;
-        self.ledger.replayed_pages += out.replayed_pages;
-        self.ledger.zero_filled_pages += out.zero_filled_pages;
-        if self.telemetry.is_some() {
-            let kname: Arc<str> = Arc::from(name);
-            self.emit_at(
-                thread,
-                a0,
-                a0,
-                EventKind::KernelLaunch {
-                    name: kname.clone(),
-                    compute,
-                },
-            );
-            self.emit(
-                thread,
-                a0,
-                EventKind::KernelComplete {
-                    name: kname,
-                    compute,
-                    fault_stall,
-                    tlb_stall,
-                    replayed_pages: out.replayed_pages,
-                    zero_filled_pages: out.zero_filled_pages,
-                },
-            );
+        let name: Arc<str> = Arc::from(name);
+        if let Some(ring) = &mut self.telemetry {
+            let kind = EventKind::KernelLaunch {
+                name: Arc::clone(&name),
+                compute,
+            };
+            ring.push(thread as u32, a0, a0, kind);
         }
-
         if self.trace_kernels {
             self.kernel_trace.push(KernelTraceEntry {
-                name: Arc::from(name),
+                name: Arc::clone(&name),
                 thread: thread as u32,
                 compute,
                 stall: out.stall,
                 faulted_pages: out.faulted_pages(),
             });
         }
-
-        if let Some(body) = body {
-            let mut ctx = KernelCtx::new(self.hsa.mem_mut(), args, global_addrs);
-            body(&mut ctx)?;
-        }
-
-        for e in &maps {
-            self.end_map(thread, e, false)?;
-        }
-        Ok(())
-    }
-
-    /// `#pragma omp target nowait`: like [`target`](Self::target), but the
-    /// host thread continues immediately after dispatch. The region's exit
-    /// maps (`from`-transfers, releases) are deferred until the matching
-    /// [`taskwait`](Self::taskwait), as in real deferred target tasks.
-    ///
-    /// The body (if any) executes immediately against memory — callers must
-    /// not read results on the host before `taskwait` (a data race under
-    /// real OpenMP as well).
-    pub fn target_nowait(
-        &mut self,
-        thread: usize,
-        region: TargetRegion<'_>,
-    ) -> Result<(), OmpError> {
-        let TargetRegion {
-            name,
-            mut maps,
-            raw_accesses,
-            globals,
-            compute,
-            body,
-        } = region;
-
-        if self.capture.is_some() {
-            let op = MapOp::Kernel(KernelOp {
-                name: name.to_string(),
-                maps,
-                raw: raw_accesses,
-                globals: globals.iter().map(|g| g.0).collect(),
-                nowait: true,
-            });
-            self.record(thread, op);
-            return Ok(());
-        }
-
-        let op_idx = self.note_op();
-        // As in `target`: rewrite before anything observes the map list, so
-        // the deferred exit maps released at `taskwait` are the promoted
-        // entries too.
-        self.elide_rewrite(thread, &mut maps, op_idx);
-        for e in &maps {
-            self.begin_map(thread, e)?;
-        }
-        if let Some(s) = &mut self.sanitizer {
-            s.on_kernel(thread as u32, &maps, &raw_accesses);
-        }
-        self.sync_sanitizer_events(thread);
-        let mut access: Vec<AddrRange> = Vec::with_capacity(maps.len() + globals.len());
-        let mut global_addrs = Vec::with_capacity(globals.len());
-        for gid in &globals {
-            let g = self.globals.get(*gid)?.clone();
-            if let Some(dev) = g.device {
-                self.issue_copy(thread, g.host.start, dev, g.host.len, false)?;
-            }
-            let gr = g.gpu_range();
-            access.push(gr);
-            global_addrs.push(gr.start);
-        }
-        let mut args = Vec::with_capacity(maps.len());
-        for e in &maps {
-            let dev = self.require_translation(&e.range)?;
-            access.push(AddrRange::new(dev, e.range.len));
-            args.push(dev);
-        }
-        access.extend(raw_accesses.iter().copied());
-
-        self.prepare_dispatch(thread, &access)?;
-        let a0 = self.anchor(thread);
-        let mut attempt: u32 = 0;
-        let (out, token) = loop {
-            match self
-                .hsa
-                .dispatch_kernel_nowait(thread, compute, &access, self.xnack)
-            {
-                Ok(pair) => {
-                    if attempt > 0 {
-                        let a = self.anchor(thread);
-                        self.log_recovery(thread, a, attempt + 1, RecoveryAction::RetriedDispatch);
-                    }
-                    break pair;
-                }
-                Err(MemError::Injected { kind }) => {
-                    attempt += 1;
-                    if attempt >= self.recovery.max_attempts {
-                        return Err(OmpError::RecoveryExhausted {
-                            kind,
-                            attempts: attempt,
-                        });
-                    }
-                    self.charge_backoff(thread, attempt);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
-        let cost = self.mem().cost();
-        let fault_stall = cost.fault_stall(out.replayed_pages, out.zero_filled_pages);
-        let tlb_stall = cost.tlb_miss * out.tlb_misses;
-        self.ledger.mi_fault_stall += fault_stall;
-        self.ledger.tlb_stall += tlb_stall;
-        self.ledger.kernel_compute += compute;
-        self.ledger.kernels += 1;
-        self.ledger.replayed_pages += out.replayed_pages;
-        self.ledger.zero_filled_pages += out.zero_filled_pages;
-        if self.telemetry.is_some() {
-            let kname: Arc<str> = Arc::from(name);
-            self.emit_at(
-                thread,
-                a0,
-                a0,
-                EventKind::KernelLaunch {
-                    name: kname.clone(),
-                    compute,
-                },
-            );
-            self.emit(
-                thread,
-                a0,
-                EventKind::KernelComplete {
-                    name: kname,
-                    compute,
-                    fault_stall,
-                    tlb_stall,
-                    replayed_pages: out.replayed_pages,
-                    zero_filled_pages: out.zero_filled_pages,
-                },
-            );
-        }
-        if self.trace_kernels {
-            self.kernel_trace.push(KernelTraceEntry {
-                name: Arc::from(name),
-                thread: thread as u32,
+        self.charge(
+            thread,
+            a0,
+            EventKind::KernelComplete {
+                name,
                 compute,
-                stall: out.stall,
-                faulted_pages: out.faulted_pages(),
-            });
-        }
+                fault_stall,
+                tlb_stall,
+                replayed_pages: out.replayed_pages,
+                zero_filled_pages: out.zero_filled_pages,
+            },
+        );
+
         if let Some(body) = body {
             let mut ctx = KernelCtx::new(self.hsa.mem_mut(), args, global_addrs);
             body(&mut ctx)?;
         }
-        self.pending_nowait[thread].push((token, maps));
+
+        match token {
+            Some(token) => self.pending_nowait[thread].push((token, maps)),
+            None => {
+                for e in &maps {
+                    self.end_map(thread, e, false)?;
+                }
+            }
+        }
         Ok(())
     }
 
@@ -957,50 +817,29 @@ impl OmpRuntime {
         self.hsa.thread_ops(thread) as u32
     }
 
-    /// Emit an event spanning `[a0, a1]` in anchor space. No-op when
-    /// telemetry is off.
-    fn emit_at(&mut self, thread: usize, a0: u32, a1: u32, kind: EventKind) {
+    /// The charge funnel: apply `kind` to the ledger and, when telemetry is
+    /// on, record that same event spanning `a0` to `thread`'s current
+    /// cursor. Every ledger change goes through here, after the HSA work it
+    /// covers; instantaneous events pass the current cursor as `a0`.
+    fn charge(&mut self, thread: usize, a0: u32, kind: EventKind) {
+        self.ledger.apply(&kind);
         if let Some(ring) = &mut self.telemetry {
+            let a1 = self.hsa.thread_ops(thread) as u32;
             ring.push(thread as u32, a0, a1, kind);
         }
     }
 
-    /// Emit an event spanning from `a0` to the thread's current cursor —
-    /// the shape of every charge site: capture the anchor, do the HSA work,
-    /// mutate the ledger, emit with the same delta.
-    fn emit(&mut self, thread: usize, a0: u32, kind: EventKind) {
-        if self.telemetry.is_some() {
-            let a1 = self.anchor(thread);
-            self.emit_at(thread, a0, a1, kind);
-        }
-    }
-
-    /// Emit an instantaneous event at the thread's current cursor.
-    fn emit_instant(&mut self, thread: usize, kind: EventKind) {
-        if self.telemetry.is_some() {
-            let a = self.anchor(thread);
-            self.emit_at(thread, a, a, kind);
-        }
-    }
-
-    /// The single funnel for recovery episodes and degradations: splits the
-    /// `recoveries`/`degradations` counters, appends to the recovery log,
-    /// and emits the matching telemetry event — so the ledger, the log, and
-    /// the stream can never disagree.
-    fn log_recovery(&mut self, thread: usize, a0: u32, attempts: u32, action: RecoveryAction) {
-        match action {
-            RecoveryAction::XnackLost | RecoveryAction::StartupDegradation { .. } => {
-                self.ledger.degradations += 1;
-            }
-            _ => self.ledger.recoveries += 1,
-        }
+    /// Append a recovery episode or degradation to the recovery log and
+    /// charge it (instantaneous), so the log, the ledger and the stream can
+    /// never disagree.
+    fn log_recovery(&mut self, thread: usize, attempts: u32, action: RecoveryAction) {
         let event = RecoveryEvent {
             thread: thread as u32,
             attempts,
             action,
         };
         self.recovery_log.push(event);
-        self.emit(thread, a0, EventKind::Recovery { event });
+        self.charge(thread, self.anchor(thread), EventKind::Recovery { event });
     }
 
     /// Mirror sanitizer diagnostics recorded since the last sync into the
@@ -1088,10 +927,7 @@ impl OmpRuntime {
             if online && !zc {
                 self.hsa.host_compute(thread, lookup);
             }
-            self.ledger.mm_map += lookup;
-            self.ledger.mm_saved += saved;
-            self.ledger.maps_elided += 1;
-            self.emit(
+            self.charge(
                 thread,
                 a0,
                 EventKind::Elide {
@@ -1202,15 +1038,47 @@ impl OmpRuntime {
         with_handler: bool,
     ) -> Result<(), OmpError> {
         let a0 = self.anchor(thread);
+        self.with_retry(thread, RecoveryAction::RetriedCopy, |hsa| {
+            hsa.async_copy(thread, src, dst, len, with_handler)
+        })?;
+        let cost = self.mem().transfer_duration(src, dst, len);
+        // Attribute the copy to its host-side extent: the destination for
+        // device-to-host transfers, the source otherwise.
+        let range = if with_handler {
+            AddrRange::new(dst, len)
+        } else {
+            AddrRange::new(src, len)
+        };
+        self.charge(
+            thread,
+            a0,
+            EventKind::Copy {
+                range,
+                bytes: len,
+                cost,
+                to_host: with_handler,
+            },
+        );
+        Ok(())
+    }
+
+    /// Run one HSA call under the recovery policy: injected transient
+    /// failures back off and retry until the attempt budget runs out, and a
+    /// call that succeeds after retries is logged as `action`.
+    fn with_retry<T>(
+        &mut self,
+        thread: usize,
+        action: RecoveryAction,
+        mut call: impl FnMut(&mut HsaRuntime) -> Result<T, MemError>,
+    ) -> Result<T, OmpError> {
         let mut attempt: u32 = 0;
         loop {
-            match self.hsa.async_copy(thread, src, dst, len, with_handler) {
-                Ok(()) => {
+            match call(&mut self.hsa) {
+                Ok(v) => {
                     if attempt > 0 {
-                        let a = self.anchor(thread);
-                        self.log_recovery(thread, a, attempt + 1, RecoveryAction::RetriedCopy);
+                        self.log_recovery(thread, attempt + 1, action);
                     }
-                    break;
+                    return Ok(v);
                 }
                 Err(MemError::Injected { kind }) => {
                     attempt += 1;
@@ -1225,28 +1093,6 @@ impl OmpRuntime {
                 Err(e) => return Err(e.into()),
             }
         }
-        let cost = self.mem().transfer_duration(src, dst, len);
-        self.ledger.mm_copy += cost;
-        self.ledger.copies += 1;
-        self.ledger.bytes_copied += len;
-        // Attribute the copy to its host-side extent: the destination for
-        // device-to-host transfers, the source otherwise.
-        let range = if with_handler {
-            AddrRange::new(dst, len)
-        } else {
-            AddrRange::new(src, len)
-        };
-        self.emit(
-            thread,
-            a0,
-            EventKind::Copy {
-                range,
-                bytes: len,
-                cost,
-                to_host: with_handler,
-            },
-        );
-        Ok(())
     }
 
     /// Virtual-time retry delay between attempts, charged to the issuing
@@ -1255,9 +1101,7 @@ impl OmpRuntime {
         let a0 = self.anchor(thread);
         let d = self.recovery.backoff.delay(attempt);
         self.hsa.recovery_wait(thread, d);
-        self.ledger.recovery_backoff += d;
-        self.ledger.retries += 1;
-        self.emit(thread, a0, EventKind::Backoff { attempt, delay: d });
+        self.charge(thread, a0, EventKind::Backoff { attempt, delay: d });
     }
 
     /// Pool allocation under the recovery policy: injected transient
@@ -1279,8 +1123,7 @@ impl OmpRuntime {
                         } else {
                             RecoveryAction::RetriedAlloc
                         };
-                        let a = self.anchor(thread);
-                        self.log_recovery(thread, a, attempt + 1, action);
+                        self.log_recovery(thread, attempt + 1, action);
                     }
                     return Ok(addr);
                 }
@@ -1315,8 +1158,7 @@ impl OmpRuntime {
                         .into());
                     }
                     evicted_total += evicted;
-                    self.ledger.evicted_for_retry += evicted;
-                    self.emit(thread, a0, EventKind::Evicted { pages: evicted });
+                    self.charge(thread, a0, EventKind::Evicted { pages: evicted });
                     self.charge_backoff(thread, attempt);
                 }
                 Err(e) => return Err(e.into()),
@@ -1336,8 +1178,7 @@ impl OmpRuntime {
         if flipped && self.xnack == XnackMode::Enabled {
             self.xnack = XnackMode::Disabled;
             self.xnack_lost = true;
-            let a0 = self.anchor(thread);
-            self.log_recovery(thread, a0, 0, RecoveryAction::XnackLost);
+            self.log_recovery(thread, 0, RecoveryAction::XnackLost);
         }
         if self.xnack_lost {
             for r in access {
@@ -1346,9 +1187,7 @@ impl OmpRuntime {
                 }
                 let a0 = self.anchor(thread);
                 let out = self.hsa.svm_prefault(thread, *r)?;
-                self.ledger.recovery_prefault += out.cost;
-                self.ledger.recovery_prefaults += 1;
-                self.emit(
+                self.charge(
                     thread,
                     a0,
                     EventKind::Prefault {
@@ -1363,9 +1202,9 @@ impl OmpRuntime {
     }
 
     fn begin_map(&mut self, thread: usize, e: &MapEntry) -> Result<(), OmpError> {
-        self.ledger.maps += 1;
-        self.emit_instant(
+        self.charge(
             thread,
+            self.anchor(thread),
             EventKind::MapBegin {
                 range: e.range,
                 dir: e.dir,
@@ -1394,9 +1233,8 @@ impl OmpRuntime {
                         // short-circuit it.
                         let svc = self.mem().cost().map_service;
                         let a0 = self.anchor(thread);
-                        self.ledger.mm_map += svc;
                         self.hsa.host_compute(thread, svc);
-                        self.emit(
+                        self.charge(
                             thread,
                             a0,
                             EventKind::MapService {
@@ -1418,8 +1256,7 @@ impl OmpRuntime {
                     let dev = self.pool_allocate_recovered(thread, e.range.len)?;
                     let pages = self.mem().page_size().pages_covering(dev, e.range.len);
                     let cost = self.mem().cost().pool_alloc_cost(pages);
-                    self.ledger.mm_alloc += cost;
-                    self.emit(
+                    self.charge(
                         thread,
                         a0,
                         EventKind::PoolAlloc {
@@ -1441,9 +1278,7 @@ impl OmpRuntime {
         if self.config.prefaults_on_map() {
             let a0 = self.anchor(thread);
             let out = self.hsa.svm_prefault(thread, e.range)?;
-            self.ledger.mm_prefault += out.cost;
-            self.ledger.prefault_calls += 1;
-            self.emit(
+            self.charge(
                 thread,
                 a0,
                 EventKind::Prefault {
@@ -1457,9 +1292,9 @@ impl OmpRuntime {
     }
 
     fn end_map(&mut self, thread: usize, e: &MapEntry, delete: bool) -> Result<(), OmpError> {
-        self.ledger.maps += 1;
-        self.emit_instant(
+        self.charge(
             thread,
+            self.anchor(thread),
             EventKind::MapEnd {
                 range: e.range,
                 dir: e.dir,
@@ -1506,9 +1341,8 @@ impl OmpRuntime {
                 .pages_covering(removed.device_base, removed.host.len);
             let cost = self.mem().cost().pool_free_cost(pages);
             let a0 = self.anchor(thread);
-            self.ledger.mm_free += cost;
             self.hsa.pool_free(thread, removed.device_base)?;
-            self.emit(
+            self.charge(
                 thread,
                 a0,
                 EventKind::PoolFree {

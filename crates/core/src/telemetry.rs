@@ -15,9 +15,16 @@
 //! The load-bearing contract is *ledger derivability*: [`fold`] replays an
 //! event stream into an [`OverheadLedger`] and the result equals the ledger
 //! the runtime accumulated, field for field, whenever no events were dropped.
-//! The ledger is thus a derived view of the stream, not a parallel
-//! bookkeeping path; the check harness enforces this on every shipped cell
-//! and `crates/check/tests/telemetry_prop.rs` on randomized programs.
+//! It holds by construction: [`OverheadLedger::apply`] is the one place that
+//! defines what each event charges, the runtime's single charge funnel
+//! builds the event, applies it to its ledger and (ring on) records that
+//! same event, and [`fold`] is `apply` over the stream. The ledger is thus a
+//! derived view of the stream, not a parallel bookkeeping path. The check
+//! harness still compares the two on every shipped cell (a `TELEMETRY FOLD
+//! DIVERGED` verdict), as does `crates/check/tests/telemetry_prop.rs` on
+//! randomized programs: what that can still catch is ring overflow (dropped
+//! events) or a charge site that mutates the ledger without going through
+//! the funnel.
 //!
 //! Overflow is never silent: when the ring is full the oldest event is
 //! evicted and [`TelemetryReport::dropped_events`] is incremented; every sink
@@ -90,9 +97,9 @@ pub enum ElideProbe {
 
 /// One telemetry event payload.
 ///
-/// Every duration-carrying variant records exactly the delta the runtime
-/// charged to the matching [`OverheadLedger`] field, which is what makes
-/// [`fold`] exact.
+/// What each variant charges to the [`OverheadLedger`] is defined once, in
+/// [`OverheadLedger::apply`]; the runtime charges its ledger by applying
+/// the very event it records, which is what makes [`fold`] exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// A map construct entered for one entry (counts toward `maps`).
@@ -464,7 +471,7 @@ impl EventRing {
 
     /// Fold the events currently held into a ledger (see [`fold`]).
     pub fn fold(&self) -> OverheadLedger {
-        fold_iter(self.buf.iter())
+        fold_iter(&self.buf)
     }
 
     /// Finish collection, yielding the report consumed by the sinks.
@@ -491,38 +498,34 @@ pub struct TelemetryReport {
     pub capacity: usize,
 }
 
-/// Replay an event stream into the ledger it implies.
-///
-/// For a complete stream (`dropped_events == 0`) the result equals the
-/// runtime's [`OverheadLedger`] field for field — the derivability contract
-/// enforced by the check harness on every shipped cell.
-pub fn fold(events: &[Event]) -> OverheadLedger {
-    fold_iter(events.iter())
-}
-
-fn fold_iter<'a>(events: impl Iterator<Item = &'a Event>) -> OverheadLedger {
-    let mut l = OverheadLedger::default();
-    for e in events {
-        match &e.kind {
-            EventKind::MapBegin { .. } | EventKind::MapEnd { .. } => l.maps += 1,
-            EventKind::MapService { cost, .. } => l.mm_map += *cost,
-            EventKind::PoolAlloc { cost, .. } => l.mm_alloc += *cost,
-            EventKind::PoolFree { cost, .. } => l.mm_free += *cost,
+impl OverheadLedger {
+    /// Charge one event: the single definition of what each [`EventKind`]
+    /// adds to the ledger. The runtime charges every ledger-changing event
+    /// it records through here, and [`fold`] applies a stream through here,
+    /// so the two agree by construction.
+    pub fn apply(&mut self, kind: &EventKind) {
+        match kind {
+            EventKind::MapBegin { .. } | EventKind::MapEnd { .. } => self.maps += 1,
+            EventKind::MapService { cost, .. } => self.mm_map += *cost,
+            EventKind::PoolAlloc { cost, .. } => self.mm_alloc += *cost,
+            EventKind::PoolFree { cost, .. } => self.mm_free += *cost,
             EventKind::Copy { bytes, cost, .. } => {
-                l.mm_copy += *cost;
-                l.copies += 1;
-                l.bytes_copied += *bytes;
+                self.mm_copy += *cost;
+                self.copies += 1;
+                self.bytes_copied += *bytes;
             }
-            EventKind::Prefault { cost, recovery, .. } => {
-                if *recovery {
-                    l.recovery_prefault += *cost;
-                    l.recovery_prefaults += 1;
-                } else {
-                    l.mm_prefault += *cost;
-                    l.prefault_calls += 1;
-                }
+            EventKind::Prefault {
+                cost,
+                recovery: true,
+                ..
+            } => {
+                self.recovery_prefault += *cost;
+                self.recovery_prefaults += 1;
             }
-            EventKind::KernelLaunch { .. } => {}
+            EventKind::Prefault { cost, .. } => {
+                self.mm_prefault += *cost;
+                self.prefault_calls += 1;
+            }
             EventKind::KernelComplete {
                 compute,
                 fault_stall,
@@ -531,31 +534,48 @@ fn fold_iter<'a>(events: impl Iterator<Item = &'a Event>) -> OverheadLedger {
                 zero_filled_pages,
                 ..
             } => {
-                l.kernel_compute += *compute;
-                l.kernels += 1;
-                l.mi_fault_stall += *fault_stall;
-                l.tlb_stall += *tlb_stall;
-                l.replayed_pages += *replayed_pages;
-                l.zero_filled_pages += *zero_filled_pages;
+                self.kernel_compute += *compute;
+                self.kernels += 1;
+                self.mi_fault_stall += *fault_stall;
+                self.tlb_stall += *tlb_stall;
+                self.replayed_pages += *replayed_pages;
+                self.zero_filled_pages += *zero_filled_pages;
             }
             EventKind::Elide { lookup, saved, .. } => {
-                l.mm_map += *lookup;
-                l.mm_saved += *saved;
-                l.maps_elided += 1;
+                self.mm_map += *lookup;
+                self.mm_saved += *saved;
+                self.maps_elided += 1;
             }
             EventKind::Backoff { delay, .. } => {
-                l.retries += 1;
-                l.recovery_backoff += *delay;
+                self.retries += 1;
+                self.recovery_backoff += *delay;
             }
-            EventKind::Evicted { pages } => l.evicted_for_retry += *pages,
+            EventKind::Evicted { pages } => self.evicted_for_retry += *pages,
             EventKind::Recovery { event } => match event.action {
                 RecoveryAction::XnackLost | RecoveryAction::StartupDegradation { .. } => {
-                    l.degradations += 1;
+                    self.degradations += 1;
                 }
-                _ => l.recoveries += 1,
+                _ => self.recoveries += 1,
             },
-            EventKind::Sanitizer { .. } => {}
+            EventKind::KernelLaunch { .. } | EventKind::Sanitizer { .. } => {}
         }
+    }
+}
+
+/// Replay an event stream into the ledger it implies: [`OverheadLedger::apply`]
+/// over every event.
+///
+/// For a complete stream (`dropped_events == 0`) the result equals the
+/// runtime's [`OverheadLedger`] field for field — the derivability contract
+/// enforced by the check harness on every shipped cell.
+pub fn fold(events: &[Event]) -> OverheadLedger {
+    fold_iter(events)
+}
+
+fn fold_iter<'a>(events: impl IntoIterator<Item = &'a Event>) -> OverheadLedger {
+    let mut l = OverheadLedger::default();
+    for e in events {
+        l.apply(&e.kind);
     }
     l
 }
@@ -1359,32 +1379,86 @@ mod tests {
                     recovery: true,
                 },
             ),
+            ev(
+                13,
+                EventKind::KernelLaunch {
+                    name: Arc::from("k"),
+                    compute: us(100),
+                },
+            ),
+            ev(
+                14,
+                EventKind::MapService {
+                    range: r(0x1000, 64),
+                    cost: us(6),
+                },
+            ),
+            ev(
+                15,
+                EventKind::Sanitizer {
+                    code: DiagCode::Mc007,
+                },
+            ),
         ];
-        let l = fold(&events);
-        assert_eq!(l.maps, 2);
-        assert_eq!(l.mm_alloc, us(3));
-        assert_eq!(l.mm_copy, us(5));
-        assert_eq!(l.copies, 1);
-        assert_eq!(l.bytes_copied, 64);
-        assert_eq!(l.mm_prefault, us(2));
-        assert_eq!(l.prefault_calls, 1);
-        assert_eq!(l.mm_free, us(1));
-        assert_eq!(l.kernel_compute, us(100));
-        assert_eq!(l.kernels, 1);
-        assert_eq!(l.mi_fault_stall, us(40));
-        assert_eq!(l.tlb_stall, us(1));
-        assert_eq!(l.replayed_pages, 7);
-        assert_eq!(l.zero_filled_pages, 2);
-        assert_eq!(l.mm_map, us(1));
-        assert_eq!(l.mm_saved, us(9));
-        assert_eq!(l.maps_elided, 1);
-        assert_eq!(l.retries, 1);
-        assert_eq!(l.recovery_backoff, us(8));
-        assert_eq!(l.evicted_for_retry, 16);
-        assert_eq!(l.recoveries, 1);
-        assert_eq!(l.degradations, 1);
-        assert_eq!(l.recovery_prefault, us(4));
-        assert_eq!(l.recovery_prefaults, 1);
+        // Every variant appears: this match has no wildcard, so a new
+        // variant fails to compile here until the test covers it.
+        let mut seen = [false; 14];
+        for e in &events {
+            seen[match e.kind {
+                EventKind::MapBegin { .. } => 0,
+                EventKind::MapEnd { .. } => 1,
+                EventKind::MapService { .. } => 2,
+                EventKind::PoolAlloc { .. } => 3,
+                EventKind::PoolFree { .. } => 4,
+                EventKind::Copy { .. } => 5,
+                EventKind::Prefault { .. } => 6,
+                EventKind::KernelLaunch { .. } => 7,
+                EventKind::KernelComplete { .. } => 8,
+                EventKind::Elide { .. } => 9,
+                EventKind::Backoff { .. } => 10,
+                EventKind::Evicted { .. } => 11,
+                EventKind::Recovery { .. } => 12,
+                EventKind::Sanitizer { .. } => 13,
+            }] = true;
+        }
+        assert!(seen.iter().all(|s| *s), "{seen:?}");
+        assert_eq!(
+            fold(&events),
+            OverheadLedger {
+                mm_alloc: us(3),
+                mm_copy: us(5),
+                mm_free: us(1),
+                mm_prefault: us(2),
+                // Map service plus the elision lookup.
+                mm_map: us(6 + 1),
+                mm_saved: us(9),
+                maps_elided: 1,
+                mi_fault_stall: us(40),
+                tlb_stall: us(1),
+                kernel_compute: us(100),
+                kernels: 1,
+                copies: 1,
+                bytes_copied: 64,
+                maps: 2,
+                replayed_pages: 7,
+                zero_filled_pages: 2,
+                prefault_calls: 1,
+                recovery_backoff: us(8),
+                recovery_prefault: us(4),
+                retries: 1,
+                // RetriedAlloc takes the recovery arm, XnackLost the
+                // degradation arm.
+                recoveries: 1,
+                degradations: 1,
+                evicted_for_retry: 16,
+                recovery_prefaults: 1,
+            }
+        );
+        // The two marker variants charge nothing.
+        let mut l = OverheadLedger::default();
+        l.apply(&events[13].kind);
+        l.apply(&events[15].kind);
+        assert_eq!(l, OverheadLedger::default());
     }
 
     #[test]

@@ -101,6 +101,78 @@ impl OverheadLedger {
     }
 }
 
+/// How a ledger field's raw value reads: virtual nanoseconds or a count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LedgerUnit {
+    /// A [`VirtDuration`], as integer nanoseconds.
+    Ns,
+    /// A plain event or page count.
+    Count,
+}
+
+/// One [`OverheadLedger`] field: its stable name, its unit, and accessors
+/// over the raw `u64` value.
+#[derive(Debug, Clone, Copy)]
+pub struct LedgerField {
+    /// Field name, as spelled in serialized results and metric labels.
+    pub name: &'static str,
+    /// Whether the raw value is nanoseconds or a count.
+    pub unit: LedgerUnit,
+    /// Read the raw value.
+    pub get: fn(&OverheadLedger) -> u64,
+    /// Overwrite the field from a raw value.
+    pub set: fn(&mut OverheadLedger, u64),
+}
+
+macro_rules! ledger_field {
+    (ns $f:ident) => {
+        LedgerField {
+            name: stringify!($f),
+            unit: LedgerUnit::Ns,
+            get: |l| l.$f.as_nanos(),
+            set: |l, v| l.$f = VirtDuration::from_nanos(v),
+        }
+    };
+    (count $f:ident) => {
+        LedgerField {
+            name: stringify!($f),
+            unit: LedgerUnit::Count,
+            get: |l| l.$f,
+            set: |l, v| l.$f = v,
+        }
+    };
+}
+
+/// Every ledger field exactly once — durations first, then counts — in the
+/// order serialized results list them. The one field list that result
+/// serialization and the metrics exposition iterate.
+pub const LEDGER_FIELDS: [LedgerField; 24] = [
+    ledger_field!(ns mm_alloc),
+    ledger_field!(ns mm_copy),
+    ledger_field!(ns mm_free),
+    ledger_field!(ns mm_prefault),
+    ledger_field!(ns mm_map),
+    ledger_field!(ns mm_saved),
+    ledger_field!(ns mi_fault_stall),
+    ledger_field!(ns tlb_stall),
+    ledger_field!(ns kernel_compute),
+    ledger_field!(ns recovery_backoff),
+    ledger_field!(ns recovery_prefault),
+    ledger_field!(count maps_elided),
+    ledger_field!(count kernels),
+    ledger_field!(count copies),
+    ledger_field!(count bytes_copied),
+    ledger_field!(count maps),
+    ledger_field!(count replayed_pages),
+    ledger_field!(count zero_filled_pages),
+    ledger_field!(count prefault_calls),
+    ledger_field!(count retries),
+    ledger_field!(count recoveries),
+    ledger_field!(count degradations),
+    ledger_field!(count evicted_for_retry),
+    ledger_field!(count recovery_prefaults),
+];
+
 impl fmt::Display for OverheadLedger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "MM total: {}", self.mm_total())?;
@@ -238,6 +310,25 @@ mod tests {
         };
         assert_eq!(ledger.mm_total(), us(42));
         assert_eq!(ledger.mi_total(), us(100));
+    }
+
+    #[test]
+    fn field_table_covers_each_ledger_field_once() {
+        // Writing field i through its setter must show up in its own getter
+        // and no other: the 24 entries address 24 distinct fields, which is
+        // all of them.
+        for (i, field) in LEDGER_FIELDS.iter().enumerate() {
+            let mut l = OverheadLedger::default();
+            (field.set)(&mut l, 1000 + i as u64);
+            for (j, other) in LEDGER_FIELDS.iter().enumerate() {
+                let want = if i == j { 1000 + i as u64 } else { 0 };
+                assert_eq!((other.get)(&l), want, "{} via {}", other.name, field.name);
+            }
+        }
+        // Durations first, then counts.
+        assert!(LEDGER_FIELDS
+            .windows(2)
+            .all(|w| !(w[0].unit == LedgerUnit::Count && w[1].unit == LedgerUnit::Ns)));
     }
 
     #[test]
