@@ -19,6 +19,7 @@ use workloads::{NioSize, OpenFoamMini, QmcPack, Stream, Workload};
 
 #[test]
 fn every_shipped_workload_is_error_free_under_all_compatible_configs() {
+    let mut all = Vec::new();
     for w in harness::shipped_workloads() {
         let cells = check_workload(w.as_ref()).expect("capture succeeds");
         assert_eq!(cells.len(), harness::configs_for(w.as_ref()).len());
@@ -41,7 +42,16 @@ fn every_shipped_workload_is_error_free_under_all_compatible_configs() {
             );
         }
         assert!(!harness::has_errors(&cells));
+        all.extend(cells);
     }
+    // The whole 42-cell report, byte for byte: `all` is exactly what
+    // `check_all(None)` returns, and its JSON is what `apusim check --json`
+    // prints. Any change to a diagnostic, verdict or saving moves it.
+    assert_eq!(all.len(), 42);
+    assert_eq!(
+        omp_offload::digest::fnv1a(harness::render_json(&all).as_bytes()),
+        0x9f37_95dd_7717_bcb2
+    );
 }
 
 /// The elision pass is not a no-op on the shipped programs: under Copy data
