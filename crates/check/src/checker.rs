@@ -1,11 +1,13 @@
 //! The static checker: abstract interpretation of a [`MapIr`] stream
 //! against a symbolic mapping table.
 //!
-//! The interpreter replicates the runtime's mapping-table semantics —
-//! presence classification, refcounting, `nowait` exit-map deferral — and
-//! layers the same staleness model the runtime sanitizer uses: per-extent
-//! host/device version clocks, advanced by host writes, to-transfers,
-//! kernel writes, and from-transfers. Because addresses in MapIR are real
+//! The table is a [`MapModel`], the same model the runtime's sharded table
+//! is built from, so presence classification, refcounting and `nowait`
+//! exit-map deferral are the runtime's. Its per-extent payload carries the
+//! staleness model the runtime sanitizer uses: host/device version clocks,
+//! advanced by host writes, to-transfers, kernel writes, and
+//! from-transfers. The optimizer replays this interpreter to find no-op
+//! `target update` ranges. Because addresses in MapIR are real
 //! (capture executes the allocation calls), the symbolic table operates on
 //! concrete extents and the analysis is exact for the captured program, not
 //! an over-approximation.
@@ -18,7 +20,8 @@
 use apu_mem::{AddrRange, XnackMode};
 use omp_offload::diag::msg;
 use omp_offload::{
-    DiagCode, Diagnostic, KernelOp, MapDir, MapEntry, MapIr, MapOp, Presence, RuntimeConfig,
+    DiagCode, Diagnostic, KernelOp, MapDir, MapEntry, MapIr, MapModel, MapOp, Presence,
+    RuntimeConfig,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -34,38 +37,36 @@ pub fn check(ir: &MapIr, config: RuntimeConfig) -> Vec<Diagnostic> {
     interp.finish()
 }
 
-/// One symbolic mapping-table entry.
-#[derive(Debug, Clone, Copy)]
-struct SymExtent {
-    range: AddrRange,
-    refcount: u32,
-    /// Version clocks (meaningful in Copy mode only).
+/// Per-extent version clocks of the Copy-mode staleness model: the tick of
+/// the host copy's last write and the tick of the content the device copy
+/// holds. The device copy is stale when `dev_v < host_v`, the host copy
+/// when `dev_v > host_v`.
+struct Versions {
     host_v: u64,
     dev_v: u64,
 }
 
-struct Interp {
+/// The abstract interpreter. The optimizer replays it in Copy mode to
+/// read the version clocks at each `target update`.
+pub(crate) struct Interp {
     config: RuntimeConfig,
-    /// Symbolic mapping table keyed by extent host start, mirroring the
-    /// runtime's `MappingTable`.
-    table: BTreeMap<u64, SymExtent>,
+    /// Symbolic mapping table, with the runtime's refcount and deferral
+    /// rules, carrying version clocks per extent.
+    table: MapModel<Versions>,
     /// Live `omp_target_alloc` extents: start → len.
     pool: BTreeMap<u64, u64>,
     tick: u64,
-    /// Deferred `nowait` exit maps per thread, drained at `Taskwait`.
-    pending: BTreeMap<u32, Vec<MapEntry>>,
     seen: BTreeSet<(DiagCode, u64)>,
     diags: Vec<Diagnostic>,
 }
 
 impl Interp {
-    fn new(config: RuntimeConfig) -> Self {
+    pub(crate) fn new(config: RuntimeConfig) -> Self {
         Interp {
             config,
-            table: BTreeMap::new(),
+            table: MapModel::new(),
             pool: BTreeMap::new(),
             tick: 0,
-            pending: BTreeMap::new(),
             seen: BTreeSet::new(),
             diags: Vec::new(),
         }
@@ -82,44 +83,6 @@ impl Interp {
         }
     }
 
-    // -- symbolic mapping table, replicating MappingTable semantics ------
-
-    fn find(&self, range: &AddrRange) -> Option<&SymExtent> {
-        self.table
-            .range(..=range.start.as_u64())
-            .next_back()
-            .map(|(_, e)| e)
-            .filter(|e| e.range.contains(range.start))
-    }
-
-    fn find_mut(&mut self, range: &AddrRange) -> Option<&mut SymExtent> {
-        self.table
-            .range_mut(..=range.start.as_u64())
-            .next_back()
-            .map(|(_, e)| e)
-            .filter(|e| e.range.contains(range.start))
-    }
-
-    fn presence(&self, range: &AddrRange) -> Presence {
-        if let Some(e) = self.find(range) {
-            return if e.range.contains_range(range) {
-                Presence::Present
-            } else {
-                Presence::Partial
-            };
-        }
-        if self
-            .table
-            .range(range.start.as_u64()..range.end())
-            .next()
-            .is_some()
-        {
-            Presence::Partial
-        } else {
-            Presence::Absent
-        }
-    }
-
     fn pool_covers(&self, range: &AddrRange) -> bool {
         self.pool
             .range(..=range.start.as_u64())
@@ -127,10 +90,24 @@ impl Interp {
             .is_some_and(|(start, len)| range.end() <= start + len)
     }
 
+    /// Is `range` inside a live extent whose host and device copies hold
+    /// the same version? An `update` of it then transfers nothing new.
+    pub(crate) fn clocks_agree(&self, range: &AddrRange) -> bool {
+        self.table
+            .containing(range)
+            .is_some_and(|x| x.payload.host_v == x.payload.dev_v)
+    }
+
+    /// The clocks of the live extent containing `range`, which the caller
+    /// has classified `Present`.
+    fn versions_mut(&mut self, range: &AddrRange) -> &mut Versions {
+        self.table.payload_mut(range.start).expect("present extent")
+    }
+
     // -- directive semantics ---------------------------------------------
 
     fn map_enter(&mut self, thread: u32, e: &MapEntry) {
-        match self.presence(&e.range) {
+        match self.table.presence(&e.range) {
             Presence::Partial => {
                 self.report(DiagCode::Mc006, thread, e.range, msg::double_map_mismatch());
             }
@@ -143,32 +120,25 @@ impl Interp {
                         msg::redundant_remap(e.dir),
                     );
                 }
-                let copy = self.copy_mode();
-                if let Some(x) = self.find_mut(&e.range) {
-                    x.refcount += 1;
-                    if copy && e.always && e.dir.copies_to() {
-                        x.dev_v = x.host_v;
-                    }
+                self.table.retain(&e.range).expect("present extent");
+                if self.copy_mode() && e.always && e.dir.copies_to() {
+                    let v = self.versions_mut(&e.range);
+                    v.dev_v = v.host_v;
                 }
             }
             Presence::Absent => {
                 self.tick += 1;
-                let tick = self.tick;
-                self.table.insert(
-                    e.range.start.as_u64(),
-                    SymExtent {
-                        range: e.range,
-                        refcount: 1,
-                        host_v: tick,
-                        dev_v: if e.dir.copies_to() { tick } else { 0 },
-                    },
-                );
+                let versions = Versions {
+                    host_v: self.tick,
+                    dev_v: if e.dir.copies_to() { self.tick } else { 0 },
+                };
+                self.table.insert(e.range, versions);
             }
         }
     }
 
     fn map_exit(&mut self, thread: u32, e: &MapEntry, delete: bool) {
-        match self.presence(&e.range) {
+        match self.table.presence(&e.range) {
             Presence::Absent => {
                 self.report(
                     DiagCode::Mc002,
@@ -184,23 +154,19 @@ impl Interp {
             }
             Presence::Present => {}
         }
-        let copy = self.copy_mode();
-        let key = {
-            let x = self.find_mut(&e.range).expect("present extent");
-            let disappearing = x.refcount == 1 || delete;
-            if copy && e.dir.copies_from() && (disappearing || e.always) {
-                x.host_v = x.dev_v;
-            }
-            if disappearing {
-                Some(x.range.start.as_u64())
-            } else {
-                x.refcount -= 1;
-                None
-            }
-        };
-        if let Some(key) = key {
-            self.table.remove(&key);
+        // The copy-back fires when the extent disappears or under `always`.
+        let refcount = self
+            .table
+            .find(e.range.start)
+            .expect("present extent")
+            .refcount;
+        if self.copy_mode() && e.dir.copies_from() && (refcount == 1 || delete || e.always) {
+            let v = self.versions_mut(&e.range);
+            v.host_v = v.dev_v;
         }
+        self.table
+            .release(&e.range, delete)
+            .expect("present extent");
     }
 
     fn kernel(&mut self, thread: u32, k: &KernelOp) {
@@ -220,7 +186,10 @@ impl Interp {
         if self.copy_mode() {
             // Reads observe the device copy as it stands at dispatch.
             for e in k.maps.iter().filter(|e| e.dir.copies_to()) {
-                let stale = self.find(&e.range).is_some_and(|x| x.dev_v < x.host_v);
+                let stale = self
+                    .table
+                    .find(e.range.start)
+                    .is_some_and(|x| x.payload.dev_v < x.payload.host_v);
                 if stale {
                     self.report(DiagCode::Mc003, thread, e.range, msg::stale_device_read());
                 }
@@ -228,18 +197,14 @@ impl Interp {
             // Kernel writes advance the device clock of `from`-flavored maps.
             for e in k.maps.iter().filter(|e| e.dir.copies_from()) {
                 self.tick += 1;
-                let tick = self.tick;
-                if let Some(x) = self.find_mut(&e.range) {
-                    x.dev_v = tick;
+                if let Some(v) = self.table.payload_mut(e.range.start) {
+                    v.dev_v = self.tick;
                 }
             }
         }
         if k.nowait {
             // Exit maps are deferred until the thread's taskwait.
-            self.pending
-                .entry(thread)
-                .or_default()
-                .extend(k.maps.iter().copied());
+            self.table.defer(thread, &k.maps);
         } else {
             for e in &k.maps {
                 self.map_exit(thread, e, false);
@@ -247,7 +212,7 @@ impl Interp {
         }
     }
 
-    fn step(&mut self, thread: u32, op: &MapOp) {
+    pub(crate) fn step(&mut self, thread: u32, op: &MapOp) {
         match op {
             MapOp::HostAlloc { .. } | MapOp::HostFree { .. } | MapOp::GlobalDecl { .. } => {}
             MapOp::PoolAlloc { range } => {
@@ -259,10 +224,9 @@ impl Interp {
             MapOp::HostWrite { range } => {
                 if self.copy_mode() {
                     self.tick += 1;
-                    let tick = self.tick;
-                    for x in self.table.values_mut() {
-                        if overlaps(&x.range, range) {
-                            x.host_v = tick;
+                    for (extent, v) in self.table.payloads_mut() {
+                        if overlaps(&extent, range) {
+                            v.host_v = self.tick;
                         }
                     }
                 }
@@ -271,9 +235,9 @@ impl Interp {
                 if self.copy_mode() {
                     let stale: Vec<AddrRange> = self
                         .table
-                        .values()
-                        .filter(|x| overlaps(&x.range, range) && x.dev_v > x.host_v)
-                        .map(|x| x.range)
+                        .iter()
+                        .filter(|x| overlaps(&x.host, range) && x.payload.dev_v > x.payload.host_v)
+                        .map(|x| x.host)
                         .collect();
                     for extent in stale {
                         self.report(DiagCode::Mc004, thread, extent, msg::stale_host_read());
@@ -285,29 +249,27 @@ impl Interp {
             MapOp::Update { to, from } => {
                 if self.copy_mode() {
                     for range in to.iter().chain(from.iter()) {
-                        if self.presence(range) != Presence::Present {
+                        if self.table.presence(range) != Presence::Present {
                             self.report(DiagCode::Mc002, thread, *range, msg::update_not_mapped());
                         }
                     }
                     for range in to {
-                        if self.presence(range) == Presence::Present {
-                            if let Some(x) = self.find_mut(range) {
-                                x.dev_v = x.host_v;
-                            }
+                        if self.table.presence(range) == Presence::Present {
+                            let v = self.versions_mut(range);
+                            v.dev_v = v.host_v;
                         }
                     }
                     for range in from {
-                        if self.presence(range) == Presence::Present {
-                            if let Some(x) = self.find_mut(range) {
-                                x.host_v = x.dev_v;
-                            }
+                        if self.table.presence(range) == Presence::Present {
+                            let v = self.versions_mut(range);
+                            v.host_v = v.dev_v;
                         }
                     }
                 }
             }
             MapOp::Kernel(k) => self.kernel(thread, k),
             MapOp::Taskwait => {
-                for e in self.pending.remove(&thread).unwrap_or_default() {
+                for e in self.table.drain(thread) {
                     self.map_exit(thread, &e, false);
                 }
             }
@@ -319,7 +281,7 @@ impl Interp {
         // stay live and surface below as MC001, matching the sanitizer's
         // view of the real table.
         let leaked: Vec<(AddrRange, u32)> =
-            self.table.values().map(|x| (x.range, x.refcount)).collect();
+            self.table.iter().map(|x| (x.host, x.refcount)).collect();
         for (extent, refcount) in leaked {
             self.report(DiagCode::Mc001, 0, extent, msg::leaked(refcount));
         }

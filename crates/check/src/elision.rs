@@ -1,7 +1,8 @@
 //! Profile-guided elision: derive an [`ElisionPlan`] from a capture.
 //!
-//! The planner walks the [`MapIr`] stream with a symbolic refcount table
-//! (the presence half of the [`check`](crate::check) interpreter) and marks
+//! The planner walks the [`MapIr`] stream over a presence-only
+//! [`MapModel`] (the model the [`check`](crate::check) interpreter and the
+//! runtime's table are built from, with no payload) and marks
 //! every map site the runtime's online elision would promote: a re-map of an
 //! already-present extent carrying a transfer direction and no `always`
 //! modifier — the MC007 pattern. Under the refcount model such a map's
@@ -22,9 +23,7 @@
 //! replay) and the map's position in the construct's clause list
 //! (`MapEnter` sites use map index 0).
 
-use apu_mem::AddrRange;
-use omp_offload::{ElisionPlan, MapDir, MapEntry, MapIr, MapOp};
-use std::collections::BTreeMap;
+use omp_offload::{ElisionPlan, MapDir, MapEntry, MapIr, MapModel, MapOp, Presence};
 
 /// Compute the elision plan for a captured program.
 ///
@@ -34,138 +33,77 @@ use std::collections::BTreeMap;
 /// plan-mode replay elides the same maps an online run of the same program
 /// would.
 pub fn elision_plan(ir: &MapIr) -> ElisionPlan {
-    // Empty and zero-map (kernels-only) captures have no sites by
-    // construction: return the empty plan without touching the table.
-    let has_map_sites = ir.records.iter().any(|r| match &r.op {
-        MapOp::MapEnter { .. } | MapOp::MapExit { .. } => true,
-        MapOp::Kernel(k) => !k.maps.is_empty(),
-        _ => false,
-    });
-    if !has_map_sites {
-        return ElisionPlan::new();
-    }
-    let mut p = Planner::default();
+    let mut live = MapModel::new();
+    let mut plan = ElisionPlan::new();
     for (idx, rec) in ir.records.iter().enumerate() {
-        p.step(idx as u64, rec.thread, &rec.op);
-    }
-    p.plan
-}
-
-/// Symbolic refcount table: extent start → (extent, refcount), plus the
-/// per-thread deferred `nowait` exit maps.
-#[derive(Default)]
-struct Planner {
-    table: BTreeMap<u64, (AddrRange, u32)>,
-    pending: BTreeMap<u32, Vec<MapEntry>>,
-    plan: ElisionPlan,
-}
-
-impl Planner {
-    /// Full containment by a live extent — the runtime's
-    /// `Presence::Present`. Partial overlaps are never eligible.
-    fn present(&self, r: &AddrRange) -> bool {
-        self.table
-            .range(..=r.start.as_u64())
-            .next_back()
-            .is_some_and(|(_, (e, _))| e.contains(r.start) && e.contains_range(r))
-    }
-
-    fn eligible(&self, e: &MapEntry) -> bool {
-        e.dir != MapDir::Alloc && !e.always && self.present(&e.range)
-    }
-
-    fn enter(&mut self, e: &MapEntry) {
-        if self.present(&e.range) {
-            if let Some((_, rc)) = self
-                .table
-                .range_mut(..=e.range.start.as_u64())
-                .next_back()
-                .map(|(_, v)| v)
-            {
-                *rc += 1;
+        // Every map of the op is judged against the pre-construct table,
+        // before any of the construct's own enters take effect.
+        let maps = match &rec.op {
+            MapOp::MapEnter { entry } => std::slice::from_ref(entry),
+            MapOp::Kernel(k) => &k.maps[..],
+            _ => &[],
+        };
+        for (i, e) in maps.iter().enumerate() {
+            // Partial overlaps are never eligible.
+            if e.dir != MapDir::Alloc && !e.always && live.presence(&e.range) == Presence::Present {
+                plan.insert(idx as u64, i as u32);
             }
-        } else if self
-            .table
-            .range(e.range.start.as_u64()..e.range.end())
-            .next()
-            .is_none()
-            && self
-                .table
-                .range(..=e.range.start.as_u64())
-                .next_back()
-                .is_none_or(|(_, (r, _))| !r.contains(e.range.start))
-        {
-            self.table.insert(e.range.start.as_u64(), (e.range, 1));
         }
+        track(&mut live, rec.thread, &rec.op);
+    }
+    plan
+}
+
+/// Apply `op`'s presence and refcount effect to `live`: the runtime's
+/// enter/exit rules with `nowait` exits deferred to the thread's taskwait.
+/// Shared by the planner and the optimizer's hoist and dead-from passes.
+pub(crate) fn track(live: &mut MapModel<()>, thread: u32, op: &MapOp) {
+    match op {
+        MapOp::MapEnter { entry } => enter(live, entry),
+        MapOp::MapExit { entry, delete } => exit(live, entry, *delete),
+        MapOp::Kernel(k) => {
+            for e in &k.maps {
+                enter(live, e);
+            }
+            if k.nowait {
+                live.defer(thread, &k.maps);
+            } else {
+                for e in &k.maps {
+                    exit(live, e, false);
+                }
+            }
+        }
+        MapOp::Taskwait => {
+            for e in live.drain(thread) {
+                exit(live, &e, false);
+            }
+        }
+        _ => {}
+    }
+}
+
+fn enter(live: &mut MapModel<()>, e: &MapEntry) {
+    match live.presence(&e.range) {
+        Presence::Present => {
+            live.retain(&e.range).expect("present extent");
+        }
+        Presence::Absent => live.insert(e.range, ()),
         // Partial overlaps abort the real run (PartialOverlap); nothing
         // useful to model past this point.
+        Presence::Partial => {}
     }
+}
 
-    fn exit(&mut self, e: &MapEntry, delete: bool) {
-        let Some(key) = self
-            .table
-            .range(..=e.range.start.as_u64())
-            .next_back()
-            .filter(|(_, (r, _))| r.contains(e.range.start) && r.contains_range(&e.range))
-            .map(|(k, _)| *k)
-        else {
-            return;
-        };
-        let (_, rc) = self.table.get_mut(&key).expect("present extent");
-        if *rc == 1 || delete {
-            self.table.remove(&key);
-        } else {
-            *rc -= 1;
-        }
-    }
-
-    fn step(&mut self, idx: u64, thread: u32, op: &MapOp) {
-        match op {
-            MapOp::MapEnter { entry } => {
-                if self.eligible(entry) {
-                    self.plan.insert(idx, 0);
-                }
-                self.enter(entry);
-            }
-            MapOp::MapExit { entry, delete } => self.exit(entry, *delete),
-            MapOp::Kernel(k) => {
-                // Pre-pass: every map's eligibility is judged against the
-                // pre-construct table, before any of this construct's own
-                // enters take effect.
-                let eligible: Vec<bool> = k.maps.iter().map(|e| self.eligible(e)).collect();
-                for (i, yes) in eligible.iter().enumerate() {
-                    if *yes {
-                        self.plan.insert(idx, i as u32);
-                    }
-                }
-                for e in &k.maps {
-                    self.enter(e);
-                }
-                if k.nowait {
-                    self.pending
-                        .entry(thread)
-                        .or_default()
-                        .extend(k.maps.iter().copied());
-                } else {
-                    for e in &k.maps {
-                        self.exit(e, false);
-                    }
-                }
-            }
-            MapOp::Taskwait => {
-                for e in self.pending.remove(&thread).unwrap_or_default() {
-                    self.exit(&e, false);
-                }
-            }
-            _ => {}
-        }
+fn exit(live: &mut MapModel<()>, e: &MapEntry, delete: bool) {
+    if live.presence(&e.range) == Presence::Present {
+        live.release(&e.range, delete).expect("present extent");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apu_mem::VirtAddr;
+    use apu_mem::{AddrRange, VirtAddr};
     use omp_offload::KernelOp;
 
     fn r(start: u64, len: u64) -> AddrRange {

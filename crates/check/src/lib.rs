@@ -14,8 +14,9 @@
 //!    captured as a [`MapIr`](omp_offload::MapIr) without executing maps,
 //!    transfers, or kernels.
 //! 2. [`check`] abstractly interprets that stream against a symbolic
-//!    mapping table — per-extent refcounts plus host/device version
-//!    clocks — once per configuration, emitting structured
+//!    mapping table — a [`MapModel`](omp_offload::MapModel) whose
+//!    per-extent payload is a pair of host/device version clocks — once
+//!    per configuration, emitting structured
 //!    [`Diagnostic`](omp_offload::Diagnostic)s with stable `MC00x` codes.
 //! 3. The same invariants are checked dynamically by the runtime sanitizer
 //!    (`RuntimeBuilder::sanitize`); [`harness`] cross-validates the two

@@ -3,10 +3,12 @@
 //! Where [`elision_plan`](crate::elision_plan()) marks individual MC007 sites
 //! for the runtime to promote, this pass rewrites the *program*: it computes
 //! per-extent liveness and reaching-transfer facts across the whole capture
-//! and emits a new [`MapIr`] with the redundant map traffic removed before
-//! the runtime ever sees it (the paper's conclusion that map handling, not
-//! data movement, dominates zero-copy overhead — so the biggest win is map
-//! work that never happens). Four rewrite rules, applied in order:
+//! (presence from a [`MapModel`] walked like the planner's, version clocks
+//! from a Copy-mode replay of the checker's interpreter) and emits a new
+//! [`MapIr`] with the redundant map traffic removed before the runtime ever
+//! sees it (the paper's conclusion that map handling, not data movement,
+//! dominates zero-copy overhead — so the biggest win is map work that never
+//! happens). Four rewrite rules, applied in order:
 //!
 //! 1. **Hoist** — a run of structurally identical op windows (a loop body,
 //!    recognized by repeated-window equality) that re-maps the same extent
@@ -37,12 +39,14 @@
 //! by makespan: the [`OptReport`] recommends the cheapest `RuntimeConfig`
 //! alongside the per-rule rewrite counts.
 
+use crate::checker::Interp;
+use crate::elision::track;
 use crate::{check, elision_plan};
 use apu_mem::{AddrRange, CostModel};
 use hsa_rocr::Topology;
 use omp_offload::{
-    replay, replay_threads, DiagCode, Diagnostic, MapDir, MapEntry, MapIr, MapOp, MapRecord,
-    OmpError, OmpRuntime, RuntimeConfig, Severity,
+    replay, replay_threads, DiagCode, Diagnostic, MapDir, MapEntry, MapIr, MapModel, MapOp,
+    MapRecord, OmpError, OmpRuntime, Presence, RuntimeConfig, Severity,
 };
 use sim_des::VirtDuration;
 use std::collections::BTreeMap;
@@ -255,95 +259,8 @@ fn rank_configs(ir: &MapIr, configs: &[RuntimeConfig]) -> Result<Vec<ConfigScore
     Ok(scores)
 }
 
-// ---------------------------------------------------------------------------
-// Shared symbolic state: the planner's presence/refcount table.
-// ---------------------------------------------------------------------------
-
 fn ranges_overlap(a: &AddrRange, b: &AddrRange) -> bool {
     a.start.as_u64() < b.end() && b.start.as_u64() < a.end()
-}
-
-/// Symbolic refcount table with `nowait` exit deferral — the presence half
-/// of the checker, used by the hoist and dead-from passes.
-#[derive(Default)]
-struct Tracker {
-    table: BTreeMap<u64, (AddrRange, u32)>,
-    pending: BTreeMap<u32, Vec<MapEntry>>,
-}
-
-impl Tracker {
-    fn containing(&self, r: &AddrRange) -> Option<(AddrRange, u32)> {
-        self.table
-            .range(..=r.start.as_u64())
-            .next_back()
-            .filter(|(_, (e, _))| e.contains(r.start) && e.contains_range(r))
-            .map(|(_, (e, rc))| (*e, *rc))
-    }
-
-    fn present(&self, r: &AddrRange) -> bool {
-        self.containing(r).is_some()
-    }
-
-    fn overlaps_live(&self, r: &AddrRange) -> bool {
-        self.table.values().any(|(e, _)| ranges_overlap(e, r))
-    }
-
-    /// Refcount of the live extent fully containing `r` (0 when absent).
-    fn refcount(&self, r: &AddrRange) -> u32 {
-        self.containing(r).map_or(0, |(_, rc)| rc)
-    }
-
-    fn enter(&mut self, e: &MapEntry) {
-        if let Some((range, _)) = self.containing(&e.range) {
-            if let Some((_, rc)) = self.table.get_mut(&range.start.as_u64()) {
-                *rc += 1;
-            }
-        } else if !self.overlaps_live(&e.range) {
-            self.table.insert(e.range.start.as_u64(), (e.range, 1));
-        }
-        // Partial overlaps abort the real run; ill-formed programs never
-        // reach the rewrite passes.
-    }
-
-    fn exit(&mut self, e: &MapEntry, delete: bool) {
-        let Some((range, rc)) = self.containing(&e.range) else {
-            return;
-        };
-        let key = range.start.as_u64();
-        if rc == 1 || delete {
-            self.table.remove(&key);
-        } else if let Some((_, rc)) = self.table.get_mut(&key) {
-            *rc -= 1;
-        }
-    }
-
-    fn step(&mut self, thread: u32, op: &MapOp) {
-        match op {
-            MapOp::MapEnter { entry } => self.enter(entry),
-            MapOp::MapExit { entry, delete } => self.exit(entry, *delete),
-            MapOp::Kernel(k) => {
-                for e in &k.maps {
-                    self.enter(e);
-                }
-                if k.nowait {
-                    self.pending
-                        .entry(thread)
-                        .or_default()
-                        .extend(k.maps.iter().copied());
-                } else {
-                    for e in &k.maps {
-                        self.exit(e, false);
-                    }
-                }
-            }
-            MapOp::Taskwait => {
-                for e in self.pending.remove(&thread).unwrap_or_default() {
-                    self.exit(&e, false);
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -398,9 +315,9 @@ fn window_maps_of<'a>(win: &'a [MapRecord], e: &AddrRange) -> Vec<&'a MapEntry> 
 /// Is extent `e` safe to hoist out of this window? See the module docs for
 /// the conditions; everything here is conservative — a rejected candidate
 /// only costs an optimization.
-fn hoistable(win: &[MapRecord], e: &AddrRange, pres: &Tracker) -> bool {
+fn hoistable(win: &[MapRecord], e: &AddrRange, pres: &MapModel<()>) -> bool {
     // Absent (and not partially overlapped) at the loop boundary.
-    if pres.overlaps_live(e) {
+    if pres.presence(e) != Presence::Absent {
         return false;
     }
     let mut rc: i64 = 0;
@@ -486,7 +403,7 @@ fn hoistable(win: &[MapRecord], e: &AddrRange, pres: &Tracker) -> bool {
 /// Hoist candidates for one repeated window, with their boundary dirs: the
 /// hoisted enter transfers iff any window map transferred to the device,
 /// the hoisted exit iff any transferred back.
-fn hoist_candidates(win: &[MapRecord], pres: &Tracker) -> Vec<HoistSite> {
+fn hoist_candidates(win: &[MapRecord], pres: &MapModel<()>) -> Vec<HoistSite> {
     if win
         .iter()
         .any(|r| matches!(r.op, MapOp::Taskwait) || matches!(&r.op, MapOp::Kernel(k) if k.nowait))
@@ -547,7 +464,7 @@ fn hoist(ir: &mut MapIr) -> usize {
     let recs = std::mem::take(&mut ir.records);
     let n = recs.len();
     let mut out: Vec<MapRecord> = Vec::with_capacity(n);
-    let mut pres = Tracker::default();
+    let mut pres = MapModel::new();
     let mut hoisted = 0;
     let mut i = 0;
     while i < n {
@@ -592,13 +509,13 @@ fn hoist(ir: &mut MapIr) -> usize {
                 }
                 hoisted += sites.len();
                 for rec in &recs[i..i + k * l] {
-                    pres.step(rec.thread, &rec.op);
+                    track(&mut pres, rec.thread, &rec.op);
                 }
                 i += k * l;
                 continue;
             }
         }
-        pres.step(recs[i].thread, &recs[i].op);
+        track(&mut pres, recs[i].thread, &recs[i].op);
         out.push(recs[i].clone());
         i += 1;
     }
@@ -678,7 +595,7 @@ fn drop_from(e: &MapEntry) -> MapEntry {
 /// map, a transient kernel map, or a disappearing/`always` exit — but whose
 /// host destination is never read afterwards.
 fn rewrite_dead_from(ir: &mut MapIr) -> usize {
-    let mut t = Tracker::default();
+    let mut t = MapModel::new();
     let mut n = 0;
     for j in 0..ir.records.len() {
         let (head, tail) = ir.records.split_at_mut(j + 1);
@@ -686,7 +603,9 @@ fn rewrite_dead_from(ir: &mut MapIr) -> usize {
         match &mut rec.op {
             MapOp::MapExit { entry, delete } => {
                 let fires = entry.dir.copies_from()
-                    && (entry.always || *delete || t.refcount(&entry.range) == 1);
+                    && (entry.always
+                        || *delete
+                        || t.containing(&entry.range).is_some_and(|m| m.refcount == 1));
                 if fires && !host_read_later(tail, &entry.range) {
                     *entry = drop_from(entry);
                     n += 1;
@@ -701,7 +620,7 @@ fn rewrite_dead_from(ir: &mut MapIr) -> usize {
                     .iter()
                     .map(|e| {
                         e.dir.copies_from()
-                            && (e.always || !t.present(&e.range))
+                            && (e.always || t.containing(&e.range).is_none())
                             && k.maps.iter().filter(|m| m.range == e.range).count() == 1
                     })
                     .collect();
@@ -714,7 +633,7 @@ fn rewrite_dead_from(ir: &mut MapIr) -> usize {
             }
             _ => {}
         }
-        t.step(rec.thread, &rec.op);
+        track(&mut t, rec.thread, &rec.op);
     }
     n
 }
@@ -723,170 +642,21 @@ fn rewrite_dead_from(ir: &mut MapIr) -> usize {
 // Rule 4: drop update ranges whose version clocks already agree.
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy)]
-struct ClockExt {
-    range: AddrRange,
-    refcount: u32,
-    host_v: u64,
-    dev_v: u64,
-}
-
-/// The checker's Copy-mode version-clock model, replayed over the rewritten
-/// stream to identify no-op `target update` ranges.
-#[derive(Default)]
-struct Clocks {
-    table: BTreeMap<u64, ClockExt>,
-    pending: BTreeMap<u32, Vec<MapEntry>>,
-    tick: u64,
-}
-
-impl Clocks {
-    fn containing(&self, r: &AddrRange) -> Option<&ClockExt> {
-        self.table
-            .range(..=r.start.as_u64())
-            .next_back()
-            .map(|(_, e)| e)
-            .filter(|e| e.range.contains(r.start) && e.range.contains_range(r))
-    }
-
-    fn containing_mut(&mut self, r: &AddrRange) -> Option<&mut ClockExt> {
-        self.table
-            .range_mut(..=r.start.as_u64())
-            .next_back()
-            .map(|(_, e)| e)
-            .filter(|e| e.range.contains(r.start) && e.range.contains_range(r))
-    }
-
-    /// Present with `dev_v == host_v`: an `update to` here copies nothing new.
-    fn device_current(&self, r: &AddrRange) -> bool {
-        self.containing(r).is_some_and(|e| e.dev_v == e.host_v)
-    }
-
-    /// Present with `host_v == dev_v`: an `update from` here copies nothing new.
-    fn host_current(&self, r: &AddrRange) -> bool {
-        self.containing(r).is_some_and(|e| e.host_v == e.dev_v)
-    }
-
-    fn enter(&mut self, e: &MapEntry) {
-        let key = self.containing(&e.range).map(|x| x.range.start.as_u64());
-        if let Some(key) = key {
-            let x = self.table.get_mut(&key).expect("present extent");
-            x.refcount += 1;
-            if e.always && e.dir.copies_to() {
-                x.dev_v = x.host_v;
-            }
-        } else if !self
-            .table
-            .values()
-            .any(|x| ranges_overlap(&x.range, &e.range))
-        {
-            self.tick += 1;
-            let tick = self.tick;
-            self.table.insert(
-                e.range.start.as_u64(),
-                ClockExt {
-                    range: e.range,
-                    refcount: 1,
-                    host_v: tick,
-                    dev_v: if e.dir.copies_to() { tick } else { 0 },
-                },
-            );
-        }
-    }
-
-    fn exit(&mut self, e: &MapEntry, delete: bool) {
-        let Some((key, refcount)) = self
-            .containing(&e.range)
-            .map(|x| (x.range.start.as_u64(), x.refcount))
-        else {
-            return;
-        };
-        let disappearing = refcount == 1 || delete;
-        let x = self.table.get_mut(&key).expect("present extent");
-        if e.dir.copies_from() && (disappearing || e.always) {
-            x.host_v = x.dev_v;
-        }
-        if disappearing {
-            self.table.remove(&key);
-        } else {
-            x.refcount -= 1;
-        }
-    }
-
-    fn step(&mut self, thread: u32, op: &MapOp) {
-        match op {
-            MapOp::HostWrite { range } => {
-                self.tick += 1;
-                let tick = self.tick;
-                for x in self.table.values_mut() {
-                    if ranges_overlap(&x.range, range) {
-                        x.host_v = tick;
-                    }
-                }
-            }
-            MapOp::MapEnter { entry } => self.enter(entry),
-            MapOp::MapExit { entry, delete } => self.exit(entry, *delete),
-            MapOp::Update { to, from } => {
-                for range in to {
-                    if let Some(x) = self.containing_mut(range) {
-                        x.dev_v = x.host_v;
-                    }
-                }
-                for range in from {
-                    if let Some(x) = self.containing_mut(range) {
-                        x.host_v = x.dev_v;
-                    }
-                }
-            }
-            MapOp::Kernel(k) => {
-                for e in &k.maps {
-                    self.enter(e);
-                }
-                for e in k.maps.iter().filter(|e| e.dir.copies_from()) {
-                    self.tick += 1;
-                    let tick = self.tick;
-                    if let Some(x) = self.containing_mut(&e.range) {
-                        x.dev_v = tick;
-                    }
-                }
-                if k.nowait {
-                    self.pending
-                        .entry(thread)
-                        .or_default()
-                        .extend(k.maps.iter().copied());
-                } else {
-                    for e in &k.maps {
-                        self.exit(e, false);
-                    }
-                }
-            }
-            MapOp::Taskwait => {
-                for e in self.pending.remove(&thread).unwrap_or_default() {
-                    self.exit(&e, false);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Drop `target update` ranges that transfer between already-agreeing
 /// clocks; delete updates left with no ranges at all.
 fn downgrade_updates(ir: &mut MapIr) -> usize {
-    let mut clocks = Clocks::default();
+    // The checker's interpreter in Copy mode carries the version clocks.
+    let mut clocks = Interp::new(RuntimeConfig::LegacyCopy);
     let mut n = 0;
     for rec in &mut ir.records {
         if let MapOp::Update { to, from } = &mut rec.op {
-            to.retain(|r| {
-                let keep = !clocks.device_current(r);
-                n += usize::from(!keep);
-                keep
-            });
-            from.retain(|r| {
-                let keep = !clocks.host_current(r);
-                n += usize::from(!keep);
-                keep
-            });
+            for ranges in [to, from] {
+                ranges.retain(|r| {
+                    let keep = !clocks.clocks_agree(r);
+                    n += usize::from(!keep);
+                    keep
+                });
+            }
         }
         clocks.step(rec.thread, &rec.op);
     }

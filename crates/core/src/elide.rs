@@ -8,9 +8,9 @@
 //! per-entry transfer-decision path entirely. The elision pass does exactly
 //! that, in one of two modes:
 //!
-//! * **Online** — the runtime probes the live [`MappingTable`] at map entry
-//!   (through its extent-keyed lookup cache) and promotes eligible entries on
-//!   the fly, charging only the probe.
+//! * **Online** — the runtime probes the live [`ShardedMappingTable`] at map
+//!   entry (through its extent-keyed [`MapLookupCache`]) and promotes
+//!   eligible entries on the fly, charging only the probe.
 //! * **Plan** — a capture is analyzed once (see `omp-mapcheck`'s
 //!   `elision_plan`) and the resulting per-site plan is applied on replay,
 //!   charging nothing at all.
@@ -20,7 +20,8 @@
 //! enclosing reference that outlives the construct, which is what makes the
 //! skip safe (see DESIGN.md §11).
 //!
-//! [`MappingTable`]: crate::MappingTable
+//! [`ShardedMappingTable`]: crate::ShardedMappingTable
+//! [`MapLookupCache`]: crate::MapLookupCache
 
 use std::collections::BTreeSet;
 

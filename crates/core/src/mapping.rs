@@ -1,4 +1,4 @@
-//! The host-to-target mapping table (`HostDataToTargetMap` analog).
+//! The host-to-target mapping model (`HostDataToTargetMap` analog).
 //!
 //! OpenMP data-environment presence is reference counted: an enclosing
 //! `target enter data` keeps an entry alive across inner `target` constructs,
@@ -7,9 +7,12 @@
 //! configurations the table still tracks presence and reference counts —
 //! the runtime needs them for Eager Maps prefault policy and for OpenMP
 //! semantics — but the "device" address equals the host address.
+//!
+//! [`MapModel`] is the one implementation of those rules: the runtime's
+//! sharded table, the static checker, the elision planner and the
+//! optimizer each hold instances of it.
 
 use crate::error::OmpError;
-use crate::shard::MapLookupCache;
 use apu_mem::{AddrRange, VirtAddr};
 use std::collections::BTreeMap;
 
@@ -93,23 +96,28 @@ impl MapEntry {
     }
 }
 
-/// A live mapping-table record.
+/// One live entry of a [`MapModel`]: the extent, its dynamic reference
+/// count and the owner's per-extent payload.
 #[derive(Debug, Clone)]
-pub struct Mapping {
+pub struct Mapped<P> {
     /// Host range the entry covers (the first map's full range).
     pub host: AddrRange,
-    /// Base device address corresponding to `host.start`. Equals the host
-    /// address in zero-copy configurations.
-    pub device_base: VirtAddr,
     /// Dynamic reference count.
     pub refcount: u32,
+    /// What the owner tracks per extent.
+    pub payload: P,
 }
+
+/// A live runtime mapping-table record: the payload is the base device
+/// address corresponding to `host.start`, which equals the host address
+/// in zero-copy configurations.
+pub type Mapping = Mapped<VirtAddr>;
 
 impl Mapping {
     /// Translate a host address inside this entry to its device address.
     pub fn translate(&self, addr: VirtAddr) -> VirtAddr {
         debug_assert!(self.host.contains(addr));
-        self.device_base
+        self.payload
             .offset(addr.as_u64() - self.host.start.as_u64())
     }
 }
@@ -126,43 +134,85 @@ pub enum Presence {
     Partial,
 }
 
-/// The mapping table: live entries keyed by host start address.
+/// The OpenMP mapping model: live entries keyed by host start, each with a
+/// reference count and a payload `P`, plus the `nowait` exit maps each
+/// thread has deferred to its next taskwait.
 ///
-/// This is the single-owner table; the concurrent multi-tenant variant
-/// is [`crate::shard::ShardedMappingTable`], which the runtime itself
-/// uses. It stays as the reference oracle for the sharded table's
-/// equivalence tests and for direct sanitizer/static-analysis use.
-#[derive(Debug, Default)]
-pub struct MappingTable {
-    entries: BTreeMap<u64, Mapping>,
-    /// Lifetime number of map operations processed (statistics).
-    total_maps: u64,
-    /// Extent-keyed presence cache (see [`MapLookupCache`]). Invalidated
-    /// whenever an entry is inserted or removed — refcount changes don't
-    /// affect presence. Interior-mutable, so shared readers can probe
-    /// through `&self`.
-    cache: MapLookupCache,
+/// Pure and single-owner. Every presence/refcount user is an instance:
+/// each shard of [`crate::shard::ShardedMappingTable`] (`P` = device
+/// base), the static checker (`P` = version clocks), and the elision
+/// planner and optimizer (`P` = `()`). Live entries never overlap: callers
+/// insert only `Absent` ranges.
+#[derive(Debug)]
+pub struct MapModel<P> {
+    entries: BTreeMap<u64, Mapped<P>>,
+    deferred: BTreeMap<u32, Vec<MapEntry>>,
 }
 
-impl MappingTable {
-    /// Create a new instance.
+impl<P> Default for MapModel<P> {
+    fn default() -> Self {
+        MapModel {
+            entries: BTreeMap::new(),
+            deferred: BTreeMap::new(),
+        }
+    }
+}
+
+impl<P> MapModel<P> {
+    /// Create an empty model.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of entries.
+    /// Number of live entries.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when empty.
+    /// True when no entry is live.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Lifetime number of map operations processed.
-    pub fn total_maps(&self) -> u64 {
-        self.total_maps
+    /// Live entries in host start order.
+    pub fn iter(&self) -> impl Iterator<Item = &Mapped<P>> {
+        self.entries.values()
+    }
+
+    /// Every live extent with its writable payload, in host start order.
+    /// Extents and refcounts change only through `insert`, `retain` and
+    /// `release`.
+    pub fn payloads_mut(&mut self) -> impl Iterator<Item = (AddrRange, &mut P)> {
+        self.entries.values_mut().map(|m| (m.host, &mut m.payload))
+    }
+
+    /// The live entry containing `addr`, if any.
+    pub fn find(&self, addr: VirtAddr) -> Option<&Mapped<P>> {
+        self.entries
+            .range(..=addr.as_u64())
+            .next_back()
+            .map(|(_, m)| m)
+            .filter(|m| m.host.contains(addr))
+    }
+
+    /// The payload of the live entry containing `addr`, writable.
+    pub fn payload_mut(&mut self, addr: VirtAddr) -> Option<&mut P> {
+        self.find_mut(addr).map(|m| &mut m.payload)
+    }
+
+    fn find_mut(&mut self, addr: VirtAddr) -> Option<&mut Mapped<P>> {
+        self.entries
+            .range_mut(..=addr.as_u64())
+            .next_back()
+            .map(|(_, m)| m)
+            .filter(|m| m.host.contains(addr))
+    }
+
+    /// The live entry fully containing `range` — the entry that makes it
+    /// [`Presence::Present`].
+    pub fn containing(&self, range: &AddrRange) -> Option<&Mapped<P>> {
+        self.find(range.start)
+            .filter(|m| m.host.contains_range(range))
     }
 
     /// Classify `range` against the live entries.
@@ -187,59 +237,23 @@ impl MappingTable {
         }
     }
 
-    /// Classify `range` through the extent-keyed lookup cache (last-hit plus
-    /// a small LRU over full extents). Returns the presence and whether the
-    /// probe hit the cache. This is the elision hot path: the repeated-map
-    /// workloads probe the same few extents once per kernel per iteration,
-    /// so after the first round every probe is an O(1) cache hit.
-    pub fn presence_cached(&self, range: &AddrRange) -> (Presence, bool) {
-        if let Some(p) = self.cache.probe(range) {
-            return (p, true);
-        }
-        let p = self.presence(range);
-        self.cache.fill(*range, p);
-        (p, false)
-    }
-
-    /// `(hits, misses)` observed by [`presence_cached`](Self::presence_cached).
-    pub fn lookup_cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
-    }
-
-    /// The live entry containing `addr`, if any.
-    pub fn find(&self, addr: VirtAddr) -> Option<&Mapping> {
-        self.entries
-            .range(..=addr.as_u64())
-            .next_back()
-            .map(|(_, m)| m)
-            .filter(|m| m.host.contains(addr))
-    }
-
-    /// Translate a host address through the table.
-    pub fn translate(&self, addr: VirtAddr) -> Option<VirtAddr> {
-        self.find(addr).map(|m| m.translate(addr))
-    }
-
     /// Record a new entry with refcount 1. The caller must have verified
     /// the range is `Absent`.
-    pub fn insert(&mut self, host: AddrRange, device_base: VirtAddr) {
+    pub fn insert(&mut self, host: AddrRange, payload: P) {
         debug_assert_eq!(self.presence(&host), Presence::Absent);
-        self.cache.invalidate();
-        self.total_maps += 1;
         self.entries.insert(
             host.start.as_u64(),
-            Mapping {
+            Mapped {
                 host,
-                device_base,
                 refcount: 1,
+                payload,
             },
         );
     }
 
-    /// Increment the refcount of the entry containing `range`.
+    /// Increment the refcount of the entry containing `range.start`.
     /// Returns the new count.
     pub fn retain(&mut self, range: &AddrRange) -> Result<u32, OmpError> {
-        self.total_maps += 1;
         let m = self
             .find_mut(range.start)
             .ok_or(OmpError::NotMapped { range: *range })?;
@@ -247,45 +261,42 @@ impl MappingTable {
         Ok(m.refcount)
     }
 
-    /// Decrement the refcount of the entry containing `range`. When it
-    /// reaches zero (or `force_delete`), the entry is removed and returned
-    /// so the runtime can release device storage and issue final transfers.
+    /// Decrement the refcount of the entry containing `range.start`. When
+    /// it reaches zero (or `delete`), the entry is removed and returned so
+    /// the owner can release device storage and issue final transfers.
     pub fn release(
         &mut self,
         range: &AddrRange,
-        force_delete: bool,
-    ) -> Result<Option<Mapping>, OmpError> {
-        let key = {
-            let m = self
-                .find(range.start)
-                .ok_or(OmpError::NotMapped { range: *range })?;
-            m.host.start.as_u64()
-        };
-        let m = self.entries.get_mut(&key).expect("entry just found");
-        m.refcount = if force_delete {
+        delete: bool,
+    ) -> Result<Option<Mapped<P>>, OmpError> {
+        let m = self
+            .find_mut(range.start)
+            .ok_or(OmpError::NotMapped { range: *range })?;
+        m.refcount = if delete {
             0
         } else {
             m.refcount.saturating_sub(1)
         };
         if m.refcount == 0 {
-            self.cache.invalidate();
+            let key = m.host.start.as_u64();
             Ok(self.entries.remove(&key))
         } else {
             Ok(None)
         }
     }
 
-    fn find_mut(&mut self, addr: VirtAddr) -> Option<&mut Mapping> {
-        self.entries
-            .range_mut(..=addr.as_u64())
-            .next_back()
-            .map(|(_, m)| m)
-            .filter(|m| m.host.contains(addr))
+    /// Defer a `nowait` construct's exit maps to `thread`'s next taskwait.
+    pub fn defer(&mut self, thread: u32, maps: &[MapEntry]) {
+        self.deferred
+            .entry(thread)
+            .or_default()
+            .extend_from_slice(maps);
     }
 
-    /// Iterate live entries.
-    pub fn iter(&self) -> impl Iterator<Item = &Mapping> {
-        self.entries.values()
+    /// Take the exit maps `thread` deferred, in deferral order; the
+    /// caller applies them at the taskwait. Other threads' stay deferred.
+    pub fn drain(&mut self, thread: u32) -> Vec<MapEntry> {
+        self.deferred.remove(&thread).unwrap_or_default()
     }
 }
 
@@ -299,7 +310,7 @@ mod tests {
 
     #[test]
     fn presence_classification() {
-        let mut t = MappingTable::new();
+        let mut t = MapModel::new();
         t.insert(r(1000, 100), VirtAddr(9000));
         assert_eq!(t.presence(&r(1000, 100)), Presence::Present);
         assert_eq!(t.presence(&r(1010, 50)), Presence::Present);
@@ -310,15 +321,31 @@ mod tests {
 
     #[test]
     fn translation_offsets() {
-        let mut t = MappingTable::new();
+        let mut t = MapModel::new();
         t.insert(r(1000, 100), VirtAddr(9000));
-        assert_eq!(t.translate(VirtAddr(1042)).unwrap().as_u64(), 9042);
-        assert!(t.translate(VirtAddr(2000)).is_none());
+        let m = t.find(VirtAddr(1042)).unwrap();
+        assert_eq!(m.translate(VirtAddr(1042)).as_u64(), 9042);
+        assert!(t.find(VirtAddr(2000)).is_none());
+    }
+
+    #[test]
+    fn find_contains_the_start_and_containing_the_whole_range() {
+        let mut t = MapModel::new();
+        t.insert(r(1000, 100), ());
+        // A range that starts inside the entry but runs past its end: the
+        // start lookup finds the entry, the full-containment lookup does not.
+        let straddling = r(1050, 100);
+        assert_eq!(t.find(straddling.start).unwrap().host, r(1000, 100));
+        assert!(t.containing(&straddling).is_none());
+        assert_eq!(t.containing(&r(1010, 50)).unwrap().host, r(1000, 100));
+        // A range that starts before the entry is found by neither.
+        assert!(t.find(VirtAddr(900)).is_none());
+        assert!(t.containing(&r(900, 150)).is_none());
     }
 
     #[test]
     fn refcount_lifecycle() {
-        let mut t = MappingTable::new();
+        let mut t = MapModel::new();
         t.insert(r(1000, 100), VirtAddr(1000));
         assert_eq!(t.retain(&r(1000, 100)).unwrap(), 2);
         assert!(t.release(&r(1000, 100), false).unwrap().is_none());
@@ -329,7 +356,7 @@ mod tests {
 
     #[test]
     fn force_delete_ignores_refcount() {
-        let mut t = MappingTable::new();
+        let mut t = MapModel::new();
         t.insert(r(1000, 100), VirtAddr(1000));
         t.retain(&r(1000, 100)).unwrap();
         t.retain(&r(1000, 100)).unwrap();
@@ -340,7 +367,7 @@ mod tests {
 
     #[test]
     fn release_of_unmapped_errors() {
-        let mut t = MappingTable::new();
+        let mut t = MapModel::<()>::new();
         assert!(matches!(
             t.release(&r(5, 5), false),
             Err(OmpError::NotMapped { .. })
@@ -349,6 +376,23 @@ mod tests {
             t.retain(&r(5, 5)),
             Err(OmpError::NotMapped { .. })
         ));
+    }
+
+    #[test]
+    fn drain_takes_only_the_waiting_threads_deferred_exits() {
+        let mut t = MapModel::<()>::new();
+        let (a, b, c) = (
+            MapEntry::tofrom(r(0, 8)),
+            MapEntry::from(r(8, 8)),
+            MapEntry::to(r(16, 8)),
+        );
+        t.defer(0, &[a]);
+        t.defer(1, &[b]);
+        t.defer(0, &[c]);
+        assert_eq!(t.drain(1), vec![b]);
+        assert_eq!(t.drain(1), vec![]);
+        assert_eq!(t.drain(0), vec![a, c]);
+        assert_eq!(t.drain(0), vec![]);
     }
 
     #[test]
@@ -365,49 +409,5 @@ mod tests {
         assert!(e.always);
         assert_eq!(e.dir, MapDir::ToFrom);
         assert!(!MapEntry::alloc(r(0, 8)).always);
-    }
-
-    use crate::shard::LOOKUP_CACHE_WAYS;
-
-    #[test]
-    fn cached_presence_hits_on_repeat_and_invalidates_on_change() {
-        let mut t = MappingTable::new();
-        t.insert(r(1000, 100), VirtAddr(1000));
-        let q = r(1000, 100);
-        assert_eq!(t.presence_cached(&q), (Presence::Present, false));
-        assert_eq!(t.presence_cached(&q), (Presence::Present, true));
-        assert_eq!(t.lookup_cache_stats(), (1, 1));
-        // An insert changes what Absent probes would answer: cache flushes.
-        t.insert(r(5000, 10), VirtAddr(5000));
-        assert_eq!(t.presence_cached(&q), (Presence::Present, false));
-        // Refcount-only release keeps presence — and the cache — intact.
-        t.retain(&q).unwrap();
-        assert!(t.release(&q, false).unwrap().is_none());
-        assert_eq!(t.presence_cached(&q), (Presence::Present, true));
-        // Removal flushes, and the fresh probe sees the extent gone.
-        assert!(t.release(&q, false).unwrap().is_some());
-        assert_eq!(t.presence_cached(&q), (Presence::Absent, false));
-    }
-
-    #[test]
-    fn cache_ages_out_least_recently_used_extents() {
-        let mut t = MappingTable::new();
-        t.insert(r(0, 8), VirtAddr(0));
-        // Prime more distinct probe extents than the cache holds.
-        for i in 0..(LOOKUP_CACHE_WAYS as u64 + 2) {
-            t.presence_cached(&r(i * 8, 4));
-        }
-        // The oldest probe aged out; the newest is still cached.
-        assert!(!t.presence_cached(&r(0, 4)).1);
-        let newest = (LOOKUP_CACHE_WAYS as u64 + 1) * 8;
-        assert!(t.presence_cached(&r(newest, 4)).1);
-    }
-
-    #[test]
-    fn total_maps_counts_inserts_and_retains() {
-        let mut t = MappingTable::new();
-        t.insert(r(0, 10), VirtAddr(0));
-        t.retain(&r(0, 10)).unwrap();
-        assert_eq!(t.total_maps(), 2);
     }
 }

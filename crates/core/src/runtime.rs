@@ -1338,10 +1338,10 @@ impl OmpRuntime {
             let pages = self
                 .mem()
                 .page_size()
-                .pages_covering(removed.device_base, removed.host.len);
+                .pages_covering(removed.payload, removed.host.len);
             let cost = self.mem().cost().pool_free_cost(pages);
             let a0 = self.anchor(thread);
-            self.hsa.pool_free(thread, removed.device_base)?;
+            self.hsa.pool_free(thread, removed.payload)?;
             self.charge(
                 thread,
                 a0,

@@ -495,8 +495,8 @@ mod tests {
         assert!(s.diagnostics().is_empty(), "mid-run hazard sampled out");
         let live = [Mapping {
             host: buf,
-            device_base: buf.start,
             refcount: 1,
+            payload: buf.start,
         }];
         s.end_of_program(&live);
         assert_eq!(s.diagnostics().len(), 1);

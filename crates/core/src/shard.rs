@@ -4,8 +4,9 @@
 //! [`SHARD_COUNT`] independently locked address-range shards so many
 //! tenants (or many worker threads of one sweep) can mutate disjoint
 //! regions of the table without serializing on a single lock.
-//! [`MapLookupCache`] is the per-tenant generalization of the 8-way MRU
-//! presence cache that used to live inside `MappingTable`: probes are a
+//! Each shard, and the `spanning` map, is a [`MapModel`] keyed by host
+//! start, so the refcount and presence rules are the single-owner model's.
+//! [`MapLookupCache`] is a per-tenant 8-way MRU presence cache: probes are a
 //! zero-contention fast path over plain `Cell`/`RefCell` state owned by
 //! one thread, and only a miss takes shard locks to recompute presence
 //! (the pop-fast / refill-bulk pattern from the ROADMAP).
@@ -49,7 +50,7 @@
 //! atomic load and branch.
 
 use crate::error::OmpError;
-use crate::mapping::{Mapping, Presence};
+use crate::mapping::{MapModel, Mapping, Presence};
 use crate::metrics::{FamilySnapshot, MetricClass, MetricKind, MetricsSnapshot, Sample};
 use apu_mem::{AddrRange, VirtAddr};
 use std::cell::{Cell, RefCell};
@@ -141,7 +142,7 @@ impl MapLookupCache {
 /// is already held, so heat costs no extra synchronization).
 #[derive(Debug, Default)]
 struct Shard {
-    entries: BTreeMap<u64, Mapping>,
+    entries: MapModel<VirtAddr>,
     heat: BTreeMap<u64, u64>,
 }
 
@@ -151,14 +152,14 @@ struct Shard {
 ///
 /// All methods take `&self`; the statistics are atomics and the entry
 /// maps are per-shard mutexes. Single-owner use (one runtime, one
-/// table) behaves bit-identically to the historical `MappingTable`.
+/// table) behaves bit-identically to one [`MapModel`].
 #[derive(Debug)]
 pub struct ShardedMappingTable {
     /// Entries confined to a single 4 MiB granule, keyed by host start,
     /// in the shard of that granule.
     shards: [Mutex<Shard>; SHARD_COUNT],
     /// Entries whose host range crosses a granule boundary.
-    spanning: Mutex<BTreeMap<u64, Mapping>>,
+    spanning: Mutex<MapModel<VirtAddr>>,
     /// Lifetime number of map operations processed (statistics).
     total_maps: AtomicU64,
     /// Current number of live entries.
@@ -179,7 +180,7 @@ impl Default for ShardedMappingTable {
     fn default() -> Self {
         ShardedMappingTable {
             shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
-            spanning: Mutex::new(BTreeMap::new()),
+            spanning: Mutex::new(MapModel::new()),
             total_maps: AtomicU64::new(0),
             live: AtomicUsize::new(0),
             metrics_on: AtomicBool::new(false),
@@ -189,15 +190,6 @@ impl Default for ShardedMappingTable {
             spanning_contended: AtomicU64::new(0),
         }
     }
-}
-
-/// Predecessor probe shared by the shard and spanning maps: the entry
-/// containing `addr`, if the map holds one.
-fn containing(map: &BTreeMap<u64, Mapping>, addr: VirtAddr) -> Option<&Mapping> {
-    map.range(..=addr.as_u64())
-        .next_back()
-        .map(|(_, m)| m)
-        .filter(|m| m.host.contains(addr))
 }
 
 impl ShardedMappingTable {
@@ -252,7 +244,7 @@ impl ShardedMappingTable {
     }
 
     /// Acquire the spanning map with the same counting discipline.
-    fn lock_spanning(&self) -> MutexGuard<'_, BTreeMap<u64, Mapping>> {
+    fn lock_spanning(&self) -> MutexGuard<'_, MapModel<VirtAddr>> {
         if !self.metrics_on.load(Ordering::Relaxed) {
             return self.spanning.lock().unwrap();
         }
@@ -287,12 +279,11 @@ impl ShardedMappingTable {
     pub fn find(&self, addr: VirtAddr) -> Option<Mapping> {
         {
             let shard = self.lock_shard(Self::shard_of(addr.as_u64()), Some(addr.as_u64()));
-            if let Some(m) = containing(&shard.entries, addr) {
+            if let Some(m) = shard.entries.find(addr) {
                 return Some(m.clone());
             }
         }
-        let spanning = self.lock_spanning();
-        containing(&spanning, addr).cloned()
+        self.lock_spanning().find(addr).cloned()
     }
 
     /// Translate a host address through the table.
@@ -309,22 +300,23 @@ impl ShardedMappingTable {
                 Presence::Partial
             };
         }
-        // An entry starting inside the range would be a partial overlap.
-        // Such an entry is either spanning or confined to one of the
-        // granules the probe range touches — at most SHARD_COUNT
-        // distinct shards before the mask wraps.
+        // No entry contains the range's start, so any overlapping entry
+        // starts inside the range: a partial overlap. Such an entry is
+        // either spanning or confined to one of the granules the probe
+        // range touches — at most SHARD_COUNT distinct shards before the
+        // mask wraps.
         let (lo, hi) = (range.start.as_u64(), range.end());
         if lo >= hi {
             return Presence::Absent;
         }
-        if self.lock_spanning().range(lo..hi).next().is_some() {
+        if self.lock_spanning().presence(range) != Presence::Absent {
             return Presence::Partial;
         }
         let first = lo >> SHARD_GRANULE_BITS;
         let last = ((hi - 1) >> SHARD_GRANULE_BITS).min(first + SHARD_COUNT as u64 - 1);
         for granule in first..=last {
             let shard = self.lock_shard((granule as usize) & (SHARD_COUNT - 1), None);
-            if shard.entries.range(lo..hi).next().is_some() {
+            if shard.entries.presence(range) != Presence::Absent {
                 return Presence::Partial;
             }
         }
@@ -349,20 +341,15 @@ impl ShardedMappingTable {
     pub fn insert(&self, host: AddrRange, device_base: VirtAddr) {
         debug_assert_eq!(self.presence(&host), Presence::Absent);
         self.total_maps.fetch_add(1, Ordering::AcqRel);
-        let mapping = Mapping {
-            host,
-            device_base,
-            refcount: 1,
-        };
         if Self::confined(&host) {
             self.lock_shard(
                 Self::shard_of(host.start.as_u64()),
                 Some(host.start.as_u64()),
             )
             .entries
-            .insert(host.start.as_u64(), mapping);
+            .insert(host, device_base);
         } else {
-            self.lock_spanning().insert(host.start.as_u64(), mapping);
+            self.lock_spanning().insert(host, device_base);
         }
         self.live.fetch_add(1, Ordering::AcqRel);
     }
@@ -376,17 +363,11 @@ impl ShardedMappingTable {
                 Self::shard_of(range.start.as_u64()),
                 Some(range.start.as_u64()),
             );
-            if let Some(m) = containing_mut(&mut shard.entries, range.start) {
-                m.refcount += 1;
-                return Ok(m.refcount);
+            if let Ok(refcount) = shard.entries.retain(range) {
+                return Ok(refcount);
             }
         }
-        let mut spanning = self.lock_spanning();
-        if let Some(m) = containing_mut(&mut spanning, range.start) {
-            m.refcount += 1;
-            return Ok(m.refcount);
-        }
-        Err(OmpError::NotMapped { range: *range })
+        self.lock_spanning().retain(range)
     }
 
     /// Decrement the refcount of the entry containing `range`. When it
@@ -398,26 +379,21 @@ impl ShardedMappingTable {
         range: &AddrRange,
         force_delete: bool,
     ) -> Result<Option<Mapping>, OmpError> {
-        {
-            let mut shard = self.lock_shard(
+        let in_shard = self
+            .lock_shard(
                 Self::shard_of(range.start.as_u64()),
                 Some(range.start.as_u64()),
-            );
-            if let Some(removed) = release_in(&mut shard.entries, range.start, force_delete) {
-                if removed.is_some() {
-                    self.live.fetch_sub(1, Ordering::AcqRel);
-                }
-                return Ok(removed);
-            }
+            )
+            .entries
+            .release(range, force_delete);
+        let removed = match in_shard {
+            Ok(removed) => removed,
+            Err(_) => self.lock_spanning().release(range, force_delete)?,
+        };
+        if removed.is_some() {
+            self.live.fetch_sub(1, Ordering::AcqRel);
         }
-        let mut spanning = self.lock_spanning();
-        if let Some(removed) = release_in(&mut spanning, range.start, force_delete) {
-            if removed.is_some() {
-                self.live.fetch_sub(1, Ordering::AcqRel);
-            }
-            return Ok(removed);
-        }
-        Err(OmpError::NotMapped { range: *range })
+        Ok(removed)
     }
 
     /// Every live entry, sorted by host start address (the iteration
@@ -426,9 +402,9 @@ impl ShardedMappingTable {
     pub fn snapshot(&self) -> Vec<Mapping> {
         let mut out: Vec<Mapping> = Vec::new();
         for shard in &self.shards {
-            out.extend(shard.lock().unwrap().entries.values().cloned());
+            out.extend(shard.lock().unwrap().entries.iter().cloned());
         }
-        out.extend(self.spanning.lock().unwrap().values().cloned());
+        out.extend(self.spanning.lock().unwrap().iter().cloned());
         out.sort_by_key(|m| m.host.start.as_u64());
         out
     }
@@ -572,35 +548,6 @@ impl ShardContention {
                 .collect(),
         });
         snap
-    }
-}
-
-fn containing_mut(map: &mut BTreeMap<u64, Mapping>, addr: VirtAddr) -> Option<&mut Mapping> {
-    map.range_mut(..=addr.as_u64())
-        .next_back()
-        .map(|(_, m)| m)
-        .filter(|m| m.host.contains(addr))
-}
-
-/// Release helper over one entry map: `None` when no entry contains
-/// `addr`; `Some(removed)` when the containing entry was found, with the
-/// removed mapping if the refcount reached zero.
-fn release_in(
-    map: &mut BTreeMap<u64, Mapping>,
-    addr: VirtAddr,
-    force_delete: bool,
-) -> Option<Option<Mapping>> {
-    let key = containing(map, addr)?.host.start.as_u64();
-    let m = map.get_mut(&key).expect("entry just found");
-    m.refcount = if force_delete {
-        0
-    } else {
-        m.refcount.saturating_sub(1)
-    };
-    if m.refcount == 0 {
-        Some(map.remove(&key))
-    } else {
-        Some(None)
     }
 }
 

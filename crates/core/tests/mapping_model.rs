@@ -1,8 +1,8 @@
 //! Model-based property tests for the mapping structures:
 //!
-//! 1. the refcounted [`MappingTable`] against a naive reference (a plain
+//! 1. the single-owner [`MapModel`] against a naive reference (a plain
 //!    `Vec` of entries with linear search), and
-//! 2. the concurrent [`ShardedMappingTable`] against `MappingTable` as the
+//! 2. the concurrent [`ShardedMappingTable`] against `MapModel` as the
 //!    oracle, over an address universe that scatters entries across shard
 //!    granules and deliberately straddles granule boundaries (the
 //!    `spanning` path), with the per-thread [`MapLookupCache`] checked for
@@ -12,7 +12,7 @@
 //! operations must behave identically on all of them.
 
 use apu_mem::{AddrRange, VirtAddr};
-use omp_offload::{MapLookupCache, MappingTable, Presence, ShardedMappingTable};
+use omp_offload::{MapLookupCache, MapModel, Presence, ShardedMappingTable};
 use proptest::prelude::*;
 
 /// The trivially-correct reference.
@@ -95,8 +95,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn mapping_table_matches_naive_model(ops in proptest::collection::vec(arb_op(), 0..120)) {
-        let mut real = MappingTable::new();
+    fn map_model_matches_naive_model(ops in proptest::collection::vec(arb_op(), 0..120)) {
+        let mut real = MapModel::new();
         let mut model = NaiveTable::default();
         for op in ops {
             match op {
@@ -125,10 +125,8 @@ proptest! {
                     prop_assert_eq!(got, want);
                 }
                 Oper::Translate { addr } => {
-                    prop_assert_eq!(
-                        real.translate(VirtAddr(addr as u64)),
-                        model.translate(VirtAddr(addr as u64))
-                    );
+                    let a = VirtAddr(addr as u64);
+                    prop_assert_eq!(real.find(a).map(|m| m.translate(a)), model.translate(a));
                 }
                 Oper::Presence { start, len } => {
                     let r = AddrRange::new(VirtAddr(start as u64), len as u64);
@@ -195,7 +193,7 @@ proptest! {
     fn sharded_table_matches_unsharded_oracle(
         ops in proptest::collection::vec(arb_shard_op(), 0..120),
     ) {
-        let oracle = &mut MappingTable::new();
+        let oracle = &mut MapModel::new();
         let sharded = ShardedMappingTable::new();
         let cache = MapLookupCache::new();
         // Every cache.invalidate() call below is mirrored here, so the
@@ -222,7 +220,7 @@ proptest! {
                 }
                 ShardOp::Release { slot, jit, delete } => {
                     let r = AddrRange::new(probe_addr(slot, jit), 1);
-                    let key = |m: &omp_offload::Mapping| (m.host, m.device_base, m.refcount);
+                    let key = |m: &omp_offload::Mapping| (m.host, m.payload, m.refcount);
                     let got = sharded.release(&r, delete).ok();
                     let want = oracle.release(&r, delete).ok();
                     if matches!(got, Some(Some(_))) {
@@ -236,7 +234,7 @@ proptest! {
                 }
                 ShardOp::Translate { slot, jit } => {
                     let a = probe_addr(slot, jit);
-                    prop_assert_eq!(sharded.translate(a), oracle.translate(a));
+                    prop_assert_eq!(sharded.translate(a), oracle.find(a).map(|m| m.translate(a)));
                 }
                 ShardOp::Presence { slot, jit, len } => {
                     let r = AddrRange::new(probe_addr(slot, jit), u64::from(len));
