@@ -55,12 +55,12 @@ pub use cache::{cache_salt, CacheMode, GcSummary, ResultCache};
 pub use driver::{drive, drive_stats, DriveStats, WorkerStats};
 pub use proto::{Frame, ProtoError, Response, Verb, PROTO_VERSION};
 pub use request::{
-    config_from_token, config_token, CostPreset, ElideKind, ModeParseError, RequestError,
-    SweepRequest, SweepRequestBuilder, TelemetryKind, REQUEST_VERSION,
+    CostPreset, ElideKind, ModeParseError, RequestError, SweepRequest, SweepRequestBuilder,
+    TelemetryKind, REQUEST_VERSION,
 };
 pub use result::{merge_attribution, SweepResult, TenantRow, RESULT_VERSION};
 pub use serve::{Client, Server, ServerConfig, ServerHandle, ServerStats};
 pub use sweep::{
-    execute, execute_prepared, full_corpus, render_report, run_sweep, run_sweep_derived,
-    smoke_corpus, PreparedCell, SweepOutcome, SweepStats,
+    cell_recipe, derive_inputs, execute, execute_prepared, full_corpus, render_report, run_sweep,
+    run_sweep_derived, smoke_corpus, PreparedCell, SweepOutcome, SweepStats,
 };

@@ -65,11 +65,6 @@ impl CostPreset {
         }
     }
 
-    /// Parse a canonical-encoding token.
-    pub fn from_token(s: &str) -> Option<Self> {
-        s.parse().ok()
-    }
-
     /// Materialize the preset.
     pub fn model(self) -> apu_mem::CostModel {
         match self {
@@ -99,17 +94,6 @@ impl FromStr for CostPreset {
             }),
         }
     }
-}
-
-/// Stable config token shared with the `apusim` CLI. Delegates to the one
-/// parsing surface in [`omp_offload::modes`].
-pub fn config_token(c: RuntimeConfig) -> &'static str {
-    c.token()
-}
-
-/// Parse a stable config token.
-pub fn config_from_token(s: &str) -> Option<RuntimeConfig> {
-    s.parse().ok()
 }
 
 /// Why a request could not be built (or decoded). Every construction path —
@@ -256,10 +240,12 @@ impl SweepRequestBuilder {
 
     /// Validate the field combination and produce the request. This is the
     /// single gate every construction path goes through: empty labels and
-    /// captures are rejected, and a capture whose kernels touch raw host
-    /// memory outside any device-pool allocation cannot be paired with a
-    /// configuration that runs XNACK-disabled (the combination the static
-    /// checker flags as MC005 — it would fault on real hardware).
+    /// captures are rejected, and the configuration must be one of the
+    /// capture's [`admissible_configs`](omp_mapcheck::admissible_configs) —
+    /// a capture whose kernels touch raw host memory outside any
+    /// device-pool allocation cannot run XNACK-disabled (the combination
+    /// the static checker flags as MC005 — it would fault on real
+    /// hardware).
     pub fn build(self) -> Result<SweepRequest, RequestError> {
         if self.name.is_empty() {
             return Err(RequestError::EmptyName);
@@ -267,8 +253,7 @@ impl SweepRequestBuilder {
         if self.ir.is_empty() {
             return Err(RequestError::EmptyCapture);
         }
-        if self.config.xnack() == apu_mem::XnackMode::Disabled && has_unpooled_raw_access(&self.ir)
-        {
+        if !omp_mapcheck::admissible_configs(&self.ir).contains(&self.config) {
             return Err(RequestError::RawAccessNeedsXnack {
                 config: self.config,
             });
@@ -291,30 +276,6 @@ impl SweepRequestBuilder {
     }
 }
 
-/// Does any kernel in `ir` dereference a raw host range that is not fully
-/// contained in a device-pool allocation? Pool-backed raw accesses are
-/// GPU-translated in every configuration; anything else needs XNACK.
-fn has_unpooled_raw_access(ir: &MapIr) -> bool {
-    use omp_offload::MapOp;
-    let pools: Vec<(u64, u64)> = ir
-        .records
-        .iter()
-        .filter_map(|r| match &r.op {
-            MapOp::PoolAlloc { range } => {
-                Some((range.start.as_u64(), range.start.as_u64() + range.len))
-            }
-            _ => None,
-        })
-        .collect();
-    ir.records.iter().any(|r| match &r.op {
-        MapOp::Kernel(k) => k.raw.iter().any(|raw| {
-            let (lo, hi) = (raw.start.as_u64(), raw.start.as_u64() + raw.len);
-            !pools.iter().any(|&(plo, phi)| plo <= lo && hi <= phi)
-        }),
-        _ => false,
-    })
-}
-
 impl SweepRequest {
     /// Start building a request for `ir`, labelled `name`. Defaults: the
     /// calibrated MI300A preset, Implicit Zero-Copy, no elision, healthy,
@@ -325,26 +286,6 @@ impl SweepRequest {
             ir,
             preset: CostPreset::Mi300a,
             config: RuntimeConfig::ImplicitZeroCopy,
-            elide: ElideKind::Off,
-            fault_seed: None,
-            telemetry: TelemetryKind::Off,
-            tenants: 1,
-        }
-    }
-
-    /// A healthy, un-elided, telemetry-off request under the calibrated
-    /// MI300A preset.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct through SweepRequest::builder, which validates the \
-                field combination"
-    )]
-    pub fn new(name: impl Into<String>, ir: Arc<MapIr>, config: RuntimeConfig) -> Self {
-        SweepRequest {
-            name: name.into(),
-            ir,
-            preset: CostPreset::Mi300a,
-            config,
             elide: ElideKind::Off,
             fault_seed: None,
             telemetry: TelemetryKind::Off,
@@ -423,8 +364,9 @@ impl SweepRequest {
             .parse()
             .map_err(|e: ModeParseError| bad(&e.to_string()))?;
         let config_tok = field("config")?;
-        let config = config_from_token(&config_tok)
-            .ok_or_else(|| bad(&format!("unknown config token '{config_tok}'")))?;
+        let config: RuntimeConfig = config_tok
+            .parse()
+            .map_err(|_| bad(&format!("unknown config token '{config_tok}'")))?;
         let elide: ElideKind = field("elide")?
             .parse()
             .map_err(|e: ModeParseError| bad(&e.to_string()))?;
@@ -587,18 +529,18 @@ mod tests {
     #[test]
     fn tokens_round_trip() {
         for p in CostPreset::ALL {
-            assert_eq!(CostPreset::from_token(p.token()), Some(p));
+            assert_eq!(p.token().parse::<CostPreset>(), Ok(p));
         }
         for e in ElideKind::ALL {
-            assert_eq!(ElideKind::from_token(e.token()), Some(e));
+            assert_eq!(e.token().parse::<ElideKind>(), Ok(e));
         }
         for t in TelemetryKind::ALL {
-            assert_eq!(TelemetryKind::from_token(t.token()), Some(t));
+            assert_eq!(t.token().parse::<TelemetryKind>(), Ok(t));
         }
         for c in RuntimeConfig::ALL {
-            assert_eq!(config_from_token(config_token(c)), Some(c));
+            assert_eq!(c.token().parse::<RuntimeConfig>(), Ok(c));
         }
-        assert_eq!(CostPreset::from_token("bogus"), None);
+        assert!("bogus".parse::<CostPreset>().is_err());
     }
 
     #[test]

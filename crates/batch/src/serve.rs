@@ -3,15 +3,15 @@
 //! A [`Server`] owns everything the offline replay path re-builds per
 //! invocation and keeps it resident between requests: parsed captures
 //! (`Arc<MapIr>`, keyed by the digest of their canonical `mapir v1` text),
-//! elision plans derived once per capture, the materialized cost-model
-//! presets, and an open [`ResultCache`]. Requests arrive as `PROTO v1`
-//! frames ([`crate::proto`]) over a Unix-domain socket or TCP; sweep cells
-//! are scheduled through [`run_sweep_derived`] on the same work-stealing
-//! pool the offline path uses (multi-tenant cells fan out per tenant),
-//! answered from the cache on hit, simulated-then-stored on miss. A sweep
-//! whose corpus is byte-identical to one already in flight *coalesces*:
-//! the second client parks on the first sweep's rendezvous and reads the
-//! same bytes, counted by `coalesced` in `STATS`.
+//! elision plans derived once per capture, and an open [`ResultCache`].
+//! Requests arrive as `PROTO v1` frames ([`crate::proto`]) over a
+//! Unix-domain socket or TCP; sweep cells are scheduled through
+//! [`run_sweep_derived`] on the same work-stealing pool the offline path
+//! uses (multi-tenant cells fan out per tenant), answered from the cache on
+//! hit, simulated-then-stored on miss. A sweep whose corpus is
+//! byte-identical to one already in flight *coalesces*: the second client
+//! parks on the first sweep's rendezvous and reads the same bytes, counted
+//! by `coalesced` in `STATS`.
 //!
 //! ## The byte-identity contract
 //!
@@ -20,10 +20,10 @@
 //! is exactly the cell's `sweepresult v1` text — cached or cold, serial or
 //! concurrent, first request or thousandth. The contract holds because the
 //! server adds no third path: it resolves the same canonical encodings
-//! through the same `execute`/cache code, and residency only pre-computes
-//! inputs (the derive hook of [`run_sweep_derived`]) that determinism
-//! guarantees are equivalent. `tests/serve_matrix.rs` pins this against
-//! offline replay.
+//! through the same cell recipe ([`crate::cell_recipe`]) and cache code,
+//! and residency only pre-computes the elision plan (the derive hook of
+//! [`run_sweep_derived`]), which determinism guarantees is equivalent.
+//! `tests/serve_matrix.rs` pins this against offline replay.
 //!
 //! ## Robustness
 //!
@@ -39,8 +39,10 @@
 
 use crate::cache::ResultCache;
 use crate::driver::DriveStats;
-use crate::proto::{sweep_stanza, Frame, ProtoError, Response, Verb, PROTO_VERSION};
-use crate::request::{CostPreset, ElideKind, SweepRequest};
+use crate::proto::{
+    sweep_stanza, Frame, ProtoError, Response, Verb, DEFAULT_MAX_FRAME_BYTES, PROTO_VERSION,
+};
+use crate::request::SweepRequest;
 use crate::result::SweepResult;
 use crate::sweep::{render_report, run_sweep_derived};
 use crate::CacheMode;
@@ -48,7 +50,7 @@ use omp_offload::metrics::{
     Counter, FamilySnapshot, Gauge, Histogram, MetricClass, MetricKind, MetricsRegistry,
     MetricsSnapshot, Sample,
 };
-use omp_offload::{ElideMode, ElisionPlan, MapIr, OmpError};
+use omp_offload::{ElisionPlan, MapIr, OmpError};
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -74,8 +76,6 @@ pub struct ServerConfig {
     /// When set, cache GC runs to this byte budget after any sweep that
     /// stored new entries (and on explicit `GC` requests).
     pub cache_max_bytes: Option<u64>,
-    /// Per-frame byte bound enforced on every read.
-    pub max_frame_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -86,7 +86,6 @@ impl Default for ServerConfig {
             max_inflight: 256,
             timeout: Duration::from_secs(30),
             cache_max_bytes: None,
-            max_frame_bytes: crate::proto::DEFAULT_MAX_FRAME_BYTES,
         }
     }
 }
@@ -294,8 +293,6 @@ struct Shared {
     raw_index: Mutex<HashMap<u64, u64>>,
     /// Elision plans derived once per capture, keyed like `captures`.
     plans: Mutex<HashMap<u64, Arc<ElisionPlan>>>,
-    /// Materialized cost-model presets (index = [`CostPreset`] order).
-    models: [apu_mem::CostModel; 2],
     /// Sweeps currently running, keyed by the fold of their cells' content
     /// digests: an identical concurrent request parks here instead of
     /// re-running the corpus ([`handle_sweep`]).
@@ -340,7 +337,6 @@ impl Shared {
             captures: Mutex::new(HashMap::new()),
             raw_index: Mutex::new(HashMap::new()),
             plans: Mutex::new(HashMap::new()),
-            models: [CostPreset::Mi300a.model(), CostPreset::Mi300aNoThp.model()],
             inflight: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
@@ -352,13 +348,6 @@ impl Shared {
             malformed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             cfg,
-        }
-    }
-
-    fn model_for(&self, preset: CostPreset) -> apu_mem::CostModel {
-        match preset {
-            CostPreset::Mi300a => self.models[0].clone(),
-            CostPreset::Mi300aNoThp => self.models[1].clone(),
         }
     }
 
@@ -622,7 +611,7 @@ fn handle_connection(conn: Conn, shared: Arc<Shared>) {
     let mut reader = BufReader::new(read_half);
     let mut writer = conn;
     loop {
-        match Frame::read_from(&mut reader, shared.cfg.max_frame_bytes) {
+        match Frame::read_from(&mut reader, DEFAULT_MAX_FRAME_BYTES) {
             Ok(None) => break,
             Ok(Some(frame)) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
@@ -898,24 +887,18 @@ fn wait_for_sweep(
 }
 
 /// The resident equivalent of [`crate::run_sweep`]: same cache protocol,
-/// same driver, but the cost model and elision plan come from the server's
-/// warm tables instead of being re-derived per cell.
+/// same driver, but the elision plan comes from the server's warm table
+/// instead of being re-derived per cell.
 fn run_resident_sweep(
     corpus: &[SweepRequest],
     shared: &Arc<Shared>,
 ) -> Result<(Vec<SweepResult>, u64, u64), OmpError> {
     let outcome = run_sweep_derived(corpus, shared.cfg.jobs, &shared.cache, |req| {
-        let elide = match req.elide {
-            // Opt rewrites the IR inside the prepared execution; no
-            // runtime mode.
-            ElideKind::Off | ElideKind::Opt => ElideMode::Off,
-            ElideKind::Online => ElideMode::Online,
-            ElideKind::Plan => {
-                let digest = SweepRequest::capture_digest(&req.ir);
-                ElideMode::Plan((*shared.plan_for(digest, &req.ir)).clone())
-            }
-        };
-        (shared.model_for(req.preset), elide)
+        let elide = req.elide.mode_with(|| {
+            let digest = SweepRequest::capture_digest(&req.ir);
+            (*shared.plan_for(digest, &req.ir)).clone()
+        });
+        (req.preset.model(), elide)
     })?;
     let results = outcome.results;
     // Fold this sweep's scheduling counters into the pool instruments
@@ -1040,7 +1023,6 @@ fn handle_metrics(shared: &Arc<Shared>) -> Response {
 pub struct Client {
     reader: BufReader<Conn>,
     writer: Conn,
-    max_frame_bytes: usize,
 }
 
 impl Client {
@@ -1049,7 +1031,6 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(read_half),
             writer: conn,
-            max_frame_bytes: crate::proto::DEFAULT_MAX_FRAME_BYTES,
         })
     }
 
@@ -1067,7 +1048,7 @@ impl Client {
     pub fn roundtrip(&mut self, frame: &Frame) -> Result<Response, ProtoError> {
         self.writer.write_all(frame.to_wire().as_bytes())?;
         self.writer.flush()?;
-        Response::read_from(&mut self.reader, self.max_frame_bytes)?.ok_or_else(|| ProtoError {
+        Response::read_from(&mut self.reader, DEFAULT_MAX_FRAME_BYTES)?.ok_or_else(|| ProtoError {
             message: "server closed the connection".to_string(),
         })
     }

@@ -13,11 +13,13 @@
 
 use crate::cache::{CacheMode, ResultCache};
 use crate::driver::{drive_stats, DriveStats};
-use crate::request::{config_token, SweepRequest};
+use crate::request::{ElideKind, SweepRequest};
 use crate::result::{merge_attribution, SweepResult, TenantRow};
 use hsa_rocr::Topology;
 use omp_offload::telemetry::attribution;
-use omp_offload::{replay, replay_threads, MapIr, OmpError, OmpRuntime, RunReport, TenantPool};
+use omp_offload::{
+    replay, replay_threads, ElideMode, MapIr, OmpError, OmpRuntime, RuntimeBuilder, TenantPool,
+};
 use sim_des::FaultPlan;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -63,17 +65,25 @@ pub struct SweepOutcome {
 /// any order, which is the invariant the result cache and the `-j N`
 /// byte-identity contract both stand on.
 pub fn execute(req: &SweepRequest) -> Result<SweepResult, OmpError> {
-    execute_prepared(
-        req,
+    let (model, elide) = derive_inputs(req);
+    execute_prepared(req, model, elide)
+}
+
+/// The request's two derivable inputs, derived from scratch: the preset's
+/// cost model and the elide mode (synthesizing the plan from the capture
+/// only for `plan` cells). A resident server derives the same pair from
+/// its warm plan table instead.
+pub fn derive_inputs(req: &SweepRequest) -> (apu_mem::CostModel, ElideMode) {
+    (
         req.preset.model(),
         req.elide.mode_with(|| omp_mapcheck::elision_plan(&req.ir)),
     )
 }
 
 /// [`execute`] with the two derivable inputs — the cost model and the
-/// resolved elide mode — supplied by the caller. This is the serve layer's
-/// entry point: a resident server derives the model per preset and the
-/// elision plan per capture *once*, then replays them into every request,
+/// resolved elide mode — supplied by the caller. This is what
+/// [`run_sweep_derived`] runs per solo cell: the resident server derives
+/// the elision plan per capture *once*, then replays it into every request,
 /// and determinism guarantees the result bytes cannot differ from the
 /// cold-path [`execute`]. Passing a model or mode that does not match the
 /// request's `preset`/`elide` fields would break the cache contract; only
@@ -81,7 +91,7 @@ pub fn execute(req: &SweepRequest) -> Result<SweepResult, OmpError> {
 pub fn execute_prepared(
     req: &SweepRequest,
     model: apu_mem::CostModel,
-    elide: omp_offload::ElideMode,
+    elide: ElideMode,
 ) -> Result<SweepResult, OmpError> {
     // Multi-tenant cells go through the pool path (tenants replayed in id
     // order on this thread); sweeps flatten the same tenant tasks across
@@ -93,38 +103,50 @@ pub fn execute_prepared(
             .collect::<Result<Vec<_>, _>>()?;
         return Ok(PreparedCell::assemble(per));
     }
-    // Opt mode rewrites the program itself before replay. The rewrite is a
-    // pure function of the capture, so the cache contract holds; an
-    // ill-formed capture (optimizer refusal) replays unrewritten and lets
-    // the sanitizer report it like any other cell.
-    let optimized;
+    let (ir, b) = cell_recipe(req, model, elide);
+    run_cell(b.build()?, &ir)
+}
+
+/// The one recipe from a request to a runnable cell: the program the cell
+/// replays and the runtime builder it replays under, given the request's
+/// two derivable inputs (see [`execute_prepared`]). Solo cells, tenant
+/// cells, the resident server and single-file `apusim replay` all build
+/// their runtime here, so no surface can drop a request field.
+///
+/// Opt mode rewrites the program itself before replay. The rewrite is a
+/// pure function of the capture, so the cache contract holds; an
+/// ill-formed capture (optimizer refusal) replays unrewritten and lets the
+/// sanitizer report it like any other cell.
+pub fn cell_recipe(
+    req: &SweepRequest,
+    model: apu_mem::CostModel,
+    elide: ElideMode,
+) -> (Arc<MapIr>, RuntimeBuilder) {
     let ir = match req.elide {
-        crate::request::ElideKind::Opt => match omp_mapcheck::optimize(&req.ir) {
-            Ok(o) => {
-                optimized = o.ir;
-                &optimized
-            }
-            Err(_) => &*req.ir,
+        ElideKind::Opt => match omp_mapcheck::optimize(&req.ir) {
+            Ok(o) => Arc::new(o.ir),
+            Err(_) => Arc::clone(&req.ir),
         },
-        _ => &*req.ir,
+        _ => Arc::clone(&req.ir),
     };
     let mut b = OmpRuntime::builder(model, Topology::default())
         .config(req.config)
-        .threads(replay_threads(ir))
+        .threads(replay_threads(&ir))
         .sanitize(true)
         .elide(elide)
         .telemetry(req.telemetry.mode());
     if let Some(seed) = req.fault_seed {
         b = b.fault_plan(FaultPlan::from_seed(seed));
     }
-    let mut rt = b.build()?;
-    let out = replay(&mut rt, ir)?;
-    let memory_digest = rt.memory_digest();
-    Ok(distill(out, memory_digest, rt.finish()))
+    (ir, b)
 }
 
-/// Distill one finished runtime into the serializable per-cell result.
-fn distill(out: omp_offload::ReplayOutcome, memory_digest: u64, report: RunReport) -> SweepResult {
+/// Replay `ir` on a runtime built from [`cell_recipe`] and distill the
+/// finished run into the serializable per-cell result.
+fn run_cell(mut rt: OmpRuntime, ir: &MapIr) -> Result<SweepResult, OmpError> {
+    let out = replay(&mut rt, ir)?;
+    let memory_digest = rt.memory_digest();
+    let report = rt.finish();
     let mut result = SweepResult {
         ops: out.ops as u64,
         kernels: out.kernels as u64,
@@ -143,7 +165,7 @@ fn distill(out: omp_offload::ReplayOutcome, memory_digest: u64, report: RunRepor
         result.sites = attr.sites;
         result.kernel_rows = attr.kernels;
     }
-    result
+    Ok(result)
 }
 
 /// One multi-tenant cell, prepared once and shared by its tenant tasks:
@@ -159,29 +181,14 @@ pub struct PreparedCell {
 }
 
 impl PreparedCell {
-    /// Resolve the request's derivable inputs once per cell: Opt-mode IR
-    /// rewriting, the runtime recipe, and the shared tenant pool.
+    /// Resolve the cell's [`cell_recipe`] once and wrap its builder in the
+    /// shared tenant pool.
     pub fn prepare(
         req: &SweepRequest,
         model: apu_mem::CostModel,
-        elide: omp_offload::ElideMode,
+        elide: ElideMode,
     ) -> PreparedCell {
-        let ir = match req.elide {
-            crate::request::ElideKind::Opt => match omp_mapcheck::optimize(&req.ir) {
-                Ok(o) => Arc::new(o.ir),
-                Err(_) => Arc::clone(&req.ir),
-            },
-            _ => Arc::clone(&req.ir),
-        };
-        let mut b = OmpRuntime::builder(model, Topology::default())
-            .config(req.config)
-            .threads(replay_threads(&ir))
-            .sanitize(true)
-            .elide(elide)
-            .telemetry(req.telemetry.mode());
-        if let Some(seed) = req.fault_seed {
-            b = b.fault_plan(FaultPlan::from_seed(seed));
-        }
+        let (ir, b) = cell_recipe(req, model, elide);
         PreparedCell {
             ir,
             pool: TenantPool::new(b),
@@ -197,10 +204,7 @@ impl PreparedCell {
     /// Replay the program as tenant `t` of the shared pool and distill its
     /// private result.
     pub fn run_tenant(&self, t: u32) -> Result<SweepResult, OmpError> {
-        let mut tenant = self.pool.tenant(t)?;
-        let out = replay(&mut tenant, &self.ir)?;
-        let memory_digest = tenant.memory_digest();
-        Ok(distill(out, memory_digest, tenant.into_runtime().finish()))
+        run_cell(self.pool.tenant(t)?.into_runtime(), &self.ir)
     }
 
     /// Fold per-tenant results (in tenant-id order) into the cell's
@@ -233,12 +237,7 @@ pub fn run_sweep(
     cache_mode: &CacheMode,
 ) -> Result<SweepOutcome, OmpError> {
     let cache = ResultCache::open(cache_mode);
-    run_sweep_derived(corpus, jobs, &cache, |req| {
-        (
-            req.preset.model(),
-            req.elide.mode_with(|| omp_mapcheck::elision_plan(&req.ir)),
-        )
-    })
+    run_sweep_derived(corpus, jobs, &cache, derive_inputs)
 }
 
 /// [`run_sweep`] with the per-request derivable inputs — the cost model
@@ -256,7 +255,7 @@ pub fn run_sweep_derived<F>(
     derive: F,
 ) -> Result<SweepOutcome, OmpError>
 where
-    F: Fn(&SweepRequest) -> (apu_mem::CostModel, omp_offload::ElideMode) + Sync,
+    F: Fn(&SweepRequest) -> (apu_mem::CostModel, ElideMode) + Sync,
 {
     // Cache pass first: hits never reach the pool, and the flattened task
     // list needs the set of misses up front.
@@ -358,7 +357,7 @@ pub fn render_report(corpus: &[SweepRequest], results: &[SweepResult]) -> String
             out,
             "{:<24} {:>6} {:>6} {:>5} {:>12.3} {:>10} {:>8} {:>5} {:016x}",
             req.name,
-            config_token(req.config),
+            req.config.token(),
             req.elide.token(),
             req.fault_seed
                 .map_or_else(|| "-".to_string(), |s| s.to_string()),
@@ -411,25 +410,17 @@ pub fn render_report(corpus: &[SweepRequest], results: &[SweepResult]) -> String
     out
 }
 
-fn capture_threads(w: &dyn workloads::Workload) -> usize {
-    if w.name().contains("qmc") {
-        2
-    } else {
-        1
-    }
-}
-
 fn corpus_for(
     programs: Vec<Box<dyn workloads::Workload>>,
-    elides: &[crate::request::ElideKind],
+    elides: &[ElideKind],
 ) -> Vec<SweepRequest> {
     let mut corpus = Vec::new();
     for w in programs {
         let ir = Arc::new(
-            omp_mapcheck::capture_workload(&*w, capture_threads(&*w))
+            omp_mapcheck::capture_workload(&*w, omp_mapcheck::harness::capture_threads(&*w))
                 .expect("shipped workloads capture cleanly"),
         );
-        for config in omp_mapcheck::harness::configs_for(&*w) {
+        for config in omp_mapcheck::admissible_configs(&ir) {
             for &elide in elides {
                 corpus.push(
                     SweepRequest::builder(w.name(), Arc::clone(&ir))
@@ -445,10 +436,9 @@ fn corpus_for(
 }
 
 /// The small, fast corpus CI sweeps: three shipped programs at reduced
-/// scale, every compatible configuration, elision off. Deterministic
-/// construction: element order is fixed.
+/// scale, every configuration each capture admits, elision off.
+/// Deterministic construction: element order is fixed.
 pub fn smoke_corpus() -> Vec<SweepRequest> {
-    use crate::request::ElideKind;
     use workloads::{spec, NioSize, QmcPack};
     let programs: Vec<Box<dyn workloads::Workload>> = vec![
         Box::new(spec::Ep::scaled(0.02)),
@@ -459,9 +449,8 @@ pub fn smoke_corpus() -> Vec<SweepRequest> {
 }
 
 /// The full sweep corpus `repro` runs: every shipped workload, every
-/// compatible configuration, elision off and profile-guided.
+/// configuration each capture admits, elision off and profile-guided.
 pub fn full_corpus() -> Vec<SweepRequest> {
-    use crate::request::ElideKind;
     corpus_for(
         omp_mapcheck::harness::shipped_workloads(),
         &[ElideKind::Off, ElideKind::Plan],
@@ -471,7 +460,7 @@ pub fn full_corpus() -> Vec<SweepRequest> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{ElideKind, TelemetryKind};
+    use crate::request::TelemetryKind;
     use omp_offload::RuntimeConfig;
 
     fn tiny_corpus() -> Vec<SweepRequest> {

@@ -609,7 +609,7 @@ fn main() {
             csv.push_str(&format!(
                 "{},{},{},{:.3},{},{},{},{:016x}\n",
                 req.name,
-                omp_batch::config_token(req.config),
+                req.config.token(),
                 req.elide.token(),
                 r.makespan.as_nanos() as f64 / 1_000.0,
                 r.ledger.copies,

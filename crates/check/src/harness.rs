@@ -5,7 +5,7 @@
 //! convention (enforced by the binaries): 0 clean, 1 diagnostics found or
 //! cross-validation mismatch, 2 usage error.
 
-use crate::{capture_workload, check, optimize, verify_equivalence};
+use crate::{admissible_configs, capture_workload, check, optimize, verify_equivalence};
 use apu_mem::CostModel;
 use hsa_rocr::Topology;
 use omp_offload::metrics::derivable_snapshot;
@@ -90,18 +90,14 @@ pub fn shipped_workloads() -> Vec<Box<dyn Workload>> {
     ]
 }
 
-/// Configurations a workload is expected to run under: everything, unless
-/// the program needs `unified_shared_memory` semantics (then only the
-/// XNACK-enabled pair — elsewhere it fatal-faults, which MC005 reports when
-/// the static pass *is* run against those configurations).
-pub fn configs_for(w: &dyn Workload) -> Vec<RuntimeConfig> {
-    if w.requires_usm() {
-        vec![
-            RuntimeConfig::UnifiedSharedMemory,
-            RuntimeConfig::ImplicitZeroCopy,
-        ]
+/// Host threads a shipped workload is captured with: two for the QMCPack
+/// models, one for everything else. The check harness and the sweep
+/// corpora both capture through this, so they replay the same captures.
+pub fn capture_threads(w: &dyn Workload) -> usize {
+    if w.name().contains("qmc") {
+        2
     } else {
-        RuntimeConfig::ALL.to_vec()
+        1
     }
 }
 
@@ -180,20 +176,21 @@ fn elision_holds(off: &RunProbe, on: &RunProbe) -> bool {
 }
 
 /// Check one workload: capture its MapIR once, statically check it against
-/// each compatible configuration, and cross-validate every cell with a
-/// sanitized real run. Each cell also runs a second time with online map
-/// elision and verifies the elision contract ([`CheckCell::elision_verified`]),
-/// and replays the statically [`optimize`]d capture to verify the optimizer's
-/// equivalence contract ([`CheckCell::opt_verified`]).
+/// each of the capture's [`admissible_configs`], and cross-validate every
+/// cell with a sanitized real run. Each cell also runs a second time with
+/// online map elision and verifies the elision contract
+/// ([`CheckCell::elision_verified`]), and replays the statically
+/// [`optimize`]d capture to verify the optimizer's equivalence contract
+/// ([`CheckCell::opt_verified`]).
 pub fn check_workload(w: &dyn Workload) -> Result<Vec<CheckCell>, OmpError> {
-    let threads = if w.name().contains("qmc") { 2 } else { 1 };
+    let threads = capture_threads(w);
     let ir = capture_workload(w, threads)?;
     // Optimize the capture once; each cell then verifies the equivalence
     // contract under its own configuration. A refused (ill-formed) capture
     // fails every cell's contract — shipped workloads are well-formed.
     let optimized = optimize(&ir).ok();
     let mut cells = Vec::new();
-    for config in configs_for(w) {
+    for config in admissible_configs(&ir) {
         let diagnostics = check(&ir, config);
         let off = instrumented_run(w, threads, config, ElideMode::Off)?;
         let on = instrumented_run(w, threads, config, ElideMode::Online)?;

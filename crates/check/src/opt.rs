@@ -184,7 +184,7 @@ pub fn admissible_configs(ir: &MapIr) -> Vec<RuntimeConfig> {
 
 /// Does any kernel dereference a raw host range not fully contained in a
 /// device-pool allocation?
-pub fn has_unpooled_raw_access(ir: &MapIr) -> bool {
+fn has_unpooled_raw_access(ir: &MapIr) -> bool {
     let pools: Vec<(u64, u64)> = ir
         .records
         .iter()

@@ -6,12 +6,15 @@
 //! online-elided run is diagnostic-clean, bit-identical to the unelided
 //! run, and recovers `mm_saved` exactly. Also pins the reason
 //! `openfoam-mini-usm` is excluded from the XNACK-off configurations:
-//! checked against Copy statically, its raw accesses are exactly the MC005
-//! fatal-fault hazard the paper's §IV-B describes.
+//! its capture admits only the XNACK pair, and checked against Copy
+//! statically, its raw accesses are exactly the MC005 fatal-fault hazard
+//! the paper's §IV-B describes.
 
 use apu_mem::CostModel;
 use hsa_rocr::Topology;
-use omp_mapcheck::{capture_workload, check, check_workload, elision_plan, harness};
+use omp_mapcheck::{
+    admissible_configs, capture_workload, check, check_workload, elision_plan, harness,
+};
 use omp_offload::{
     replay, replay_threads, DiagCode, ElideMode, MapIr, OmpRuntime, RuntimeConfig, Severity,
 };
@@ -22,7 +25,9 @@ fn every_shipped_workload_is_error_free_under_all_compatible_configs() {
     let mut all = Vec::new();
     for w in harness::shipped_workloads() {
         let cells = check_workload(w.as_ref()).expect("capture succeeds");
-        assert_eq!(cells.len(), harness::configs_for(w.as_ref()).len());
+        let ir = capture_workload(w.as_ref(), harness::capture_threads(w.as_ref()))
+            .expect("capture succeeds");
+        assert_eq!(cells.len(), admissible_configs(&ir).len());
         for c in &cells {
             assert!(
                 c.diagnostics
@@ -137,11 +142,19 @@ fn static_plan_matches_online_elision() {
 
 /// The USM-only workload is not mis-gated: under the XNACK-off Copy
 /// configuration the static checker predicts its raw accesses fault (MC005),
-/// which is exactly why `configs_for` restricts it to the XNACK pair.
+/// which is exactly why `admissible_configs` restricts its capture to the
+/// XNACK pair.
 #[test]
 fn openfoam_under_copy_is_predicted_to_fault() {
     let w = OpenFoamMini::scaled(0.02);
     let ir = capture_workload(&w, 1).expect("capture");
+    assert_eq!(
+        admissible_configs(&ir),
+        [
+            RuntimeConfig::UnifiedSharedMemory,
+            RuntimeConfig::ImplicitZeroCopy
+        ]
+    );
     let diags = check(&ir, RuntimeConfig::LegacyCopy);
     assert!(
         diags.iter().any(|d| d.code == DiagCode::Mc005),

@@ -90,15 +90,11 @@ impl ElideKind {
         }
     }
 
-    /// Parse a canonical token (None on anything else).
-    pub fn from_token(s: &str) -> Option<Self> {
-        s.parse().ok()
-    }
-
     /// Resolve to a concrete [`ElideMode`], synthesizing the plan through
     /// `plan` only when this kind actually is [`ElideKind::Plan`].
-    /// [`ElideKind::Opt`] resolves to [`ElideMode::Off`]: the rewriting
-    /// happens to the program before replay, not in the runtime.
+    /// [`ElideKind::Opt`] resolves to [`ElideMode::Off`]: the batch layer's
+    /// cell recipe (`omp_batch::sweep::cell_recipe`) rewrites the program
+    /// before replay, so the runtime elides nothing itself.
     pub fn mode_with(self, plan: impl FnOnce() -> ElisionPlan) -> ElideMode {
         match self {
             ElideKind::Off | ElideKind::Opt => ElideMode::Off,
@@ -156,11 +152,6 @@ impl TelemetryKind {
             TelemetryKind::Off => "off",
             TelemetryKind::Ring => "ring",
         }
-    }
-
-    /// Parse a canonical token (None on anything else).
-    pub fn from_token(s: &str) -> Option<Self> {
-        s.parse().ok()
     }
 
     /// Resolve to a concrete [`TelemetryMode`].
@@ -251,11 +242,11 @@ mod tests {
     fn every_variant_round_trips_through_parse_and_display() {
         for e in ElideKind::ALL {
             assert_eq!(e.to_string().parse::<ElideKind>(), Ok(e));
-            assert_eq!(ElideKind::from_token(e.token()), Some(e));
+            assert_eq!(e.token().parse::<ElideKind>(), Ok(e));
         }
         for t in TelemetryKind::ALL {
             assert_eq!(t.to_string().parse::<TelemetryKind>(), Ok(t));
-            assert_eq!(TelemetryKind::from_token(t.token()), Some(t));
+            assert_eq!(t.token().parse::<TelemetryKind>(), Ok(t));
         }
         for c in RuntimeConfig::ALL {
             assert_eq!(c.token().parse::<RuntimeConfig>(), Ok(c));

@@ -15,14 +15,6 @@ pub trait Workload: Send + Sync {
 
     /// Execute the program against `rt` (one full application run).
     fn run(&self, rt: &mut OmpRuntime) -> Result<(), OmpError>;
-
-    /// True when the program needs `unified_shared_memory` semantics (raw
-    /// host-pointer dereference on the device, no map clauses): it only
-    /// runs under XNACK-enabled configurations and fatal-faults under Copy
-    /// or Eager Maps — exactly what MC005 diagnoses statically.
-    fn requires_usm(&self) -> bool {
-        false
-    }
 }
 
 /// Mebibytes, readably.

@@ -72,10 +72,6 @@ impl Workload for OpenFoamMini {
         "openfoam-mini-usm".to_string()
     }
 
-    fn requires_usm(&self) -> bool {
-        true
-    }
-
     fn run(&self, rt: &mut OmpRuntime) -> Result<(), OmpError> {
         let t = 0;
         let alloc_touched = |rt: &mut OmpRuntime, len: u64| -> Result<AddrRange, OmpError> {

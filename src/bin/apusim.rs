@@ -29,11 +29,13 @@
 //! JSONL with `--trace-format jsonl`. `--capture` writes the workload's
 //! data-environment op stream as MapIR text.
 //!
-//! `replay` re-executes a saved MapIR capture under any configuration with
-//! the sanitizer on, optionally applying map elision: `online` consults the
-//! live mapping table per map, `plan` derives the profile-guided elision
-//! plan from the capture itself (the static MC007 sites) and applies it by
-//! op index. It prints the makespan, ledger (including maps elided and MM
+//! `replay` re-executes a saved MapIR capture under any configuration the
+//! capture admits, with the sanitizer on, optionally applying map elision:
+//! `online` consults the live mapping table per map, `plan` derives the
+//! profile-guided elision plan from the capture itself (the static MC007
+//! sites) and applies it by op index, and `opt` replays the statically
+//! optimized program. A single capture runs the same cell recipe as a
+//! batch cell and prints the makespan, ledger (including maps elided and MM
 //! saved), memory digest, and sanitizer verdict; `--trace` works exactly as
 //! under `run`, so an elision decision stream can be inspected span by span.
 //! With several capture files — or with `--jobs`/`--cache` — replay routes
@@ -67,8 +69,8 @@ use mi300a_zerocopy::batch;
 use mi300a_zerocopy::hsa::Topology;
 use mi300a_zerocopy::mem::{CostModel, DiscreteSpec, MemOptions, SystemKind};
 use mi300a_zerocopy::omp::{
-    replay, replay_threads, telemetry, ElideMode, MapIr, OmpRuntime, RunEnv, RunReport,
-    RuntimeConfig, TelemetryMode,
+    replay, replay_threads, telemetry, MapIr, OmpRuntime, RunEnv, RunReport, RuntimeConfig,
+    TelemetryMode,
 };
 use mi300a_zerocopy::workloads::{
     spec::{Bt, Ep, Lbm, SpC, Stencil},
@@ -438,24 +440,25 @@ fn cmd_replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
         return cmd_replay_batch(&paths, config, &elide_arg, jobs.unwrap_or(1), cache_arg);
     }
+    // The same request and cell recipe a batch cell runs: the request gate
+    // refuses configurations the capture cannot run under, and `opt`
+    // rewrites the program before replay.
     let path = &paths[0];
     let ir = MapIr::parse(&std::fs::read_to_string(path)?)?;
-    let elide: ElideMode = parse_mode::<batch::ElideKind>(&elide_arg)
-        .mode_with(|| mi300a_zerocopy::mapcheck::elision_plan(&ir));
-    let threads = replay_threads(&ir);
-    let mut rt = OmpRuntime::builder(CostModel::mi300a(), Topology::default())
+    let req = batch::SweepRequest::builder(path.clone(), std::sync::Arc::new(ir))
         .config(config)
-        .threads(threads)
-        .mem_options(MemOptions::from_env())
-        .sanitize(true)
-        .elide(elide)
+        .elide(parse_mode(&elide_arg))
         .telemetry(if trace_path.is_some() {
-            TelemetryMode::ring()
+            batch::TelemetryKind::Ring
         } else {
-            TelemetryMode::Off
+            batch::TelemetryKind::Off
         })
         .build()?;
-    let outcome = replay(&mut rt, &ir)?;
+    let (model, elide) = batch::derive_inputs(&req);
+    let (program, builder) = batch::cell_recipe(&req, model, elide);
+    let threads = replay_threads(&program);
+    let mut rt = builder.mem_options(MemOptions::from_env()).build()?;
+    let outcome = replay(&mut rt, &program)?;
     let digest = rt.memory_digest();
     let diagnostics = rt.sanitizer_finalize().to_vec();
     let report = rt.finish();
