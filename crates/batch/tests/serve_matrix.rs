@@ -378,6 +378,119 @@ fn stats_info_round_trips_and_appends_uptime_last() {
     assert!(ServerStats::from_info(&[("hits".into(), "x".into())]).is_err());
 }
 
+/// Every `METRICS` series of a two-worker server, in render order: family,
+/// suffix and labels of each sample line, with the value dropped.
+const METRICS_SERIES: &str = r#"omp_serve_events_total{event="requests"}
+omp_serve_events_total{event="hits"}
+omp_serve_events_total{event="simulated"}
+omp_serve_events_total{event="malformed"}
+omp_serve_resident{kind="captures"}
+omp_serve_resident{kind="plans"}
+omp_serve_schedule_events_total{event="coalesced"}
+omp_serve_schedule_events_total{event="busy_rejections"}
+omp_serve_schedule_events_total{event="evicted"}
+omp_serve_inflight
+omp_serve_uptime_ms
+omp_cache_size_bytes
+omp_serve_latency_us_bucket{verb="ping",temp="warm",le="100"}
+omp_serve_latency_us_bucket{verb="ping",temp="warm",le="1000"}
+omp_serve_latency_us_bucket{verb="ping",temp="warm",le="10000"}
+omp_serve_latency_us_bucket{verb="ping",temp="warm",le="100000"}
+omp_serve_latency_us_bucket{verb="ping",temp="warm",le="1000000"}
+omp_serve_latency_us_bucket{verb="ping",temp="warm",le="10000000"}
+omp_serve_latency_us_bucket{verb="ping",temp="warm",le="+Inf"}
+omp_serve_latency_us_sum{verb="ping",temp="warm"}
+omp_serve_latency_us_count{verb="ping",temp="warm"}
+omp_serve_latency_us_bucket{verb="capture",temp="warm",le="100"}
+omp_serve_latency_us_bucket{verb="capture",temp="warm",le="1000"}
+omp_serve_latency_us_bucket{verb="capture",temp="warm",le="10000"}
+omp_serve_latency_us_bucket{verb="capture",temp="warm",le="100000"}
+omp_serve_latency_us_bucket{verb="capture",temp="warm",le="1000000"}
+omp_serve_latency_us_bucket{verb="capture",temp="warm",le="10000000"}
+omp_serve_latency_us_bucket{verb="capture",temp="warm",le="+Inf"}
+omp_serve_latency_us_sum{verb="capture",temp="warm"}
+omp_serve_latency_us_count{verb="capture",temp="warm"}
+omp_serve_latency_us_bucket{verb="sweep",temp="warm",le="100"}
+omp_serve_latency_us_bucket{verb="sweep",temp="warm",le="1000"}
+omp_serve_latency_us_bucket{verb="sweep",temp="warm",le="10000"}
+omp_serve_latency_us_bucket{verb="sweep",temp="warm",le="100000"}
+omp_serve_latency_us_bucket{verb="sweep",temp="warm",le="1000000"}
+omp_serve_latency_us_bucket{verb="sweep",temp="warm",le="10000000"}
+omp_serve_latency_us_bucket{verb="sweep",temp="warm",le="+Inf"}
+omp_serve_latency_us_sum{verb="sweep",temp="warm"}
+omp_serve_latency_us_count{verb="sweep",temp="warm"}
+omp_serve_latency_us_bucket{verb="sweep",temp="cold",le="100"}
+omp_serve_latency_us_bucket{verb="sweep",temp="cold",le="1000"}
+omp_serve_latency_us_bucket{verb="sweep",temp="cold",le="10000"}
+omp_serve_latency_us_bucket{verb="sweep",temp="cold",le="100000"}
+omp_serve_latency_us_bucket{verb="sweep",temp="cold",le="1000000"}
+omp_serve_latency_us_bucket{verb="sweep",temp="cold",le="10000000"}
+omp_serve_latency_us_bucket{verb="sweep",temp="cold",le="+Inf"}
+omp_serve_latency_us_sum{verb="sweep",temp="cold"}
+omp_serve_latency_us_count{verb="sweep",temp="cold"}
+omp_serve_latency_us_bucket{verb="result",temp="warm",le="100"}
+omp_serve_latency_us_bucket{verb="result",temp="warm",le="1000"}
+omp_serve_latency_us_bucket{verb="result",temp="warm",le="10000"}
+omp_serve_latency_us_bucket{verb="result",temp="warm",le="100000"}
+omp_serve_latency_us_bucket{verb="result",temp="warm",le="1000000"}
+omp_serve_latency_us_bucket{verb="result",temp="warm",le="10000000"}
+omp_serve_latency_us_bucket{verb="result",temp="warm",le="+Inf"}
+omp_serve_latency_us_sum{verb="result",temp="warm"}
+omp_serve_latency_us_count{verb="result",temp="warm"}
+omp_serve_latency_us_bucket{verb="result",temp="cold",le="100"}
+omp_serve_latency_us_bucket{verb="result",temp="cold",le="1000"}
+omp_serve_latency_us_bucket{verb="result",temp="cold",le="10000"}
+omp_serve_latency_us_bucket{verb="result",temp="cold",le="100000"}
+omp_serve_latency_us_bucket{verb="result",temp="cold",le="1000000"}
+omp_serve_latency_us_bucket{verb="result",temp="cold",le="10000000"}
+omp_serve_latency_us_bucket{verb="result",temp="cold",le="+Inf"}
+omp_serve_latency_us_sum{verb="result",temp="cold"}
+omp_serve_latency_us_count{verb="result",temp="cold"}
+omp_serve_latency_us_bucket{verb="stats",temp="warm",le="100"}
+omp_serve_latency_us_bucket{verb="stats",temp="warm",le="1000"}
+omp_serve_latency_us_bucket{verb="stats",temp="warm",le="10000"}
+omp_serve_latency_us_bucket{verb="stats",temp="warm",le="100000"}
+omp_serve_latency_us_bucket{verb="stats",temp="warm",le="1000000"}
+omp_serve_latency_us_bucket{verb="stats",temp="warm",le="10000000"}
+omp_serve_latency_us_bucket{verb="stats",temp="warm",le="+Inf"}
+omp_serve_latency_us_sum{verb="stats",temp="warm"}
+omp_serve_latency_us_count{verb="stats",temp="warm"}
+omp_serve_latency_us_bucket{verb="metrics",temp="warm",le="100"}
+omp_serve_latency_us_bucket{verb="metrics",temp="warm",le="1000"}
+omp_serve_latency_us_bucket{verb="metrics",temp="warm",le="10000"}
+omp_serve_latency_us_bucket{verb="metrics",temp="warm",le="100000"}
+omp_serve_latency_us_bucket{verb="metrics",temp="warm",le="1000000"}
+omp_serve_latency_us_bucket{verb="metrics",temp="warm",le="10000000"}
+omp_serve_latency_us_bucket{verb="metrics",temp="warm",le="+Inf"}
+omp_serve_latency_us_sum{verb="metrics",temp="warm"}
+omp_serve_latency_us_count{verb="metrics",temp="warm"}
+omp_serve_latency_us_bucket{verb="gc",temp="warm",le="100"}
+omp_serve_latency_us_bucket{verb="gc",temp="warm",le="1000"}
+omp_serve_latency_us_bucket{verb="gc",temp="warm",le="10000"}
+omp_serve_latency_us_bucket{verb="gc",temp="warm",le="100000"}
+omp_serve_latency_us_bucket{verb="gc",temp="warm",le="1000000"}
+omp_serve_latency_us_bucket{verb="gc",temp="warm",le="10000000"}
+omp_serve_latency_us_bucket{verb="gc",temp="warm",le="+Inf"}
+omp_serve_latency_us_sum{verb="gc",temp="warm"}
+omp_serve_latency_us_count{verb="gc",temp="warm"}
+omp_serve_latency_us_bucket{verb="shutdown",temp="warm",le="100"}
+omp_serve_latency_us_bucket{verb="shutdown",temp="warm",le="1000"}
+omp_serve_latency_us_bucket{verb="shutdown",temp="warm",le="10000"}
+omp_serve_latency_us_bucket{verb="shutdown",temp="warm",le="100000"}
+omp_serve_latency_us_bucket{verb="shutdown",temp="warm",le="1000000"}
+omp_serve_latency_us_bucket{verb="shutdown",temp="warm",le="10000000"}
+omp_serve_latency_us_bucket{verb="shutdown",temp="warm",le="+Inf"}
+omp_serve_latency_us_sum{verb="shutdown",temp="warm"}
+omp_serve_latency_us_count{verb="shutdown",temp="warm"}
+omp_pool_ops_total{worker="0",event="own_pop"}
+omp_pool_ops_total{worker="0",event="steal"}
+omp_pool_ops_total{worker="0",event="steal_failure"}
+omp_pool_ops_total{worker="1",event="own_pop"}
+omp_pool_ops_total{worker="1",event="steal"}
+omp_pool_ops_total{worker="1",event="steal_failure"}
+omp_pool_queue_depth_hwm{worker="0"}
+omp_pool_queue_depth_hwm{worker="1"}"#;
+
 #[test]
 fn metrics_verb_round_trips_and_agrees_with_stats() {
     let corpus = corpus();
@@ -487,6 +600,16 @@ fn metrics_verb_round_trips_and_agrees_with_stats() {
             ),
         ],
         "METRICS family schema is pinned"
+    );
+    let series: Vec<&str> = body
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| l.rsplit_once(' ').expect("sample line has a value").0)
+        .collect();
+    assert_eq!(
+        series,
+        METRICS_SERIES.lines().collect::<Vec<_>>(),
+        "METRICS series list is pinned"
     );
 
     // Derivable identity with STATS: the METRICS request was the only one

@@ -6,8 +6,8 @@
 //! * folding the event stream reproduces the overhead ledger **field for
 //!   field** (`ledger == fold(events)` — the derivability contract);
 //! * the default ring drops nothing;
-//! * the JSONL export parses back into the identical report, and the fold
-//!   of the parsed events still equals the ledger.
+//! * the JSONL export's header counts exactly the event lines that follow
+//!   it, with no drops.
 //!
 //! Fault-injected runs may abort (recovery exhaustion); the contract must
 //! hold at the abort point too, since events are emitted at the same sites
@@ -15,7 +15,7 @@
 
 use apu_mem::{AddrRange, CostModel};
 use hsa_rocr::Topology;
-use omp_offload::telemetry::{fold, parse_jsonl, to_jsonl};
+use omp_offload::telemetry::to_jsonl;
 use omp_offload::{
     ElideMode, MapDir, MapEntry, OmpError, OmpRuntime, RuntimeConfig, TargetRegion, TelemetryMode,
 };
@@ -127,7 +127,7 @@ fn op_traces(max_len: usize) -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
 }
 
 /// One telemetry-instrumented run; asserts the derivability contract and
-/// the JSONL round-trip. Panics (failing the property) on any violation.
+/// the JSONL header counts. Panics (failing the property) on any violation.
 fn exact_run(
     config: RuntimeConfig,
     elide: ElideMode,
@@ -161,12 +161,13 @@ fn exact_run(
     let report = rt.finish();
     let telemetry = report.telemetry.expect("ring was on");
     let jsonl = to_jsonl(&telemetry);
-    let parsed = parse_jsonl(&jsonl).expect("JSONL parses back");
-    assert_eq!(parsed, telemetry, "JSONL round-trip diverged");
+    let header = jsonl.lines().next().expect("JSONL has a header line");
+    let counts = format!("\"events\":{},\"dropped_events\":0", telemetry.events.len());
+    assert!(header.contains(&counts), "{header} lacks {counts}");
     assert_eq!(
-        fold(&parsed.events),
-        ledger,
-        "fold of parsed events != ledger under {}",
+        jsonl.lines().count(),
+        1 + telemetry.events.len(),
+        "JSONL event lines != header count under {}",
         config.label()
     );
 }

@@ -1461,8 +1461,28 @@ mod tests {
         assert_eq!(l, OverheadLedger::default());
     }
 
+    /// [`to_jsonl`] of the every-kind fixture in
+    /// `jsonl_of_every_kind_is_pinned`, byte for byte.
+    const JSONL_EVERY_KIND: &str = r#"{"type":"header","version":1,"capacity":128,"events":15,"dropped_events":5}
+{"type":"event","seq":0,"thread":2,"anchor":0,"anchor_end":1,"kind":"map_begin","start":16,"len":8,"dir":"to","always":true}
+{"type":"event","seq":1,"thread":2,"anchor":1,"anchor_end":2,"kind":"map_end","start":16,"len":8,"dir":"from","delete":true}
+{"type":"event","seq":2,"thread":2,"anchor":2,"anchor_end":3,"kind":"map_service","start":32,"len":8,"cost_ns":2000}
+{"type":"event","seq":3,"thread":2,"anchor":3,"anchor_end":4,"kind":"pool_alloc","start":32,"len":8,"cost_ns":3000}
+{"type":"event","seq":4,"thread":2,"anchor":4,"anchor_end":5,"kind":"pool_free","start":32,"len":8,"cost_ns":4000}
+{"type":"event","seq":5,"thread":2,"anchor":5,"anchor_end":6,"kind":"copy","start":48,"len":16,"bytes":16,"cost_ns":5000,"to_host":true}
+{"type":"event","seq":6,"thread":2,"anchor":6,"anchor_end":7,"kind":"prefault","start":64,"len":32,"cost_ns":6000,"recovery":true}
+{"type":"event","seq":7,"thread":2,"anchor":7,"anchor_end":8,"kind":"kernel_launch","name":"stencil \"hot\"\nloop","compute_ns":7000}
+{"type":"event","seq":8,"thread":2,"anchor":8,"anchor_end":9,"kind":"kernel_complete","name":"stencil \"hot\"\nloop","compute_ns":7000,"fault_stall_ns":8000,"tlb_stall_ns":1000,"replayed_pages":3,"zero_filled_pages":1}
+{"type":"event","seq":9,"thread":2,"anchor":9,"anchor_end":10,"kind":"elide","start":80,"len":64,"probe":"miss","lookup_ns":1000,"saved_ns":9000}
+{"type":"event","seq":10,"thread":2,"anchor":10,"anchor_end":11,"kind":"backoff","attempt":3,"delay_ns":10000}
+{"type":"event","seq":11,"thread":2,"anchor":11,"anchor_end":12,"kind":"evicted","pages":12}
+{"type":"event","seq":12,"thread":2,"anchor":12,"anchor_end":13,"kind":"recovery","attempts":1,"action":"evicted_then_retried_alloc","pages":12}
+{"type":"event","seq":13,"thread":2,"anchor":13,"anchor_end":14,"kind":"recovery","attempts":0,"action":"startup_degradation","from":"USM","to":"Copy"}
+{"type":"event","seq":14,"thread":2,"anchor":14,"anchor_end":15,"kind":"sanitizer","code":"MC007"}
+"#;
+
     #[test]
-    fn jsonl_round_trips_every_kind() {
+    fn jsonl_of_every_kind_is_pinned() {
         let us = VirtDuration::from_micros;
         let kinds = vec![
             EventKind::MapBegin {
@@ -1559,29 +1579,7 @@ mod tests {
             capacity: 128,
         };
         let text = to_jsonl(&report);
-        assert!(text.starts_with("{\"type\":\"header\""));
-        assert!(text
-            .lines()
-            .next()
-            .unwrap()
-            .contains("\"dropped_events\":5"));
-        let parsed = parse_jsonl(&text).expect("round-trip parse");
-        assert_eq!(parsed, report);
-    }
-
-    #[test]
-    fn jsonl_parser_rejects_malformed_input() {
-        assert!(parse_jsonl("").is_err());
-        assert!(parse_jsonl("{\"type\":\"event\"}").is_err());
-        assert!(parse_jsonl(
-            "{\"type\":\"header\",\"version\":2,\"capacity\":1,\"events\":0,\"dropped_events\":0}"
-        )
-        .is_err());
-        // Header/event count mismatch must be caught.
-        assert!(parse_jsonl(
-            "{\"type\":\"header\",\"version\":1,\"capacity\":1,\"events\":3,\"dropped_events\":0}"
-        )
-        .is_err());
+        assert_eq!(text, JSONL_EVERY_KIND);
     }
 
     #[test]
