@@ -1,32 +1,16 @@
-//! Chrome-trace (`chrome://tracing` / Perfetto) export of a schedule.
+//! Chrome-trace (`chrome://tracing` / Perfetto) export of a run.
 //!
-//! Writes the resolved virtual-time schedule as a Trace Event Format JSON
-//! array — one duration event per operation, one row per simulated host
-//! thread — so a run can be inspected visually the way rocprof timelines
-//! are. The writer is hand-rolled (no serde): the format is a flat array of
-//! objects with a handful of numeric/string fields.
+//! Writes the resolved virtual-time schedule and the runtime's telemetry
+//! stream as one Trace Event Format JSON object — one duration event per
+//! operation, one row per simulated host thread — so a run can be
+//! inspected visually the way rocprof timelines are. The writer is
+//! hand-rolled (no serde) and escapes through the telemetry sinks' one
+//! [`json_escape`].
 
 use hsa_rocr::HsaApiKind;
-use omp_offload::telemetry::{resolve, FieldVal, TelemetryReport};
+use omp_offload::telemetry::{json_escape, resolve, TelemetryReport};
 use sim_des::{Schedule, Tag};
 use std::fmt::Write as _;
-
-/// Escape a JSON string value (the names we emit are ASCII identifiers,
-/// but stay safe anyway).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn event_name(tag: Tag) -> String {
     match HsaApiKind::from_tag(tag) {
@@ -36,38 +20,10 @@ fn event_name(tag: Tag) -> String {
     }
 }
 
-/// Render `schedule` as Trace Event Format JSON.
-///
-/// Timestamps are microseconds of virtual time; `pid` is 1; `tid` is the
-/// simulated host-thread index. Zero-length operations are skipped (the
-/// viewer cannot display them).
-pub fn chrome_trace(schedule: &Schedule) -> String {
-    let mut out = String::from("[\n");
-    let mut first = true;
-    for r in schedule.records() {
-        let dur_us = r.latency().as_nanos() as f64 / 1000.0;
-        if dur_us <= 0.0 {
-            continue;
-        }
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let ts_us = r.start.as_nanos() as f64 / 1000.0;
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
-            json_escape(&event_name(r.tag)),
-            r.thread,
-            ts_us,
-            dur_us
-        );
-    }
-    out.push_str("\n]\n");
-    out
-}
-
-/// Append one schedule record as a Trace Event object under `pid`.
+/// Append one schedule record as a Trace Event object under `pid`: the
+/// one schedule-row writer. Timestamps are microseconds of virtual time
+/// and `tid` is the simulated host-thread index; zero-length operations
+/// are skipped (the viewer cannot display them).
 fn push_schedule_event(out: &mut String, r: &sim_des::OpRecord, pid: u32, first: &mut bool) {
     let dur_us = r.latency().as_nanos() as f64 / 1000.0;
     if dur_us <= 0.0 {
@@ -87,30 +43,6 @@ fn push_schedule_event(out: &mut String, r: &sim_des::OpRecord, pid: u32, first:
         ts_us,
         dur_us
     );
-}
-
-/// Render a telemetry event's payload fields as a Trace Event `args`
-/// object (shown in the Perfetto detail pane).
-fn args_json(fields: &[(&'static str, FieldVal)]) -> String {
-    let mut out = String::from("{");
-    for (i, (key, val)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match val {
-            FieldVal::U64(v) => {
-                let _ = write!(out, "\"{key}\":{v}");
-            }
-            FieldVal::Str(s) => {
-                let _ = write!(out, "\"{key}\":\"{}\"", json_escape(s));
-            }
-            FieldVal::Bool(b) => {
-                let _ = write!(out, "\"{key}\":{b}");
-            }
-        }
-    }
-    out.push('}');
-    out
 }
 
 /// Render the schedule and the telemetry stream as one merged Chrome/Perfetto
@@ -147,22 +79,28 @@ pub fn merged_chrome_trace(schedule: &Schedule, telemetry: &TelemetryReport) -> 
         }
         first = false;
         let name = json_escape(t.event.kind.name());
-        let args = args_json(&t.event.kind.fields());
         let ts_us = t.start.as_nanos() as f64 / 1000.0;
         let dur_us = (t.end - t.start).as_nanos() as f64 / 1000.0;
         if dur_us > 0.0 {
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":2,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\"args\":{}}}",
-                name, t.event.thread, ts_us, dur_us, args
+                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":2,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{",
+                name, t.event.thread, ts_us, dur_us
             );
         } else {
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"pid\":2,\"tid\":{},\"ts\":{:.3},\"s\":\"t\",\"args\":{}}}",
-                name, t.event.thread, ts_us, args
+                "{{\"name\":\"{}\",\"ph\":\"i\",\"pid\":2,\"tid\":{},\"ts\":{:.3},\"s\":\"t\",\"args\":{{",
+                name, t.event.thread, ts_us
             );
         }
+        let mut sep = "";
+        for (key, val) in t.event.kind.fields() {
+            let _ = write!(out, "{sep}\"{key}\":");
+            val.write_json(&mut out);
+            sep = ",";
+        }
+        out.push_str("}}");
     }
     let _ = write!(
         out,
@@ -196,48 +134,53 @@ mod tests {
         schedule(m, s, &RunOptions::noiseless())
     }
 
+    fn empty_schedule() -> Schedule {
+        schedule(Machine::new(), OpStreams::new(1), &RunOptions::noiseless())
+    }
+
+    fn empty_report(capacity: usize) -> TelemetryReport {
+        TelemetryReport {
+            events: Vec::new(),
+            dropped_events: 0,
+            capacity,
+        }
+    }
+
     #[test]
     fn trace_is_valid_shape_and_skips_zero_length() {
-        let json = chrome_trace(&sample_schedule());
-        assert!(json.starts_with("[\n"));
-        assert!(json.trim_end().ends_with(']'));
-        // Two nonzero events.
+        let json = merged_chrome_trace(&sample_schedule(), &empty_report(16));
+        assert!(json.starts_with("{\n\"traceEvents\":[\n"));
+        assert!(json.trim_end().ends_with('}'));
+        // Two nonzero schedule rows; the zero-length op is skipped.
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
         assert!(json.contains("hsa_queue_dispatch"));
         assert!(json.contains("\"name\":\"host\""));
-        assert!(json.contains("\"tid\":1"));
+        assert!(json.contains("\"pid\":1,\"tid\":1"));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
     fn escaping_handles_specials() {
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
-    }
-
-    fn empty_schedule() -> Schedule {
-        schedule(Machine::new(), OpStreams::new(1), &RunOptions::noiseless())
-    }
-
-    #[test]
-    fn chrome_trace_of_empty_schedule_is_a_valid_empty_array() {
-        let json = chrome_trace(&empty_schedule());
-        assert_eq!(json, "[\n\n]\n");
+        assert_eq!(json_escape("x\ny"), "x\\ny");
     }
 
     #[test]
     fn merged_trace_on_empty_schedule_and_stream_is_header_only() {
-        let empty = omp_offload::telemetry::TelemetryReport {
-            events: Vec::new(),
-            dropped_events: 0,
-            capacity: 16,
-        };
-        let json = merged_chrome_trace(&empty_schedule(), &empty);
+        let json = merged_chrome_trace(&empty_schedule(), &empty_report(16));
         assert!(json.contains("\"traceEvents\""));
         // Only the two process_name metadata records, no spans.
         assert_eq!(json.matches("\"ph\":\"M\"").count(), 2);
         assert!(!json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"dropped_events\":0"));
         assert!(json.contains("\"capacity\":16"));
+        assert_eq!(
+            json,
+            "{\n\"traceEvents\":[\n\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"HSA schedule\"}},\n\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"args\":{\"name\":\"runtime telemetry\"}}\n\
+             ],\n\"otherData\":{\"telemetry_events\":0,\"dropped_events\":0,\"capacity\":16}\n}\n"
+        );
     }
 
     #[test]

@@ -47,8 +47,7 @@ use crate::result::SweepResult;
 use crate::sweep::{render_report, run_sweep_derived};
 use crate::CacheMode;
 use omp_offload::metrics::{
-    Counter, FamilySnapshot, Gauge, Histogram, MetricClass, MetricKind, MetricsRegistry,
-    MetricsSnapshot, Sample,
+    Counter, FamilySnapshot, Gauge, Histogram, MetricClass, MetricKind, MetricsSnapshot, Sample,
 };
 use omp_offload::{ElisionPlan, MapIr, OmpError};
 use std::collections::HashMap;
@@ -181,11 +180,12 @@ enum SelfAddr {
 const LATENCY_BOUNDS_US: &[u64] = &[100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 
 /// Live instruments of one pool worker slot.
+#[derive(Default)]
 struct PoolWorker {
-    own_pops: Arc<Counter>,
-    steals: Arc<Counter>,
-    steal_failures: Arc<Counter>,
-    depth_hwm: Arc<Gauge>,
+    own_pops: Counter,
+    steals: Counter,
+    steal_failures: Counter,
+    depth_hwm: Gauge,
 }
 
 /// The server's schedule-class instruments: per-verb request latency
@@ -195,65 +195,23 @@ struct PoolWorker {
 /// — it rides the `METRICS` verb only and never enters response bodies,
 /// so the byte-identity contract is untouched.
 struct ServeMetrics {
-    registry: MetricsRegistry,
-    latency: Vec<(Verb, bool, Arc<Histogram>)>,
+    /// One histogram per (verb, cold), in render order.
+    latency: Vec<(Verb, bool, Histogram)>,
     pool: Vec<PoolWorker>,
 }
 
 impl ServeMetrics {
     fn new(jobs: usize) -> ServeMetrics {
-        let registry = MetricsRegistry::new();
         let mut latency = Vec::new();
         for verb in Verb::ALL {
+            latency.push((verb, false, Histogram::new(LATENCY_BOUNDS_US)));
             // Only the simulating verbs have a cold path.
-            let colds: &[bool] = if matches!(verb, Verb::Sweep | Verb::Result) {
-                &[false, true]
-            } else {
-                &[false]
-            };
-            for &cold in colds {
-                let h = registry.histogram(
-                    "omp_serve_latency_us",
-                    "Wall-clock request handling latency, integer microseconds.",
-                    MetricClass::Schedule,
-                    &[
-                        ("verb", verb.lower()),
-                        ("temp", if cold { "cold" } else { "warm" }),
-                    ],
-                    LATENCY_BOUNDS_US,
-                );
-                latency.push((verb, cold, h));
+            if matches!(verb, Verb::Sweep | Verb::Result) {
+                latency.push((verb, true, Histogram::new(LATENCY_BOUNDS_US)));
             }
         }
-        let pool = (0..jobs.max(1))
-            .map(|w| {
-                let wl = w.to_string();
-                let ops = |event: &str| {
-                    registry.counter(
-                        "omp_pool_ops_total",
-                        "Work-stealing pool scheduling events, accumulated across sweeps.",
-                        MetricClass::Schedule,
-                        &[("worker", &wl), ("event", event)],
-                    )
-                };
-                PoolWorker {
-                    own_pops: ops("own_pop"),
-                    steals: ops("steal"),
-                    steal_failures: ops("steal_failure"),
-                    depth_hwm: registry.gauge(
-                        "omp_pool_queue_depth_hwm",
-                        "High-water mark of each worker's seeded queue depth.",
-                        MetricClass::Schedule,
-                        &[("worker", &wl)],
-                    ),
-                }
-            })
-            .collect();
-        ServeMetrics {
-            registry,
-            latency,
-            pool,
-        }
+        let pool = (0..jobs.max(1)).map(|_| PoolWorker::default()).collect();
+        ServeMetrics { latency, pool }
     }
 
     /// Record one handled request's latency.
@@ -277,6 +235,60 @@ impl ServeMetrics {
                 p.depth_hwm.raise_to(ws.queue_depth_hwm);
             }
         }
+    }
+
+    /// Append the latency and pool families, series for series.
+    fn push_families(&self, snap: &mut MetricsSnapshot) {
+        let label = |k: &str, v: &str| (k.to_string(), v.to_string());
+        snap.push(FamilySnapshot {
+            name: "omp_serve_latency_us".into(),
+            help: "Wall-clock request handling latency, integer microseconds.".into(),
+            kind: MetricKind::Histogram,
+            class: MetricClass::Schedule,
+            samples: self
+                .latency
+                .iter()
+                .flat_map(|(verb, cold, h)| {
+                    let temp = if *cold { "cold" } else { "warm" };
+                    h.samples(&[label("verb", verb.lower()), label("temp", temp)])
+                })
+                .collect(),
+        });
+        snap.push(FamilySnapshot {
+            name: "omp_pool_ops_total".into(),
+            help: "Work-stealing pool scheduling events, accumulated across sweeps.".into(),
+            kind: MetricKind::Counter,
+            class: MetricClass::Schedule,
+            samples: self
+                .pool
+                .iter()
+                .enumerate()
+                .flat_map(|(w, p)| {
+                    [
+                        ("own_pop", &p.own_pops),
+                        ("steal", &p.steals),
+                        ("steal_failure", &p.steal_failures),
+                    ]
+                    .map(|(event, c)| Sample {
+                        suffix: String::new(),
+                        labels: vec![label("worker", &w.to_string()), label("event", event)],
+                        value: c.get(),
+                    })
+                })
+                .collect(),
+        });
+        snap.push(FamilySnapshot {
+            name: "omp_pool_queue_depth_hwm".into(),
+            help: "High-water mark of each worker's seeded queue depth.".into(),
+            kind: MetricKind::Gauge,
+            class: MetricClass::Schedule,
+            samples: self
+                .pool
+                .iter()
+                .enumerate()
+                .map(|(w, p)| Sample::labelled("worker", &w.to_string(), p.depth_hwm.get()))
+                .collect(),
+        });
     }
 }
 
@@ -944,12 +956,13 @@ fn handle_gc(shared: &Arc<Shared>) -> Response {
     }
 }
 
-/// Build the `METRICS` exposition: the derivable families are read from
-/// the same atomics `STATS` serves (so the two verbs agree counter-for-
-/// counter by construction), then the schedule-class families — momentary
-/// gauges plus the live latency/pool instruments — follow in a fixed
-/// order. The body is [`MetricsSnapshot::render`] text and re-parses
-/// exactly (`tests/serve_matrix.rs` pins both properties).
+/// Build the `METRICS` exposition, family by family in a fixed order: the
+/// derivable families are read from the same atomics `STATS` serves (so
+/// the two verbs agree counter-for-counter by construction), then the
+/// schedule-class families — momentary gauges, then the live latency and
+/// pool instruments ([`ServeMetrics::push_families`]). The body is
+/// [`MetricsSnapshot::render`] text and re-parses exactly
+/// (`tests/serve_matrix.rs` pins both properties and the series list).
 fn handle_metrics(shared: &Arc<Shared>) -> Response {
     let stats = shared.stats();
     let mut snap = MetricsSnapshot::default();
@@ -1008,7 +1021,7 @@ fn handle_metrics(shared: &Arc<Shared>) -> Response {
         "Bytes the result cache's entries occupy on disk.",
         shared.cache.size_bytes(),
     ));
-    snap.extend(shared.metrics.registry.snapshot());
+    shared.metrics.push_families(&mut snap);
     let body = snap.render();
     Response::ok_with(
         Verb::Metrics,

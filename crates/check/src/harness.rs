@@ -8,10 +8,10 @@
 use crate::{admissible_configs, capture_workload, check, optimize, verify_equivalence};
 use apu_mem::CostModel;
 use hsa_rocr::Topology;
-use omp_offload::metrics::derivable_snapshot;
+use omp_offload::telemetry::json_escape;
 use omp_offload::{
-    DiagCode, Diagnostic, ElideMode, MetricClass, MetricsMode, OmpError, OmpRuntime,
-    OverheadLedger, RuntimeConfig, Severity, TelemetryMode,
+    DiagCode, Diagnostic, ElideMode, OmpError, OmpRuntime, OverheadLedger, RuntimeConfig, Severity,
+    TelemetryMode,
 };
 use sim_des::VirtDuration;
 use workloads::{spec, MiniCg, NioSize, OpenFoamMini, QmcPack, Stream, Workload};
@@ -43,12 +43,6 @@ pub struct CheckCell {
     /// unelided and the elided run, the fold of the event stream equals the
     /// ledger field for field and the ring dropped nothing.
     pub telemetry_exact: bool,
-    /// The metrics derivability contract held for this cell: in both runs,
-    /// the derivable-class families of the runtime's metrics snapshot equal
-    /// [`derivable_snapshot`] applied to the telemetry *fold* — i.e. every
-    /// derivable metric is a pure function of the simulated run, family for
-    /// family and sample for sample.
-    pub metrics_exact: bool,
     /// The static-optimizer equivalence contract held for this cell: the
     /// [`optimize`]d capture replays with a bit-identical memory digest, an
     /// error-free sanitizer, the same kernel count, and never more
@@ -65,6 +59,19 @@ impl CheckCell {
         self.diagnostics
             .iter()
             .any(|d| d.severity() == Severity::Error)
+    }
+
+    /// True when the cell fails the acceptance bar: an error-severity
+    /// static diagnostic, a static/dynamic verdict mismatch, a broken
+    /// elision or optimizer-equivalence contract, or a telemetry stream
+    /// whose fold diverged from the ledger. The exit code and the report's
+    /// failing count both come from this one predicate.
+    pub fn fails(&self) -> bool {
+        self.has_static_errors()
+            || !self.cross_validated
+            || !self.elision_verified
+            || !self.opt_verified
+            || !self.telemetry_exact
     }
 }
 
@@ -113,14 +120,12 @@ struct RunProbe {
     digest: u64,
     ledger: OverheadLedger,
     telemetry_exact: bool,
-    metrics_exact: bool,
 }
 
-/// One instrumented run: sanitized, telemetry ring on, metrics armed,
-/// under `config`, with the given elision mode. Returns the sanitizer's
-/// findings, the memory digest (taken after the program body, before
-/// teardown), the ledger, and whether the telemetry-fold and
-/// metrics-derivability contracts held.
+/// One instrumented run: sanitized, telemetry ring on, under `config`,
+/// with the given elision mode. Returns the sanitizer's findings, the
+/// memory digest (taken after the program body, before teardown), the
+/// ledger, and whether the telemetry-fold contract held.
 fn instrumented_run(
     w: &dyn Workload,
     threads: usize,
@@ -133,7 +138,6 @@ fn instrumented_run(
         .sanitize(true)
         .elide(elide)
         .telemetry(TelemetryMode::ring())
-        .metrics(MetricsMode::On)
         .build()?;
     // A run may abort on a fatal hazard; the sanitizer's findings up to
     // the abort are exactly what the static pass predicted.
@@ -141,22 +145,12 @@ fn instrumented_run(
     let digest = rt.memory_digest();
     let diags = rt.sanitizer_finalize().to_vec();
     let ledger = *rt.ledger();
-    let fold = rt.telemetry_fold();
-    let telemetry_exact = fold == Some(ledger) && rt.telemetry_dropped() == 0;
-    // Every derivable metric family must be reconstructible from the
-    // telemetry fold alone; the schedule-class families (armed above) may
-    // say anything and must be confined to their own class.
-    let (hits, misses) = rt.mapping_cache_stats();
-    let metrics_exact = fold.as_ref().is_some_and(|f| {
-        rt.metrics_snapshot().class_only(MetricClass::Derivable)
-            == derivable_snapshot(f, hits, misses, rt.mapping_cache_invalidations())
-    });
+    let telemetry_exact = rt.telemetry_fold() == Some(ledger) && rt.telemetry_dropped() == 0;
     Ok(RunProbe {
         diags,
         digest,
         ledger,
         telemetry_exact,
-        metrics_exact,
     })
 }
 
@@ -197,7 +191,6 @@ pub fn check_workload(w: &dyn Workload) -> Result<Vec<CheckCell>, OmpError> {
         let cross_validated = sorted_codes(&diagnostics) == sorted_codes(&off.diags);
         let elision_verified = elision_holds(&off, &on);
         let telemetry_exact = off.telemetry_exact && on.telemetry_exact;
-        let metrics_exact = off.metrics_exact && on.metrics_exact;
         let (opt_verified, opt_mm_saved) = match &optimized {
             Some(o) => {
                 let eq = verify_equivalence(&ir, &o.ir, config)?;
@@ -215,7 +208,6 @@ pub fn check_workload(w: &dyn Workload) -> Result<Vec<CheckCell>, OmpError> {
             mm_saved: on.ledger.mm_saved,
             elision_verified,
             telemetry_exact,
-            metrics_exact,
             opt_verified,
             opt_mm_saved,
         });
@@ -238,19 +230,9 @@ pub fn check_all(filter: Option<&str>) -> Result<Vec<CheckCell>, OmpError> {
     Ok(cells)
 }
 
-/// True when any cell fails the acceptance bar: an error-severity static
-/// diagnostic, a static/dynamic verdict mismatch, a broken elision or
-/// optimizer-equivalence contract, or a telemetry stream whose fold
-/// diverged from the ledger.
+/// True when any cell [fails](CheckCell::fails).
 pub fn has_errors(cells: &[CheckCell]) -> bool {
-    cells.iter().any(|c| {
-        c.has_static_errors()
-            || !c.cross_validated
-            || !c.elision_verified
-            || !c.telemetry_exact
-            || !c.metrics_exact
-            || !c.opt_verified
-    })
+    cells.iter().any(CheckCell::fails)
 }
 
 /// Human-readable report.
@@ -273,8 +255,6 @@ pub fn render_text(cells: &[CheckCell]) -> String {
             "OPTIMIZER CONTRACT BROKEN"
         } else if !c.telemetry_exact {
             "TELEMETRY FOLD DIVERGED"
-        } else if !c.metrics_exact {
-            "METRICS CONTRACT BROKEN"
         } else if c.has_static_errors() {
             "FAIL"
         } else if c.diagnostics.is_empty() {
@@ -310,13 +290,7 @@ pub fn render_text(cells: &[CheckCell]) -> String {
             }
         }
     }
-    let (bad, total) = (
-        cells
-            .iter()
-            .filter(|c| c.has_static_errors() || !c.cross_validated)
-            .count(),
-        cells.len(),
-    );
+    let (bad, total) = (cells.iter().filter(|c| c.fails()).count(), cells.len());
     out.push_str(&format!(
         "\n{} cell(s) checked, {} failing, {} warning(s)\n",
         total,
@@ -327,21 +301,6 @@ pub fn render_text(cells: &[CheckCell]) -> String {
             .filter(|d| d.severity() == Severity::Warning)
             .count()
     ));
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 
@@ -366,7 +325,7 @@ pub fn render_json(cells: &[CheckCell]) -> String {
         }
         out.push_str(&format!(
             "{{\"workload\":\"{}\",\"config\":\"{}\",\"cross_validated\":{},\
-             \"elision_verified\":{},\"telemetry_exact\":{},\"metrics_exact\":{},\
+             \"elision_verified\":{},\"telemetry_exact\":{},\
              \"maps_elided\":{},\
              \"mm_saved_us\":{:.3},\"opt_verified\":{},\"opt_mm_saved_us\":{:.3},\
              \"static\":[",
@@ -375,7 +334,6 @@ pub fn render_json(cells: &[CheckCell]) -> String {
             c.cross_validated,
             c.elision_verified,
             c.telemetry_exact,
-            c.metrics_exact,
             c.maps_elided,
             c.mm_saved.as_micros_f64(),
             c.opt_verified,
@@ -408,7 +366,56 @@ mod tests {
 
     #[test]
     fn json_escaping_is_safe() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let d = Diagnostic::new(
+            DiagCode::Mc007,
+            RuntimeConfig::LegacyCopy,
+            0,
+            apu_mem::AddrRange::new(apu_mem::VirtAddr(0x1000), 64),
+            "a\"b\\c\nd".into(),
+        );
+        assert!(
+            json_diag(&d).ends_with(r#""detail":"a\"b\\c\nd"}"#),
+            "{}",
+            json_diag(&d)
+        );
+    }
+
+    /// A clean cell whose only broken contract is `broken`.
+    fn cell_breaking(broken: fn(&mut CheckCell)) -> CheckCell {
+        let mut c = CheckCell {
+            workload: "w".into(),
+            config: RuntimeConfig::LegacyCopy,
+            diagnostics: Vec::new(),
+            sanitizer_diagnostics: Vec::new(),
+            cross_validated: true,
+            maps_elided: 0,
+            mm_saved: VirtDuration::ZERO,
+            elision_verified: true,
+            telemetry_exact: true,
+            opt_verified: true,
+            opt_mm_saved: VirtDuration::ZERO,
+        };
+        broken(&mut c);
+        c
+    }
+
+    #[test]
+    fn every_broken_contract_counts_as_failing() {
+        let clean = cell_breaking(|_| {});
+        assert!(!clean.fails());
+        assert!(render_text(&[clean]).contains("1 cell(s) checked, 0 failing"));
+        let broken: [fn(&mut CheckCell); 4] = [
+            |c| c.cross_validated = false,
+            |c| c.elision_verified = false,
+            |c| c.opt_verified = false,
+            |c| c.telemetry_exact = false,
+        ];
+        for breaking in broken {
+            let cells = [cell_breaking(breaking)];
+            assert!(cells[0].fails() && has_errors(&cells));
+            let text = render_text(&cells);
+            assert!(text.contains("1 cell(s) checked, 1 failing"), "{text}");
+        }
     }
 
     #[test]
@@ -421,7 +428,6 @@ mod tests {
             assert!(c.diagnostics.is_empty(), "{:?}", c.diagnostics);
             assert!(c.elision_verified, "{:?}", c);
             assert!(c.telemetry_exact, "{:?}", c);
-            assert!(c.metrics_exact, "{:?}", c);
             assert!(c.opt_verified, "{:?}", c);
         }
         assert!(!has_errors(&cells));

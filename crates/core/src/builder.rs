@@ -231,11 +231,11 @@ impl RuntimeBuilder {
     }
 
     /// Concurrency-metrics mode (default [`MetricsMode::Off`]). `On` arms
-    /// the mapping table's shard-contention and granule-heat instruments
-    /// (see [`ShardedMappingTable::contention`]); the derivable metric
-    /// families of [`OmpRuntime::metrics_snapshot`] are always available
-    /// because they are views of the ledger, not extra instrumentation.
-    /// Off costs one branch per instrumented lock site.
+    /// the mapping table's shard-contention and granule-heat instruments,
+    /// read back through [`OmpRuntime::contention`]. The ledger needs no
+    /// arming: it is always kept and lands in
+    /// [`RunReport::ledger`](crate::RunReport::ledger). Off costs one
+    /// branch per instrumented lock site.
     pub fn metrics(mut self, mode: MetricsMode) -> Self {
         self.metrics = mode;
         self

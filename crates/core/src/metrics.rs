@@ -1,18 +1,21 @@
-//! Unified metrics layer: cheap atomic instruments and a Prometheus-style
-//! text exposition with an exact parse/render round-trip.
+//! Metrics: cheap atomic instruments and a Prometheus-style text
+//! exposition with an exact parse/render round-trip.
 //!
-//! The runtime already has two observability channels: the
-//! [`OverheadLedger`] (per-run virtual-time
-//! accounting) and the telemetry event ring (PR 5), bound by the
-//! `fold(events) == ledger` contract. What neither can see is the
-//! *concurrent machinery* — shard lock contention, work-stealing pool
-//! behaviour, serve-side request latency — because those are properties of
-//! the wall-clock schedule, not of any single simulated run.
+//! The runtime has two records of each simulated run: the
+//! [`OverheadLedger`](crate::OverheadLedger) (per-run virtual-time
+//! accounting, exposed as `SweepResult` text) and the telemetry event
+//! stream it is applied from. What neither can see is the *concurrent
+//! machinery* — shard lock contention, work-stealing pool behaviour,
+//! serve-side request latency — because those are properties of the
+//! wall-clock schedule, not of any single simulated run.
 //!
-//! This module adds the third channel: a registry of atomic instruments
-//! ([`Counter`], [`Gauge`], fixed-bucket [`Histogram`] — no dependencies,
-//! no allocation on the hot path) snapshotted into a [`MetricsSnapshot`]
-//! and rendered as Prometheus text exposition.
+//! This module holds the instruments for that ([`Counter`], [`Gauge`],
+//! fixed-bucket [`Histogram`] — no dependencies, no allocation on the hot
+//! path) and the exposition they are rendered into: an owner builds each
+//! [`FamilySnapshot`] from its live instruments, series for series, and
+//! pushes it into a [`MetricsSnapshot`], which renders as Prometheus text.
+//! That is the only way a family is built; the serve layer's `METRICS`
+//! verb is its one user.
 //!
 //! ## The two metric classes
 //!
@@ -20,15 +23,13 @@
 //! as a `# CLASS` comment line:
 //!
 //! * [`MetricClass::Derivable`] — the value is a pure function of the
-//!   simulated run (ledger fields, lookup-cache hit/miss/invalidation
-//!   sequences, serve request accounting). Derivable metrics must equal
-//!   the telemetry fold / ledger field-for-field; the check harness
-//!   enforces this on all 42 shipped cells.
+//!   requests the server answered: it equals the corresponding `STATS`
+//!   counter (`omp-batch/tests/serve_matrix.rs` pins the agreement).
 //! * [`MetricClass::Schedule`] — the value depends on the wall-clock
 //!   schedule (lock contention, steals, latency). Schedule metrics travel
 //!   on the stats channel only (stderr, `STATS`, `METRICS`) and must never
 //!   appear in sweep/serve *response* bytes, so the `-j N` byte-identity
-//!   contract from PR 6/9 is untouched.
+//!   contract is untouched.
 //!
 //! ## Exposition format
 //!
@@ -39,22 +40,20 @@
 //! three-comment header followed by its samples:
 //!
 //! ```text
-//! # HELP omp_ledger_ns_total Cumulative virtual-time ledger fields.
-//! # TYPE omp_ledger_ns_total counter
-//! # CLASS omp_ledger_ns_total derivable
-//! omp_ledger_ns_total{field="mm_alloc"} 12345
+//! # HELP omp_serve_events_total Request-derived serve counters, identical to STATS.
+//! # TYPE omp_serve_events_total counter
+//! # CLASS omp_serve_events_total derivable
+//! omp_serve_events_total{event="hits"} 2
 //! ```
 
-use crate::trace::{LedgerUnit, OverheadLedger, LEDGER_FIELDS};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Whether the concurrency instruments are armed.
 ///
 /// `Off` must cost a single predictable branch on every instrumented
-/// path (the `metrics_overhead` bench pins this); `On` arms the shard
-/// contention counters, granule heat map, and pool/serve instruments.
+/// path (the `metrics_overhead` bench measures this); `On` arms the
+/// mapping table's shard contention counters and granule heat map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricsMode {
     /// No concurrency metrics: one branch per instrumented site.
@@ -74,8 +73,7 @@ impl MetricsMode {
 /// The declared class of a metric family (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricClass {
-    /// A pure function of the simulated run; must equal the telemetry
-    /// fold / ledger field-for-field.
+    /// A pure function of the requests answered; equals `STATS`.
     Derivable,
     /// Depends on the wall-clock schedule; stats-channel only.
     Schedule,
@@ -238,7 +236,7 @@ impl Histogram {
 
     /// The exposition samples of this histogram (cumulative `_bucket`
     /// series, `_sum`, `_count`), with `labels` on every series.
-    fn samples(&self, labels: &[(String, String)]) -> Vec<Sample> {
+    pub fn samples(&self, labels: &[(String, String)]) -> Vec<Sample> {
         let mut out = Vec::with_capacity(self.bounds.len() + 3);
         let mut cumulative = 0u64;
         for (bound, bucket) in self.bounds.iter().zip(&self.buckets) {
@@ -397,25 +395,6 @@ impl MetricsSnapshot {
             }
         }
         self.families.push(family);
-    }
-
-    /// Append every family of `other`.
-    pub fn extend(&mut self, other: MetricsSnapshot) {
-        for f in other.families {
-            self.push(f);
-        }
-    }
-
-    /// The snapshot restricted to one class, preserving order.
-    pub fn class_only(&self, class: MetricClass) -> MetricsSnapshot {
-        MetricsSnapshot {
-            families: self
-                .families
-                .iter()
-                .filter(|f| f.class == class)
-                .cloned()
-                .collect(),
-        }
     }
 
     /// The value of series `name+suffix` whose labels are exactly
@@ -600,236 +579,56 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
     Ok(out)
 }
 
-/// One registered series: its labels plus the live instrument.
-enum Series {
-    Counter(Vec<(String, String)>, Arc<Counter>),
-    Gauge(Vec<(String, String)>, Arc<Gauge>),
-    Histogram(Vec<(String, String)>, Arc<Histogram>),
-}
-
-struct Family {
-    name: String,
-    help: String,
-    kind: MetricKind,
-    class: MetricClass,
-    series: Vec<Series>,
-}
-
-/// A registry of live instruments. Registration happens at setup time
-/// (under a mutex); the returned `Arc`ed instruments are then updated
-/// lock-free from any thread. [`snapshot`](Self::snapshot) captures
-/// every registered series in registration order.
-#[derive(Default)]
-pub struct MetricsRegistry {
-    families: Mutex<Vec<Family>>,
-}
-
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let families = self.families.lock().unwrap();
-        f.debug_struct("MetricsRegistry")
-            .field("families", &families.len())
-            .finish()
-    }
-}
-
-impl MetricsRegistry {
-    /// New empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn family<'a>(
-        families: &'a mut Vec<Family>,
-        name: &str,
-        help: &str,
-        kind: MetricKind,
-        class: MetricClass,
-    ) -> &'a mut Family {
-        assert!(valid_name(name), "invalid metric name {name:?}");
-        if let Some(i) = families.iter().position(|f| f.name == name) {
-            assert_eq!(families[i].kind, kind, "kind mismatch for {name}");
-            assert_eq!(families[i].class, class, "class mismatch for {name}");
-            return &mut families[i];
-        }
-        families.push(Family {
-            name: name.to_string(),
-            help: help.to_string(),
-            kind,
-            class,
-            series: Vec::new(),
-        });
-        families.last_mut().expect("just pushed")
-    }
-
-    fn own_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
-        labels
-            .iter()
-            .inspect(|(k, _)| assert!(valid_label_name(k), "invalid label name {k:?}"))
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
-    }
-
-    /// Register (or fetch into) family `name` a counter series with
-    /// `labels`.
-    pub fn counter(
-        &self,
-        name: &str,
-        help: &str,
-        class: MetricClass,
-        labels: &[(&str, &str)],
-    ) -> Arc<Counter> {
-        let mut families = self.families.lock().unwrap();
-        let f = Self::family(&mut families, name, help, MetricKind::Counter, class);
-        let c = Arc::new(Counter::new());
-        f.series
-            .push(Series::Counter(Self::own_labels(labels), Arc::clone(&c)));
-        c
-    }
-
-    /// Register a gauge series.
-    pub fn gauge(
-        &self,
-        name: &str,
-        help: &str,
-        class: MetricClass,
-        labels: &[(&str, &str)],
-    ) -> Arc<Gauge> {
-        let mut families = self.families.lock().unwrap();
-        let f = Self::family(&mut families, name, help, MetricKind::Gauge, class);
-        let g = Arc::new(Gauge::new());
-        f.series
-            .push(Series::Gauge(Self::own_labels(labels), Arc::clone(&g)));
-        g
-    }
-
-    /// Register a fixed-bucket histogram series.
-    pub fn histogram(
-        &self,
-        name: &str,
-        help: &str,
-        class: MetricClass,
-        labels: &[(&str, &str)],
-        bounds: &[u64],
-    ) -> Arc<Histogram> {
-        let mut families = self.families.lock().unwrap();
-        let f = Self::family(&mut families, name, help, MetricKind::Histogram, class);
-        let h = Arc::new(Histogram::new(bounds));
-        f.series
-            .push(Series::Histogram(Self::own_labels(labels), Arc::clone(&h)));
-        h
-    }
-
-    /// Capture every registered series, in registration order.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let families = self.families.lock().unwrap();
-        let mut snap = MetricsSnapshot::default();
-        for f in families.iter() {
-            let mut samples = Vec::new();
-            for s in &f.series {
-                match s {
-                    Series::Counter(labels, c) => samples.push(Sample {
-                        suffix: String::new(),
-                        labels: labels.clone(),
-                        value: c.get(),
-                    }),
-                    Series::Gauge(labels, g) => samples.push(Sample {
-                        suffix: String::new(),
-                        labels: labels.clone(),
-                        value: g.get(),
-                    }),
-                    Series::Histogram(labels, h) => samples.extend(h.samples(labels)),
-                }
-            }
-            snap.push(FamilySnapshot {
-                name: f.name.clone(),
-                help: f.help.clone(),
-                kind: f.kind,
-                class: f.class,
-                samples,
-            });
-        }
-        snap
-    }
-}
-
-/// Build the derivable-class families of one run: the full overhead
-/// ledger ([`LEDGER_FIELDS`]: virtual nanoseconds, exact as integers, and
-/// event counts) plus the lookup-cache hit/miss/invalidation counters.
-///
-/// This is the contract surface: feeding the telemetry *fold* here must
-/// produce exactly what [`crate::OmpRuntime::metrics_snapshot`] built
-/// from the live ledger — the check harness pins that on all 42
-/// shipped cells.
-pub fn derivable_snapshot(
-    ledger: &OverheadLedger,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_invalidations: u64,
-) -> MetricsSnapshot {
-    let fields = |unit| {
-        LEDGER_FIELDS
-            .iter()
-            .filter(|f| f.unit == unit)
-            .map(|f| Sample::labelled("field", f.name, (f.get)(ledger)))
-            .collect()
-    };
-    let mut snap = MetricsSnapshot::default();
-    snap.push(FamilySnapshot {
-        name: "omp_ledger_ns_total".into(),
-        help: "Overhead-ledger virtual-time fields, integer nanoseconds.".into(),
-        kind: MetricKind::Counter,
-        class: MetricClass::Derivable,
-        samples: fields(LedgerUnit::Ns),
-    });
-    snap.push(FamilySnapshot {
-        name: "omp_ledger_ops_total".into(),
-        help: "Overhead-ledger event counts.".into(),
-        kind: MetricKind::Counter,
-        class: MetricClass::Derivable,
-        samples: fields(LedgerUnit::Count),
-    });
-    snap.push(FamilySnapshot {
-        name: "omp_lookup_cache_events_total".into(),
-        help: "Per-runtime map-lookup-cache probe outcomes.".into(),
-        kind: MetricKind::Counter,
-        class: MetricClass::Derivable,
-        samples: vec![
-            Sample::labelled("event", "hit", cache_hits),
-            Sample::labelled("event", "miss", cache_misses),
-            Sample::labelled("event", "invalidation", cache_invalidations),
-        ],
-    });
-    snap
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn labels(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    fn family(name: &str, kind: MetricKind, samples: Vec<Sample>) -> FamilySnapshot {
+        FamilySnapshot {
+            name: name.into(),
+            help: format!("The {name} family."),
+            kind,
+            class: MetricClass::Schedule,
+            samples,
+        }
+    }
+
     #[test]
     fn render_parse_round_trip_is_exact() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("a_total", "A counter.", MetricClass::Derivable, &[]);
+        let c = Counter::new();
         c.add(7);
-        let g = reg.gauge(
-            "b_level",
-            "A gauge with labels.",
-            MetricClass::Schedule,
-            &[("verb", "sweep"), ("temp", "warm")],
-        );
+        let g = Gauge::new();
         g.set(42);
-        let h = reg.histogram(
-            "lat_us",
-            "A histogram.",
-            MetricClass::Schedule,
-            &[("verb", "ping")],
-            &[10, 100, 1000],
-        );
+        let h = Histogram::new(&[10, 100, 1000]);
         h.observe(5);
         h.observe(250);
         h.observe(9999);
-        let snap = reg.snapshot();
+        let mut snap = MetricsSnapshot::default();
+        snap.push(FamilySnapshot {
+            class: MetricClass::Derivable,
+            ..family("a_total", MetricKind::Counter, vec![Sample::plain(c.get())])
+        });
+        snap.push(family(
+            "b_level",
+            MetricKind::Gauge,
+            vec![Sample {
+                suffix: String::new(),
+                labels: labels(&[("verb", "sweep"), ("temp", "warm")]),
+                value: g.get(),
+            }],
+        ));
+        snap.push(family(
+            "lat_us",
+            MetricKind::Histogram,
+            h.samples(&labels(&[("verb", "ping")])),
+        ));
         let text = snap.render();
         let parsed = MetricsSnapshot::parse(&text).unwrap();
         assert_eq!(parsed, snap);
@@ -893,39 +692,15 @@ mod tests {
     }
 
     #[test]
-    fn derivable_snapshot_reflects_the_ledger() {
-        let ledger = OverheadLedger {
-            maps: 12,
-            kernels: 3,
-            mm_alloc: sim_des::VirtDuration::from_micros(5),
-            ..Default::default()
-        };
-        let snap = derivable_snapshot(&ledger, 9, 4, 2);
-        assert_eq!(
-            snap.value("omp_ledger_ops_total", "", &[("field", "maps")]),
-            Some(12)
-        );
-        assert_eq!(
-            snap.value("omp_ledger_ns_total", "", &[("field", "mm_alloc")]),
-            Some(5000)
-        );
-        assert_eq!(
-            snap.value(
-                "omp_lookup_cache_events_total",
-                "",
-                &[("event", "invalidation")]
-            ),
-            Some(2)
-        );
-        assert!(snap.class_only(MetricClass::Schedule).families.is_empty());
-    }
-
-    #[test]
     fn value_lookup_distinguishes_labels_and_suffixes() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("h", "h.", MetricClass::Schedule, &[("v", "a")], &[10]);
+        let h = Histogram::new(&[10]);
         h.observe(3);
-        let snap = reg.snapshot();
+        let mut snap = MetricsSnapshot::default();
+        snap.push(family(
+            "h",
+            MetricKind::Histogram,
+            h.samples(&labels(&[("v", "a")])),
+        ));
         assert_eq!(snap.value("h", "_count", &[("v", "a")]), Some(1));
         assert_eq!(snap.value("h", "_sum", &[("v", "a")]), Some(3));
         assert_eq!(

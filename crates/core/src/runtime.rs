@@ -213,12 +213,6 @@ impl OmpRuntime {
         self.lookup.stats()
     }
 
-    /// Invalidations of this runtime's presence lookup cache (one per
-    /// mapping insert/remove that could change a cached verdict).
-    pub fn mapping_cache_invalidations(&self) -> u64 {
-        self.lookup.invalidations()
-    }
-
     /// Fold of the telemetry stream recorded so far (`None` when telemetry
     /// is off). With [`telemetry_dropped`](Self::telemetry_dropped) zero
     /// this equals [`ledger`](Self::ledger) field for field — the
@@ -262,31 +256,6 @@ impl OmpRuntime {
     /// The overhead ledger so far.
     pub fn ledger(&self) -> &OverheadLedger {
         &self.ledger
-    }
-
-    /// A metrics capture of this runtime: the derivable families (the
-    /// full overhead ledger plus the lookup cache's
-    /// hit/miss/invalidation counters — pure functions of the simulated
-    /// run) followed, when the table's contention instruments are armed
-    /// ([`RuntimeBuilder::metrics`](crate::RuntimeBuilder::metrics)), by
-    /// the schedule-class shard-contention families.
-    ///
-    /// The contract: `snapshot.class_only(Derivable)` must equal
-    /// [`metrics::derivable_snapshot`](crate::metrics::derivable_snapshot)
-    /// applied to the telemetry *fold* — the check harness pins this on
-    /// all 42 shipped cells.
-    pub fn metrics_snapshot(&self) -> crate::metrics::MetricsSnapshot {
-        let (hits, misses) = self.lookup.stats();
-        let mut snap = crate::metrics::derivable_snapshot(
-            &self.ledger,
-            hits,
-            misses,
-            self.lookup.invalidations(),
-        );
-        if self.mapping.metrics_enabled() {
-            snap.extend(self.mapping.contention().to_metrics());
-        }
-        snap
     }
 
     /// The shard-contention report of the underlying mapping table

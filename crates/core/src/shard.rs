@@ -43,15 +43,14 @@
 //! per-granule *heat* counter stored inside the shard it already holds
 //! locked — no extra locks, no allocation beyond the heat map entry.
 //! [`contention`](ShardedMappingTable::contention) snapshots all of it
-//! into a [`ShardContention`] report with a "hot granules" table. These
-//! are [`MetricClass::Schedule`] metrics: they depend on the wall-clock
-//! schedule and never appear in result bytes. When metrics are off
-//! (the default) every instrumented site costs exactly one relaxed
-//! atomic load and branch.
+//! into a [`ShardContention`] report: per-shard counts, totals and a
+//! "hot granules" table. The counts depend on the wall-clock schedule
+//! and never appear in result bytes. When metrics
+//! are off (the default) every instrumented site costs exactly one
+//! relaxed atomic load and branch.
 
 use crate::error::OmpError;
 use crate::mapping::{MapModel, Mapping, Presence};
-use crate::metrics::{FamilySnapshot, MetricClass, MetricKind, MetricsSnapshot, Sample};
 use apu_mem::{AddrRange, VirtAddr};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -450,9 +449,8 @@ impl ShardedMappingTable {
 /// per-shard acquisition/contention counts, the spanning-map pair, and
 /// the per-granule heat counters sorted hottest-first.
 ///
-/// Everything here is [`MetricClass::Schedule`]: the values depend on
-/// which threads raced for which locks and must never enter result
-/// bytes.
+/// Everything here depends on the wall-clock schedule — which threads
+/// raced for which locks — and must never enter result bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardContention {
     /// `(acquisitions, contended)` per shard index.
@@ -488,66 +486,6 @@ impl ShardContention {
             );
         }
         out
-    }
-
-    /// Render as schedule-class metric families
-    /// (`omp_shard_lock_total`, `omp_shard_lock_contended_total`,
-    /// `omp_spanning_lock_total`, `omp_spanning_lock_contended_total`,
-    /// `omp_granule_heat_total`).
-    pub fn to_metrics(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        snap.push(FamilySnapshot {
-            name: "omp_shard_lock_total".into(),
-            help: "Per-shard mapping-table lock acquisitions.".into(),
-            kind: MetricKind::Counter,
-            class: MetricClass::Schedule,
-            samples: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, (a, _))| Sample::labelled("shard", &i.to_string(), *a))
-                .collect(),
-        });
-        snap.push(FamilySnapshot {
-            name: "omp_shard_lock_contended_total".into(),
-            help: "Per-shard acquisitions that found the lock held.".into(),
-            kind: MetricKind::Counter,
-            class: MetricClass::Schedule,
-            samples: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, (_, c))| Sample::labelled("shard", &i.to_string(), *c))
-                .collect(),
-        });
-        snap.push(FamilySnapshot {
-            name: "omp_spanning_lock_total".into(),
-            help: "Spanning-map lock acquisitions.".into(),
-            kind: MetricKind::Counter,
-            class: MetricClass::Schedule,
-            samples: vec![Sample::plain(self.spanning.0)],
-        });
-        snap.push(FamilySnapshot {
-            name: "omp_spanning_lock_contended_total".into(),
-            help: "Spanning-map acquisitions that found the lock held.".into(),
-            kind: MetricKind::Counter,
-            class: MetricClass::Schedule,
-            samples: vec![Sample::plain(self.spanning.1)],
-        });
-        snap.push(FamilySnapshot {
-            name: "omp_granule_heat_total".into(),
-            help: "Address-keyed table ops per 4 MiB granule, hottest first.".into(),
-            kind: MetricKind::Counter,
-            class: MetricClass::Schedule,
-            samples: self
-                .hot_granules
-                .iter()
-                .map(|(g, n)| {
-                    Sample::labelled("granule", &format!("{:#x}", g << SHARD_GRANULE_BITS), *n)
-                })
-                .collect(),
-        });
-        snap
     }
 }
 
@@ -725,16 +663,6 @@ mod tests {
         let table = c.hot_granules_table(8);
         assert!(table.starts_with("granule"), "{table}");
         assert!(table.contains("0x0000000002400000"), "{table}");
-        // The metric families render and re-parse exactly.
-        let snap = c.to_metrics();
-        let text = snap.render();
-        let parsed = crate::metrics::MetricsSnapshot::parse(&text).unwrap();
-        assert_eq!(parsed, snap);
-        assert_eq!(parsed.render(), text);
-        assert_eq!(
-            snap.value("omp_shard_lock_total", "", &[("shard", "0")]),
-            Some(c.shards[0].0)
-        );
     }
 
     #[test]

@@ -30,8 +30,11 @@
 //! evicted and [`TelemetryReport::dropped_events`] is incremented; every sink
 //! (JSONL header, merged Chrome trace metadata, attribution report) carries
 //! the counter, and the fold contract is only claimed when it is zero.
+//!
+//! The sinks only write. [`to_jsonl`] has no reader in the workspace; its
+//! golden bytes are pinned instead. Every JSON sink escapes strings with
+//! [`json_escape`] and writes payload values with [`FieldVal::write_json`].
 
-use crate::config::RuntimeConfig;
 use crate::diag::DiagCode;
 use crate::mapping::MapDir;
 use crate::trace::{OverheadLedger, RecoveryAction, RecoveryEvent};
@@ -627,33 +630,11 @@ fn dir_str(dir: MapDir) -> &'static str {
     }
 }
 
-fn dir_from_str(s: &str) -> Result<MapDir, String> {
-    match s {
-        "to" => Ok(MapDir::To),
-        "from" => Ok(MapDir::From),
-        "tofrom" => Ok(MapDir::ToFrom),
-        "alloc" => Ok(MapDir::Alloc),
-        other => Err(format!("unknown map direction {other:?}")),
-    }
-}
-
-fn config_from_label(s: &str) -> Result<RuntimeConfig, String> {
-    RuntimeConfig::ALL
-        .iter()
-        .copied()
-        .find(|c| c.label() == s)
-        .ok_or_else(|| format!("unknown configuration label {s:?}"))
-}
-
-fn code_from_str(s: &str) -> Result<DiagCode, String> {
-    DiagCode::ALL
-        .iter()
-        .copied()
-        .find(|c| c.as_str() == s)
-        .ok_or_else(|| format!("unknown diagnostic code {s:?}"))
-}
-
-fn json_escape(s: &str) -> String {
+/// Escape `s` for a JSON string literal: quote, backslash, `\n`, `\r` and
+/// `\t` get their short escapes, other control characters `\u00XX`. Every
+/// JSON sink of the workspace (JSONL, the merged Chrome trace, the check
+/// report) escapes through this one function.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -671,23 +652,23 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn write_val(out: &mut String, v: &FieldVal) {
-    match v {
-        FieldVal::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        FieldVal::Str(s) => {
-            let _ = write!(out, "\"{}\"", json_escape(s));
-        }
-        FieldVal::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
+impl FieldVal {
+    /// Append this value as a JSON scalar (strings through
+    /// [`json_escape`]).
+    pub fn write_json(&self, out: &mut String) {
+        let _ = match self {
+            FieldVal::U64(n) => write!(out, "{n}"),
+            FieldVal::Str(s) => write!(out, "\"{}\"", json_escape(s)),
+            FieldVal::Bool(b) => write!(out, "{b}"),
+        };
     }
 }
 
 /// Serialize a report as JSONL: a header object (carrying
-/// `dropped_events`) followed by one flat object per event.
-/// [`parse_jsonl`] round-trips the result exactly.
+/// `dropped_events`) followed by one flat object per event. The format is
+/// write-only: nothing in the workspace reads it back, and the header's
+/// `events` count plus gap-free `seq` numbers from `dropped_events` are
+/// what a reader checks for completeness.
 pub fn to_jsonl(report: &TelemetryReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -709,284 +690,11 @@ pub fn to_jsonl(report: &TelemetryReport) -> String {
         );
         for (k, v) in e.kind.fields() {
             let _ = write!(out, ",\"{k}\":");
-            write_val(&mut out, &v);
+            v.write_json(&mut out);
         }
         out.push_str("}\n");
     }
     out
-}
-
-/// Minimal parser for the flat single-line objects [`to_jsonl`] emits.
-fn parse_flat_object(line: &str) -> Result<HashMap<String, FieldVal>, String> {
-    let line = line.trim();
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| format!("not an object: {line:?}"))?;
-    let mut map = HashMap::new();
-    let bytes = inner.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        // Key.
-        if bytes[i] != b'"' {
-            return Err(format!("expected key quote at byte {i} in {line:?}"));
-        }
-        i += 1;
-        let key_start = i;
-        while i < bytes.len() && bytes[i] != b'"' {
-            if bytes[i] == b'\\' {
-                return Err("escapes in keys are not supported".into());
-            }
-            i += 1;
-        }
-        let key = inner[key_start..i].to_string();
-        i += 1; // closing quote
-        if i >= bytes.len() || bytes[i] != b':' {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        i += 1;
-        // Value.
-        if i >= bytes.len() {
-            return Err(format!("missing value for key {key:?}"));
-        }
-        let val = if bytes[i] == b'"' {
-            i += 1;
-            let mut s = String::new();
-            loop {
-                if i >= bytes.len() {
-                    return Err("unterminated string value".into());
-                }
-                match bytes[i] {
-                    b'"' => break,
-                    b'\\' => {
-                        i += 1;
-                        match bytes.get(i) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'u') => {
-                                let hex = inner.get(i + 1..i + 5).ok_or("truncated \\u escape")?;
-                                let cp = u32::from_str_radix(hex, 16)
-                                    .map_err(|e| format!("bad \\u escape: {e}"))?;
-                                s.push(char::from_u32(cp).ok_or("invalid \\u code point")?);
-                                i += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        i += 1;
-                    }
-                    _ => {
-                        // Multi-byte UTF-8: copy the full char.
-                        let c = inner[i..].chars().next().ok_or("bad utf-8")?;
-                        s.push(c);
-                        i += c.len_utf8();
-                    }
-                }
-            }
-            i += 1; // closing quote
-            FieldVal::Str(s)
-        } else if inner[i..].starts_with("true") {
-            i += 4;
-            FieldVal::Bool(true)
-        } else if inner[i..].starts_with("false") {
-            i += 5;
-            FieldVal::Bool(false)
-        } else {
-            let num_start = i;
-            while i < bytes.len() && bytes[i].is_ascii_digit() {
-                i += 1;
-            }
-            let n: u64 = inner[num_start..i]
-                .parse()
-                .map_err(|e| format!("bad number at byte {num_start}: {e}"))?;
-            FieldVal::U64(n)
-        };
-        map.insert(key, val);
-        if i < bytes.len() {
-            if bytes[i] != b',' {
-                return Err(format!("expected ',' at byte {i} in {line:?}"));
-            }
-            i += 1;
-        }
-    }
-    Ok(map)
-}
-
-fn take_u64(map: &HashMap<String, FieldVal>, key: &str) -> Result<u64, String> {
-    match map.get(key) {
-        Some(FieldVal::U64(n)) => Ok(*n),
-        other => Err(format!("field {key:?}: expected integer, got {other:?}")),
-    }
-}
-
-fn take_str<'m>(map: &'m HashMap<String, FieldVal>, key: &str) -> Result<&'m str, String> {
-    match map.get(key) {
-        Some(FieldVal::Str(s)) => Ok(s),
-        other => Err(format!("field {key:?}: expected string, got {other:?}")),
-    }
-}
-
-fn take_bool(map: &HashMap<String, FieldVal>, key: &str) -> Result<bool, String> {
-    match map.get(key) {
-        Some(FieldVal::Bool(b)) => Ok(*b),
-        other => Err(format!("field {key:?}: expected bool, got {other:?}")),
-    }
-}
-
-fn take_range(map: &HashMap<String, FieldVal>) -> Result<AddrRange, String> {
-    Ok(AddrRange::new(
-        VirtAddr(take_u64(map, "start")?),
-        take_u64(map, "len")?,
-    ))
-}
-
-fn take_ns(map: &HashMap<String, FieldVal>, key: &str) -> Result<VirtDuration, String> {
-    Ok(VirtDuration::from_nanos(take_u64(map, key)?))
-}
-
-fn kind_from_fields(
-    kind: &str,
-    thread: u32,
-    map: &HashMap<String, FieldVal>,
-) -> Result<EventKind, String> {
-    Ok(match kind {
-        "map_begin" => EventKind::MapBegin {
-            range: take_range(map)?,
-            dir: dir_from_str(take_str(map, "dir")?)?,
-            always: take_bool(map, "always")?,
-        },
-        "map_end" => EventKind::MapEnd {
-            range: take_range(map)?,
-            dir: dir_from_str(take_str(map, "dir")?)?,
-            delete: take_bool(map, "delete")?,
-        },
-        "map_service" => EventKind::MapService {
-            range: take_range(map)?,
-            cost: take_ns(map, "cost_ns")?,
-        },
-        "pool_alloc" => EventKind::PoolAlloc {
-            range: take_range(map)?,
-            cost: take_ns(map, "cost_ns")?,
-        },
-        "pool_free" => EventKind::PoolFree {
-            range: take_range(map)?,
-            cost: take_ns(map, "cost_ns")?,
-        },
-        "copy" => EventKind::Copy {
-            range: take_range(map)?,
-            bytes: take_u64(map, "bytes")?,
-            cost: take_ns(map, "cost_ns")?,
-            to_host: take_bool(map, "to_host")?,
-        },
-        "prefault" => EventKind::Prefault {
-            range: take_range(map)?,
-            cost: take_ns(map, "cost_ns")?,
-            recovery: take_bool(map, "recovery")?,
-        },
-        "kernel_launch" => EventKind::KernelLaunch {
-            name: Arc::from(take_str(map, "name")?),
-            compute: take_ns(map, "compute_ns")?,
-        },
-        "kernel_complete" => EventKind::KernelComplete {
-            name: Arc::from(take_str(map, "name")?),
-            compute: take_ns(map, "compute_ns")?,
-            fault_stall: take_ns(map, "fault_stall_ns")?,
-            tlb_stall: take_ns(map, "tlb_stall_ns")?,
-            replayed_pages: take_u64(map, "replayed_pages")?,
-            zero_filled_pages: take_u64(map, "zero_filled_pages")?,
-        },
-        "elide" => EventKind::Elide {
-            range: take_range(map)?,
-            probe: match take_str(map, "probe")? {
-                "hit" => ElideProbe::CacheHit,
-                "miss" => ElideProbe::CacheMiss,
-                "planned" => ElideProbe::Planned,
-                other => return Err(format!("unknown elide probe {other:?}")),
-            },
-            lookup: take_ns(map, "lookup_ns")?,
-            saved: take_ns(map, "saved_ns")?,
-        },
-        "backoff" => EventKind::Backoff {
-            attempt: take_u64(map, "attempt")? as u32,
-            delay: take_ns(map, "delay_ns")?,
-        },
-        "evicted" => EventKind::Evicted {
-            pages: take_u64(map, "pages")?,
-        },
-        "recovery" => {
-            let attempts = take_u64(map, "attempts")? as u32;
-            let action = match take_str(map, "action")? {
-                "retried_alloc" => RecoveryAction::RetriedAlloc,
-                "evicted_then_retried_alloc" => RecoveryAction::EvictedThenRetriedAlloc {
-                    pages: take_u64(map, "pages")?,
-                },
-                "retried_copy" => RecoveryAction::RetriedCopy,
-                "retried_dispatch" => RecoveryAction::RetriedDispatch,
-                "xnack_lost" => RecoveryAction::XnackLost,
-                "startup_degradation" => RecoveryAction::StartupDegradation {
-                    from: config_from_label(take_str(map, "from")?)?,
-                    to: config_from_label(take_str(map, "to")?)?,
-                },
-                other => return Err(format!("unknown recovery action {other:?}")),
-            };
-            EventKind::Recovery {
-                event: RecoveryEvent {
-                    thread,
-                    attempts,
-                    action,
-                },
-            }
-        }
-        "sanitizer" => EventKind::Sanitizer {
-            code: code_from_str(take_str(map, "code")?)?,
-        },
-        other => return Err(format!("unknown event kind {other:?}")),
-    })
-}
-
-/// Parse a [`to_jsonl`] export back into a report. Exact round-trip:
-/// `parse_jsonl(&to_jsonl(&r)) == Ok(r)`.
-pub fn parse_jsonl(text: &str) -> Result<TelemetryReport, String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = parse_flat_object(lines.next().ok_or("empty input")?)?;
-    if take_str(&header, "type")? != "header" {
-        return Err("first line is not a header".into());
-    }
-    let version = take_u64(&header, "version")?;
-    if version != 1 {
-        return Err(format!("unsupported telemetry version {version}"));
-    }
-    let capacity = take_u64(&header, "capacity")? as usize;
-    let declared = take_u64(&header, "events")? as usize;
-    let dropped_events = take_u64(&header, "dropped_events")?;
-    let mut events = Vec::with_capacity(declared);
-    for line in lines {
-        let map = parse_flat_object(line)?;
-        if take_str(&map, "type")? != "event" {
-            return Err(format!("unexpected line type in {line:?}"));
-        }
-        let thread = take_u64(&map, "thread")? as u32;
-        events.push(Event {
-            seq: take_u64(&map, "seq")?,
-            thread,
-            anchor: take_u64(&map, "anchor")? as u32,
-            anchor_end: take_u64(&map, "anchor_end")? as u32,
-            kind: kind_from_fields(take_str(&map, "kind")?, thread, &map)?,
-        });
-    }
-    if events.len() != declared {
-        return Err(format!(
-            "header declares {declared} events but {} followed",
-            events.len()
-        ));
-    }
-    Ok(TelemetryReport {
-        events,
-        dropped_events,
-        capacity,
-    })
 }
 
 /// Aggregated charges for one map site (keyed by host extent).
@@ -1218,6 +926,7 @@ impl AttributionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RuntimeConfig;
 
     fn ev(seq: u64, kind: EventKind) -> Event {
         Event {

@@ -1,12 +1,14 @@
-//! Property tests for the metrics exposition: every snapshot a
-//! [`MetricsRegistry`] can produce — any mix of counters, gauges, and
-//! histograms, any labels (including ones that need escaping), any
-//! recorded values — renders to text that re-parses to the identical
-//! snapshot and re-renders to the identical bytes. This is the property
-//! half of the `METRICS` round-trip pin; the golden half lives in
+//! Property tests for the metrics exposition: every family an owner can
+//! build from the instruments — counters, gauges or histograms, either
+//! class, any number of series, any labels (including ones that need
+//! escaping), any recorded values — renders to text that re-parses to the
+//! identical snapshot and re-renders to the identical bytes. This is the
+//! property half of the `METRICS` round-trip pin; the golden half lives in
 //! `omp-batch/tests/serve_matrix.rs`.
 
-use omp_offload::metrics::{MetricClass, MetricsRegistry, MetricsSnapshot};
+use omp_offload::metrics::{
+    Counter, FamilySnapshot, Gauge, Histogram, MetricClass, MetricKind, MetricsSnapshot, Sample,
+};
 use proptest::prelude::*;
 
 /// Family-name stems (all valid exposition names).
@@ -34,19 +36,25 @@ fn arb_text() -> impl Strategy<Value = String> {
     })
 }
 
-/// One instrument to register: which stem, which kind, which class, its
-/// labels, and the values fed to it.
+/// One series: its labels and the values fed to a fresh instrument.
+type Series = (Vec<(u8, String)>, Vec<u64>);
+
+/// One family to build: which stem, which kind, which class, the
+/// histogram bounds, and its series.
 #[derive(Debug, Clone)]
-struct Inst {
+struct Fam {
     stem: u8,
     kind: u8,
     schedule: bool,
     bounds: u8,
-    labels: Vec<(u8, String)>,
-    ops: Vec<u64>,
+    series: Vec<Series>,
 }
 
-fn arb_inst() -> impl Strategy<Value = Inst> {
+fn arb_fam() -> impl Strategy<Value = Fam> {
+    let series = (
+        proptest::collection::vec(((0u8..KEYS.len() as u8), arb_text()), 0..3),
+        proptest::collection::vec(any::<u64>(), 0..5),
+    );
     (
         (
             0u8..STEMS.len() as u8,
@@ -54,17 +62,68 @@ fn arb_inst() -> impl Strategy<Value = Inst> {
             any::<bool>(),
             0u8..BOUNDS.len() as u8,
         ),
-        proptest::collection::vec(((0u8..KEYS.len() as u8), arb_text()), 0..3),
-        proptest::collection::vec(any::<u64>(), 0..5),
+        proptest::collection::vec(series, 0..4),
     )
-        .prop_map(|((stem, kind, schedule, bounds), labels, ops)| Inst {
+        .prop_map(|((stem, kind, schedule, bounds), series)| Fam {
             stem,
             kind,
             schedule,
             bounds,
-            labels,
-            ops,
+            series,
         })
+}
+
+/// Build `f`'s snapshot the way an owner does: one live instrument per
+/// series, read back into samples.
+fn build(f: &Fam) -> FamilySnapshot {
+    let plain = |labels, value| Sample {
+        suffix: String::new(),
+        labels,
+        value,
+    };
+    let samples = f
+        .series
+        .iter()
+        .flat_map(|(labels, ops)| {
+            let labels: Vec<(String, String)> = labels
+                .iter()
+                .map(|(k, v)| (KEYS[*k as usize].to_string(), v.clone()))
+                .collect();
+            match f.kind {
+                0 => {
+                    let c = Counter::new();
+                    ops.iter().for_each(|&v| c.add(v));
+                    vec![plain(labels, c.get())]
+                }
+                1 => {
+                    let g = Gauge::new();
+                    ops.iter().for_each(|&v| g.set(v));
+                    vec![plain(labels, g.get())]
+                }
+                _ => {
+                    let h = Histogram::new(BOUNDS[f.bounds as usize]);
+                    ops.iter().for_each(|&v| h.observe(v));
+                    h.samples(&labels)
+                }
+            }
+        })
+        .collect();
+    let k = f.kind as usize;
+    FamilySnapshot {
+        name: format!("{}_{}", STEMS[f.stem as usize], ["c", "g", "h"][k]),
+        help: ["counted\nthings \\ etc.", "", "observed things."][k].into(),
+        kind: [
+            MetricKind::Counter,
+            MetricKind::Gauge,
+            MetricKind::Histogram,
+        ][k],
+        class: if f.schedule {
+            MetricClass::Schedule
+        } else {
+            MetricClass::Derivable
+        },
+        samples,
+    }
 }
 
 proptest! {
@@ -72,67 +131,17 @@ proptest! {
 
     #[test]
     fn every_registered_instrument_renders_and_reparses_exactly(
-        insts in proptest::collection::vec(arb_inst(), 0..12),
+        fams in proptest::collection::vec(arb_fam(), 0..8),
     ) {
-        let reg = MetricsRegistry::new();
-        for inst in &insts {
-            let class = if inst.schedule {
-                MetricClass::Schedule
-            } else {
-                MetricClass::Derivable
-            };
-            // Fold kind and class into the family name so a re-used name
-            // always re-registers with a consistent (kind, class) pair —
-            // the registry asserts on mismatches by design.
-            let name = format!(
-                "{}_{}_{}",
-                STEMS[inst.stem as usize],
-                ["c", "g", "h"][inst.kind as usize],
-                class.token(),
-            );
-            let labels: Vec<(&str, &str)> = inst
-                .labels
-                .iter()
-                .map(|(k, v)| (KEYS[*k as usize], v.as_str()))
-                .collect();
-            match inst.kind {
-                0 => {
-                    let c = reg.counter(&name, "counted\nthings \\ etc.", class, &labels);
-                    for &v in &inst.ops {
-                        c.add(v);
-                    }
-                }
-                1 => {
-                    let g = reg.gauge(&name, "", class, &labels);
-                    for &v in &inst.ops {
-                        g.set(v);
-                    }
-                }
-                _ => {
-                    let h = reg.histogram(
-                        &name,
-                        "observed things.",
-                        class,
-                        &labels,
-                        BOUNDS[inst.bounds as usize],
-                    );
-                    for &v in &inst.ops {
-                        h.observe(v);
-                    }
-                }
-            }
+        let mut snap = MetricsSnapshot::default();
+        for f in &fams {
+            snap.push(build(f));
         }
-        let snap = reg.snapshot();
         let text = snap.render();
         let parsed = MetricsSnapshot::parse(&text);
         prop_assert!(parsed.is_ok(), "render output must parse: {:?}", parsed);
         let parsed = parsed.unwrap();
         prop_assert_eq!(&parsed, &snap);
         prop_assert_eq!(parsed.render(), text);
-        // Class partitioning is total: every family is in exactly one
-        // class view, and the two views concatenated cover the snapshot.
-        let d = snap.class_only(MetricClass::Derivable).families.len();
-        let s = snap.class_only(MetricClass::Schedule).families.len();
-        prop_assert_eq!(d + s, snap.families.len());
     }
 }

@@ -7,7 +7,7 @@
 use mi300a_zerocopy::analysis::warmup::WarmupComparison;
 use mi300a_zerocopy::hsa::Topology;
 use mi300a_zerocopy::mem::CostModel;
-use mi300a_zerocopy::omp::{KernelTraceEntry, OmpRuntime, RuntimeConfig};
+use mi300a_zerocopy::omp::{KernelTraceEntry, OmpRuntime, RuntimeConfig, TelemetryMode};
 use mi300a_zerocopy::sim::VirtDuration;
 use mi300a_zerocopy::workloads::{NioSize, QmcPack, Workload};
 
@@ -92,6 +92,7 @@ fn chrome_trace_of_a_run_is_loadable_json_shape() {
     let mut rt = OmpRuntime::builder(CostModel::mi300a(), Topology::default())
         .config(RuntimeConfig::LegacyCopy)
         .threads(2)
+        .telemetry(TelemetryMode::ring())
         .build()
         .unwrap();
     QmcPack::nio(NioSize { factor: 2 })
@@ -99,9 +100,12 @@ fn chrome_trace_of_a_run_is_loadable_json_shape() {
         .run(&mut rt)
         .unwrap();
     let report = rt.finish();
-    let json = mi300a_zerocopy::analysis::timeline::chrome_trace(&report.schedule);
-    assert!(json.starts_with('['));
-    assert!(json.trim_end().ends_with(']'));
+    let json = mi300a_zerocopy::analysis::timeline::merged_chrome_trace(
+        &report.schedule,
+        report.telemetry.as_ref().expect("ring was on"),
+    );
+    assert!(json.starts_with('{'));
+    assert!(json.trim_end().ends_with('}'));
     assert!(json.contains("hsa_amd_memory_async_copy"));
     assert!(json.contains("\"tid\":1"));
     // Balanced braces: every event object closes.
