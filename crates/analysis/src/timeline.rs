@@ -166,6 +166,20 @@ mod tests {
     }
 
     #[test]
+    fn chrome_trace_of_empty_schedule_is_a_valid_empty_array() {
+        // An empty schedule writes a `traceEvents` array holding only the
+        // two process_name metadata records, byte for byte.
+        let json = merged_chrome_trace(&empty_schedule(), &empty_report(16));
+        assert_eq!(
+            json,
+            "{\n\"traceEvents\":[\n\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"HSA schedule\"}},\n\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"args\":{\"name\":\"runtime telemetry\"}}\n\
+             ],\n\"otherData\":{\"telemetry_events\":0,\"dropped_events\":0,\"capacity\":16}\n}\n"
+        );
+    }
+
+    #[test]
     fn merged_trace_on_empty_schedule_and_stream_is_header_only() {
         let json = merged_chrome_trace(&empty_schedule(), &empty_report(16));
         assert!(json.contains("\"traceEvents\""));
@@ -174,13 +188,6 @@ mod tests {
         assert!(!json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"dropped_events\":0"));
         assert!(json.contains("\"capacity\":16"));
-        assert_eq!(
-            json,
-            "{\n\"traceEvents\":[\n\
-             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"HSA schedule\"}},\n\
-             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"args\":{\"name\":\"runtime telemetry\"}}\n\
-             ],\n\"otherData\":{\"telemetry_events\":0,\"dropped_events\":0,\"capacity\":16}\n}\n"
-        );
     }
 
     #[test]
