@@ -1,6 +1,6 @@
-//! Ablation (paper §V-A.4, §VI): sweep the prefault syscall cost to find
-//! where Eager Maps stops beating Implicit Zero-Copy on QMCPack-style
-//! frequent small maps, while remaining best for spC-style bulk re-touch.
+//! Ablation (paper §V-A.4, §VI): sweep the prefault syscall cost and print
+//! the Implicit Zero-Copy / Eager Maps time ratio for QMCPack-style frequent
+//! small maps and spC-style bulk re-touch. Above 1, Eager Maps wins.
 
 use analysis::{measure, ratio, ExperimentConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -13,14 +13,14 @@ fn print_artifact() {
     println!("Ablation: Eager Maps vs Implicit Z-C while sweeping prefault syscall cost");
     println!(
         "{:>14} | {:>16} | {:>16}",
-        "syscall (us)", "QMCPack S2 EM/IZC", "457.spC EM/IZC"
+        "syscall (us)", "QMCPack S2 IZC/EM", "457.spC IZC/EM"
     );
     for syscall_us in [0u64, 1, 3, 10, 30] {
         let mut exp = ExperimentConfig::noiseless();
         exp.cost.prefault_syscall = VirtDuration::from_micros(syscall_us);
         let qmc = QmcPack::nio(NioSize { factor: 2 }).with_steps(60);
         let spc = SpC::scaled(0.05);
-        let em_over_izc = |w: &dyn Workload, exp: &ExperimentConfig| {
+        let izc_over_em = |w: &dyn Workload, exp: &ExperimentConfig| {
             let izc = measure(w, RuntimeConfig::ImplicitZeroCopy, 1, exp).unwrap();
             let em = measure(w, RuntimeConfig::EagerMaps, 1, exp).unwrap();
             // IZC time / EM time: > 1 means Eager Maps wins.
@@ -29,8 +29,8 @@ fn print_artifact() {
         println!(
             "{:>14} | {:>17.3} | {:>16.3}",
             syscall_us,
-            em_over_izc(&qmc, &exp),
-            em_over_izc(&spc, &exp),
+            izc_over_em(&qmc, &exp),
+            izc_over_em(&spc, &exp),
         );
     }
     println!();

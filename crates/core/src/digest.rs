@@ -52,6 +52,18 @@ impl Fnv1a {
         }
     }
 
+    /// Absorb `n` zero bytes: the state `write(&vec![0; n])` leaves, with
+    /// no buffer of that size. Byte-serial over one static zero page, so it
+    /// costs O(n) like [`write`](Self::write).
+    pub fn write_zeros(&mut self, mut n: u64) {
+        static ZERO_PAGE: [u8; 4096] = [0; 4096];
+        while n > 0 {
+            let take = n.min(ZERO_PAGE.len() as u64) as usize;
+            self.write(&ZERO_PAGE[..take]);
+            n -= take as u64;
+        }
+    }
+
     /// Absorb a `u64` in little-endian byte order.
     pub fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
@@ -105,6 +117,27 @@ mod tests {
         let mut b = Fnv1a::new();
         b.write(&[8, 7, 6, 5, 4, 3, 2, 1]);
         assert_eq!(a.finish(), b.finish());
+    }
+
+    proptest::proptest! {
+        /// `write_zeros(n)` leaves the state `write(&vec![0; n])` leaves,
+        /// from random start states, at every page-boundary length and at
+        /// one random length.
+        #[test]
+        fn write_zeros_equals_writing_zeros(
+            prefix in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..64),
+            random_n in 0u64..20_000,
+        ) {
+            let mut start = Fnv1a::new();
+            start.write(&prefix);
+            for n in [0, 1, 4095, 4096, 4097, 3 * 4096 + 5, random_n] {
+                let mut zeros = start;
+                zeros.write_zeros(n);
+                let mut bytes = start;
+                bytes.write(&vec![0u8; n as usize]);
+                proptest::prop_assert_eq!(zeros, bytes, "n = {}", n);
+            }
+        }
     }
 
     #[test]

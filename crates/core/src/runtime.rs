@@ -230,25 +230,23 @@ impl OmpRuntime {
     /// and full contents (sparse pages read as zeros). Two runs of the same
     /// program digest equal iff they left bit-identical memory behind —
     /// this is how the harness asserts elision never changes results.
+    ///
+    /// Contents are folded where they live, as the spans of
+    /// [`ApuMemory::vma_spans`]: materialized chunks are hashed in place and
+    /// unmaterialized runs through [`Fnv1a::write_zeros`], so the digest
+    /// allocates and copies nothing. The fold still absorbs every byte.
+    ///
+    /// [`Fnv1a::write_zeros`]: crate::digest::Fnv1a::write_zeros
     pub fn memory_digest(&self) -> u64 {
         let mut h = crate::digest::Fnv1a::new();
-        let mut buf = vec![0u8; 1 << 20];
-        for vma in self.mem().vmas() {
+        let mem = self.mem();
+        for vma in mem.vmas() {
             h.write_u64(vma.range.start.as_u64());
             h.write_u64(vma.range.len);
-            let mut off = 0u64;
-            while off < vma.range.len {
-                let n = (vma.range.len - off).min(buf.len() as u64) as usize;
-                if self
-                    .mem()
-                    .cpu_read(vma.range.start.offset(off), &mut buf[..n])
-                    .is_err()
-                {
-                    break;
-                }
-                h.write(&buf[..n]);
-                off += n as u64;
-            }
+            mem.vma_spans(vma, |bytes, n| match bytes {
+                Some(b) => h.write(b),
+                None => h.write_zeros(n),
+            });
         }
         h.finish()
     }
@@ -2027,6 +2025,41 @@ mod tests {
         redundant_remap_program(&mut r, 10);
         let digest = r.memory_digest();
         (digest, r.finish())
+    }
+
+    /// The digest as a byte walk: each VMA's start and length, then its
+    /// whole content read through `cpu_read`. `memory_digest` must equal it.
+    fn reference_digest(r: &OmpRuntime) -> u64 {
+        let mut h = crate::digest::Fnv1a::new();
+        for vma in r.mem().vmas() {
+            h.write_u64(vma.range.start.as_u64());
+            h.write_u64(vma.range.len);
+            let mut buf = vec![0u8; vma.range.len as usize];
+            r.mem().cpu_read(vma.range.start, &mut buf).unwrap();
+            h.write(&buf);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn memory_digest_folds_materialized_content() {
+        let mut r = rt(RuntimeConfig::ImplicitZeroCopy);
+        let a = r.host_alloc(0, 5 * 4096 + 100).unwrap();
+        let b = r.host_alloc(0, 3 * 4096).unwrap();
+        let empty = r.memory_digest();
+        let pattern: Vec<u8> = (1..=6000u32).map(|i| (i % 251 + 1) as u8).collect();
+        let mem = r.mem_mut();
+        // Non-zero writes straddling chunk boundaries in both VMAs.
+        mem.cpu_write(a.offset(4000), &pattern).unwrap();
+        mem.cpu_write(a.offset(4 * 4096 + 50), &pattern[..4146])
+            .unwrap();
+        mem.cpu_write(b.offset(4090), &pattern[..20]).unwrap();
+        // A zero write over a whole materialized chunk keeps it resident.
+        mem.cpu_write(a.offset(4096), &[0u8; 4096]).unwrap();
+        assert!(mem.resident_content_bytes() >= 5 * 4096);
+        let digest = r.memory_digest();
+        assert_eq!(digest, reference_digest(&r));
+        assert_ne!(digest, empty);
     }
 
     #[test]

@@ -390,6 +390,14 @@ impl ApuMemory {
         self.vmas.iter()
     }
 
+    /// Walk the content of `vma`, one of [`vmas`](Self::vmas), in place:
+    /// the spans of [`PhysicalMemory::spans`] over its `range.len` bytes.
+    /// A VMA is physically contiguous from `vma.phys`, so the walk needs no
+    /// address translation and cannot fail.
+    pub fn vma_spans(&self, vma: &Vma, f: impl FnMut(Option<&[u8]>, u64)) {
+        self.phys.spans(vma.phys, vma.range.len, f);
+    }
+
     /// Real backing bytes currently materialized in the content store.
     pub fn resident_content_bytes(&self) -> u64 {
         self.phys.resident_bytes()

@@ -5,6 +5,15 @@
 //! allocated when something actually writes it, so multi-GiB simulated
 //! allocations cost host memory only where kernels with real bodies touch
 //! them. Unwritten bytes read as zero, matching fresh OS pages.
+//!
+//! Content is read in place: [`PhysicalMemory::spans`] walks a window as
+//! borrowed materialized chunks and lengths of unmaterialized zero runs,
+//! with one ordered range query over the chunk store. [`read`] is built on
+//! it, and a caller that only consumes content (a digest) can fold the
+//! spans directly: the walk copies nothing, and its own cost is
+//! O(materialized chunks in the window), whatever the window's length.
+//!
+//! [`read`]: PhysicalMemory::read
 
 use crate::addr::PhysAddr;
 use crate::error::MemError;
@@ -111,21 +120,48 @@ impl PhysicalMemory {
         self.allocated = self.allocated.saturating_sub(len);
     }
 
+    /// Walk `[addr, addr+len)` in address order as content spans. Each
+    /// materialized chunk's part of the window is passed as
+    /// `f(Some(bytes), bytes.len())`, borrowed in place; each maximal run of
+    /// unmaterialized bytes, which read as zero, as `f(None, n)`. Spans are
+    /// contiguous and non-empty, their lengths sum to `len`, and an empty
+    /// window yields none.
+    pub fn spans(&self, addr: PhysAddr, len: u64, mut f: impl FnMut(Option<&[u8]>, u64)) {
+        if len == 0 {
+            return;
+        }
+        let start = addr.as_u64();
+        let end = start + len;
+        let mut pos = start;
+        for (&k, chunk) in self.chunks.range(start / CHUNK..=(end - 1) / CHUNK) {
+            let chunk_base = k * CHUNK;
+            let lo = chunk_base.max(start);
+            let hi = (chunk_base + CHUNK).min(end);
+            if lo > pos {
+                f(None, lo - pos);
+            }
+            f(
+                Some(&chunk[(lo - chunk_base) as usize..(hi - chunk_base) as usize]),
+                hi - lo,
+            );
+            pos = hi;
+        }
+        if pos < end {
+            f(None, end - pos);
+        }
+    }
+
     /// Read `buf.len()` bytes starting at `addr`. Unmaterialized bytes are 0.
     pub fn read(&self, addr: PhysAddr, buf: &mut [u8]) {
-        let mut pos = addr.as_u64();
         let mut off = 0usize;
-        while off < buf.len() {
-            let chunk_idx = pos / CHUNK;
-            let in_chunk = (pos % CHUNK) as usize;
-            let take = ((CHUNK as usize) - in_chunk).min(buf.len() - off);
-            match self.chunks.get(&chunk_idx) {
-                Some(c) => buf[off..off + take].copy_from_slice(&c[in_chunk..in_chunk + take]),
-                None => buf[off..off + take].fill(0),
+        self.spans(addr, buf.len() as u64, |bytes, n| {
+            let dst = &mut buf[off..off + n as usize];
+            match bytes {
+                Some(b) => dst.copy_from_slice(b),
+                None => dst.fill(0),
             }
-            pos += take as u64;
-            off += take;
-        }
+            off += dst.len();
+        });
     }
 
     /// Write `data` starting at `addr`, materializing chunks as needed.
@@ -309,6 +345,103 @@ mod tests {
         let mut back = [1u8; 100];
         m.read(PhysAddr(0), &mut back);
         assert!(back.iter().all(|&b| b == 0));
+    }
+
+    /// Size of the property tests' memory: 32 chunks, so random writes
+    /// leave both materialized and untouched chunks.
+    const PROP_CAP: u64 = 32 * CHUNK;
+
+    /// A sparse memory built from `writes`, plus the flat bytes it must
+    /// read as. Each write `(addr, len, fill, zero_off, zero_len)` stores a
+    /// `fill`-seeded pattern (with some zero bytes in it), which may
+    /// straddle chunk boundaries, then writes zeros over a part of it, so
+    /// zero writes land in chunks that are already materialized.
+    fn sparse_memory(writes: &[(u64, u64, u8, u64, u64)]) -> (PhysicalMemory, Vec<u8>) {
+        let mut m = PhysicalMemory::new(PROP_CAP);
+        let mut model = vec![0u8; PROP_CAP as usize];
+        let mut put = |m: &mut PhysicalMemory, addr: u64, data: &[u8]| {
+            m.write(PhysAddr(addr), data);
+            model[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+        };
+        for &(addr, len, fill, zero_off, zero_len) in writes {
+            let len = len.min(PROP_CAP - addr);
+            let data: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(fill)).collect();
+            put(&mut m, addr, &data);
+            let zero_at = addr + zero_off % len;
+            let zero_len = zero_len.min(addr + len - zero_at);
+            put(&mut m, zero_at, &vec![0u8; zero_len as usize]);
+        }
+        (m, model)
+    }
+
+    /// Check every property of the span walk over one window.
+    fn check_window(m: &PhysicalMemory, model: &[u8], start: u64, len: u64) {
+        let mut pos = start;
+        let mut shape: Vec<(bool, u64)> = Vec::new();
+        let mut concat = Vec::new();
+        m.spans(PhysAddr(start), len, |bytes, n| {
+            assert!(n > 0, "empty span at {pos}");
+            match bytes {
+                Some(b) => {
+                    assert_eq!(b.len() as u64, n);
+                    let k = pos / CHUNK;
+                    assert_eq!((pos + n - 1) / CHUNK, k, "span at {pos} crosses a chunk");
+                    let chunk = m.chunks.get(&k).expect("Some span over a sparse chunk");
+                    let in_place = chunk[(pos % CHUNK) as usize..].as_ptr();
+                    assert_eq!(b.as_ptr(), in_place, "span at {pos} is not borrowed");
+                    concat.extend_from_slice(b);
+                }
+                None => {
+                    assert!(
+                        !matches!(shape.last(), Some((false, _))),
+                        "zero runs at {pos} not coalesced"
+                    );
+                    let materialized = m.chunks.range(pos / CHUNK..=(pos + n - 1) / CHUNK);
+                    assert_eq!(materialized.count(), 0, "zero run at {pos} over content");
+                    concat.resize(concat.len() + n as usize, 0);
+                }
+            }
+            shape.push((bytes.is_some(), n));
+            pos += n;
+        });
+        assert_eq!(pos - start, len, "span lengths must sum to the window");
+        let want = &model[start as usize..(start + len) as usize];
+        assert_eq!(concat, want);
+        let mut buf = vec![0xAAu8; len as usize];
+        m.read(PhysAddr(start), &mut buf);
+        assert_eq!(buf, want);
+        let touches_content = len > 0
+            && m.chunks
+                .range(start / CHUNK..=(start + len - 1) / CHUNK)
+                .next()
+                .is_some();
+        if !touches_content {
+            let expected = if len == 0 { vec![] } else { vec![(false, len)] };
+            assert_eq!(shape, expected, "window at {start} touches no content");
+        }
+    }
+
+    proptest::proptest! {
+        /// The span walk over random sparse memories and random windows
+        /// (mid-chunk starts, empty, whole memory) agrees with a flat byte
+        /// model and with `read`, borrows every content span from one
+        /// materialized chunk, and reports untouched windows as one run.
+        #[test]
+        fn spans_walk_the_store_in_place(
+            writes in proptest::collection::vec(
+                (0..PROP_CAP, 1..3 * CHUNK, 1u8..255, 0..3 * CHUNK, 0..2 * CHUNK),
+                0..8,
+            ),
+            windows in proptest::collection::vec((0..PROP_CAP, 0..4 * CHUNK), 1..12),
+        ) {
+            let (m, model) = sparse_memory(&writes);
+            for &(start, len) in &windows {
+                check_window(&m, &model, start, len.min(PROP_CAP - start));
+                check_window(&m, &model, start, 0);
+            }
+            check_window(&m, &model, 0, PROP_CAP);
+            check_window(&m, &model, CHUNK / 2, PROP_CAP - CHUNK);
+        }
     }
 
     #[test]
