@@ -9,15 +9,19 @@
 //!   Zero-Copy, at 1 and 8 threads.
 //! * [`table2`] — SPECaccel Copy/zero-copy ratios for the five benchmarks.
 //! * [`table3`] — MM/MI overhead orders for 403.stencil and 452.ep.
+//! * [`ablation_eager_maps`], [`ablation_streaming`] and
+//!   [`ablation_page_size`] — one mechanism each behind the paper's
+//!   explanations: the prefault syscall floor, DMA latency hiding, and THP.
 
 use crate::experiment::{measure, measure_all_configs, ratio, ExperimentConfig, Measurement};
 use crate::figure::Figure;
 use crate::stats::order_of_magnitude_us;
 use crate::table::Table;
+use apu_mem::PageSize;
 use hsa_rocr::HsaApiKind;
 use omp_offload::telemetry::{attribution, AttributionReport};
 use omp_offload::{ElideMode, OmpError, RuntimeConfig, TelemetryMode};
-use sim_des::VirtDuration;
+use sim_des::{NoiseModel, VirtDuration};
 use workloads::{spec, MiniCg, NioSize, QmcPack, Stream, Workload};
 
 /// Scope of a reproduction pass.
@@ -560,6 +564,95 @@ pub fn table3_optimize(cfg: &PaperConfig) -> Result<(Table, Vec<OptimizeRow>), O
         rows.push(row);
     }
     Ok((t, rows))
+}
+
+/// Settings for the ablations: single-repeat and noiseless, everything else
+/// from `cfg.exp`. Without a fault seed this is exactly
+/// [`ExperimentConfig::noiseless`], so each ablation isolates one mechanism.
+fn ablation_exp(cfg: &PaperConfig) -> ExperimentConfig {
+    ExperimentConfig {
+        repeats: 1,
+        noise: NoiseModel::NONE,
+        ..cfg.exp.clone()
+    }
+}
+
+/// Eager Maps ablation (paper §V-A.4, §VI): IZC time / EM time for QMCPack
+/// S2 (frequent small maps) and 457.spC (bulk re-touch) while sweeping the
+/// prefault syscall cost. Above 1, Eager Maps wins.
+pub fn ablation_eager_maps(cfg: &PaperConfig) -> Result<Table, OmpError> {
+    let qmc = QmcPack::nio(NioSize { factor: 2 }).with_steps(60);
+    let spc = spec::SpC::scaled(0.05);
+    let mut t = Table::new(
+        "Ablation: IZC / EM time vs prefault syscall cost (above 1: Eager Maps wins)",
+        &["Syscall (us)", "QMCPack S2 IZC/EM", "457.spC IZC/EM"],
+    );
+    for syscall_us in [0u64, 1, 3, 10, 30] {
+        let mut exp = ablation_exp(cfg);
+        exp.cost.prefault_syscall = VirtDuration::from_micros(syscall_us);
+        let izc_over_em = |w: &dyn Workload| -> Result<String, OmpError> {
+            let izc = measure(w, RuntimeConfig::ImplicitZeroCopy, 1, &exp)?;
+            let em = measure(w, RuntimeConfig::EagerMaps, 1, &exp)?;
+            Ok(format!("{:.3}", ratio(&izc, &em)))
+        };
+        t.push_row(vec![
+            syscall_us.to_string(),
+            izc_over_em(&qmc)?,
+            izc_over_em(&spc)?,
+        ]);
+    }
+    Ok(t)
+}
+
+/// Streaming ablation (paper §V-A.3): Copy-mode QMCPack S8 makespan as the
+/// DMA engine count grows, at 1 and 8 host threads — how much transfer cost
+/// multi-threaded streaming hides behind kernels.
+pub fn ablation_streaming(cfg: &PaperConfig) -> Result<Table, OmpError> {
+    let w = QmcPack::nio(NioSize { factor: 8 }).with_steps(60);
+    let mut t = Table::new(
+        "Ablation: Copy-mode QMCPack S8 makespan vs DMA engines and threads",
+        &["DMA engines", "Threads", "Makespan"],
+    );
+    for dma_engines in [1usize, 2, 4] {
+        let mut exp = ablation_exp(cfg);
+        exp.topo.dma_engines = dma_engines;
+        for threads in [1usize, 8] {
+            let m = measure(&w, RuntimeConfig::LegacyCopy, threads, &exp)?;
+            t.push_row(vec![
+                dma_engines.to_string(),
+                threads.to_string(),
+                m.median().to_string(),
+            ]);
+        }
+    }
+    Ok(t)
+}
+
+/// Page-size ablation (paper §V, THP note): 452.ep first touch on 2 MiB
+/// transparent huge pages vs 4 KiB pages under the two zero-copy
+/// configurations that pay for it — zero-fill page counts and makespan.
+pub fn ablation_page_size(cfg: &PaperConfig) -> Result<Table, OmpError> {
+    let w = spec::Ep::scaled(0.01);
+    let mut t = Table::new(
+        "Ablation: 452.ep first-touch under THP (2MiB) vs 4KiB pages",
+        &["Pages", "Config", "Zero-fill pages", "Makespan"],
+    );
+    for (label, page_size) in [("2MiB", PageSize::Huge), ("4KiB", PageSize::Small)] {
+        let mut exp = ablation_exp(cfg);
+        exp.cost.page_size = page_size;
+        for config in [RuntimeConfig::ImplicitZeroCopy, RuntimeConfig::EagerMaps] {
+            let m = measure(&w, config, 1, &exp)?;
+            let zero_filled =
+                m.report.ledger.zero_filled_pages + m.report.mem_stats.prefault_zero_fill_pages;
+            t.push_row(vec![
+                label.to_string(),
+                config.label().to_string(),
+                zero_filled.to_string(),
+                m.median().to_string(),
+            ]);
+        }
+    }
+    Ok(t)
 }
 
 /// Per-site/per-kernel attribution for one (workload, configuration) cell

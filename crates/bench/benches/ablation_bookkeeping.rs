@@ -10,7 +10,7 @@
 //! simulator's own wall-clock differs.
 
 use apu_mem::{AddrRange, ApuMemory, CostModel, XnackMode};
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::hint::black_box;
 use std::time::Instant;
 
 const GIB: u64 = 1 << 30;
@@ -43,31 +43,17 @@ fn prefault_fault_workload(pagewise: bool) -> u64 {
     p.new_pages() + o1.tlb_misses + o2.pages_touched + o3.faulted_pages()
 }
 
-fn bench_bookkeeping(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_bookkeeping");
-    g.sample_size(10);
-    for (label, pagewise) in [("extent", false), ("pagewise", true)] {
-        g.bench_with_input(
-            BenchmarkId::new("prefault_fault_1GiB", label),
-            &pagewise,
-            |b, &pw| {
-                b.iter(|| black_box(prefault_fault_workload(pw)));
-            },
-        );
-    }
-    g.finish();
-}
-
 /// Direct head-to-head timing with an explicit speedup line — the
 /// acceptance gate for the bookkeeping refactor is extent >= 10x pagewise
 /// on this workload.
-fn bench_speedup_summary(_c: &mut Criterion) {
+fn main() {
+    // `cargo bench` forwards harness flags like --bench; a plain main only
+    // needs to tolerate them.
     let time = |pw: bool| {
         let t0 = Instant::now();
         black_box(prefault_fault_workload(pw));
         t0.elapsed()
     };
-    // Warm both paths once, then take the best of three.
     let extent = (0..3).map(|_| time(false)).min().unwrap();
     let pagewise = (0..3).map(|_| time(true)).min().unwrap();
     let speedup = pagewise.as_secs_f64() / extent.as_secs_f64().max(1e-9);
@@ -75,6 +61,3 @@ fn bench_speedup_summary(_c: &mut Criterion) {
         "ablation_bookkeeping summary: extent {extent:?} vs pagewise {pagewise:?} -> {speedup:.1}x"
     );
 }
-
-criterion_group!(benches, bench_bookkeeping, bench_speedup_summary);
-criterion_main!(benches);

@@ -1,19 +1,20 @@
 //! Ablation: cost of the runtime telemetry stream on the simulator itself.
 //!
-//! The telemetry ring sits on every MM/MI charge site, so its Off mode must
-//! be a measured no-op: one `Option` branch per charge, no allocation. This
-//! bench runs the streaming workload under three settings — telemetry off,
-//! ring on, and ring on plus a full JSONL export — and reports best-of-three
-//! wall-clock ratios of the *simulator*, not the simulated program (the
-//! virtual makespan is identical in all three by construction). It also
-//! re-asserts the derivability contract on the instrumented runs: folding
-//! the collected stream must reproduce the overhead ledger field for field.
+//! The telemetry ring sits on every MM/MI charge site, so the cost of its
+//! Off mode (one `Option` branch per charge, no allocation) is measured
+//! here, not assumed. This bench runs the streaming workload under three
+//! settings — telemetry off, ring on, and ring on plus a full JSONL export —
+//! and reports best-of-three wall-clock ratios of the *simulator*, not the
+//! simulated program (the virtual makespan is identical in all three by
+//! construction). It also re-asserts the derivability contract on the
+//! instrumented runs: folding the collected stream must reproduce the
+//! overhead ledger field for field.
 
 use apu_mem::CostModel;
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hsa_rocr::Topology;
 use omp_offload::telemetry::{fold, to_jsonl};
 use omp_offload::{OmpRuntime, RuntimeConfig, TelemetryMode};
+use std::hint::black_box;
 use std::time::Instant;
 use workloads::{Stream, Workload};
 
@@ -25,14 +26,6 @@ enum Setting {
 }
 
 impl Setting {
-    fn label(self) -> &'static str {
-        match self {
-            Setting::Off => "off",
-            Setting::Ring => "ring",
-            Setting::RingJsonl => "ring+jsonl",
-        }
-    }
-
     fn mode(self) -> TelemetryMode {
         match self {
             Setting::Off => TelemetryMode::Off,
@@ -70,9 +63,11 @@ fn run(w: &dyn Workload, setting: Setting) -> usize {
     }
 }
 
-/// Best-of-three wall-clock per setting; Off must be within noise of the
-/// pre-telemetry simulator, and the ring itself cheap.
-fn bench_simulator_cost(_c: &mut Criterion) {
+/// Best-of-three wall-clock per setting: how far Off sits from the ring,
+/// and what the ring and its JSONL export cost.
+fn main() {
+    // `cargo bench` forwards harness flags like --bench; a plain main only
+    // needs to tolerate them.
     let w = Stream::scaled(1.0);
     let time = |setting: Setting| {
         let t0 = Instant::now();
@@ -90,20 +85,3 @@ fn bench_simulator_cost(_c: &mut Criterion) {
         jsonl.as_secs_f64() / off.as_secs_f64().max(1e-9)
     );
 }
-
-fn bench_telemetry(c: &mut Criterion) {
-    let mut g = c.benchmark_group("telemetry_overhead");
-    g.sample_size(10);
-    let w = Stream::scaled(0.5);
-    for setting in [Setting::Off, Setting::Ring, Setting::RingJsonl] {
-        g.bench_with_input(
-            BenchmarkId::new("stream_copy", setting.label()),
-            &setting,
-            |b, &s| b.iter(|| black_box(run(&w, s))),
-        );
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_telemetry, bench_simulator_cost);
-criterion_main!(benches);

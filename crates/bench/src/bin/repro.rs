@@ -3,7 +3,7 @@
 //! ```text
 //! repro [--quick|--full] [--ARTIFACT ...] [--elide] [--optimize] [--profile] [--csv DIR]
 //!       [--report FILE.md] [--faults SEED] [--jobs N] [--cache DIR|off]
-//!       [--timing] [--list-artifacts]
+//!       [--list-artifacts]
 //! repro --check [--json]
 //! ```
 //!
@@ -24,12 +24,11 @@
 //! replayed under Copy as-is, with the profile-guided elision plan, and
 //! after whole-program optimization (`omp_mapcheck::optimize`), with the
 //! equivalence contract verified per row — the table's headline column is
-//! the MM time recovered *beyond* what plan elision achieves. `--timing`
-//! additionally writes
-//! `BENCH_repro.json` with per-artifact wall-clock and sweep throughput
-//! (simulated cells per second) — the simulator's own performance, not the
-//! modeled machine's — and, with `--elide`, `BENCH_elision.json` with the
-//! per-workload elision deltas. `--profile` runs the Table III workloads
+//! the MM time recovered *beyond* what plan elision achieves. `--ablations`
+//! prints the three single-mechanism ablations behind the paper's
+//! explanations: the prefault syscall cost behind the Eager Maps trade-off,
+//! DMA-engine latency hiding, and 2 MiB vs 4 KiB pages (single-repeat and
+//! noiseless). `--profile` runs the Table III workloads
 //! under every configuration with the telemetry ring on and writes
 //! per-map-site MM and per-kernel MI attribution CSVs
 //! (`profile_sites.csv`, `profile_kernels.csv`) next to the other
@@ -56,9 +55,9 @@
 //! unknown artifacts, missing or malformed option values.
 
 use analysis::paper::{
-    fig3_from_cells, fig4_from_cells, markdown_report, profile_cells, profile_kernels_csv,
-    profile_sites_csv, qmc_sweep, table1, table2, table3, table3_elision, table3_optimize,
-    ElisionRow, OptimizeRow, PaperConfig,
+    ablation_eager_maps, ablation_page_size, ablation_streaming, fig3_from_cells, fig4_from_cells,
+    markdown_report, profile_cells, profile_kernels_csv, profile_sites_csv, qmc_sweep, table1,
+    table2, table3, table3_elision, table3_optimize, PaperConfig,
 };
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -73,6 +72,10 @@ const ARTIFACTS: &[(&str, &str)] = &[
     ("table1", "Table I: HSA call statistics (rocprof analog)"),
     ("table2", "Table II: SPECaccel time ratios and CoV"),
     ("table3", "Table III: MM/MI overhead orders (microseconds)"),
+    (
+        "ablations",
+        "Ablations: prefault syscall cost, DMA engines, 2MiB vs 4KiB pages",
+    ),
     (
         "sweep",
         "Batched capture-replay sweep over the shipped workloads (cached)",
@@ -126,11 +129,6 @@ const FLAGS: &[(&str, &str, &str)] = &[
         "DIR|off",
         "with --sweep: memoize results in DIR (default .apusim-cache)",
     ),
-    (
-        "--timing",
-        "",
-        "write BENCH_repro.json (BENCH_elision.json with --elide, BENCH_optimize.json with --optimize)",
-    ),
     ("--list-artifacts", "", "list artifact flags and exit"),
     (
         "--check",
@@ -153,13 +151,13 @@ struct Args {
     table1: bool,
     table2: bool,
     table3: bool,
+    ablations: bool,
     sweep: bool,
     elide: bool,
     optimize: bool,
     profile: bool,
     csv_dir: Option<PathBuf>,
     report: Option<PathBuf>,
-    timing: bool,
     fault_seed: Option<u64>,
     cache: omp_batch::CacheMode,
     check: bool,
@@ -220,101 +218,6 @@ fn required_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String
     }
 }
 
-/// Wall-clock of one produced artifact; `cells` is set for sweep-backed
-/// artifacts and yields cells/second throughput *and* per-cell simulator
-/// cost (seconds_per_cell) in the JSON.
-struct ArtifactTiming {
-    name: &'static str,
-    seconds: f64,
-    cells: Option<usize>,
-}
-
-fn timing_json(
-    cfg_name: &str,
-    jobs: usize,
-    total_seconds: f64,
-    artifacts: &[ArtifactTiming],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"config\": \"{cfg_name}\",\n"));
-    out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!("  \"total_seconds\": {total_seconds:.6},\n"));
-    out.push_str("  \"artifacts\": [\n");
-    for (i, a) in artifacts.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"seconds\": {:.6}",
-            a.name, a.seconds
-        ));
-        if let Some(cells) = a.cells {
-            let rate = cells as f64 / a.seconds.max(1e-9);
-            let per_cell = a.seconds / cells.max(1) as f64;
-            out.push_str(&format!(
-                ", \"cells\": {cells}, \"cells_per_sec\": {rate:.3}, \"seconds_per_cell\": {per_cell:.6}"
-            ));
-        }
-        out.push_str(if i + 1 < artifacts.len() {
-            "},\n"
-        } else {
-            "}\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Machine-readable form of the elision delta table, written next to
-/// `BENCH_repro.json` under `--timing --elide` so CI can archive the
-/// savings alongside the simulator's own timings.
-fn elision_json(rows: &[ElisionRow]) -> String {
-    let mut out = String::from("{\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"mm_unelided_us\": {:.3}, \"mm_elided_us\": {:.3}, \
-             \"mm_saved_us\": {:.3}, \"maps_elided\": {}, \"cache_hits\": {}, \
-             \"cache_misses\": {}}}{}\n",
-            r.workload,
-            r.mm_unelided.as_micros_f64(),
-            r.mm_elided.as_micros_f64(),
-            r.mm_saved.as_micros_f64(),
-            r.maps_elided,
-            r.cache_hits,
-            r.cache_misses,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Machine-readable form of the static-optimizer delta table, written next
-/// to `BENCH_repro.json` under `--timing --optimize` (CI archives it as
-/// `BENCH_optimize.json`).
-fn optimize_json(rows: &[OptimizeRow]) -> String {
-    let mut out = String::from("{\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"mm_baseline_us\": {:.3}, \"mm_plan_us\": {:.3}, \
-             \"mm_optimized_us\": {:.3}, \"beyond_plan_us\": {:.3}, \"hoisted\": {}, \
-             \"dead_to\": {}, \"dead_from\": {}, \"updates_dropped\": {}, \
-             \"recommended\": \"{}\", \"verified\": {}}}{}\n",
-            r.workload,
-            r.mm_baseline.as_micros_f64(),
-            r.mm_plan.as_micros_f64(),
-            r.mm_optimized.as_micros_f64(),
-            r.saved_beyond_plan().as_micros_f64(),
-            r.hoisted,
-            r.dead_to,
-            r.dead_from,
-            r.updates_dropped,
-            r.recommended.map(|c| c.token()).unwrap_or("-"),
-            r.verified,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 fn parse_args() -> Args {
     let mut full = false;
     let mut selected: Vec<String> = Vec::new();
@@ -323,7 +226,6 @@ fn parse_args() -> Args {
     let mut profile = false;
     let mut csv_dir = None;
     let mut report = None;
-    let mut timing = false;
     let mut fault_seed = None;
     let mut jobs = 0usize;
     let mut cache = omp_batch::CacheMode::default_dir(std::path::Path::new("."));
@@ -337,7 +239,6 @@ fn parse_args() -> Args {
             "--elide" => elide = true,
             "--optimize" => optimize = true,
             "--profile" => profile = true,
-            "--timing" => timing = true,
             "--check" => check = true,
             "--json" => json = true,
             "--jobs" => {
@@ -362,8 +263,9 @@ fn parse_args() -> Args {
                 }
             }
             "--list-artifacts" => {
+                let width = ARTIFACTS.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
                 for (name, what) in ARTIFACTS {
-                    println!("{name:<8} {what}");
+                    println!("{name:<width$} {what}");
                 }
                 std::process::exit(0);
             }
@@ -389,13 +291,7 @@ fn parse_args() -> Args {
         usage_error("--json only applies to --check");
     }
     if check
-        && (full
-            || timing
-            || elide
-            || optimize
-            || profile
-            || fault_seed.is_some()
-            || !selected.is_empty())
+        && (full || elide || optimize || profile || fault_seed.is_some() || !selected.is_empty())
     {
         usage_error("--check does not combine with experiment flags");
     }
@@ -424,13 +320,13 @@ fn parse_args() -> Args {
         table1: has("table1"),
         table2: has("table2"),
         table3: has("table3"),
+        ablations: has("ablations"),
         sweep: has("sweep"),
         elide,
         optimize,
         profile,
         csv_dir,
         report,
-        timing,
         fault_seed,
         cache,
         check,
@@ -477,7 +373,6 @@ fn main() {
         run_check(args.json);
     }
     let started = Instant::now();
-    let mut timings: Vec<ArtifactTiming> = Vec::new();
     if let Some(seed) = args.fault_seed {
         eprintln!(
             "fault injection enabled (seed {seed}): runs replay a deterministic \
@@ -491,13 +386,7 @@ fn main() {
             args.cfg.sizes.len(),
             args.cfg.threads.len()
         );
-        let t0 = Instant::now();
         let cells = qmc_sweep(&args.cfg).expect("QMCPack sweep");
-        timings.push(ArtifactTiming {
-            name: "qmc_sweep",
-            seconds: t0.elapsed().as_secs_f64(),
-            cells: Some(cells.len()),
-        });
         if args.fault_seed.is_some() {
             let reports = cells.iter().flat_map(|c| c.measurements.iter());
             let episodes: usize = reports.clone().map(|m| m.report.recovery_log.len()).sum();
@@ -509,7 +398,6 @@ fn main() {
             );
         }
         if args.fig3 {
-            let t0 = Instant::now();
             for fig in fig3_from_cells(&cells, &args.cfg) {
                 println!("{fig}");
                 write_csv(
@@ -525,68 +413,51 @@ fn main() {
                     &fig.to_csv(),
                 );
             }
-            timings.push(ArtifactTiming {
-                name: "fig3",
-                seconds: t0.elapsed().as_secs_f64(),
-                cells: None,
-            });
         }
         if args.fig4 {
-            let t0 = Instant::now();
             let fig = fig4_from_cells(&cells, &args.cfg);
             println!("{fig}");
             write_csv(&args.csv_dir, "fig4.csv", &fig.to_csv());
-            timings.push(ArtifactTiming {
-                name: "fig4",
-                seconds: t0.elapsed().as_secs_f64(),
-                cells: None,
-            });
         }
     }
 
     if args.table1 {
         eprintln!("running Table I (HSA call statistics)...");
-        let t0 = Instant::now();
         let t = table1(&args.cfg).expect("table1");
         println!("{t}");
         write_csv(&args.csv_dir, "table1.csv", &t.to_csv());
-        timings.push(ArtifactTiming {
-            name: "table1",
-            seconds: t0.elapsed().as_secs_f64(),
-            cells: None,
-        });
     }
 
     if args.table2 {
         eprintln!("running Table II (SPECaccel ratios)...");
-        let t0 = Instant::now();
         let (t, max_cov) = table2(&args.cfg).expect("table2");
         println!("{t}");
         println!("highest observed CoV: {max_cov:.3} (paper: <= 0.03)\n");
         write_csv(&args.csv_dir, "table2.csv", &t.to_csv());
-        timings.push(ArtifactTiming {
-            name: "table2",
-            seconds: t0.elapsed().as_secs_f64(),
-            cells: None,
-        });
     }
 
     if args.table3 {
         eprintln!("running Table III (MM/MI overhead orders)...");
-        let t0 = Instant::now();
         let t = table3(&args.cfg).expect("table3");
         println!("{t}");
         write_csv(&args.csv_dir, "table3.csv", &t.to_csv());
-        timings.push(ArtifactTiming {
-            name: "table3",
-            seconds: t0.elapsed().as_secs_f64(),
-            cells: None,
-        });
+    }
+
+    if args.ablations {
+        eprintln!("running ablations (prefault syscall cost, DMA engines, page size)...");
+        for (name, table) in [
+            ("ablation_eager_maps", ablation_eager_maps(&args.cfg)),
+            ("ablation_streaming", ablation_streaming(&args.cfg)),
+            ("ablation_page_size", ablation_page_size(&args.cfg)),
+        ] {
+            let t = table.expect(name);
+            println!("{t}");
+            write_csv(&args.csv_dir, &format!("{name}.csv"), &t.to_csv());
+        }
     }
 
     if args.sweep {
         eprintln!("running batched capture-replay sweep (shipped workloads x configurations)...");
-        let t0 = Instant::now();
         let corpus = if args.full {
             omp_batch::full_corpus()
         } else {
@@ -619,16 +490,10 @@ fn main() {
             ));
         }
         write_csv(&args.csv_dir, "sweep.csv", &csv);
-        timings.push(ArtifactTiming {
-            name: "sweep",
-            seconds: t0.elapsed().as_secs_f64(),
-            cells: Some(corpus.len()),
-        });
     }
 
     if args.elide {
         eprintln!("running Table III elision delta (MM recovered by map elision)...");
-        let t0 = Instant::now();
         let (t, rows) = table3_elision(&args.cfg).expect("table3 elision");
         println!("{t}");
         for r in &rows {
@@ -639,22 +504,10 @@ fn main() {
         }
         println!();
         write_csv(&args.csv_dir, "table3_elision.csv", &t.to_csv());
-        timings.push(ArtifactTiming {
-            name: "elision",
-            seconds: t0.elapsed().as_secs_f64(),
-            // Each workload is measured twice under Copy: elision off, on.
-            cells: Some(rows.len() * 2),
-        });
-        if args.timing {
-            std::fs::write("BENCH_elision.json", elision_json(&rows))
-                .expect("write BENCH_elision.json");
-            eprintln!("wrote BENCH_elision.json");
-        }
     }
 
     if args.optimize {
         eprintln!("running Table III optimizer delta (MM recovered by static optimization)...");
-        let t0 = Instant::now();
         let (t, rows) = table3_optimize(&args.cfg).expect("table3 optimize");
         println!("{t}");
         for r in &rows {
@@ -668,23 +521,10 @@ fn main() {
         }
         println!();
         write_csv(&args.csv_dir, "table3_optimize.csv", &t.to_csv());
-        timings.push(ArtifactTiming {
-            name: "optimize",
-            seconds: t0.elapsed().as_secs_f64(),
-            // Each capture replays three times under Copy: baseline,
-            // plan-elided, optimized.
-            cells: Some(rows.len() * 3),
-        });
-        if args.timing {
-            std::fs::write("BENCH_optimize.json", optimize_json(&rows))
-                .expect("write BENCH_optimize.json");
-            eprintln!("wrote BENCH_optimize.json");
-        }
     }
 
     if args.profile {
         eprintln!("running telemetry attribution profile (Table III workloads x 4 configs)...");
-        let t0 = Instant::now();
         let cells = profile_cells(&args.cfg).expect("profile");
         for c in &cells {
             println!("## {} under {}", c.workload, c.config.label());
@@ -699,48 +539,29 @@ fn main() {
                 write_csv(&args.csv_dir, "profile_kernels.csv", &kernels);
             }
             None => {
-                // No --csv: still materialize the profiles, next to the
-                // timing JSON in the working directory.
+                // No --csv: still materialize the profiles in the working
+                // directory.
                 std::fs::write("profile_sites.csv", &sites).expect("write profile_sites.csv");
                 std::fs::write("profile_kernels.csv", &kernels).expect("write profile_kernels.csv");
                 eprintln!("wrote profile_sites.csv");
                 eprintln!("wrote profile_kernels.csv");
             }
         }
-        timings.push(ArtifactTiming {
-            name: "profile",
-            seconds: t0.elapsed().as_secs_f64(),
-            cells: Some(cells.len()),
-        });
     }
 
     if let Some(path) = &args.report {
         eprintln!("generating markdown report...");
-        let t0 = Instant::now();
         let report = markdown_report(&args.cfg).expect("report");
         std::fs::write(path, report).expect("write report");
         eprintln!("wrote {}", path.display());
-        timings.push(ArtifactTiming {
-            name: "report",
-            seconds: t0.elapsed().as_secs_f64(),
-            cells: None,
-        });
     }
 
-    let total = started.elapsed().as_secs_f64();
-    if args.timing {
-        let cfg_name = if args.full { "full" } else { "quick" };
-        let json = timing_json(cfg_name, args.cfg.jobs, total, &timings);
-        std::fs::write("BENCH_repro.json", &json).expect("write BENCH_repro.json");
-        eprintln!("wrote BENCH_repro.json");
-    }
-    eprintln!("done in {total:.1}s");
+    eprintln!("done in {:.1}s", started.elapsed().as_secs_f64());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_des::VirtDuration;
 
     /// The anti-drift contract of the flag table: every experiment flag and
     /// every artifact appears in the generated usage line, and every flag's
@@ -763,63 +584,6 @@ mod tests {
         for (n, what) in ARTIFACTS {
             assert!(u.contains(&format!("--{n}")), "usage missing --{n}");
             assert!(h.contains(what), "help missing the {n} description");
-        }
-    }
-
-    #[test]
-    fn optimize_json_carries_the_delta_fields() {
-        let rows = vec![OptimizeRow {
-            workload: "w".into(),
-            mm_baseline: VirtDuration::from_micros(10),
-            mm_plan: VirtDuration::from_micros(6),
-            mm_optimized: VirtDuration::from_micros(4),
-            hoisted: 1,
-            dead_to: 2,
-            dead_from: 3,
-            updates_dropped: 4,
-            recommended: Some(omp_offload::RuntimeConfig::EagerMaps),
-            verified: true,
-        }];
-        let j = optimize_json(&rows);
-        for needle in [
-            "\"workload\": \"w\"",
-            "\"mm_baseline_us\": 10.000",
-            "\"mm_plan_us\": 6.000",
-            "\"mm_optimized_us\": 4.000",
-            "\"beyond_plan_us\": 2.000",
-            "\"hoisted\": 1",
-            "\"dead_to\": 2",
-            "\"dead_from\": 3",
-            "\"updates_dropped\": 4",
-            "\"recommended\": \"eager\"",
-            "\"verified\": true",
-        ] {
-            assert!(j.contains(needle), "missing {needle} in:\n{j}");
-        }
-    }
-
-    #[test]
-    fn elision_json_carries_the_delta_fields() {
-        let rows = vec![ElisionRow {
-            workload: "w".into(),
-            mm_unelided: VirtDuration::from_micros(10),
-            mm_elided: VirtDuration::from_micros(4),
-            mm_saved: VirtDuration::from_micros(6),
-            maps_elided: 3,
-            cache_hits: 2,
-            cache_misses: 1,
-        }];
-        let j = elision_json(&rows);
-        for needle in [
-            "\"workload\": \"w\"",
-            "\"mm_unelided_us\": 10.000",
-            "\"mm_elided_us\": 4.000",
-            "\"mm_saved_us\": 6.000",
-            "\"maps_elided\": 3",
-            "\"cache_hits\": 2",
-            "\"cache_misses\": 1",
-        ] {
-            assert!(j.contains(needle), "missing {needle} in:\n{j}");
         }
     }
 }

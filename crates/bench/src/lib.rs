@@ -1,7 +1,8 @@
-//! # bench-harness — benches and the `repro` binary
+//! # bench-harness — the `repro` binary and simulator wall-clock benches
 //!
-//! One Criterion bench per paper table/figure plus ablation benches, and
-//! the `repro` binary that prints every artifact (`cargo run -p
-//! bench-harness --bin repro --release -- --full`).
+//! `repro` is the one printer of the paper's artifacts: every table, figure
+//! and ablation (`cargo run -p bench-harness --bin repro --release --
+//! --full`). The benches under `benches/` are plain `fn main()` programs
+//! that time the simulator itself, not the modeled machine.
 
 #![forbid(unsafe_code)]

@@ -28,7 +28,6 @@ use std::sync::Arc;
 pub(crate) struct Instrumentation {
     pub capture: bool,
     pub sanitize: bool,
-    pub sanitize_every: u64,
     pub elide: ElideMode,
     pub telemetry: TelemetryMode,
     pub metrics: MetricsMode,
@@ -87,7 +86,6 @@ pub struct RuntimeBuilder {
     recovery: RecoveryPolicy,
     capture: bool,
     sanitize: bool,
-    sanitize_every: u64,
     elide: ElideMode,
     telemetry: TelemetryMode,
     metrics: MetricsMode,
@@ -109,7 +107,6 @@ impl RuntimeBuilder {
             recovery: RecoveryPolicy::default(),
             capture: false,
             sanitize: false,
-            sanitize_every: 1,
             elide: ElideMode::Off,
             telemetry: TelemetryMode::Off,
             metrics: MetricsMode::Off,
@@ -191,19 +188,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sampled sanitizer mode: like [`sanitize`](Self::sanitize), but only
-    /// 1-in-`n` hook observations check and report diagnostics, selected by
-    /// a deterministic counter (the first observation is always checked).
-    /// Shadow state — extent clocks, pool tracking — is maintained on every
-    /// hook regardless, and end-of-program leak checks always run, so
-    /// sampling trades detection latency for hook cost, never state drift.
-    /// `n == 0` is treated as 1 (observe everything).
-    pub fn sanitize_sampled(mut self, n: u64) -> Self {
-        self.sanitize = true;
-        self.sanitize_every = n.max(1);
-        self
-    }
-
     /// Handle MC007-redundant maps according to `mode` (default
     /// [`ElideMode::Off`]): promote re-maps of present extents that carry a
     /// transfer direction and no `always` modifier into no-transfer `alloc`
@@ -223,8 +207,8 @@ impl RuntimeBuilder {
     /// [`Event`](crate::telemetry::Event) whose fold reproduces the
     /// [`OverheadLedger`](crate::OverheadLedger) field for field; the
     /// collected stream lands in
-    /// [`RunReport::telemetry`](crate::RunReport::telemetry). Off is a
-    /// measured no-op on the hot paths.
+    /// [`RunReport::telemetry`](crate::RunReport::telemetry). Off costs one
+    /// branch per charge site.
     pub fn telemetry(mut self, mode: TelemetryMode) -> Self {
         self.telemetry = mode;
         self
@@ -335,7 +319,6 @@ impl RuntimeBuilder {
             Instrumentation {
                 capture: self.capture,
                 sanitize: self.sanitize,
-                sanitize_every: self.sanitize_every,
                 elide: self.elide,
                 telemetry: self.telemetry,
                 metrics: self.metrics,

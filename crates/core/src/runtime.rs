@@ -153,8 +153,7 @@ impl OmpRuntime {
             capture: instr.capture.then(MapIr::new),
             // Capture wins: recorded directives never execute, so there is
             // nothing for a sanitizer to observe.
-            sanitizer: (instr.sanitize && !instr.capture)
-                .then(|| MapSanitizer::with_sampling(config, instr.sanitize_every)),
+            sanitizer: (instr.sanitize && !instr.capture).then(|| MapSanitizer::new(config)),
             elide: instr.elide,
             op_counter: 0,
             telemetry: match instr.telemetry {

@@ -79,24 +79,10 @@ pub(crate) struct MapSanitizer {
     seen: BTreeSet<(DiagCode, u64)>,
     diags: Vec<Diagnostic>,
     finalized: bool,
-    /// Observe (check + report) only 1-in-`sample_every` hook invocations,
-    /// selected by a deterministic counter. Shadow state always updates —
-    /// sampling must never let the clocks drift from execution — and
-    /// end-of-program checks always observe.
-    sample_every: u64,
-    hook_counter: u64,
-    /// Whether the current hook invocation is an observed one.
-    observing: bool,
 }
 
 impl MapSanitizer {
-    #[cfg(test)]
     pub(crate) fn new(config: RuntimeConfig) -> Self {
-        Self::with_sampling(config, 1)
-    }
-
-    /// A sanitizer that observes 1-in-`sample_every` hooks (0 acts as 1).
-    pub(crate) fn with_sampling(config: RuntimeConfig, sample_every: u64) -> Self {
         MapSanitizer {
             config,
             clocks: BTreeMap::new(),
@@ -105,17 +91,7 @@ impl MapSanitizer {
             seen: BTreeSet::new(),
             diags: Vec::new(),
             finalized: false,
-            sample_every: sample_every.max(1),
-            hook_counter: 0,
-            observing: true,
         }
-    }
-
-    /// Advance the deterministic sampling counter at a hook boundary; the
-    /// first invocation is always observed.
-    fn begin_hook(&mut self) {
-        self.observing = self.hook_counter.is_multiple_of(self.sample_every);
-        self.hook_counter += 1;
     }
 
     pub(crate) fn diagnostics(&self) -> &[Diagnostic] {
@@ -129,11 +105,6 @@ impl MapSanitizer {
     }
 
     fn report(&mut self, code: DiagCode, thread: u32, extent: AddrRange, detail: String) {
-        // Sampled-out hook: state was updated, but nothing is reported. A
-        // recurring hazard re-triggers on a later observed tick.
-        if !self.observing {
-            return;
-        }
         // One report per (code, extent): iteration loops re-trigger the same
         // hazard every pass; repeating it adds nothing.
         if self.seen.insert((code, extent.start.as_u64())) {
@@ -162,19 +133,16 @@ impl MapSanitizer {
     // ---- hooks, called by OmpRuntime -----------------------------------
 
     pub(crate) fn on_pool_alloc(&mut self, range: AddrRange) {
-        self.begin_hook();
         self.pool.insert(range.start.as_u64(), range.len);
     }
 
     pub(crate) fn on_pool_free(&mut self, addr: VirtAddr) {
-        self.begin_hook();
         self.pool.remove(&addr.as_u64());
     }
 
     /// An entry map is about to execute; `presence` is the real table's
     /// verdict for the entry's range.
     pub(crate) fn on_map_enter(&mut self, thread: u32, e: &MapEntry, presence: Presence) {
-        self.begin_hook();
         match presence {
             Presence::Partial => {
                 self.report(DiagCode::Mc006, thread, e.range, msg::double_map_mismatch());
@@ -220,7 +188,6 @@ impl MapSanitizer {
         presence: Presence,
         disappearing: bool,
     ) {
-        self.begin_hook();
         match presence {
             Presence::Absent => {
                 self.report(
@@ -260,7 +227,6 @@ impl MapSanitizer {
     /// A kernel is about to dispatch; its entry maps already ran (and went
     /// through [`on_map_enter`](Self::on_map_enter)).
     pub(crate) fn on_kernel(&mut self, thread: u32, maps: &[MapEntry], raw: &[AddrRange]) {
-        self.begin_hook();
         if self.config.xnack() == apu_mem::XnackMode::Disabled {
             for r in raw {
                 if !self.pool_covers(r) {
@@ -291,7 +257,6 @@ impl MapSanitizer {
     }
 
     pub(crate) fn on_host_write(&mut self, _thread: u32, range: AddrRange) {
-        self.begin_hook();
         if self.staleness_tracked() {
             self.tick += 1;
             let tick = self.tick;
@@ -304,7 +269,6 @@ impl MapSanitizer {
     }
 
     pub(crate) fn on_host_read(&mut self, thread: u32, range: AddrRange) {
-        self.begin_hook();
         if self.staleness_tracked() {
             let stale: Vec<AddrRange> = self
                 .clocks
@@ -327,7 +291,6 @@ impl MapSanitizer {
         to: &[(AddrRange, Presence)],
         from: &[(AddrRange, Presence)],
     ) {
-        self.begin_hook();
         if !self.staleness_tracked() {
             return;
         }
@@ -362,9 +325,6 @@ impl MapSanitizer {
             return;
         }
         self.finalized = true;
-        // Leak checks are not sampled: they run once and are the cheapest
-        // place to catch what sampling may have deferred past program end.
-        self.observing = true;
         let leaked: Vec<(AddrRange, u32)> = live.iter().map(|m| (m.host, m.refcount)).collect();
         for (extent, refcount) in leaked {
             self.report(DiagCode::Mc001, 0, extent, msg::leaked(refcount));
@@ -467,40 +427,6 @@ mod tests {
         assert_eq!(s.diagnostics().len(), 1);
         assert_eq!(s.diagnostics()[0].code, DiagCode::Mc002);
         assert_eq!(s.diagnostics()[0].detail, msg::release_never_mapped());
-    }
-
-    #[test]
-    fn sampling_observes_one_in_n_hooks_deterministically() {
-        let mut s = MapSanitizer::with_sampling(RuntimeConfig::ImplicitZeroCopy, 4);
-        // Eight releases of distinct never-mapped extents: hooks 0 and 4 are
-        // the observed ones, so exactly those two hazards are reported.
-        for i in 0..8u64 {
-            s.on_map_exit(
-                0,
-                &MapEntry::from(r(4096 + i * 64, 64)),
-                Presence::Absent,
-                true,
-            );
-        }
-        assert_eq!(s.diagnostics().len(), 2);
-        assert!(s.diagnostics().iter().all(|d| d.code == DiagCode::Mc002));
-    }
-
-    #[test]
-    fn sampling_never_skips_end_of_program_leaks() {
-        let buf = r(4096, 64);
-        let mut s = MapSanitizer::with_sampling(RuntimeConfig::ImplicitZeroCopy, 1_000_000);
-        s.on_pool_alloc(r(1 << 20, 4096)); // consume the always-observed first hook
-        s.on_map_exit(0, &MapEntry::from(buf), Presence::Absent, true);
-        assert!(s.diagnostics().is_empty(), "mid-run hazard sampled out");
-        let live = [Mapping {
-            host: buf,
-            refcount: 1,
-            payload: buf.start,
-        }];
-        s.end_of_program(&live);
-        assert_eq!(s.diagnostics().len(), 1);
-        assert_eq!(s.diagnostics()[0].code, DiagCode::Mc001);
     }
 
     #[test]

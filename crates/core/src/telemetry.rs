@@ -48,7 +48,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TelemetryMode {
     /// No collection. The hot paths see one predictable branch per charge;
-    /// `benches/telemetry_overhead.rs` pins this as a measured no-op.
+    /// `benches/telemetry_overhead.rs` measures what that costs.
     #[default]
     Off,
     /// Collect into a drop-oldest ring holding at most this many events.

@@ -1,9 +1,14 @@
 //! Calibration tests: the reproduced tables and figures must land in the
-//! paper's bands at reference scale. These pin the headline results so that
-//! refactoring the runtime or cost model cannot silently break the
-//! reproduction (see EXPERIMENTS.md for the paper-vs-measured record).
+//! paper's bands at reference scale, and the ablations behind the paper's
+//! explanations (`repro --ablations`) must keep their shape and printed
+//! values. These pin the headline results so that refactoring the runtime
+//! or cost model cannot silently break the reproduction (see EXPERIMENTS.md
+//! for the paper-vs-measured record).
 
-use mi300a_zerocopy::analysis::paper::{qmc_sweep, spec_suite, table3, PaperConfig};
+use mi300a_zerocopy::analysis::paper::{
+    ablation_eager_maps, ablation_page_size, ablation_streaming, qmc_sweep, spec_suite, table3,
+    PaperConfig,
+};
 use mi300a_zerocopy::analysis::{
     measure_all_configs, order_of_magnitude_us, ratio, ExperimentConfig,
 };
@@ -162,4 +167,101 @@ fn ep_overheads_have_paper_magnitudes() {
         "O(10^5)"
     );
     assert_eq!(copy.report.ledger.mi_total().as_nanos(), 0);
+}
+
+/// Milliseconds of a printed makespan cell ("20.557ms", "7.621s").
+fn cell_ms(cell: &str) -> f64 {
+    match cell.strip_suffix("ms") {
+        Some(ms) => ms.parse().unwrap(),
+        None => 1e3 * cell.strip_suffix('s').unwrap().parse::<f64>().unwrap(),
+    }
+}
+
+#[test]
+fn eager_maps_ablation_tracks_the_prefault_syscall_cost() {
+    let t = ablation_eager_maps(&PaperConfig::quick()).unwrap();
+    // Columns: syscall cost (us), QMCPack S2 IZC/EM, 457.spC IZC/EM.
+    let col = |c: usize| -> Vec<f64> { t.rows.iter().map(|r| r[c].parse().unwrap()).collect() };
+    let (qmc, spc) = (col(1), col(2));
+    // QMCPack's frequent small maps: IZC is ahead at every cost, even with
+    // free syscalls, and further ahead the dearer each syscall.
+    assert!(qmc.iter().all(|&r| r < 1.0), "{qmc:?}");
+    assert!(qmc.windows(2).all(|w| w[1] < w[0]), "{qmc:?}");
+    // spC's bulk re-touch: EM is ahead up to 3 us and behind from 10 us.
+    assert!(spc[..3].iter().all(|&r| r > 1.0), "{spc:?}");
+    assert!(spc[3..].iter().all(|&r| r < 1.0), "{spc:?}");
+    let expect = [
+        ["0", "0.971", "1.057"],
+        ["1", "0.900", "1.038"],
+        ["3", "0.785", "1.001"],
+        ["10", "0.542", "0.891"],
+        ["30", "0.288", "0.679"],
+    ];
+    assert_eq!(t.rows.len(), expect.len());
+    for (row, exp_row) in t.rows.iter().zip(expect) {
+        assert_eq!(
+            row.as_slice(),
+            exp_row.as_slice(),
+            "Eager Maps ablation row"
+        );
+    }
+}
+
+#[test]
+fn streaming_ablation_saturates_at_two_dma_engines() {
+    let t = ablation_streaming(&PaperConfig::quick()).unwrap();
+    // Columns: DMA engines, threads, makespan; engines 1, 2, 4 x threads 1, 8.
+    let at = |threads: &str| -> Vec<f64> {
+        t.rows
+            .iter()
+            .filter(|r| r[1] == threads)
+            .map(|r| cell_ms(&r[2]))
+            .collect()
+    };
+    let (one, eight) = (at("1"), at("8"));
+    // One thread has no concurrent transfers to hide: engines do not matter.
+    assert!(one.iter().all(|&ms| ms == one[0]), "{one:?}");
+    // Eight threads stream: each engine count hides more, but going from 2
+    // to 4 engines gains under 2 %.
+    assert!(eight.windows(2).all(|w| w[1] < w[0]), "{eight:?}");
+    assert!((eight[1] - eight[2]) / eight[1] < 0.02, "{eight:?}");
+    let expect = [
+        ["1", "1", "20.557ms"],
+        ["1", "8", "32.465ms"],
+        ["2", "1", "20.557ms"],
+        ["2", "8", "29.804ms"],
+        ["4", "1", "20.557ms"],
+        ["4", "8", "29.397ms"],
+    ];
+    assert_eq!(t.rows.len(), expect.len());
+    for (row, exp_row) in t.rows.iter().zip(expect) {
+        assert_eq!(row.as_slice(), exp_row.as_slice(), "streaming ablation row");
+    }
+}
+
+#[test]
+fn page_size_ablation_shows_510x_zero_fill_pages_on_4k_pages() {
+    let t = ablation_page_size(&PaperConfig::quick()).unwrap();
+    // Rows: 2MiB IZC, 2MiB EM, 4KiB IZC, 4KiB EM.
+    // Columns: pages, config, zero-fill pages, makespan.
+    let pages = |i: usize| -> u64 { t.rows[i][2].parse().unwrap() };
+    let ms = |i: usize| cell_ms(&t.rows[i][3]);
+    // Both zero-copy configurations touch the same pages.
+    assert_eq!(pages(0), pages(1));
+    assert_eq!(pages(2), pages(3));
+    assert_eq!((pages(2) as f64 / pages(0) as f64).round(), 510.0);
+    // 4 KiB pages slow both down; IZC, which faults page by page, far more
+    // than EM, which prefaults in bulk.
+    assert!(ms(2) > ms(0) && ms(3) > ms(1));
+    assert!(ms(2) / ms(0) > ms(3) / ms(1));
+    let expect = [
+        ["2MiB", "Implicit Z-C", "113", "124.279ms"],
+        ["2MiB", "Eager Maps", "113", "110.729ms"],
+        ["4KiB", "Implicit Z-C", "57672", "7.621s"],
+        ["4KiB", "Eager Maps", "57672", "711.756ms"],
+    ];
+    assert_eq!(t.rows.len(), expect.len());
+    for (row, exp_row) in t.rows.iter().zip(expect) {
+        assert_eq!(row.as_slice(), exp_row.as_slice(), "page-size ablation row");
+    }
 }
