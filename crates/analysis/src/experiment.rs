@@ -3,7 +3,7 @@
 //! methodology — median for ratios, CoV for robustness.
 
 use crate::stats::{cov_duration, median_duration};
-use apu_mem::{CostModel, MemOptions};
+use apu_mem::CostModel;
 use hsa_rocr::Topology;
 use omp_offload::{ElideMode, OmpError, OmpRuntime, RunReport, RuntimeConfig, TelemetryMode};
 use sim_des::{FaultPlan, NoiseModel, RunOptions, VirtDuration};
@@ -26,9 +26,6 @@ pub struct ExperimentConfig {
     /// derived from this seed ([`FaultPlan::from_seed`]); recovery keeps the
     /// results semantically identical to healthy runs.
     pub fault_seed: Option<u64>,
-    /// Memory-subsystem options (pagewise oracle, capacity override).
-    /// Binaries translate `ZC_MEM_PAGEWISE` here once, at the edge.
-    pub mem_options: MemOptions,
     /// Map-elision mode for every run (`repro --elide` sets Online).
     pub elide: ElideMode,
     /// Telemetry collection for every run (`repro --profile` turns the
@@ -45,7 +42,6 @@ impl Default for ExperimentConfig {
             noise: NoiseModel::os_interference(),
             base_seed: 0x5EED,
             fault_seed: None,
-            mem_options: MemOptions::default(),
             elide: ElideMode::Off,
             telemetry: TelemetryMode::Off,
         }
@@ -105,7 +101,6 @@ pub fn measure(
     let mut builder = OmpRuntime::builder(exp.cost.clone(), exp.topo)
         .config(config)
         .threads(threads)
-        .mem_options(exp.mem_options)
         .elide(exp.elide.clone())
         .telemetry(exp.telemetry);
     if let Some(seed) = exp.fault_seed {

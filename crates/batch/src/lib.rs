@@ -21,11 +21,11 @@
 //! - [`run_sweep`] composes the three around a corpus and
 //!   [`render_report`] folds the ordered results — including the merged
 //!   cross-run attribution profile — into the sweep report ([`sweep`]).
-//! - [`Server`] keeps all of it resident behind a long-lived socket: the
-//!   `PROTO v1` line protocol ([`proto`]) frames the *same* canonical
-//!   encodings over the wire, parsed captures and derived elision plans
-//!   stay warm between requests, and every response is byte-identical to
-//!   the offline path ([`serve`]).
+//! - [`Server`] keeps parsed captures and the open cache resident behind a
+//!   long-lived socket: the `PROTO v1` line protocol ([`proto`]) frames the
+//!   *same* canonical encodings over the wire, and every sweep runs
+//!   through the offline cell path ([`run_sweep_in`]), so every response
+//!   is byte-identical to the offline path by construction ([`serve`]).
 //!
 //! ## The determinism contract
 //!
@@ -61,6 +61,6 @@ pub use request::{
 pub use result::{merge_attribution, SweepResult, TenantRow, RESULT_VERSION};
 pub use serve::{Client, Server, ServerConfig, ServerHandle, ServerStats};
 pub use sweep::{
-    cell_recipe, derive_inputs, execute, execute_prepared, full_corpus, render_report, run_sweep,
-    run_sweep_derived, smoke_corpus, PreparedCell, SweepOutcome, SweepStats,
+    cell_recipe, derive_inputs, execute, full_corpus, render_report, run_sweep, run_sweep_in,
+    smoke_corpus, PreparedCell, SweepOutcome, SweepStats,
 };

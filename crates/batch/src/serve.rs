@@ -1,29 +1,26 @@
 //! `apusim serve`: a long-lived sweep service over the result cache.
 //!
-//! A [`Server`] owns everything the offline replay path re-builds per
-//! invocation and keeps it resident between requests: parsed captures
-//! (`Arc<MapIr>`, keyed by the digest of their canonical `mapir v1` text),
-//! elision plans derived once per capture, and an open [`ResultCache`].
-//! Requests arrive as `PROTO v1` frames ([`crate::proto`]) over a
-//! Unix-domain socket or TCP; sweep cells are scheduled through
-//! [`run_sweep_derived`] on the same work-stealing pool the offline path
-//! uses (multi-tenant cells fan out per tenant), answered from the cache on
-//! hit, simulated-then-stored on miss. A sweep whose corpus is
-//! byte-identical to one already in flight *coalesces*: the second client
-//! parks on the first sweep's rendezvous and reads the same bytes, counted
-//! by `coalesced` in `STATS`.
+//! A [`Server`] keeps two things resident between requests: parsed
+//! captures (`Arc<MapIr>`, keyed by the digest of their canonical
+//! `mapir v1` text) and an open [`ResultCache`]. Requests arrive as
+//! `PROTO v1` frames ([`crate::proto`]) over a Unix-domain socket or TCP;
+//! sweep cells run through [`run_sweep_in`], the offline cell path itself,
+//! on the same work-stealing pool (multi-tenant cells fan out per tenant),
+//! answered from the cache on hit, simulated-then-stored on miss. A sweep
+//! whose corpus is byte-identical to one already in flight *coalesces*:
+//! the second client parks on the first sweep's rendezvous and reads the
+//! same bytes, counted by `coalesced` in `STATS`.
 //!
 //! ## The byte-identity contract
 //!
 //! A `SWEEP` response body is exactly the [`render_report`] bytes the
 //! offline `apusim replay` prints for the same corpus, and a `RESULT` body
 //! is exactly the cell's `sweepresult v1` text — cached or cold, serial or
-//! concurrent, first request or thousandth. The contract holds because the
-//! server adds no third path: it resolves the same canonical encodings
-//! through the same cell recipe ([`crate::cell_recipe`]) and cache code,
-//! and residency only pre-computes the elision plan (the derive hook of
-//! [`run_sweep_derived`]), which determinism guarantees is equivalent.
-//! `tests/serve_matrix.rs` pins this against offline replay.
+//! concurrent, first request or thousandth. The contract holds by
+//! construction: the server decodes the same canonical encodings and calls
+//! the same function the offline sweep does ([`run_sweep_in`]), against
+//! the same cache code. `tests/serve_matrix.rs` pins this against offline
+//! replay.
 //!
 //! ## Robustness
 //!
@@ -44,12 +41,12 @@ use crate::proto::{
 };
 use crate::request::SweepRequest;
 use crate::result::SweepResult;
-use crate::sweep::{render_report, run_sweep_derived};
+use crate::sweep::{render_report, run_sweep_in};
 use crate::CacheMode;
 use omp_offload::metrics::{
     Counter, FamilySnapshot, Gauge, Histogram, MetricClass, MetricKind, MetricsSnapshot, Sample,
 };
-use omp_offload::{ElisionPlan, MapIr, OmpError};
+use omp_offload::{MapIr, OmpError};
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -102,8 +99,6 @@ pub struct ServerStats {
     pub in_flight: u64,
     /// Captures resident in memory.
     pub captures: u64,
-    /// Elision plans warmed.
-    pub plans: u64,
     /// Cache entries evicted by GC since start.
     pub evicted: u64,
     /// Requests rejected by admission control.
@@ -128,7 +123,6 @@ impl ServerStats {
             ("simulated", self.simulated),
             ("in_flight", self.in_flight),
             ("captures", self.captures),
-            ("plans", self.plans),
             ("evicted", self.evicted),
             ("busy_rejections", self.busy_rejections),
             ("malformed", self.malformed),
@@ -141,8 +135,8 @@ impl ServerStats {
     }
 
     /// Parse a `STATS` response's info pairs back into a snapshot.
-    /// Unknown keys are ignored (forward compatibility); missing keys
-    /// stay at their default.
+    /// Unknown keys are ignored (forward compatibility, and the `plans`
+    /// key older servers sent); missing keys stay at their default.
     pub fn from_info(info: &[(String, String)]) -> Result<ServerStats, String> {
         let mut s = ServerStats::default();
         for (k, v) in info {
@@ -155,7 +149,6 @@ impl ServerStats {
                 "simulated" => s.simulated = v,
                 "in_flight" => s.in_flight = v,
                 "captures" => s.captures = v,
-                "plans" => s.plans = v,
                 "evicted" => s.evicted = v,
                 "busy_rejections" => s.busy_rejections = v,
                 "malformed" => s.malformed = v,
@@ -300,11 +293,6 @@ struct Shared {
     /// Resident captures, keyed by the digest of their canonical text
     /// (exactly the digest the `capture` line of a request block names).
     captures: Mutex<HashMap<u64, Arc<MapIr>>>,
-    /// Fast path for re-uploads: digest of the *received* capture bytes →
-    /// canonical digest, so a known capture skips parsing entirely.
-    raw_index: Mutex<HashMap<u64, u64>>,
-    /// Elision plans derived once per capture, keyed like `captures`.
-    plans: Mutex<HashMap<u64, Arc<ElisionPlan>>>,
     /// Sweeps currently running, keyed by the fold of their cells' content
     /// digests: an identical concurrent request parks here instead of
     /// re-running the corpus ([`handle_sweep`]).
@@ -347,8 +335,6 @@ impl Shared {
             start: Instant::now(),
             metrics: ServeMetrics::new(cfg.jobs),
             captures: Mutex::new(HashMap::new()),
-            raw_index: Mutex::new(HashMap::new()),
-            plans: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
@@ -370,7 +356,6 @@ impl Shared {
             simulated: self.simulated.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             captures: self.captures.lock().unwrap().len() as u64,
-            plans: self.plans.lock().unwrap().len() as u64,
             evicted: self.evicted.load(Ordering::Relaxed),
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
             malformed: self.malformed.load(Ordering::Relaxed),
@@ -399,17 +384,6 @@ impl Shared {
                 Err(actual) => cur = actual,
             }
         }
-    }
-
-    /// The elision plan for a resident capture, derived on first use.
-    fn plan_for(&self, digest: u64, ir: &MapIr) -> Arc<ElisionPlan> {
-        if let Some(p) = self.plans.lock().unwrap().get(&digest) {
-            return Arc::clone(p);
-        }
-        // Derive outside the lock; a racing duplicate derivation is
-        // harmless (plans are pure functions of the capture).
-        let fresh = Arc::new(omp_mapcheck::elision_plan(ir));
-        Arc::clone(self.plans.lock().unwrap().entry(digest).or_insert(fresh))
     }
 }
 
@@ -703,23 +677,6 @@ fn handle_frame(frame: Frame, shared: &Arc<Shared>) -> Response {
 }
 
 fn handle_capture(body: &str, shared: &Arc<Shared>) -> Response {
-    let respond = |digest: u64, records: usize| {
-        Response::ok_with(
-            Verb::Capture,
-            vec![
-                ("digest".into(), format!("{digest:016x}")),
-                ("records".into(), records.to_string()),
-            ],
-            "",
-        )
-    };
-    // Warm path: a byte-identical upload skips parsing entirely.
-    let raw_digest = omp_offload::digest::fnv1a(body.as_bytes());
-    if let Some(&canonical) = shared.raw_index.lock().unwrap().get(&raw_digest) {
-        if let Some(ir) = shared.captures.lock().unwrap().get(&canonical) {
-            return respond(canonical, ir.len());
-        }
-    }
     let ir = match MapIr::parse(body) {
         Ok(ir) => ir,
         Err(e) => return Response::err(format!("bad capture: {e}")),
@@ -737,8 +694,14 @@ fn handle_capture(body: &str, shared: &Arc<Shared>) -> Response {
         .unwrap()
         .entry(digest)
         .or_insert_with(|| Arc::new(ir));
-    shared.raw_index.lock().unwrap().insert(raw_digest, digest);
-    respond(digest, records)
+    Response::ok_with(
+        Verb::Capture,
+        vec![
+            ("digest".into(), format!("{digest:016x}")),
+            ("records".into(), records.to_string()),
+        ],
+        "",
+    )
 }
 
 /// Split a `SWEEP`/`RESULT` body into cells: each stanza is an optional
@@ -746,7 +709,6 @@ fn handle_capture(body: &str, shared: &Arc<Shared>) -> Response {
 /// ends with its `capture` line (the block grew an optional `tenants` line
 /// in v2, so stanzas are capture-terminated rather than fixed-length).
 fn parse_stanzas(body: &str, shared: &Arc<Shared>) -> Result<Vec<SweepRequest>, String> {
-    let captures = shared.captures.lock().unwrap().clone();
     let mut lines = body.lines().peekable();
     let mut out: Vec<SweepRequest> = Vec::new();
     while let Some(&first) = lines.peek() {
@@ -768,8 +730,8 @@ fn parse_stanzas(body: &str, shared: &Arc<Shared>) -> Result<Vec<SweepRequest>, 
                 break;
             }
         }
-        let req = SweepRequest::from_canonical(name, &block, |d| captures.get(&d).cloned())
-            .map_err(|e| e.to_string())?;
+        let resolve = |d| shared.captures.lock().unwrap().get(&d).cloned();
+        let req = SweepRequest::from_canonical(name, &block, resolve).map_err(|e| e.to_string())?;
         out.push(req);
     }
     if out.is_empty() {
@@ -898,20 +860,13 @@ fn wait_for_sweep(
     }
 }
 
-/// The resident equivalent of [`crate::run_sweep`]: same cache protocol,
-/// same driver, but the elision plan comes from the server's warm table
-/// instead of being re-derived per cell.
+/// [`crate::run_sweep`] against the server's open cache, plus the
+/// server's counters and its cache byte budget.
 fn run_resident_sweep(
     corpus: &[SweepRequest],
     shared: &Arc<Shared>,
 ) -> Result<(Vec<SweepResult>, u64, u64), OmpError> {
-    let outcome = run_sweep_derived(corpus, shared.cfg.jobs, &shared.cache, |req| {
-        let elide = req.elide.mode_with(|| {
-            let digest = SweepRequest::capture_digest(&req.ir);
-            (*shared.plan_for(digest, &req.ir)).clone()
-        });
-        (req.preset.model(), elide)
-    })?;
+    let outcome = run_sweep_in(corpus, shared.cfg.jobs, &shared.cache)?;
     let results = outcome.results;
     // Fold this sweep's scheduling counters into the pool instruments
     // (stats channel only; the results travel untouched).
@@ -983,10 +938,7 @@ fn handle_metrics(shared: &Arc<Shared>) -> Response {
         help: "Objects resident in server memory.".into(),
         kind: MetricKind::Gauge,
         class: MetricClass::Derivable,
-        samples: vec![
-            Sample::labelled("kind", "captures", stats.captures),
-            Sample::labelled("kind", "plans", stats.plans),
-        ],
+        samples: vec![Sample::labelled("kind", "captures", stats.captures)],
     });
     snap.push(FamilySnapshot {
         name: "omp_serve_schedule_events_total".into(),

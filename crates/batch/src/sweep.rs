@@ -3,10 +3,11 @@
 //! [`execute`] runs exactly one [`SweepRequest`] in a private runtime — the
 //! cell owns its [`OmpRuntime`], its memory image, and its telemetry ring,
 //! so cells are independent and any execution schedule yields the same
-//! per-cell bytes. [`run_sweep`] fans a corpus across the work-stealing
-//! [`drive_stats`] loop with the result cache consulted
-//! around each cell, and [`render_report`] folds the ordered results into
-//! the sweep's canonical stdout report. Cache and scheduling statistics are
+//! per-cell bytes. [`run_sweep_in`] fans a corpus across the work-stealing
+//! [`drive_stats`] loop with the result cache consulted around each cell;
+//! it is the one cell path, shared by [`run_sweep`] and the resident server
+//! (`apusim serve`). [`render_report`] folds the ordered results into the
+//! sweep's canonical stdout report. Cache and scheduling statistics are
 //! surfaced separately ([`SweepStats`]) precisely so the report itself
 //! never mentions them: cold, warm, serial, and parallel sweeps print
 //! byte-identical reports.
@@ -66,33 +67,6 @@ pub struct SweepOutcome {
 /// byte-identity contract both stand on.
 pub fn execute(req: &SweepRequest) -> Result<SweepResult, OmpError> {
     let (model, elide) = derive_inputs(req);
-    execute_prepared(req, model, elide)
-}
-
-/// The request's two derivable inputs, derived from scratch: the preset's
-/// cost model and the elide mode (synthesizing the plan from the capture
-/// only for `plan` cells). A resident server derives the same pair from
-/// its warm plan table instead.
-pub fn derive_inputs(req: &SweepRequest) -> (apu_mem::CostModel, ElideMode) {
-    (
-        req.preset.model(),
-        req.elide.mode_with(|| omp_mapcheck::elision_plan(&req.ir)),
-    )
-}
-
-/// [`execute`] with the two derivable inputs — the cost model and the
-/// resolved elide mode — supplied by the caller. This is what
-/// [`run_sweep_derived`] runs per solo cell: the resident server derives
-/// the elision plan per capture *once*, then replays it into every request,
-/// and determinism guarantees the result bytes cannot differ from the
-/// cold-path [`execute`]. Passing a model or mode that does not match the
-/// request's `preset`/`elide` fields would break the cache contract; only
-/// do that in tests proving the equivalence.
-pub fn execute_prepared(
-    req: &SweepRequest,
-    model: apu_mem::CostModel,
-    elide: ElideMode,
-) -> Result<SweepResult, OmpError> {
     // Multi-tenant cells go through the pool path (tenants replayed in id
     // order on this thread); sweeps flatten the same tenant tasks across
     // the work-stealing pool instead, with identical result bytes.
@@ -107,9 +81,20 @@ pub fn execute_prepared(
     run_cell(b.build()?, &ir)
 }
 
+/// The request's two derivable inputs, derived from scratch: the preset's
+/// cost model and the elide mode (synthesizing the plan from the capture
+/// only for `plan` cells). Both are pure functions of the request, so
+/// every cell — offline or served — derives them here.
+pub fn derive_inputs(req: &SweepRequest) -> (apu_mem::CostModel, ElideMode) {
+    (
+        req.preset.model(),
+        req.elide.mode_with(|| omp_mapcheck::elision_plan(&req.ir)),
+    )
+}
+
 /// The one recipe from a request to a runnable cell: the program the cell
 /// replays and the runtime builder it replays under, given the request's
-/// two derivable inputs (see [`execute_prepared`]). Solo cells, tenant
+/// two derivable inputs (see [`derive_inputs`]). Solo cells, tenant
 /// cells, the resident server and single-file `apusim replay` all build
 /// their runtime here, so no surface can drop a request field.
 ///
@@ -236,27 +221,21 @@ pub fn run_sweep(
     jobs: usize,
     cache_mode: &CacheMode,
 ) -> Result<SweepOutcome, OmpError> {
-    let cache = ResultCache::open(cache_mode);
-    run_sweep_derived(corpus, jobs, &cache, derive_inputs)
+    run_sweep_in(corpus, jobs, &ResultCache::open(cache_mode))
 }
 
-/// [`run_sweep`] with the per-request derivable inputs — the cost model
-/// and the resolved elide mode — supplied by a caller-owned function and
-/// an already-open cache. This is the shared engine of the offline path
-/// and the resident server (`apusim serve`, which derives from its warm
-/// tables). Single-tenant cells run the classic one-task-per-cell path;
+/// [`run_sweep`] against an already-open cache. This is the one cell path
+/// of the offline sweep and the resident server (`apusim serve`), so a
+/// served answer equals the offline one by construction. Single-tenant
+/// cells run the classic one-task-per-cell path through [`execute`];
 /// multi-tenant cells are flattened into one task *per tenant*, so
 /// intra-cell tenant work and cross-cell sweep work share the same
 /// work-stealing pool.
-pub fn run_sweep_derived<F>(
+pub fn run_sweep_in(
     corpus: &[SweepRequest],
     jobs: usize,
     cache: &ResultCache,
-    derive: F,
-) -> Result<SweepOutcome, OmpError>
-where
-    F: Fn(&SweepRequest) -> (apu_mem::CostModel, ElideMode) + Sync,
-{
+) -> Result<SweepOutcome, OmpError> {
     // Cache pass first: hits never reach the pool, and the flattened task
     // list needs the set of misses up front.
     let mut slots: Vec<Option<SweepResult>> = corpus.iter().map(|req| cache.lookup(req)).collect();
@@ -276,7 +255,7 @@ where
         if req.tenants == 1 {
             tasks.push((i, Sub::Solo));
         } else {
-            let (model, elide) = derive(req);
+            let (model, elide) = derive_inputs(req);
             let pi = prepared.len();
             prepared.push(PreparedCell::prepare(req, model, elide));
             for t in 0..req.tenants {
@@ -287,11 +266,7 @@ where
     let (outs, pool) = drive_stats(tasks.len(), jobs, |k| {
         let (i, sub) = tasks[k];
         match sub {
-            Sub::Solo => {
-                let req = &corpus[i];
-                let (model, elide) = derive(req);
-                execute_prepared(req, model, elide)
-            }
+            Sub::Solo => execute(&corpus[i]),
             Sub::Tenant(pi, t) => prepared[pi].run_tenant(t),
         }
     });
@@ -545,19 +520,6 @@ mod tests {
             opt.ledger.mm_total(),
             off.ledger.mm_total()
         );
-    }
-
-    #[test]
-    fn prepared_execution_matches_cold_path() {
-        // The serve layer's residency contract: a caller-supplied model and
-        // pre-derived elision plan yield the exact result the cold path does.
-        let mut req = tiny_corpus().remove(0);
-        req.elide = ElideKind::Plan;
-        let cold = execute(&req).unwrap();
-        let plan = omp_mapcheck::elision_plan(&req.ir);
-        let warm =
-            execute_prepared(&req, req.preset.model(), omp_offload::ElideMode::Plan(plan)).unwrap();
-        assert_eq!(cold, warm);
     }
 
     #[test]

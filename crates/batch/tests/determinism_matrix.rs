@@ -69,6 +69,7 @@ fn sweep_is_byte_identical_across_jobs_and_cache_states() {
         let warm = run_sweep(&corpus, jobs, &cache).expect("warm sweep");
         assert_eq!(warm.stats.hits, n, "-j {jobs} warm hit count");
         assert_eq!(warm.stats.simulated, 0, "-j {jobs} warm simulated count");
+        assert_eq!(warm.stats.hit_rate(), 1.0, "-j {jobs} warm hit rate");
         assert_eq!(
             sweep_bytes(&corpus, &warm.results),
             expected,

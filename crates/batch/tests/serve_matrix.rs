@@ -37,7 +37,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// The test corpus: the CI smoke corpus plus profile-guided variants of its
-/// first two cells, so the server's warmed-plan table is on the hot path.
+/// first two cells, so served `plan` cells are on the hot path.
 fn corpus() -> Vec<SweepRequest> {
     let mut corpus = smoke_corpus();
     let extra: Vec<SweepRequest> = corpus
@@ -150,11 +150,6 @@ fn concurrent_clients_get_identical_bytes_with_exact_accounting() {
     let n = corpus.len() as u64;
     let expected = offline_report(&corpus);
     let cells = cells_of(&corpus);
-    let plan_captures = corpus
-        .iter()
-        .filter(|r| r.elide == ElideKind::Plan)
-        .map(|r| SweepRequest::capture_digest(&r.ir))
-        .collect::<std::collections::BTreeSet<_>>();
 
     let dir = scratch_dir("concurrent");
     let sock = dir.join("serve.sock");
@@ -243,11 +238,6 @@ fn concurrent_clients_get_identical_bytes_with_exact_accounting() {
     assert_eq!(
         info_u64(&stats, "captures"),
         captures_of(&corpus).len() as u64
-    );
-    assert_eq!(
-        info_u64(&stats, "plans"),
-        plan_captures.len() as u64,
-        "plans are derived exactly for the captures swept with elide=plan"
     );
 
     auditor.shutdown().expect("shutdown");
@@ -344,7 +334,6 @@ fn stats_info_round_trips_and_appends_uptime_last() {
         simulated: 3,
         in_flight: 1,
         captures: 4,
-        plans: 2,
         evicted: 5,
         busy_rejections: 6,
         malformed: 7,
@@ -361,7 +350,6 @@ fn stats_info_round_trips_and_appends_uptime_last() {
             "simulated",
             "in_flight",
             "captures",
-            "plans",
             "evicted",
             "busy_rejections",
             "malformed",
@@ -375,6 +363,10 @@ fn stats_info_round_trips_and_appends_uptime_last() {
     let mut extended = info.clone();
     extended.push(("future_key".into(), "1".into()));
     assert_eq!(ServerStats::from_info(&extended).unwrap(), s);
+    // The `plans` key an older server sends parses and is ignored.
+    let mut older = info.clone();
+    older.insert(5, ("plans".into(), "2".into()));
+    assert_eq!(ServerStats::from_info(&older).unwrap(), s);
     assert!(ServerStats::from_info(&[("hits".into(), "x".into())]).is_err());
 }
 
@@ -385,7 +377,6 @@ omp_serve_events_total{event="hits"}
 omp_serve_events_total{event="simulated"}
 omp_serve_events_total{event="malformed"}
 omp_serve_resident{kind="captures"}
-omp_serve_resident{kind="plans"}
 omp_serve_schedule_events_total{event="coalesced"}
 omp_serve_schedule_events_total{event="busy_rejections"}
 omp_serve_schedule_events_total{event="evicted"}
@@ -631,7 +622,6 @@ fn metrics_verb_round_trips_and_agrees_with_stats() {
     assert_eq!(v("omp_serve_events_total", "event", "simulated"), n);
     assert_eq!(v("omp_serve_events_total", "event", "malformed"), 0);
     assert_eq!(v("omp_serve_resident", "kind", "captures"), stats.captures);
-    assert_eq!(v("omp_serve_resident", "kind", "plans"), stats.plans);
     assert_eq!(
         snap.value("omp_serve_inflight", "", &[]),
         Some(0),

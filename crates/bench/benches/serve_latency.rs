@@ -3,10 +3,9 @@
 //! measured end-to-end through the `PROTO v1` socket. Writes
 //! `BENCH_serve.json` for CI to archive.
 //!
-//! The number at stake is the point of the serve mode: once the cache and
-//! the server's residency tables (parsed captures, derived elision plans,
-//! materialized cost models) are warm, a repeated request should cost
-//! socket framing plus cache reads — far below a cold simulation. The
+//! The number at stake is the point of the serve mode: once the cache is
+//! warm and the parsed captures are resident, a repeated request should
+//! cost socket framing plus cache reads — far below a cold simulation. The
 //! response bytes are identical either way (pinned by
 //! `crates/batch/tests/serve_matrix.rs`), so latency is the only axis.
 

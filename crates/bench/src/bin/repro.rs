@@ -310,8 +310,6 @@ fn parse_args() -> Args {
     };
     cfg.exp.fault_seed = fault_seed;
     cfg.jobs = jobs;
-    // The env var is translated into typed options exactly once, here.
-    cfg.exp.mem_options = apu_mem::MemOptions::from_env();
     Args {
         cfg,
         full,

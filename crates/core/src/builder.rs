@@ -3,7 +3,7 @@
 //! Replaces the three near-verbatim constructors (`new`, `new_system`,
 //! `from_env`) with one builder that composes every startup concern:
 //! configuration selection (explicit or environment-resolved), system kind,
-//! memory options, host-thread count, fault plan, and recovery policy — and
+//! memory options, host-thread count and fault plan — and
 //! performs the startup *degradation* decision the real stack makes: a
 //! configuration that needs XNACK silently falls back to Copy data handling
 //! when the deployment lacks it (except `unified_shared_memory` binaries,
@@ -19,7 +19,7 @@ use crate::shard::ShardedMappingTable;
 use crate::telemetry::TelemetryMode;
 use apu_mem::{CostModel, MemOptions, SystemKind, XnackMode};
 use hsa_rocr::{HsaRuntime, Topology};
-use sim_des::{Backoff, FaultPlan};
+use sim_des::FaultPlan;
 use std::sync::Arc;
 
 /// Instrumentation switches forwarded from the builder to the runtime
@@ -35,27 +35,6 @@ pub(crate) struct Instrumentation {
     pub table: Option<Arc<ShardedMappingTable>>,
     /// Host-VA window `[lo, hi)` this runtime owns within a shared table.
     pub window: Option<(u64, u64)>,
-}
-
-/// Bounded retry-with-backoff parameters applied by [`OmpRuntime`] to
-/// transient failures (injected alloc/DMA/dispatch faults and real pool
-/// exhaustion relieved by eviction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Maximum call attempts per episode (first try + retries). Must exceed
-    /// the fault plan's `max_burst` for recovery to be guaranteed.
-    pub max_attempts: u32,
-    /// Virtual-time delay schedule between attempts.
-    pub backoff: Backoff,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_attempts: 4,
-            backoff: Backoff::default_policy(),
-        }
-    }
 }
 
 /// Builder for [`OmpRuntime`]; obtain one via
@@ -83,7 +62,6 @@ pub struct RuntimeBuilder {
     threads: usize,
     fault_plan: Option<FaultPlan>,
     mem_options: MemOptions,
-    recovery: RecoveryPolicy,
     capture: bool,
     sanitize: bool,
     elide: ElideMode,
@@ -104,7 +82,6 @@ impl RuntimeBuilder {
             threads: 1,
             fault_plan: None,
             mem_options: MemOptions::default(),
-            recovery: RecoveryPolicy::default(),
             capture: false,
             sanitize: false,
             elide: ElideMode::Off,
@@ -155,12 +132,6 @@ impl RuntimeBuilder {
     /// Typed memory-subsystem options (pagewise oracle, capacity override).
     pub fn mem_options(mut self, opts: MemOptions) -> Self {
         self.mem_options = opts;
-        self
-    }
-
-    /// Override the recovery policy (retry budget, backoff schedule).
-    pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = policy;
         self
     }
 
@@ -215,7 +186,7 @@ impl RuntimeBuilder {
     }
 
     /// Concurrency-metrics mode (default [`MetricsMode::Off`]). `On` arms
-    /// the mapping table's shard-contention and granule-heat instruments,
+    /// the mapping table's shard-contention instruments,
     /// read back through [`OmpRuntime::contention`]. The ledger needs no
     /// arming: it is always kept and lands in
     /// [`RunReport::ledger`](crate::RunReport::ledger). Off costs one
@@ -314,7 +285,6 @@ impl RuntimeBuilder {
             hsa,
             config,
             self.threads,
-            self.recovery,
             degraded_from,
             Instrumentation {
                 capture: self.capture,

@@ -93,12 +93,6 @@ impl CardRuntime {
         })
     }
 
-    /// Override the inter-socket fabric.
-    pub fn with_fabric(mut self, fabric: Fabric) -> Self {
-        self.fabric = fabric;
-        self
-    }
-
     /// Number of sockets.
     pub fn sockets(&self) -> usize {
         self.sockets.len()

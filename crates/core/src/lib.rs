@@ -65,7 +65,7 @@ pub mod telemetry;
 mod tenant;
 mod trace;
 
-pub use builder::{RecoveryPolicy, RuntimeBuilder};
+pub use builder::RuntimeBuilder;
 pub use card::{CardReport, CardRuntime, Fabric};
 pub use config::{RunEnv, RuntimeConfig};
 pub use diag::{DiagCode, Diagnostic, Severity};

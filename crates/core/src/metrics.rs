@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// `Off` must cost a single predictable branch on every instrumented
 /// path (the `metrics_overhead` bench measures this); `On` arms the
-/// mapping table's shard contention counters and granule heat map.
+/// mapping table's shard contention counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricsMode {
     /// No concurrency metrics: one branch per instrumented site.

@@ -6,7 +6,7 @@
 //! and target regions; the runtime translates them into HSA calls according
 //! to the active configuration and attributes overheads to the MM/MI ledger.
 
-use crate::builder::{Instrumentation, RecoveryPolicy, RuntimeBuilder};
+use crate::builder::{Instrumentation, RuntimeBuilder};
 use crate::config::RuntimeConfig;
 use crate::diag::Diagnostic;
 use crate::elide::ElideMode;
@@ -21,8 +21,15 @@ use crate::telemetry::{ElideProbe, EventKind, EventRing, TelemetryMode, Telemetr
 use crate::trace::{KernelTraceEntry, OverheadLedger, RecoveryAction, RecoveryEvent};
 use apu_mem::{AddrRange, ApuMemory, CostModel, MemError, MemStats, VirtAddr, XnackMode};
 use hsa_rocr::{ApiStats, HsaRuntime, Topology};
-use sim_des::{AsyncToken, FaultStats, RunOptions, Schedule, VirtDuration};
+use sim_des::{AsyncToken, Backoff, FaultStats, RunOptions, Schedule, VirtDuration};
 use std::sync::Arc;
+
+/// Call attempts per recovery episode (first try plus retries). It must
+/// exceed the fault plan's `max_burst` for recovery to be guaranteed; the
+/// shipped fault specs burst at most twice.
+const MAX_ATTEMPTS: u32 = 4;
+/// Virtual-time delay schedule between attempts.
+const BACKOFF: Backoff = Backoff::default_policy();
 
 /// Everything measured in one completed run.
 #[derive(Debug)]
@@ -87,7 +94,6 @@ pub struct OmpRuntime {
     /// Outstanding `target nowait` regions per thread: (token, deferred
     /// exit maps).
     pending_nowait: Vec<Vec<(AsyncToken, Vec<MapEntry>)>>,
-    recovery: RecoveryPolicy,
     /// Configuration degradation at startup, if any.
     degraded_from: Option<RuntimeConfig>,
     /// XNACK capability was lost mid-run: dispatches prefault their access
@@ -115,8 +121,8 @@ pub struct OmpRuntime {
 
 impl OmpRuntime {
     /// Start building a runtime: the single construction path composing
-    /// configuration, system kind, environment resolution, memory options,
-    /// fault plan, and recovery policy.
+    /// configuration, system kind, environment resolution, memory options
+    /// and fault plan.
     pub fn builder(cost: CostModel, topo: Topology) -> RuntimeBuilder {
         RuntimeBuilder::new(cost, topo)
     }
@@ -126,7 +132,6 @@ impl OmpRuntime {
         hsa: HsaRuntime,
         config: RuntimeConfig,
         threads: usize,
-        recovery: RecoveryPolicy,
         degraded_from: Option<RuntimeConfig>,
         instr: Instrumentation,
     ) -> Self {
@@ -146,7 +151,6 @@ impl OmpRuntime {
             trace_kernels: false,
             kernel_trace: Vec::new(),
             pending_nowait: vec![Vec::new(); threads],
-            recovery,
             degraded_from,
             xnack_lost: false,
             recovery_log: Vec::new(),
@@ -1048,7 +1052,7 @@ impl OmpRuntime {
                 }
                 Err(MemError::Injected { kind }) => {
                     attempt += 1;
-                    if attempt >= self.recovery.max_attempts {
+                    if attempt >= MAX_ATTEMPTS {
                         return Err(OmpError::RecoveryExhausted {
                             kind,
                             attempts: attempt,
@@ -1065,7 +1069,7 @@ impl OmpRuntime {
     /// thread and the recovery ledger.
     fn charge_backoff(&mut self, thread: usize, attempt: u32) {
         let a0 = self.anchor(thread);
-        let d = self.recovery.backoff.delay(attempt);
+        let d = BACKOFF.delay(attempt);
         self.hsa.recovery_wait(thread, d);
         self.charge(thread, a0, EventKind::Backoff { attempt, delay: d });
     }
@@ -1095,7 +1099,7 @@ impl OmpRuntime {
                 }
                 Err(MemError::Injected { kind }) => {
                     attempt += 1;
-                    if attempt >= self.recovery.max_attempts {
+                    if attempt >= MAX_ATTEMPTS {
                         return Err(OmpError::RecoveryExhausted {
                             kind,
                             attempts: attempt,
@@ -1111,7 +1115,7 @@ impl OmpRuntime {
                     let deficit = requested.saturating_sub(available).max(1);
                     let pages = deficit.div_ceil(self.mem().page_size().bytes());
                     let a0 = self.anchor(thread);
-                    let evicted = if attempt < self.recovery.max_attempts {
+                    let evicted = if attempt < MAX_ATTEMPTS {
                         self.hsa.evict_um_pages(thread, pages.max(1))
                     } else {
                         0

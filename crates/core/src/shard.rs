@@ -39,22 +39,16 @@
 //! With [`enable_metrics`](ShardedMappingTable::enable_metrics) armed,
 //! every mutating/probing lock acquisition is counted per shard, a
 //! contended acquisition (detected by `try_lock`-then-`lock`) is
-//! counted separately, and each address-keyed operation bumps a
-//! per-granule *heat* counter stored inside the shard it already holds
-//! locked — no extra locks, no allocation beyond the heat map entry.
-//! [`contention`](ShardedMappingTable::contention) snapshots all of it
-//! into a [`ShardContention`] report: per-shard counts, totals and a
-//! "hot granules" table. The counts depend on the wall-clock schedule
-//! and never appear in result bytes. When metrics
-//! are off (the default) every instrumented site costs exactly one
-//! relaxed atomic load and branch.
+//! counted separately, and [`contention`](ShardedMappingTable::contention)
+//! snapshots both into a [`ShardContention`] report: per-shard counts and
+//! totals. The counts depend on the wall-clock schedule and never appear
+//! in result bytes. When metrics are off (the default) every instrumented
+//! site costs exactly one relaxed atomic load and branch.
 
 use crate::error::OmpError;
 use crate::mapping::{MapModel, Mapping, Presence};
 use apu_mem::{AddrRange, VirtAddr};
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
@@ -136,15 +130,6 @@ impl MapLookupCache {
     }
 }
 
-/// One shard's payload: its confined entries plus the granule-heat
-/// counters of the granules it owns (updated only while the entry lock
-/// is already held, so heat costs no extra synchronization).
-#[derive(Debug, Default)]
-struct Shard {
-    entries: MapModel<VirtAddr>,
-    heat: BTreeMap<u64, u64>,
-}
-
 /// The concurrent mapping table: live entries partitioned into
 /// independently locked address-range shards, shared by every tenant of
 /// a pool behind an `Arc`.
@@ -156,7 +141,7 @@ struct Shard {
 pub struct ShardedMappingTable {
     /// Entries confined to a single 4 MiB granule, keyed by host start,
     /// in the shard of that granule.
-    shards: [Mutex<Shard>; SHARD_COUNT],
+    shards: [Mutex<MapModel<VirtAddr>>; SHARD_COUNT],
     /// Entries whose host range crosses a granule boundary.
     spanning: Mutex<MapModel<VirtAddr>>,
     /// Lifetime number of map operations processed (statistics).
@@ -178,7 +163,7 @@ pub struct ShardedMappingTable {
 impl Default for ShardedMappingTable {
     fn default() -> Self {
         ShardedMappingTable {
-            shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
+            shards: std::array::from_fn(|_| Mutex::new(MapModel::new())),
             spanning: Mutex::new(MapModel::new()),
             total_maps: AtomicU64::new(0),
             live: AtomicUsize::new(0),
@@ -217,45 +202,46 @@ impl ShardedMappingTable {
         self.metrics_on.load(Ordering::Relaxed)
     }
 
-    /// Acquire shard `idx`, counting the acquisition (and, when
-    /// `try_lock` would block, the contention) if metrics are armed.
-    /// `heat` carries the operation's address when the op is
-    /// address-keyed; its granule's heat counter is bumped under the
-    /// lock just taken. When metrics are off this is exactly one
-    /// relaxed load + branch on top of the plain `lock()`.
-    fn lock_shard(&self, idx: usize, heat: Option<u64>) -> MutexGuard<'_, Shard> {
+    /// Acquire `lock`, counting the acquisition (and, when `try_lock`
+    /// would block, the contention) if metrics are armed. When metrics are
+    /// off this is exactly one relaxed load + branch on top of the plain
+    /// `lock()`.
+    fn lock_counted<'a>(
+        &self,
+        lock: &'a Mutex<MapModel<VirtAddr>>,
+        acquisitions: &AtomicU64,
+        contended: &AtomicU64,
+    ) -> MutexGuard<'a, MapModel<VirtAddr>> {
         if !self.metrics_on.load(Ordering::Relaxed) {
-            return self.shards[idx].lock().unwrap();
+            return lock.lock().unwrap();
         }
-        self.acquisitions[idx].fetch_add(1, Ordering::Relaxed);
-        let mut guard = match self.shards[idx].try_lock() {
+        acquisitions.fetch_add(1, Ordering::Relaxed);
+        match lock.try_lock() {
             Ok(g) => g,
             Err(TryLockError::WouldBlock) => {
-                self.contended[idx].fetch_add(1, Ordering::Relaxed);
-                self.shards[idx].lock().unwrap()
+                contended.fetch_add(1, Ordering::Relaxed);
+                lock.lock().unwrap()
             }
-            Err(TryLockError::Poisoned(e)) => panic!("shard {idx} lock poisoned: {e}"),
-        };
-        if let Some(addr) = heat {
-            *guard.heat.entry(addr >> SHARD_GRANULE_BITS).or_insert(0) += 1;
+            Err(TryLockError::Poisoned(e)) => panic!("mapping table lock poisoned: {e}"),
         }
-        guard
     }
 
-    /// Acquire the spanning map with the same counting discipline.
+    /// Acquire shard `idx` under the counting discipline.
+    fn lock_shard(&self, idx: usize) -> MutexGuard<'_, MapModel<VirtAddr>> {
+        self.lock_counted(
+            &self.shards[idx],
+            &self.acquisitions[idx],
+            &self.contended[idx],
+        )
+    }
+
+    /// Acquire the spanning map under the same discipline.
     fn lock_spanning(&self) -> MutexGuard<'_, MapModel<VirtAddr>> {
-        if !self.metrics_on.load(Ordering::Relaxed) {
-            return self.spanning.lock().unwrap();
-        }
-        self.spanning_acquisitions.fetch_add(1, Ordering::Relaxed);
-        match self.spanning.try_lock() {
-            Ok(g) => g,
-            Err(TryLockError::WouldBlock) => {
-                self.spanning_contended.fetch_add(1, Ordering::Relaxed);
-                self.spanning.lock().unwrap()
-            }
-            Err(TryLockError::Poisoned(e)) => panic!("spanning lock poisoned: {e}"),
-        }
+        self.lock_counted(
+            &self.spanning,
+            &self.spanning_acquisitions,
+            &self.spanning_contended,
+        )
     }
 
     /// Number of live entries.
@@ -277,8 +263,8 @@ impl ShardedMappingTable {
     /// shard lock is released before returning).
     pub fn find(&self, addr: VirtAddr) -> Option<Mapping> {
         {
-            let shard = self.lock_shard(Self::shard_of(addr.as_u64()), Some(addr.as_u64()));
-            if let Some(m) = shard.entries.find(addr) {
+            let shard = self.lock_shard(Self::shard_of(addr.as_u64()));
+            if let Some(m) = shard.find(addr) {
                 return Some(m.clone());
             }
         }
@@ -314,8 +300,8 @@ impl ShardedMappingTable {
         let first = lo >> SHARD_GRANULE_BITS;
         let last = ((hi - 1) >> SHARD_GRANULE_BITS).min(first + SHARD_COUNT as u64 - 1);
         for granule in first..=last {
-            let shard = self.lock_shard((granule as usize) & (SHARD_COUNT - 1), None);
-            if shard.entries.presence(range) != Presence::Absent {
+            let shard = self.lock_shard((granule as usize) & (SHARD_COUNT - 1));
+            if shard.presence(range) != Presence::Absent {
                 return Presence::Partial;
             }
         }
@@ -341,12 +327,8 @@ impl ShardedMappingTable {
         debug_assert_eq!(self.presence(&host), Presence::Absent);
         self.total_maps.fetch_add(1, Ordering::AcqRel);
         if Self::confined(&host) {
-            self.lock_shard(
-                Self::shard_of(host.start.as_u64()),
-                Some(host.start.as_u64()),
-            )
-            .entries
-            .insert(host, device_base);
+            self.lock_shard(Self::shard_of(host.start.as_u64()))
+                .insert(host, device_base);
         } else {
             self.lock_spanning().insert(host, device_base);
         }
@@ -358,11 +340,8 @@ impl ShardedMappingTable {
     pub fn retain(&self, range: &AddrRange) -> Result<u32, OmpError> {
         self.total_maps.fetch_add(1, Ordering::AcqRel);
         {
-            let mut shard = self.lock_shard(
-                Self::shard_of(range.start.as_u64()),
-                Some(range.start.as_u64()),
-            );
-            if let Ok(refcount) = shard.entries.retain(range) {
+            let mut shard = self.lock_shard(Self::shard_of(range.start.as_u64()));
+            if let Ok(refcount) = shard.retain(range) {
                 return Ok(refcount);
             }
         }
@@ -379,11 +358,7 @@ impl ShardedMappingTable {
         force_delete: bool,
     ) -> Result<Option<Mapping>, OmpError> {
         let in_shard = self
-            .lock_shard(
-                Self::shard_of(range.start.as_u64()),
-                Some(range.start.as_u64()),
-            )
-            .entries
+            .lock_shard(Self::shard_of(range.start.as_u64()))
             .release(range, force_delete);
         let removed = match in_shard {
             Ok(removed) => removed,
@@ -401,7 +376,7 @@ impl ShardedMappingTable {
     pub fn snapshot(&self) -> Vec<Mapping> {
         let mut out: Vec<Mapping> = Vec::new();
         for shard in &self.shards {
-            out.extend(shard.lock().unwrap().entries.iter().cloned());
+            out.extend(shard.lock().unwrap().iter().cloned());
         }
         out.extend(self.spanning.lock().unwrap().iter().cloned());
         out.sort_by_key(|m| m.host.start.as_u64());
@@ -428,26 +403,18 @@ impl ShardedMappingTable {
                 )
             })
             .collect();
-        let mut hot: Vec<(u64, u64)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap();
-            hot.extend(shard.heat.iter().map(|(g, n)| (*g, *n)));
-        }
-        hot.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ShardContention {
             shards,
             spanning: (
                 self.spanning_acquisitions.load(Ordering::Relaxed),
                 self.spanning_contended.load(Ordering::Relaxed),
             ),
-            hot_granules: hot,
         }
     }
 }
 
 /// A point-in-time report of the table's lock-contention instruments:
-/// per-shard acquisition/contention counts, the spanning-map pair, and
-/// the per-granule heat counters sorted hottest-first.
+/// per-shard acquisition/contention counts and the spanning-map pair.
 ///
 /// Everything here depends on the wall-clock schedule — which threads
 /// raced for which locks — and must never enter result bytes.
@@ -457,9 +424,6 @@ pub struct ShardContention {
     pub shards: Vec<(u64, u64)>,
     /// `(acquisitions, contended)` of the spanning map.
     pub spanning: (u64, u64),
-    /// `(granule, address-keyed ops)` sorted by ops descending, then
-    /// granule ascending. A granule is `addr >> 22` (4 MiB).
-    pub hot_granules: Vec<(u64, u64)>,
 }
 
 impl ShardContention {
@@ -471,21 +435,6 @@ impl ShardContention {
     /// Total contended acquisitions across shards and the spanning map.
     pub fn total_contended(&self) -> u64 {
         self.shards.iter().map(|(_, c)| c).sum::<u64>() + self.spanning.1
-    }
-
-    /// The "hot granules" table: the `top` hottest granules with their
-    /// owning shard and op count, e.g. for the serve stats channel.
-    pub fn hot_granules_table(&self, top: usize) -> String {
-        let mut out = String::from("granule            shard  ops\n");
-        for (granule, ops) in self.hot_granules.iter().take(top) {
-            let shard = (*granule as usize) & (SHARD_COUNT - 1);
-            let _ = writeln!(
-                out,
-                "{:#018x} {shard:>5}  {ops}",
-                granule << SHARD_GRANULE_BITS
-            );
-        }
-        out
     }
 }
 
@@ -633,11 +582,10 @@ mod tests {
         let c = t.contention();
         assert_eq!(c.total_acquisitions(), 0);
         assert_eq!(c.total_contended(), 0);
-        assert!(c.hot_granules.is_empty());
     }
 
     #[test]
-    fn contention_counters_and_heat_track_armed_ops() {
+    fn contention_counters_track_armed_ops() {
         let t = ShardedMappingTable::new();
         t.enable_metrics();
         assert!(t.metrics_enabled());
@@ -649,20 +597,6 @@ mod tests {
         assert!(c.total_acquisitions() > 0);
         // Uncontended single-thread run: try_lock always succeeds.
         assert_eq!(c.total_contended(), 0);
-        // Hot granules: granule 0 saw more address-keyed ops than 9.
-        // (insert's debug_assert presence probe adds finds in debug builds,
-        //  so compare relatively, not absolutely.)
-        let heat = |g: u64| {
-            c.hot_granules
-                .iter()
-                .find(|(x, _)| *x == g)
-                .map(|(_, n)| *n)
-        };
-        assert!(heat(0).unwrap() > heat(9).unwrap());
-        assert_eq!(c.hot_granules[0].0, 0);
-        let table = c.hot_granules_table(8);
-        assert!(table.starts_with("granule"), "{table}");
-        assert!(table.contains("0x0000000002400000"), "{table}");
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl TelemetryMode {
         TelemetryMode::Ring(Self::DEFAULT_CAPACITY)
     }
 
-    /// True when no events are collected.
-    pub fn is_off(self) -> bool {
-        matches!(self, TelemetryMode::Off)
-    }
-
     /// The parseable strategy this mode embodies (drops the capacity).
     pub fn kind(self) -> crate::modes::TelemetryKind {
         match self {

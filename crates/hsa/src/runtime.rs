@@ -150,11 +150,6 @@ impl HsaRuntime {
         self.res
     }
 
-    /// Number of recorded operations so far.
-    pub fn recorded_ops(&self) -> usize {
-        self.streams.total_ops()
-    }
-
     /// Operations recorded so far on `thread`'s stream (0 for a thread that
     /// has not recorded yet). This is the telemetry anchor: the engine
     /// resolves a thread's ops in issue order, so "`k` ops recorded" names

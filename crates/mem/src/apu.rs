@@ -22,8 +22,7 @@
 //! counts, `MemStats`, TLB hit/miss/eviction counters, virtual-time charges,
 //! and error addresses — is bit-identical to the page-at-a-time loops. The
 //! original per-page implementation is retained as a reference oracle:
-//! enable it with [`ApuMemory::set_pagewise`] or by setting
-//! `ZC_MEM_PAGEWISE=1` in the environment.
+//! enable it with [`ApuMemory::set_pagewise`] or [`MemOptions::pagewise`].
 
 use crate::addr::{AddrRange, PageSize, PhysAddr, VirtAddr};
 use crate::cost::CostModel;
@@ -175,9 +174,7 @@ pub const HOST_VA_BASE: u64 = 0x5000_0000_0000;
 pub const POOL_VA_BASE: u64 = 0x7000_0000_0000;
 
 /// Typed construction options for [`ApuMemory`], passed down from the
-/// runtime builder. Binaries that want environment-variable control
-/// translate it once at the edge via [`MemOptions::from_env`]; the library
-/// itself never reads the environment.
+/// runtime builder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemOptions {
     /// Use the per-page reference implementation instead of the extent
@@ -195,16 +192,6 @@ pub struct MemOptions {
 }
 
 impl MemOptions {
-    /// Translate the `ZC_MEM_PAGEWISE` environment variable into options.
-    /// Only binary entry points should call this.
-    pub fn from_env() -> Self {
-        MemOptions {
-            pagewise: std::env::var("ZC_MEM_PAGEWISE").is_ok_and(|v| v == "1"),
-            capacity: None,
-            va_shift: 0,
-        }
-    }
-
     /// Set the per-page reference-implementation flag.
     pub fn pagewise(mut self, pagewise: bool) -> Self {
         self.pagewise = pagewise;
@@ -312,8 +299,7 @@ impl ApuMemory {
     /// reference implementation. The two are observably identical; the
     /// reference path exists as an oracle for equivalence tests and for the
     /// bookkeeping ablation benchmark. Also settable at construction via
-    /// [`MemOptions::pagewise`] (binaries translate `ZC_MEM_PAGEWISE=1`
-    /// into it at the edge).
+    /// [`MemOptions::pagewise`].
     pub fn set_pagewise(&mut self, pagewise: bool) {
         self.pagewise = pagewise;
     }

@@ -54,15 +54,6 @@ impl DiscreteSpec {
         }
     }
 
-    /// A smaller, PCIe-attached workstation GPU: 16 GiB VRAM, ~25 GB/s.
-    pub fn workstation_class() -> Self {
-        DiscreteSpec {
-            vram_bytes: 16 * 1024 * 1024 * 1024,
-            link_bandwidth: 25_000_000_000,
-            migrate_per_page: VirtDuration::from_micros(25),
-        }
-    }
-
     /// Time to move one `page_bytes`-sized page over the link, including
     /// the per-page migration overhead.
     pub fn migration_cost(&self, page_bytes: u64) -> VirtDuration {

@@ -335,7 +335,7 @@ pub struct Backoff {
 
 impl Backoff {
     /// Default schedule: 10µs, doubling, capped at 1ms.
-    pub fn default_policy() -> Self {
+    pub const fn default_policy() -> Self {
         Backoff {
             base: VirtDuration::from_micros(10),
             factor: 2,

@@ -87,15 +87,6 @@ impl Pool {
         (start, end)
     }
 
-    /// Earliest time at which any server is free.
-    pub fn earliest_free(&self) -> VirtInstant {
-        self.servers
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(VirtInstant::ZERO)
-    }
-
     /// Total service time granted so far.
     pub fn busy_time(&self) -> VirtDuration {
         self.busy

@@ -49,15 +49,6 @@ impl Stream {
         self.perf
             .kernel_time((r + w) * self.array_bytes, self.array_bytes / 8)
     }
-
-    /// Modeled best-case time for one iteration (all five kernels).
-    pub fn steady_iteration(&self) -> VirtDuration {
-        self.kernel(1, 1)
-            + self.kernel(1, 1)
-            + self.kernel(2, 1)
-            + self.kernel(2, 1)
-            + self.kernel(2, 0)
-    }
 }
 
 impl Workload for Stream {

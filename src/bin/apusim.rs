@@ -50,11 +50,11 @@
 //! substring; exits 1 if any cell has error diagnostics or a
 //! static/sanitizer mismatch.
 //!
-//! `serve` keeps the whole batch subsystem resident behind a Unix-domain
-//! socket (or `--tcp ADDR`): parsed captures, warmed elision plans, and the
-//! open result cache survive between requests, and every `SWEEP` response
-//! is byte-identical to the offline `apusim replay` stdout for the same
-//! corpus. `request` is the matching client: it uploads captures, sends one
+//! `serve` keeps the batch subsystem resident behind a Unix-domain socket
+//! (or `--tcp ADDR`): parsed captures and the open result cache survive
+//! between requests, every sweep runs the offline cell path, and every
+//! `SWEEP` response is byte-identical to the offline `apusim replay` stdout
+//! for the same corpus. `request` is the matching client: it uploads captures, sends one
 //! `SWEEP` for the given files (report to stdout, cache counters to
 //! stderr), and can probe (`--ping`), inspect (`--stats`), scrape the
 //! Prometheus-style exposition (`--metrics`, body to stdout),
@@ -67,7 +67,7 @@ use mi300a_zerocopy::analysis::timeline::merged_chrome_trace;
 use mi300a_zerocopy::analysis::ExperimentConfig;
 use mi300a_zerocopy::batch;
 use mi300a_zerocopy::hsa::Topology;
-use mi300a_zerocopy::mem::{CostModel, DiscreteSpec, MemOptions, SystemKind};
+use mi300a_zerocopy::mem::{CostModel, DiscreteSpec, SystemKind};
 use mi300a_zerocopy::omp::{
     replay, replay_threads, telemetry, MapIr, OmpRuntime, RunEnv, RunReport, RuntimeConfig,
     TelemetryMode,
@@ -276,10 +276,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let cfg = PaperConfig {
-        exp: ExperimentConfig {
-            mem_options: MemOptions::from_env(),
-            ..ExperimentConfig::noiseless()
-        },
+        exp: ExperimentConfig::noiseless(),
         qmc_steps: steps,
         qmc_repeats: 1,
         sizes: sizes
@@ -350,12 +347,10 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     } else {
         SystemKind::Apu
     };
-    // `ZC_MEM_PAGEWISE` becomes typed options exactly once, here at the edge.
     let mut rt = OmpRuntime::builder(CostModel::mi300a(), Topology::default())
         .config(config)
         .system(kind)
         .threads(threads)
-        .mem_options(MemOptions::from_env())
         .telemetry(if trace_path.is_some() {
             TelemetryMode::ring()
         } else {
@@ -457,7 +452,7 @@ fn cmd_replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let (model, elide) = batch::derive_inputs(&req);
     let (program, builder) = batch::cell_recipe(&req, model, elide);
     let threads = replay_threads(&program);
-    let mut rt = builder.mem_options(MemOptions::from_env()).build()?;
+    let mut rt = builder.build()?;
     let outcome = replay(&mut rt, &program)?;
     let digest = rt.memory_digest();
     let diagnostics = rt.sanitizer_finalize().to_vec();

@@ -1,0 +1,162 @@
+//! `apusim serve` end to end, driven through the binary: the served sweep
+//! report is byte-equal to offline `apusim replay`, cold and warm; a
+//! garbage frame gets `ERR`; `STATS` and `METRICS` agree counter for
+//! counter; `--gc` succeeds; `--shutdown` drains the server and removes its
+//! socket; and `cache gc --dry-run` accepts the store the server wrote.
+
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
+use std::path::Path;
+use std::process::{Child, Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+/// Relative to the directory every command runs in, so the socket path
+/// stays far below the 108-byte limit of a Unix socket address.
+const SOCK: &str = "apusim.sock";
+
+/// How long the server may take to start answering, and to drain.
+const DEADLINE: Duration = Duration::from_secs(60);
+
+/// Run `apusim` with the whitespace-separated `args` in `dir`.
+fn apusim(dir: &Path, args: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_apusim"))
+        .current_dir(dir)
+        .args(args.split_whitespace())
+        .output()
+        .expect("spawn apusim")
+}
+
+/// [`apusim`], which must exit 0; returns its stdout.
+fn ok(dir: &Path, args: &str) -> String {
+    let out = apusim(dir, args);
+    assert!(out.status.success(), "apusim {args}: {out:?}");
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// Kills the server if the test fails before shutting it down.
+struct Serving(Child);
+
+impl Drop for Serving {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Poll `until` every few milliseconds, failing the test as `what` once
+/// [`DEADLINE`] passes.
+fn poll<T>(what: &str, mut until: impl FnMut() -> Option<T>) -> T {
+    let start = Instant::now();
+    loop {
+        if let Some(v) = until() {
+            return v;
+        }
+        assert!(start.elapsed() < DEADLINE, "{what}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// The value of `key=N` in a `STATS` line.
+fn stat(stats: &str, key: &str) -> u64 {
+    stats
+        .split_whitespace()
+        .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("no {key}= in {stats}"))
+        .parse()
+        .expect("numeric STATS value")
+}
+
+/// The value of `omp_serve_events_total{event="<key>"}` in a `METRICS` body.
+fn event(metrics: &str, key: &str) -> u64 {
+    let series = format!("omp_serve_events_total{{event=\"{key}\"}} ");
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(&series))
+        .unwrap_or_else(|| panic!("no {series}in\n{metrics}"))
+        .parse()
+        .expect("numeric METRICS value")
+}
+
+#[test]
+fn served_sweeps_match_offline_replay_and_the_server_drains() {
+    let dir = std::env::temp_dir().join(format!("apusim-cli-serve-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    ok(&dir, "run stream --scale 0.05 --capture s1.mapir");
+    ok(&dir, "run ep --scale 0.02 --capture s2.mapir");
+    // Two capture files, so the offline reference runs the batched sweep
+    // path the server schedules on.
+    let offline = ok(
+        &dir,
+        "replay s1.mapir s2.mapir --config izc --cache replay-cache",
+    );
+
+    let child = Command::new(env!("CARGO_BIN_EXE_apusim"))
+        .current_dir(&dir)
+        .args(["serve", "--socket", SOCK, "--cache", "serve-cache"])
+        .args(["--cache-max-bytes", "64M"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn apusim serve");
+    let mut server = Serving(child);
+    poll("the server never answered --ping", || {
+        if let Some(status) = server.0.try_wait().expect("poll server") {
+            panic!("the server exited before answering: {status}");
+        }
+        apusim(&dir, &format!("request --socket {SOCK} --ping"))
+            .status
+            .success()
+            .then_some(())
+    });
+
+    let request = |verb: &str| ok(&dir, &format!("request --socket {SOCK} {verb}"));
+    let cold = request("s1.mapir s2.mapir --config izc");
+    let warm = request("s1.mapir s2.mapir --config izc");
+    assert_eq!(
+        cold, offline,
+        "cold served report differs from offline replay"
+    );
+    assert_eq!(
+        warm, offline,
+        "warm served report differs from offline replay"
+    );
+
+    // A malformed frame is answered with ERR on its own connection.
+    let mut garbage = UnixStream::connect(dir.join(SOCK)).expect("connect");
+    garbage.write_all(b"TOTAL GARBAGE\n").expect("send garbage");
+    let mut reply = String::new();
+    BufReader::new(&garbage)
+        .read_line(&mut reply)
+        .expect("read reply");
+    assert!(reply.starts_with("ERR "), "malformed frame got {reply:?}");
+
+    let stats = request("--stats");
+    assert!(stats.contains("hits=2 simulated=2"), "{stats}");
+    assert!(stats.contains("malformed=1"), "{stats}");
+
+    // The derivable METRICS families equal STATS, and METRICS itself is
+    // one request beyond the STATS snapshot.
+    let metrics = request("--metrics");
+    for key in ["hits", "simulated", "malformed"] {
+        assert_eq!(event(&metrics, key), stat(&stats, key), "{key}");
+    }
+    assert_eq!(event(&metrics, "requests"), stat(&stats, "requests") + 1);
+    for class in [
+        "# CLASS omp_serve_events_total derivable",
+        "# CLASS omp_serve_latency_us schedule",
+        "# CLASS omp_pool_ops_total schedule",
+    ] {
+        assert!(metrics.lines().any(|l| l == class), "no `{class}`");
+    }
+
+    request("--gc");
+    request("--shutdown");
+    let status = poll("the server never drained", || {
+        server.0.try_wait().expect("poll server")
+    });
+    assert!(status.success(), "apusim serve exited with {status}");
+    assert!(!dir.join(SOCK).exists(), "socket removed on shutdown");
+    ok(&dir, "cache gc --cache serve-cache --dry-run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
