@@ -661,7 +661,7 @@ impl FieldVal {
 
 /// Serialize a report as JSONL: a header object (carrying
 /// `dropped_events`) followed by one flat object per event. The format is
-/// write-only: nothing in the workspace reads it back, and the header's
+/// write-only: no library code reads it back, and the header's
 /// `events` count plus gap-free `seq` numbers from `dropped_events` are
 /// what a reader checks for completeness.
 pub fn to_jsonl(report: &TelemetryReport) -> String {
