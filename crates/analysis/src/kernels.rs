@@ -1,80 +1,17 @@
-//! Per-kernel statistics from the kernel trace (rocprof kernel-view
-//! analog), backing the paper's §V-A.3 scaling analysis: "Total kernel
-//! execution times reported by rocprof for Copy and Implicit Zero-Copy
-//! configurations increases 10 times between S2 and S24. Total HSA call
-//! execution time increases 5X for Copy..." — kernel time grows with the
-//! problem size roughly twice as fast as Copy's transfer overheads.
+//! Total kernel time from the kernel trace (rocprof kernel-view analog),
+//! backing the paper's §V-A.3 scaling analysis: "Total kernel execution
+//! times reported by rocprof for Copy and Implicit Zero-Copy configurations
+//! increases 10 times between S2 and S24. Total HSA call execution time
+//! increases 5X for Copy..." — kernel time grows with the problem size
+//! roughly twice as fast as Copy's transfer overheads. The per-kernel view
+//! is the telemetry attribution's kernel rows (`repro --profile`).
 
 use omp_offload::KernelTraceEntry;
 use sim_des::VirtDuration;
-use std::collections::BTreeMap;
-
-/// Aggregate statistics for one kernel name.
-#[derive(Debug, Clone, Default)]
-pub struct KernelStats {
-    /// Launches.
-    pub launches: u64,
-    /// Total modeled compute time.
-    pub total_compute: VirtDuration,
-    /// Total fault/TLB stall attributed to this kernel.
-    pub total_stall: VirtDuration,
-    /// Total pages faulted by this kernel's launches.
-    pub faulted_pages: u64,
-}
-
-impl KernelStats {
-    /// Mean compute time per launch.
-    pub fn mean_compute(&self) -> VirtDuration {
-        if self.launches == 0 {
-            VirtDuration::ZERO
-        } else {
-            self.total_compute / self.launches
-        }
-    }
-}
-
-/// Aggregate a kernel trace by kernel name (sorted for stable output).
-pub fn by_kernel(trace: &[KernelTraceEntry]) -> BTreeMap<String, KernelStats> {
-    let mut out: BTreeMap<String, KernelStats> = BTreeMap::new();
-    for e in trace {
-        let s = out.entry(e.name.to_string()).or_default();
-        s.launches += 1;
-        s.total_compute += e.compute;
-        s.total_stall += e.stall;
-        s.faulted_pages += e.faulted_pages;
-    }
-    out
-}
 
 /// Total kernel-side time (compute + stalls) in a trace.
 pub fn total_kernel_time(trace: &[KernelTraceEntry]) -> VirtDuration {
     trace.iter().map(|e| e.compute + e.stall).sum()
-}
-
-/// Render the per-kernel aggregation as an aligned table.
-pub fn kernel_table(trace: &[KernelTraceEntry]) -> crate::Table {
-    let mut t = crate::Table::new(
-        "Per-kernel statistics (kernel trace)",
-        &[
-            "kernel",
-            "launches",
-            "total compute",
-            "mean",
-            "stall",
-            "faulted pages",
-        ],
-    );
-    for (name, s) in by_kernel(trace) {
-        t.push_row(vec![
-            name,
-            s.launches.to_string(),
-            s.total_compute.to_string(),
-            s.mean_compute().to_string(),
-            s.total_stall.to_string(),
-            s.faulted_pages.to_string(),
-        ]);
-    }
-    t
 }
 
 #[cfg(test)]
@@ -93,36 +30,17 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_by_name() {
+    fn total_kernel_time_sums_compute_and_stall() {
         let trace = vec![
             entry("a", 10, 5, 2),
             entry("b", 20, 0, 0),
             entry("a", 30, 0, 0),
         ];
-        let agg = by_kernel(&trace);
-        assert_eq!(agg.len(), 2);
-        let a = &agg["a"];
-        assert_eq!(a.launches, 2);
-        assert_eq!(a.total_compute, VirtDuration::from_micros(40));
-        assert_eq!(a.mean_compute(), VirtDuration::from_micros(20));
-        assert_eq!(a.total_stall, VirtDuration::from_micros(5));
-        assert_eq!(a.faulted_pages, 2);
         assert_eq!(total_kernel_time(&trace), VirtDuration::from_micros(65));
     }
 
     #[test]
-    fn table_renders_sorted_rows() {
-        let trace = vec![entry("zeta", 1, 0, 0), entry("alpha", 1, 0, 0)];
-        let t = kernel_table(&trace);
-        assert_eq!(t.rows.len(), 2);
-        assert_eq!(t.rows[0][0], "alpha");
-        assert_eq!(t.rows[1][0], "zeta");
-    }
-
-    #[test]
     fn empty_trace_is_fine() {
-        assert!(by_kernel(&[]).is_empty());
         assert_eq!(total_kernel_time(&[]), VirtDuration::ZERO);
-        assert_eq!(kernel_table(&[]).rows.len(), 0);
     }
 }

@@ -544,7 +544,12 @@ pub fn table3_optimize(cfg: &PaperConfig) -> Result<(Table, Vec<OptimizeRow>), O
             dead_to: opt.report.dead_to,
             dead_from: opt.report.dead_from,
             updates_dropped: opt.report.updates_dropped,
-            recommended: opt.report.recommended(),
+            recommended: omp_mapcheck::rank_configs(
+                &opt.ir,
+                &omp_mapcheck::admissible_configs(&ir),
+            )?
+            .first()
+            .map(|s| s.config),
             verified,
         };
         t.push_row(vec![
@@ -759,9 +764,18 @@ pub fn profile_kernels_csv(cells: &[ProfileCell]) -> String {
     out
 }
 
-/// Render a complete markdown reproduction report: every table and figure
-/// with the measured values, ready to diff against EXPERIMENTS.md.
-pub fn markdown_report(cfg: &PaperConfig) -> Result<String, OmpError> {
+/// Render a complete markdown reproduction report from artifacts already
+/// computed under `cfg`: the QMCPack sweep ([`qmc_sweep`]) and Tables I–III
+/// ([`table1`], [`table2`] with its highest CoV, [`table3`]), ready to diff
+/// against EXPERIMENTS.md.
+pub fn markdown_report(
+    cfg: &PaperConfig,
+    cells: &[QmcCell],
+    t1: &Table,
+    t2: &Table,
+    max_cov: f64,
+    t3: &Table,
+) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "# Reproduction report\n");
@@ -774,7 +788,6 @@ pub fn markdown_report(cfg: &PaperConfig) -> Result<String, OmpError> {
         cfg.exp.repeats
     );
 
-    let cells = qmc_sweep(cfg)?;
     let _ = writeln!(out, "## QMCPack ratios (Figures 3 and 4)\n");
     let mut header = String::from("| Size |");
     for &t in &cfg.threads {
@@ -799,11 +812,9 @@ pub fn markdown_report(cfg: &PaperConfig) -> Result<String, OmpError> {
     }
 
     let _ = writeln!(out, "\n## Table I (HSA call statistics)\n");
-    let t1 = table1(cfg)?;
     let _ = writeln!(out, "```\n{t1}```");
 
     let _ = writeln!(out, "\n## Table II (SPECaccel ratios)\n");
-    let (t2, max_cov) = table2(cfg)?;
     let _ = writeln!(out, "```\n{t2}```");
     let _ = writeln!(
         out,
@@ -811,9 +822,8 @@ pub fn markdown_report(cfg: &PaperConfig) -> Result<String, OmpError> {
     );
 
     let _ = writeln!(out, "\n## Table III (MM/MI overhead orders)\n");
-    let t3 = table3(cfg)?;
     let _ = writeln!(out, "```\n{t3}```");
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -851,6 +861,15 @@ mod tests {
         for c in cells.iter().filter(|c| c.size.factor == 2) {
             assert!(c.ratio_of(RuntimeConfig::ImplicitZeroCopy) > 1.0);
         }
+    }
+
+    #[test]
+    fn spec_suite_matches_table_order() {
+        let names: Vec<String> = spec_suite(0.01).iter().map(|w| w.name()).collect();
+        assert_eq!(
+            names,
+            vec!["403.stencil", "404.lbm", "452.ep", "457.spC", "470.bt"]
+        );
     }
 
     #[test]
@@ -938,7 +957,11 @@ mod tests {
         let mut cfg = PaperConfig::quick();
         cfg.exp.repeats = 1;
         cfg.qmc_repeats = 1;
-        let report = markdown_report(&cfg).unwrap();
+        let cells = qmc_sweep(&cfg).unwrap();
+        let (t2, max_cov) = table2(&cfg).unwrap();
+        let t1 = table1(&cfg).unwrap();
+        let t3 = table3(&cfg).unwrap();
+        let report = markdown_report(&cfg, &cells, &t1, &t2, max_cov, &t3);
         assert!(report.contains("## QMCPack ratios"));
         assert!(report.contains("## Table I"));
         assert!(report.contains("## Table II"));

@@ -10,7 +10,7 @@
 //! in every downstream report. The determinism matrix test pins that
 //! contract at `-j {1,4,8}`, cold and warm.
 
-use omp_offload::telemetry::{KernelProfile, SiteProfile};
+use omp_offload::telemetry::{rank_profiles, KernelProfile, SiteProfile};
 use omp_offload::{LedgerUnit, OverheadLedger, LEDGER_FIELDS};
 use sim_des::VirtDuration;
 use std::fmt::Write as _;
@@ -271,11 +271,11 @@ impl SweepResult {
 }
 
 /// Merge per-request attribution aggregates across a sweep into one
-/// profile: sites summed by extent, kernels summed by name, re-ranked the
-/// way [`attribution`](omp_offload::telemetry::attribution) ranks them
-/// (sites by total MM descending with address ties ascending; kernels by
-/// fault stall descending with name ties ascending). Deterministic for a
-/// given result sequence, independent of worker scheduling.
+/// profile: sites summed by extent, kernels summed by name, re-ranked by
+/// [`rank_profiles`], the order
+/// [`attribution`](omp_offload::telemetry::attribution) ranks in.
+/// Deterministic for a given result sequence, independent of worker
+/// scheduling.
 pub fn merge_attribution(results: &[SweepResult]) -> (Vec<SiteProfile>, Vec<KernelProfile>) {
     use std::collections::BTreeMap;
     let mut sites: BTreeMap<(u64, u64), SiteProfile> = BTreeMap::new();
@@ -319,14 +319,8 @@ pub fn merge_attribution(results: &[SweepResult]) -> (Vec<SiteProfile>, Vec<Kern
         }
     }
     let mut site_rows: Vec<SiteProfile> = sites.into_values().collect();
-    site_rows.sort_by(|a, b| {
-        b.mm_total()
-            .cmp(&a.mm_total())
-            .then(a.range.start.as_u64().cmp(&b.range.start.as_u64()))
-            .then(a.range.len.cmp(&b.range.len))
-    });
     let mut kernel_out: Vec<KernelProfile> = kernels.into_values().collect();
-    kernel_out.sort_by(|a, b| b.fault_stall.cmp(&a.fault_stall).then(a.name.cmp(&b.name)));
+    rank_profiles(&mut site_rows, &mut kernel_out);
     (site_rows, kernel_out)
 }
 

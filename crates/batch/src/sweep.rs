@@ -101,7 +101,8 @@ pub fn derive_inputs(req: &SweepRequest) -> (apu_mem::CostModel, ElideMode) {
 /// Opt mode rewrites the program itself before replay. The rewrite is a
 /// pure function of the capture, so the cache contract holds; an
 /// ill-formed capture (optimizer refusal) replays unrewritten and lets the
-/// sanitizer report it like any other cell.
+/// sanitizer report it like any other cell, and a rewrite that fails to
+/// replay fails its cell like any other replay error.
 pub fn cell_recipe(
     req: &SweepRequest,
     model: apu_mem::CostModel,

@@ -4,7 +4,6 @@
 //! repro [--quick|--full] [--ARTIFACT ...] [--elide] [--optimize] [--profile] [--csv DIR]
 //!       [--report FILE.md] [--faults SEED] [--jobs N] [--cache DIR|off]
 //!       [--list-artifacts]
-//! repro --check [--json]
 //! ```
 //!
 //! With no artifact flags, everything is produced (`--list-artifacts`
@@ -44,15 +43,16 @@
 //! statistics are printed to stderr only. `--jobs` also drives the
 //! QMCPack and SPECaccel sweeps behind the figures and Table II.
 //!
-//! `--check` runs the mapcheck harness instead of the experiments: every
-//! shipped workload's data-environment op stream is captured once, checked
-//! statically against each compatible configuration, and cross-validated
-//! with a sanitized real run (`--json` switches to machine-readable
-//! output, for CI).
+//! `--report FILE.md` renders the QMCPack sweep and Tables I–III into one
+//! markdown file. Every artifact is computed at most once per invocation:
+//! the report reuses what the selected artifacts already printed and
+//! computes the rest without printing it.
 //!
-//! Exit codes: 0 on success, 1 when `--check` finds error-severity
-//! diagnostics or a static/sanitizer mismatch, 2 for unknown arguments,
-//! unknown artifacts, missing or malformed option values.
+//! Map checking (the mapcheck harness) runs through `apusim check`.
+//!
+//! Exit codes: 0 on success, 1 when `--optimize` finds a broken
+//! equivalence contract, 2 for unknown arguments, unknown artifacts,
+//! missing or malformed option values.
 
 use analysis::paper::{
     ablation_eager_maps, ablation_page_size, ablation_streaming, fig3_from_cells, fig4_from_cells,
@@ -130,18 +130,8 @@ const FLAGS: &[(&str, &str, &str)] = &[
         "with --sweep: memoize results in DIR (default .apusim-cache)",
     ),
     ("--list-artifacts", "", "list artifact flags and exit"),
-    (
-        "--check",
-        "",
-        "run the mapcheck harness instead of the experiments",
-    ),
-    ("--json", "", "with --check: machine-readable output"),
     ("--help", "", "print this help"),
 ];
-
-/// Flags that only apply to the `--check` form; kept out of the first
-/// usage line.
-const CHECK_ONLY: &[&str] = &["--check", "--json", "--help"];
 
 struct Args {
     cfg: PaperConfig,
@@ -160,14 +150,11 @@ struct Args {
     report: Option<PathBuf>,
     fault_seed: Option<u64>,
     cache: omp_batch::CacheMode,
-    check: bool,
-    json: bool,
 }
 
 fn usage() -> String {
     let opts: Vec<String> = FLAGS
         .iter()
-        .filter(|(f, _, _)| !CHECK_ONLY.contains(f))
         .map(|(f, v, _)| {
             if v.is_empty() {
                 format!("[{f}]")
@@ -177,11 +164,7 @@ fn usage() -> String {
         })
         .collect();
     let names: Vec<String> = ARTIFACTS.iter().map(|(n, _)| format!("[--{n}]")).collect();
-    format!(
-        "usage: repro {} {}\n       repro --check [--json]",
-        opts.join(" "),
-        names.join(" ")
-    )
+    format!("usage: repro {} {}", opts.join(" "), names.join(" "))
 }
 
 fn help() -> String {
@@ -229,8 +212,6 @@ fn parse_args() -> Args {
     let mut fault_seed = None;
     let mut jobs = 0usize;
     let mut cache = omp_batch::CacheMode::default_dir(std::path::Path::new("."));
-    let mut check = false;
-    let mut json = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -239,8 +220,6 @@ fn parse_args() -> Args {
             "--elide" => elide = true,
             "--optimize" => optimize = true,
             "--profile" => profile = true,
-            "--check" => check = true,
-            "--json" => json = true,
             "--jobs" => {
                 let raw = required_value(&mut args, "--jobs");
                 match raw.parse::<usize>() {
@@ -287,14 +266,6 @@ fn parse_args() -> Args {
             }
         }
     }
-    if json && !check {
-        usage_error("--json only applies to --check");
-    }
-    if check
-        && (full || elide || optimize || profile || fault_seed.is_some() || !selected.is_empty())
-    {
-        usage_error("--check does not combine with experiment flags");
-    }
     let all = selected.is_empty();
     let has = |n: &str| all || selected.iter().any(|s| s == n);
     if elide && !has("table3") {
@@ -327,32 +298,7 @@ fn parse_args() -> Args {
         report,
         fault_seed,
         cache,
-        check,
-        json,
     }
-}
-
-/// `repro --check`: run the mapcheck harness over every shipped workload
-/// and exit 0 (clean) or 1 (error diagnostics or cross-validation
-/// mismatch). Warnings are reported but do not fail the run.
-fn run_check(json: bool) -> ! {
-    let cells = match omp_mapcheck::check_all(None) {
-        Ok(cells) => cells,
-        Err(e) => {
-            eprintln!("repro: mapcheck capture failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    if json {
-        println!("{}", omp_mapcheck::render_json(&cells));
-    } else {
-        print!("{}", omp_mapcheck::render_text(&cells));
-    }
-    std::process::exit(if omp_mapcheck::has_errors(&cells) {
-        1
-    } else {
-        0
-    });
 }
 
 fn write_csv(dir: &Option<PathBuf>, name: &str, content: &str) {
@@ -367,9 +313,6 @@ fn write_csv(dir: &Option<PathBuf>, name: &str, content: &str) {
 
 fn main() {
     let args = parse_args();
-    if args.check {
-        run_check(args.json);
-    }
     let started = Instant::now();
     if let Some(seed) = args.fault_seed {
         eprintln!(
@@ -378,25 +321,33 @@ fn main() {
         );
     }
 
-    if args.fig3 || args.fig4 {
+    // The report renders the QMCPack sweep and Tables I-III: each is
+    // computed once, when printed or reported, and kept for the report.
+    let report = args.report.is_some();
+    let cells = (args.fig3 || args.fig4 || report).then(|| {
         eprintln!(
             "running QMCPack sweep ({} sizes x {} thread counts x 4 configs)...",
             args.cfg.sizes.len(),
             args.cfg.threads.len()
         );
-        let cells = qmc_sweep(&args.cfg).expect("QMCPack sweep");
+        qmc_sweep(&args.cfg).expect("QMCPack sweep")
+    });
+    if let Some(cells) = cells.as_ref().filter(|_| args.fig3 || args.fig4) {
         if args.fault_seed.is_some() {
-            let reports = cells.iter().flat_map(|c| c.measurements.iter());
-            let episodes: usize = reports.clone().map(|m| m.report.recovery_log.len()).sum();
-            let retries: u64 = reports.clone().map(|m| m.report.ledger.retries).sum();
-            let degradations: u64 = reports.map(|m| m.report.ledger.degradations).sum();
+            let ledgers = cells
+                .iter()
+                .flat_map(|c| c.measurements.iter())
+                .map(|m| &m.report.ledger);
+            let episodes: u64 = ledgers.clone().map(|l| l.recoveries + l.degradations).sum();
+            let retries: u64 = ledgers.clone().map(|l| l.retries).sum();
+            let degradations: u64 = ledgers.map(|l| l.degradations).sum();
             println!(
                 "fault recovery: {episodes} episodes across the sweep \
                  ({retries} retries, {degradations} degradations)\n"
             );
         }
         if args.fig3 {
-            for fig in fig3_from_cells(&cells, &args.cfg) {
+            for fig in fig3_from_cells(cells, &args.cfg) {
                 println!("{fig}");
                 write_csv(
                     &args.csv_dir,
@@ -413,30 +364,36 @@ fn main() {
             }
         }
         if args.fig4 {
-            let fig = fig4_from_cells(&cells, &args.cfg);
+            let fig = fig4_from_cells(cells, &args.cfg);
             println!("{fig}");
             write_csv(&args.csv_dir, "fig4.csv", &fig.to_csv());
         }
     }
 
-    if args.table1 {
+    let t1 = (args.table1 || report).then(|| {
         eprintln!("running Table I (HSA call statistics)...");
-        let t = table1(&args.cfg).expect("table1");
+        table1(&args.cfg).expect("table1")
+    });
+    if let Some(t) = t1.as_ref().filter(|_| args.table1) {
         println!("{t}");
         write_csv(&args.csv_dir, "table1.csv", &t.to_csv());
     }
 
-    if args.table2 {
+    let t2 = (args.table2 || report).then(|| {
         eprintln!("running Table II (SPECaccel ratios)...");
-        let (t, max_cov) = table2(&args.cfg).expect("table2");
+        table2(&args.cfg).expect("table2")
+    });
+    if let Some((t, max_cov)) = t2.as_ref().filter(|_| args.table2) {
         println!("{t}");
         println!("highest observed CoV: {max_cov:.3} (paper: <= 0.03)\n");
         write_csv(&args.csv_dir, "table2.csv", &t.to_csv());
     }
 
-    if args.table3 {
+    let t3 = (args.table3 || report).then(|| {
         eprintln!("running Table III (MM/MI overhead orders)...");
-        let t = table3(&args.cfg).expect("table3");
+        table3(&args.cfg).expect("table3")
+    });
+    if let Some(t) = t3.as_ref().filter(|_| args.table3) {
         println!("{t}");
         write_csv(&args.csv_dir, "table3.csv", &t.to_csv());
     }
@@ -547,10 +504,12 @@ fn main() {
         }
     }
 
-    if let Some(path) = &args.report {
+    if let (Some(path), Some(cells), Some(t1), Some((t2, max_cov)), Some(t3)) =
+        (&args.report, &cells, &t1, &t2, &t3)
+    {
         eprintln!("generating markdown report...");
-        let report = markdown_report(&args.cfg).expect("report");
-        std::fs::write(path, report).expect("write report");
+        let md = markdown_report(&args.cfg, cells, t1, t2, *max_cov, t3);
+        std::fs::write(path, md).expect("write report");
         eprintln!("wrote {}", path.display());
     }
 
@@ -568,12 +527,8 @@ mod tests {
     fn usage_and_help_are_generated_from_the_flag_tables() {
         let u = usage();
         for (f, _, _) in FLAGS {
-            if CHECK_ONLY.contains(f) {
-                continue;
-            }
             assert!(u.contains(f), "usage line is missing {f}");
         }
-        assert!(u.contains("--check [--json]"));
         let h = help();
         for (f, _, what) in FLAGS {
             assert!(h.contains(f), "help is missing {f}");

@@ -1,9 +1,9 @@
 //! The mapcheck harness: capture → static check × configurations, with a
 //! sanitized real run cross-validating every cell.
 //!
-//! This is the engine behind `repro --check` and `apusim check`. Exit-code
-//! convention (enforced by the binaries): 0 clean, 1 diagnostics found or
-//! cross-validation mismatch, 2 usage error.
+//! This is the engine behind `apusim check`, the one check front end.
+//! Exit-code convention (enforced by the binary): 0 clean, 1 diagnostics
+//! found or cross-validation mismatch, 2 usage error.
 
 use crate::{admissible_configs, capture_workload, check, optimize, verify_equivalence};
 use apu_mem::CostModel;
@@ -40,8 +40,9 @@ pub struct CheckCell {
     /// the reported saving exactly.
     pub elision_verified: bool,
     /// The telemetry derivability contract held for this cell: in both the
-    /// unelided and the elided run, the fold of the event stream equals the
-    /// ledger field for field and the ring dropped nothing.
+    /// unelided and the elided run the ring dropped nothing, so the fold of
+    /// the event stream equals the ledger field for field (the ledger is the
+    /// running fold of the stream).
     pub telemetry_exact: bool,
     /// The static-optimizer equivalence contract held for this cell: the
     /// [`optimize`]d capture replays with a bit-identical memory digest, an
@@ -63,9 +64,9 @@ impl CheckCell {
 
     /// True when the cell fails the acceptance bar: an error-severity
     /// static diagnostic, a static/dynamic verdict mismatch, a broken
-    /// elision or optimizer-equivalence contract, or a telemetry stream
-    /// whose fold diverged from the ledger. The exit code and the report's
-    /// failing count both come from this one predicate.
+    /// elision or optimizer-equivalence contract, or a telemetry ring that
+    /// dropped events. The exit code and the report's failing count both
+    /// come from this one predicate.
     pub fn fails(&self) -> bool {
         self.has_static_errors()
             || !self.cross_validated
@@ -75,7 +76,7 @@ impl CheckCell {
     }
 }
 
-/// The workloads `repro --check` covers: every shipped program at the
+/// The workloads `apusim check` covers: every shipped program at the
 /// scales the test suites use.
 pub fn shipped_workloads() -> Vec<Box<dyn Workload>> {
     vec![
@@ -125,7 +126,7 @@ struct RunProbe {
 /// One instrumented run: sanitized, telemetry ring on, under `config`,
 /// with the given elision mode. Returns the sanitizer's findings, the
 /// memory digest (taken after the program body, before teardown), the
-/// ledger, and whether the telemetry-fold contract held.
+/// ledger, and whether the ring kept every event.
 fn instrumented_run(
     w: &dyn Workload,
     threads: usize,
@@ -144,13 +145,11 @@ fn instrumented_run(
     let _ = w.run(&mut rt);
     let digest = rt.memory_digest();
     let diags = rt.sanitizer_finalize().to_vec();
-    let ledger = *rt.ledger();
-    let telemetry_exact = rt.telemetry_fold() == Some(ledger) && rt.telemetry_dropped() == 0;
     Ok(RunProbe {
         diags,
         digest,
-        ledger,
-        telemetry_exact,
+        ledger: *rt.ledger(),
+        telemetry_exact: rt.telemetry_dropped() == 0,
     })
 }
 
@@ -254,7 +253,7 @@ pub fn render_text(cells: &[CheckCell]) -> String {
         } else if !c.opt_verified {
             "OPTIMIZER CONTRACT BROKEN"
         } else if !c.telemetry_exact {
-            "TELEMETRY FOLD DIVERGED"
+            "TELEMETRY EVENTS DROPPED"
         } else if c.has_static_errors() {
             "FAIL"
         } else if c.diagnostics.is_empty() {
@@ -316,7 +315,7 @@ fn json_diag(d: &Diagnostic) -> String {
     )
 }
 
-/// Machine-readable report (`repro --check --json`).
+/// Machine-readable report (`apusim check --json`).
 pub fn render_json(cells: &[CheckCell]) -> String {
     let mut out = String::from("{\"cells\":[");
     for (i, c) in cells.iter().enumerate() {

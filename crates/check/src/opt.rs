@@ -34,10 +34,11 @@
 //! error-severity diagnostic under an admissible configuration — are
 //! refused outright, never rewritten.
 //!
-//! The pass finishes by replaying the optimized program under every
-//! admissible configuration with the calibrated cost model and ranking them
-//! by makespan: the [`OptReport`] recommends the cheapest `RuntimeConfig`
-//! alongside the per-rule rewrite counts.
+//! [`optimize`] only checks and rewrites; it replays nothing. Ranking the
+//! admissible configurations is a separate call, [`rank_configs`]: it
+//! replays the optimized program under each with the calibrated cost model
+//! and orders them by makespan. Only the callers that print a
+//! recommendation (`apusim optimize`, the Table III optimizer delta) rank.
 
 use crate::checker::Interp;
 use crate::elision::track;
@@ -55,7 +56,7 @@ use std::fmt;
 /// Longest op window considered a loop body by the hoist pass.
 const MAX_WINDOW: usize = 64;
 
-/// Per-rule rewrite counts and the ranked configuration recommendation.
+/// Per-rule rewrite counts.
 #[derive(Debug, Clone)]
 pub struct OptReport {
     /// Extents whose per-iteration map pairs were hoisted out of a loop.
@@ -66,9 +67,6 @@ pub struct OptReport {
     pub dead_from: usize,
     /// `target update` ranges dropped because the clocks already agreed.
     pub updates_dropped: usize,
-    /// Admissible configurations ranked by optimized-replay makespan,
-    /// cheapest first.
-    pub recommendation: Vec<ConfigScore>,
 }
 
 /// One configuration's cost when replaying the optimized program.
@@ -87,34 +85,15 @@ impl OptReport {
     pub fn rewrites(&self) -> usize {
         self.hoisted + self.dead_to + self.dead_from + self.updates_dropped
     }
-
-    /// The cheapest configuration, when ranking ran.
-    pub fn recommended(&self) -> Option<RuntimeConfig> {
-        self.recommendation.first().map(|s| s.config)
-    }
 }
 
 impl fmt::Display for OptReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
+        write!(
             f,
             "rewrites: {} hoisted, {} dead-to, {} dead-from, {} update range(s) dropped",
             self.hoisted, self.dead_to, self.dead_from, self.updates_dropped
-        )?;
-        writeln!(f, "config ranking (optimized replay, cheapest first):")?;
-        for s in &self.recommendation {
-            writeln!(
-                f,
-                "  {:<6} makespan {:>14}  mm_total {:>14}",
-                s.config.token(),
-                s.makespan.to_string(),
-                s.mm_total.to_string()
-            )?;
-        }
-        if let Some(best) = self.recommended() {
-            write!(f, "recommended: {}", best.token())?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -123,7 +102,7 @@ impl fmt::Display for OptReport {
 pub struct Optimized {
     /// The rewritten program.
     pub ir: MapIr,
-    /// Per-rule counts and the configuration recommendation.
+    /// Per-rule rewrite counts.
     pub report: OptReport,
 }
 
@@ -138,8 +117,6 @@ pub enum OptError {
         /// The error-severity diagnostics.
         diagnostics: Vec<Diagnostic>,
     },
-    /// A ranking replay failed.
-    Replay(OmpError),
 }
 
 impl fmt::Display for OptError {
@@ -160,7 +137,6 @@ impl fmt::Display for OptError {
                 }
                 Ok(())
             }
-            OptError::Replay(e) => write!(f, "ranking replay failed: {e}"),
         }
     }
 }
@@ -206,8 +182,8 @@ fn has_unpooled_raw_access(ir: &MapIr) -> bool {
 ///
 /// Checks the program under every admissible configuration first and
 /// refuses on any error-severity diagnostic; then applies the four rewrite
-/// rules and ranks the admissible configurations by replaying the optimized
-/// program under the calibrated MI300A cost model.
+/// rules. It replays nothing: [`rank_configs`] ranks the configurations for
+/// the callers that print a recommendation.
 pub fn optimize(ir: &MapIr) -> Result<Optimized, OptError> {
     let configs = admissible_configs(ir);
     for &config in &configs {
@@ -227,7 +203,6 @@ pub fn optimize(ir: &MapIr) -> Result<Optimized, OptError> {
     let dead_to = rewrite_planned(&mut out);
     let dead_from = rewrite_dead_from(&mut out);
     let updates_dropped = downgrade_updates(&mut out);
-    let recommendation = rank_configs(&out, &configs).map_err(OptError::Replay)?;
     Ok(Optimized {
         ir: out,
         report: OptReport {
@@ -235,12 +210,14 @@ pub fn optimize(ir: &MapIr) -> Result<Optimized, OptError> {
             dead_to,
             dead_from,
             updates_dropped,
-            recommendation,
         },
     })
 }
 
-fn rank_configs(ir: &MapIr, configs: &[RuntimeConfig]) -> Result<Vec<ConfigScore>, OmpError> {
+/// Rank `configs` by replaying `ir` (normally an [`optimize`]d capture)
+/// under each with the calibrated MI300A cost model: cheapest makespan
+/// first, so the first entry is the recommendation.
+pub fn rank_configs(ir: &MapIr, configs: &[RuntimeConfig]) -> Result<Vec<ConfigScore>, OmpError> {
     let mut scores = Vec::with_capacity(configs.len());
     for &config in configs {
         let mut rt = OmpRuntime::builder(CostModel::mi300a_no_thp(), Topology::default())
@@ -974,16 +951,9 @@ mod tests {
     fn ranks_every_admissible_config_and_recommends_the_cheapest() {
         let ir = capture_run(1, loop_pairs).unwrap();
         let opt = optimize(&ir).unwrap();
-        assert_eq!(opt.report.recommendation.len(), RuntimeConfig::ALL.len());
-        assert!(opt
-            .report
-            .recommendation
-            .windows(2)
-            .all(|w| w[0].makespan <= w[1].makespan));
-        assert_eq!(
-            opt.report.recommended(),
-            Some(opt.report.recommendation[0].config)
-        );
+        let ranking = rank_configs(&opt.ir, &admissible_configs(&ir)).unwrap();
+        assert_eq!(ranking.len(), RuntimeConfig::ALL.len());
+        assert!(ranking.windows(2).all(|w| w[0].makespan <= w[1].makespan));
     }
 
     #[test]

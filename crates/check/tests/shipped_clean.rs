@@ -1,4 +1,4 @@
-//! Acceptance bar for the shipped programs: every workload `repro --check`
+//! Acceptance bar for the shipped programs: every workload `apusim check`
 //! covers must be error-free — the only tolerated diagnostics are MC007
 //! warnings (redundant re-maps of present extents), which are exactly the
 //! sites the elision pass promotes. Every cell must cross-validate

@@ -10,12 +10,12 @@
 //!   it, with no drops.
 //!
 //! Fault-injected runs may abort (recovery exhaustion); the contract must
-//! hold at the abort point too, since events are emitted at the same sites
-//! that mutate the ledger.
+//! hold at the abort point too, since the runtime's ledger is the running
+//! fold of its stream.
 
 use apu_mem::{AddrRange, CostModel};
 use hsa_rocr::Topology;
-use omp_offload::telemetry::to_jsonl;
+use omp_offload::telemetry::{fold, to_jsonl};
 use omp_offload::{
     ElideMode, MapDir, MapEntry, OmpError, OmpRuntime, RuntimeConfig, TargetRegion, TelemetryMode,
 };
@@ -146,20 +146,19 @@ fn exact_run(
     // Fault-injected runs may abort; the contract must hold regardless.
     let outcome = drive(&mut rt, ops);
     let _ = rt.sanitizer_finalize();
-    let ledger = *rt.ledger();
+    assert_eq!(rt.telemetry_dropped(), 0, "default ring overflowed");
+
+    let report = rt.finish();
+    let telemetry = report.telemetry.expect("ring was on");
     assert_eq!(
-        rt.telemetry_fold(),
-        Some(ledger),
+        fold(&telemetry.events),
+        report.ledger,
         "fold != ledger under {} (elide {:?}, faults {:?}, run {:?})",
         config.label(),
         std::mem::discriminant(&elide),
         fault_seed,
         outcome.as_ref().err(),
     );
-    assert_eq!(rt.telemetry_dropped(), 0, "default ring overflowed");
-
-    let report = rt.finish();
-    let telemetry = report.telemetry.expect("ring was on");
     let jsonl = to_jsonl(&telemetry);
     let header = jsonl.lines().next().expect("JSONL has a header line");
     let counts = format!("\"events\":{},\"dropped_events\":0", telemetry.events.len());

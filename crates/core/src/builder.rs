@@ -1,10 +1,9 @@
 //! The unified construction path for [`OmpRuntime`].
 //!
-//! Replaces the three near-verbatim constructors (`new`, `new_system`,
-//! `from_env`) with one builder that composes every startup concern:
-//! configuration selection (explicit or environment-resolved), system kind,
-//! memory options, host-thread count and fault plan — and
-//! performs the startup *degradation* decision the real stack makes: a
+//! One builder composes every startup concern: configuration selection
+//! (explicit or environment-resolved), system kind, memory options,
+//! host-thread count and fault plan — and performs the startup
+//! *degradation* decision the real stack makes: a
 //! configuration that needs XNACK silently falls back to Copy data handling
 //! when the deployment lacks it (except `unified_shared_memory` binaries,
 //! which have no fallback and fail with

@@ -38,8 +38,8 @@
 //! ([`sim_des::FaultPlan`]) attached through the builder; the runtime's
 //! recovery policies (bounded retry-with-backoff, eviction-then-retry,
 //! configuration degradation) keep faulty runs semantically equivalent to
-//! healthy ones and record every episode in the [`OverheadLedger`] and the
-//! per-run recovery log.
+//! healthy ones and charge every episode as a telemetry `Recovery` event:
+//! the [`OverheadLedger`] counts it, and a telemetry ring keeps it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

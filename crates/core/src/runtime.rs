@@ -17,10 +17,10 @@ use crate::mapir::{KernelOp, MapIr, MapOp};
 use crate::mapping::{MapDir, MapEntry, Presence};
 use crate::sanitize::{MapSanitizer, SanitizerReport};
 use crate::shard::{MapLookupCache, ShardedMappingTable};
-use crate::telemetry::{ElideProbe, EventKind, EventRing, TelemetryMode, TelemetryReport};
+use crate::telemetry::{ElideProbe, EventKind, Recorder, TelemetryReport};
 use crate::trace::{KernelTraceEntry, OverheadLedger, RecoveryAction, RecoveryEvent};
 use apu_mem::{AddrRange, ApuMemory, CostModel, MemError, MemStats, VirtAddr, XnackMode};
-use hsa_rocr::{ApiStats, HsaRuntime, Topology};
+use hsa_rocr::{ApiStats, HsaRunResult, HsaRuntime, Topology};
 use sim_des::{AsyncToken, Backoff, FaultStats, RunOptions, Schedule, VirtDuration};
 use std::sync::Arc;
 
@@ -52,8 +52,6 @@ pub struct RunReport {
     pub kernel_trace: Vec<KernelTraceEntry>,
     /// What the attached fault plan injected (zeroes on healthy runs).
     pub fault_stats: FaultStats,
-    /// Ordered recovery events (empty on healthy runs).
-    pub recovery_log: Vec<RecoveryEvent>,
     /// When startup degradation replaced the requested configuration, the
     /// configuration originally asked for.
     pub degraded_from: Option<RuntimeConfig>,
@@ -87,7 +85,6 @@ pub struct OmpRuntime {
     /// shared; bounds the end-of-program leak scan to our own entries.
     window: Option<(u64, u64)>,
     globals: GlobalRegistry,
-    ledger: OverheadLedger,
     threads: usize,
     trace_kernels: bool,
     kernel_trace: Vec<KernelTraceEntry>,
@@ -99,7 +96,6 @@ pub struct OmpRuntime {
     /// XNACK capability was lost mid-run: dispatches prefault their access
     /// sets host-side so kernels never hit a fatal fault.
     xnack_lost: bool,
-    recovery_log: Vec<RecoveryEvent>,
     /// Capture mode: data-environment directives are recorded here instead
     /// of executing (address-producing calls still execute so the stream
     /// carries real addresses).
@@ -112,10 +108,10 @@ pub struct OmpRuntime {
     /// and on execution so plan-mode elision sites (keyed by capture op
     /// index) line up when the same program runs for real.
     op_counter: u64,
-    /// Telemetry ring; `None` when collection is off (the hot paths then
-    /// see one predictable branch per charge).
-    telemetry: Option<EventRing>,
-    /// Sanitizer diagnostics already mirrored into the telemetry stream.
+    /// The ledger and, telemetry on, the event ring: every charge and
+    /// every event goes through its one mutator.
+    recorder: Recorder,
+    /// Sanitizer diagnostics already recorded as `Sanitizer` events.
     san_seen: usize,
 }
 
@@ -146,31 +142,26 @@ impl OmpRuntime {
             live_maps: 0,
             window: instr.window,
             globals: GlobalRegistry::new(),
-            ledger: OverheadLedger::default(),
             threads,
             trace_kernels: false,
             kernel_trace: Vec::new(),
             pending_nowait: vec![Vec::new(); threads],
             degraded_from,
             xnack_lost: false,
-            recovery_log: Vec::new(),
             capture: instr.capture.then(MapIr::new),
             // Capture wins: recorded directives never execute, so there is
             // nothing for a sanitizer to observe.
             sanitizer: (instr.sanitize && !instr.capture).then(|| MapSanitizer::new(config)),
             elide: instr.elide,
             op_counter: 0,
-            telemetry: match instr.telemetry {
-                TelemetryMode::Off => None,
-                TelemetryMode::Ring(capacity) => Some(EventRing::new(capacity)),
-            },
+            recorder: Recorder::new(instr.telemetry),
             san_seen: 0,
         };
         if instr.metrics.is_on() {
             rt.mapping.enable_metrics();
         }
         if let Some(from) = degraded_from {
-            rt.log_recovery(
+            rt.charge_recovery(
                 0,
                 0,
                 RecoveryAction::StartupDegradation { from, to: config },
@@ -188,11 +179,6 @@ impl OmpRuntime {
     /// configuration originally asked for.
     pub fn degraded_from(&self) -> Option<RuntimeConfig> {
         self.degraded_from
-    }
-
-    /// Ordered recovery events so far (empty on healthy runs).
-    pub fn recovery_log(&self) -> &[RecoveryEvent] {
-        &self.recovery_log
     }
 
     /// What the attached fault plan injected so far.
@@ -216,17 +202,11 @@ impl OmpRuntime {
         self.lookup.stats()
     }
 
-    /// Fold of the telemetry stream recorded so far (`None` when telemetry
-    /// is off). With [`telemetry_dropped`](Self::telemetry_dropped) zero
-    /// this equals [`ledger`](Self::ledger) field for field — the
-    /// derivability contract the check harness enforces on every cell.
-    pub fn telemetry_fold(&self) -> Option<OverheadLedger> {
-        self.telemetry.as_ref().map(EventRing::fold)
-    }
-
-    /// Telemetry events evicted by ring overflow so far (0 when off).
+    /// Telemetry events evicted by ring overflow so far (0 when off). While
+    /// it is zero, folding the stream gives back [`ledger`](Self::ledger)
+    /// field for field.
     pub fn telemetry_dropped(&self) -> u64 {
-        self.telemetry.as_ref().map_or(0, EventRing::dropped)
+        self.recorder.dropped()
     }
 
     /// FNV-1a digest over every live virtual memory area: address, length,
@@ -256,7 +236,7 @@ impl OmpRuntime {
 
     /// The overhead ledger so far.
     pub fn ledger(&self) -> &OverheadLedger {
-        &self.ledger
+        self.recorder.ledger()
     }
 
     /// The shard-contention report of the underlying mapping table
@@ -641,13 +621,15 @@ impl OmpRuntime {
         let fault_stall = cost.fault_stall(out.replayed_pages, out.zero_filled_pages);
         let tlb_stall = cost.tlb_miss * out.tlb_misses;
         let name: Arc<str> = Arc::from(name);
-        if let Some(ring) = &mut self.telemetry {
-            let kind = EventKind::KernelLaunch {
+        self.recorder.record(
+            thread as u32,
+            a0,
+            a0,
+            EventKind::KernelLaunch {
                 name: Arc::clone(&name),
                 compute,
-            };
-            ring.push(thread as u32, a0, a0, kind);
-        }
+            },
+        );
         if self.trace_kernels {
             self.kernel_trace.push(KernelTraceEntry {
                 name: Arc::clone(&name),
@@ -727,26 +709,18 @@ impl OmpRuntime {
     }
 
     /// Run the sanitizer's end-of-program checks (leaked mappings → MC001)
-    /// against the live table and return everything found. Idempotent; for
-    /// use when a run aborts early and `finish` is never reached.
+    /// against the live table and return everything found. Idempotent;
+    /// `finish` runs it too, so call it directly when a run aborts early
+    /// and `finish` is never reached.
     pub fn sanitizer_finalize(&mut self) -> &[Diagnostic] {
         if self.sanitizer.is_some() {
             let live = self.live_snapshot();
             if let Some(s) = &mut self.sanitizer {
                 s.end_of_program(&live);
             }
+            self.sync_sanitizer_events(0);
         }
-        self.sync_sanitizer_events(0);
-        self.sanitizer.as_ref().map_or(&[], |s| s.diagnostics())
-    }
-
-    fn finalize_sanitizer(&mut self) -> Option<SanitizerReport> {
-        self.sanitizer.as_ref()?;
-        let live = self.live_snapshot();
-        self.sanitizer.as_mut()?.end_of_program(&live);
-        self.sync_sanitizer_events(0);
-        let s = self.sanitizer.take()?;
-        Some(s.into_report())
+        self.sanitizer_diagnostics()
     }
 
     /// The live table entries this runtime is responsible for, sorted by
@@ -787,44 +761,36 @@ impl OmpRuntime {
         self.hsa.thread_ops(thread) as u32
     }
 
-    /// The charge funnel: apply `kind` to the ledger and, when telemetry is
-    /// on, record that same event spanning `a0` to `thread`'s current
-    /// cursor. Every ledger change goes through here, after the HSA work it
-    /// covers; instantaneous events pass the current cursor as `a0`.
+    /// Record a charged event spanning `a0` to `thread`'s current cursor.
+    /// Every charge goes through here, after the HSA work it covers;
+    /// instantaneous events pass the current cursor as `a0`.
     fn charge(&mut self, thread: usize, a0: u32, kind: EventKind) {
-        self.ledger.apply(&kind);
-        if let Some(ring) = &mut self.telemetry {
-            let a1 = self.hsa.thread_ops(thread) as u32;
-            ring.push(thread as u32, a0, a1, kind);
-        }
+        let a1 = self.anchor(thread);
+        self.recorder.record(thread as u32, a0, a1, kind);
     }
 
-    /// Append a recovery episode or degradation to the recovery log and
-    /// charge it (instantaneous), so the log, the ledger and the stream can
-    /// never disagree.
-    fn log_recovery(&mut self, thread: usize, attempts: u32, action: RecoveryAction) {
+    /// Charge a recovery episode or degradation (instantaneous): the
+    /// ledger counts it and the stream carries it as a `Recovery` event.
+    fn charge_recovery(&mut self, thread: usize, attempts: u32, action: RecoveryAction) {
         let event = RecoveryEvent {
             thread: thread as u32,
             attempts,
             action,
         };
-        self.recovery_log.push(event);
         self.charge(thread, self.anchor(thread), EventKind::Recovery { event });
     }
 
-    /// Mirror sanitizer diagnostics recorded since the last sync into the
-    /// telemetry stream as verdict events (instantaneous at `thread`'s
-    /// cursor). Called after every sanitizer hook site.
+    /// Record sanitizer diagnostics found since the last sync as verdict
+    /// events (instantaneous at `thread`'s cursor). Called after every
+    /// sanitizer hook site.
     fn sync_sanitizer_events(&mut self, thread: usize) {
-        let Some(ring) = &mut self.telemetry else {
-            return;
-        };
         let Some(s) = &self.sanitizer else { return };
         let diags = s.diagnostics();
         if diags.len() > self.san_seen {
-            let a = self.hsa.thread_ops(thread) as u32;
+            let a = self.anchor(thread);
             for d in &diags[self.san_seen..] {
-                ring.push(thread as u32, a, a, EventKind::Sanitizer { code: d.code });
+                self.recorder
+                    .record(thread as u32, a, a, EventKind::Sanitizer { code: d.code });
             }
             self.san_seen = diags.len();
         }
@@ -920,75 +886,53 @@ impl OmpRuntime {
     /// under different noise seeds (the paper's N-runs methodology).
     /// Returns the full report for the first seed plus every makespan.
     pub fn finish_replicated(
-        mut self,
+        self,
         opts: &RunOptions,
         seeds: &[u64],
     ) -> (RunReport, Vec<VirtDuration>) {
-        let sanitizer = self.finalize_sanitizer();
-        let telemetry = self.telemetry.take().map(EventRing::into_report);
-        let mapping_cache = self.lookup.stats();
-        let config = self.config;
-        let threads = self.threads;
-        let ledger = self.ledger;
-        let kernel_trace = self.kernel_trace;
-        let mem_stats = self.hsa.mem().stats();
-        let fault_stats = self.hsa.fault_stats();
-        let recovery_log = self.recovery_log;
-        let degraded_from = self.degraded_from;
-        let results = self.hsa.finish_many(opts, seeds);
-        let makespans: Vec<VirtDuration> = results.iter().map(|r| r.makespan()).collect();
-        let first = results.into_iter().next().expect("at least one seed");
-        (
-            RunReport {
-                config,
-                threads,
-                makespan: first.makespan(),
-                api_stats: first.api_stats,
-                ledger,
-                mem_stats,
-                schedule: first.schedule,
-                kernel_trace,
-                fault_stats,
-                recovery_log,
-                degraded_from,
-                sanitizer,
-                telemetry,
-                mapping_cache,
-            },
-            makespans,
-        )
+        self.finish_by(|hsa| {
+            let results = hsa.finish_many(opts, seeds);
+            let makespans = results.iter().map(|r| r.makespan()).collect();
+            let first = results.into_iter().next().expect("at least one seed");
+            (first, makespans)
+        })
     }
 
     /// Finish with explicit scheduling options (noise model, seed).
-    pub fn finish_with(mut self, opts: &RunOptions) -> RunReport {
-        let sanitizer = self.finalize_sanitizer();
-        let telemetry = self.telemetry.take().map(EventRing::into_report);
-        let mapping_cache = self.lookup.stats();
-        let config = self.config;
-        let threads = self.threads;
-        let ledger = self.ledger;
-        let kernel_trace = self.kernel_trace;
+    pub fn finish_with(self, opts: &RunOptions) -> RunReport {
+        self.finish_by(|hsa| (hsa.finish(opts), ())).0
+    }
+
+    /// The one body behind both finishes: run the end-of-program sanitizer
+    /// scan, collect the counters, and let `resolve` schedule the recorded
+    /// streams (the report takes its schedule from the result it returns).
+    fn finish_by<T>(
+        mut self,
+        resolve: impl FnOnce(HsaRuntime) -> (HsaRunResult, T),
+    ) -> (RunReport, T) {
+        self.sanitizer_finalize();
+        let sanitizer = self.sanitizer.take().map(MapSanitizer::into_report);
         let mem_stats = self.hsa.mem().stats();
         let fault_stats = self.hsa.fault_stats();
-        let recovery_log = self.recovery_log;
-        let degraded_from = self.degraded_from;
-        let result = self.hsa.finish(opts);
-        RunReport {
-            config,
-            threads,
+        let mapping_cache = self.lookup.stats();
+        let (ledger, telemetry) = self.recorder.into_report();
+        let (result, extra) = resolve(self.hsa);
+        let report = RunReport {
+            config: self.config,
+            threads: self.threads,
             makespan: result.makespan(),
             api_stats: result.api_stats,
             ledger,
             mem_stats,
             schedule: result.schedule,
-            kernel_trace,
+            kernel_trace: self.kernel_trace,
             fault_stats,
-            recovery_log,
-            degraded_from,
+            degraded_from: self.degraded_from,
             sanitizer,
             telemetry,
             mapping_cache,
-        }
+        };
+        (report, extra)
     }
 
     // ---- internals ----
@@ -1046,7 +990,7 @@ impl OmpRuntime {
             match call(&mut self.hsa) {
                 Ok(v) => {
                     if attempt > 0 {
-                        self.log_recovery(thread, attempt + 1, action);
+                        self.charge_recovery(thread, attempt + 1, action);
                     }
                     return Ok(v);
                 }
@@ -1093,7 +1037,7 @@ impl OmpRuntime {
                         } else {
                             RecoveryAction::RetriedAlloc
                         };
-                        self.log_recovery(thread, attempt + 1, action);
+                        self.charge_recovery(thread, attempt + 1, action);
                     }
                     return Ok(addr);
                 }
@@ -1140,7 +1084,7 @@ impl OmpRuntime {
     /// and — once XNACK is gone — prefault the kernel's access set host-side
     /// (Eager-Maps-style degradation) so demand paging is never needed.
     fn prepare_dispatch(&mut self, thread: usize, access: &[AddrRange]) -> Result<(), OmpError> {
-        let kernels = self.ledger.kernels;
+        let kernels = self.ledger().kernels;
         let flipped = self
             .hsa
             .fault_plan_mut()
@@ -1148,7 +1092,7 @@ impl OmpRuntime {
         if flipped && self.xnack == XnackMode::Enabled {
             self.xnack = XnackMode::Disabled;
             self.xnack_lost = true;
-            self.log_recovery(thread, 0, RecoveryAction::XnackLost);
+            self.charge_recovery(thread, 0, RecoveryAction::XnackLost);
         }
         if self.xnack_lost {
             for r in access {
@@ -1330,6 +1274,7 @@ mod tests {
     use super::*;
     use crate::config::RunEnv;
     use crate::mapping::MapEntry;
+    use crate::telemetry::TelemetryMode;
 
     fn rt(config: RuntimeConfig) -> OmpRuntime {
         OmpRuntime::builder(CostModel::mi300a_no_thp(), Topology::default())
@@ -1759,8 +1704,23 @@ mod tests {
         OmpRuntime::builder(CostModel::mi300a_no_thp(), Topology::default())
             .config(config)
             .fault_plan(sim_des::FaultPlan::new(seed, spec))
+            .telemetry(TelemetryMode::ring())
             .build()
             .unwrap()
+    }
+
+    /// The recovery episodes and degradations a ring-on run recorded, in
+    /// order.
+    fn recovery_events(report: &RunReport) -> Vec<RecoveryEvent> {
+        let telemetry = report.telemetry.as_ref().expect("ring was on");
+        telemetry
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Recovery { event } => Some(event),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -1798,7 +1758,7 @@ mod tests {
     fn recovery_ledger_and_log_record_retries() {
         // With soak rates, 16 Copy-mode targets essentially always hit at
         // least one injected fault; every episode must be recovered and
-        // recorded consistently in the ledger and the event log.
+        // recorded consistently in the ledger and the event stream.
         let mut r = faulty_rt(RuntimeConfig::LegacyCopy, sim_des::FaultSpec::soak(), 7);
         let a = r.host_alloc(0, 4096).unwrap();
         let range = AddrRange::new(a, 4096);
@@ -1809,12 +1769,13 @@ mod tests {
         }
         let stats = r.fault_stats();
         assert!(stats.total_injected() > 0, "soak spec injected nothing");
-        assert_eq!(r.ledger().recoveries as usize, r.recovery_log().len());
         assert!(r.ledger().retries >= r.ledger().recoveries);
         assert!(r.ledger().recovery_backoff > VirtDuration::ZERO);
         let report = r.finish();
         assert!(report.fault_stats.total_injected() > 0);
-        assert!(!report.recovery_log.is_empty());
+        let episodes = recovery_events(&report);
+        assert!(!episodes.is_empty());
+        assert_eq!(report.ledger.recoveries as usize, episodes.len());
         assert!(report.ledger.has_recovery_activity());
     }
 
@@ -1824,6 +1785,7 @@ mod tests {
         let mut r = OmpRuntime::builder(CostModel::mi300a_no_thp(), Topology::default())
             .config(RuntimeConfig::ImplicitZeroCopy)
             .fault_plan(plan)
+            .telemetry(TelemetryMode::ring())
             .build()
             .unwrap();
         let a = r.host_alloc(0, 4096).unwrap();
@@ -1839,11 +1801,10 @@ mod tests {
             r.target(0, region).unwrap();
         }
         assert_eq!(read_f64s(&r, a, 1), vec![6.0]);
-        assert!(r
-            .recovery_log()
+        let report = r.finish();
+        assert!(recovery_events(&report)
             .iter()
             .any(|e| e.action == RecoveryAction::XnackLost));
-        let report = r.finish();
         assert_eq!(report.fault_stats.xnack_flips, 1);
         assert_eq!(report.ledger.degradations, 1);
         // Post-flip dispatches prefault their access sets host-side.
@@ -1864,6 +1825,7 @@ mod tests {
         let mut r = OmpRuntime::builder(CostModel::mi300a_no_thp(), Topology::default())
             .config(RuntimeConfig::UnifiedSharedMemory)
             .system(SystemKind::Discrete(spec))
+            .telemetry(TelemetryMode::ring())
             .build()
             .unwrap();
         let a = r.host_alloc(0, 6 * 4096).unwrap();
@@ -1874,8 +1836,7 @@ mod tests {
         let dev = r.omp_target_alloc(0, 4 * 4096).unwrap();
         assert!(dev.0 > 0);
         assert!(r.ledger().evicted_for_retry > 0);
-        assert!(r
-            .recovery_log()
+        assert!(recovery_events(&r.finish())
             .iter()
             .any(|e| matches!(e.action, RecoveryAction::EvictedThenRetriedAlloc { .. })));
     }

@@ -15,16 +15,14 @@
 //! The load-bearing contract is *ledger derivability*: [`fold`] replays an
 //! event stream into an [`OverheadLedger`] and the result equals the ledger
 //! the runtime accumulated, field for field, whenever no events were dropped.
-//! It holds by construction: [`OverheadLedger::apply`] is the one place that
-//! defines what each event charges, the runtime's single charge funnel
-//! builds the event, applies it to its ledger and (ring on) records that
-//! same event, and [`fold`] is `apply` over the stream. The ledger is thus a
-//! derived view of the stream, not a parallel bookkeeping path. The check
-//! harness still compares the two on every shipped cell (a `TELEMETRY FOLD
-//! DIVERGED` verdict), as does `crates/check/tests/telemetry_prop.rs` on
-//! randomized programs: what that can still catch is ring overflow (dropped
-//! events) or a charge site that mutates the ledger without going through
-//! the funnel.
+//! It holds by construction. [`OverheadLedger::apply`] is the one place that
+//! defines what each event charges, and the runtime keeps its ledger and its
+//! ring in one recorder, whose one mutator applies each event and (ring
+//! on) records that same event. The ledger is thus the running fold of the
+//! stream, not a parallel bookkeeping path; [`attribution`] folds each site's
+//! and each kernel's events through `apply` as well. What can still break
+//! the contract is ring overflow, so the check harness's `telemetry_exact`
+//! verdict is the drop count.
 //!
 //! Overflow is never silent: when the ring is full the oldest event is
 //! evicted and [`TelemetryReport::dropped_events`] is incremented; every sink
@@ -96,8 +94,9 @@ pub enum ElideProbe {
 /// One telemetry event payload.
 ///
 /// What each variant charges to the [`OverheadLedger`] is defined once, in
-/// [`OverheadLedger::apply`]; the runtime charges its ledger by applying
-/// the very event it records, which is what makes [`fold`] exact.
+/// [`OverheadLedger::apply`]; the runtime's recorder charges its ledger
+/// by applying the very event it records, which is what makes [`fold`]
+/// exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// A map construct entered for one entry (counts toward `maps`).
@@ -216,7 +215,7 @@ pub enum EventKind {
         pages: u64,
     },
     /// A recovery episode resolved, or a degradation engaged
-    /// (`recoveries` / `degradations`, plus the recovery log).
+    /// (`recoveries` / `degradations`).
     Recovery {
         /// The logged episode.
         event: RecoveryEvent,
@@ -467,11 +466,6 @@ impl EventRing {
         self.dropped
     }
 
-    /// Fold the events currently held into a ledger (see [`fold`]).
-    pub fn fold(&self) -> OverheadLedger {
-        fold_iter(&self.buf)
-    }
-
     /// Finish collection, yielding the report consumed by the sinks.
     pub fn into_report(self) -> TelemetryReport {
         TelemetryReport {
@@ -498,9 +492,9 @@ pub struct TelemetryReport {
 
 impl OverheadLedger {
     /// Charge one event: the single definition of what each [`EventKind`]
-    /// adds to the ledger. The runtime charges every ledger-changing event
-    /// it records through here, and [`fold`] applies a stream through here,
-    /// so the two agree by construction.
+    /// adds to the ledger. The runtime's recorder, [`fold`] and
+    /// [`attribution`] all charge through here, so they agree by
+    /// construction.
     pub fn apply(&mut self, kind: &EventKind) {
         match kind {
             EventKind::MapBegin { .. } | EventKind::MapEnd { .. } => self.maps += 1,
@@ -560,17 +554,60 @@ impl OverheadLedger {
     }
 }
 
+/// The runtime's charge recorder: the [`OverheadLedger`] and, when telemetry
+/// is on, the [`EventRing`]. Its one mutator, [`record`](Self::record),
+/// applies an event to the ledger and records the same event in the ring,
+/// so the ledger is the running fold of the stream.
+#[derive(Debug)]
+pub(crate) struct Recorder {
+    ledger: OverheadLedger,
+    ring: Option<EventRing>,
+}
+
+impl Recorder {
+    /// An empty ledger, plus a ring when `mode` collects.
+    pub(crate) fn new(mode: TelemetryMode) -> Self {
+        Recorder {
+            ledger: OverheadLedger::default(),
+            ring: match mode {
+                TelemetryMode::Off => None,
+                TelemetryMode::Ring(capacity) => Some(EventRing::new(capacity)),
+            },
+        }
+    }
+
+    /// Charge `kind` to the ledger and, ring on, record it on `thread`
+    /// spanning the op-stream anchors `anchor..anchor_end`.
+    pub(crate) fn record(&mut self, thread: u32, anchor: u32, anchor_end: u32, kind: EventKind) {
+        self.ledger.apply(&kind);
+        if let Some(ring) = &mut self.ring {
+            ring.push(thread, anchor, anchor_end, kind);
+        }
+    }
+
+    /// The ledger so far.
+    pub(crate) fn ledger(&self) -> &OverheadLedger {
+        &self.ledger
+    }
+
+    /// Events evicted by ring overflow so far (0 when off).
+    pub(crate) fn dropped(&self) -> u64 {
+        self.ring.as_ref().map_or(0, EventRing::dropped)
+    }
+
+    /// Finish recording: the ledger, and the stream when the ring was on.
+    pub(crate) fn into_report(self) -> (OverheadLedger, Option<TelemetryReport>) {
+        (self.ledger, self.ring.map(EventRing::into_report))
+    }
+}
+
 /// Replay an event stream into the ledger it implies: [`OverheadLedger::apply`]
 /// over every event.
 ///
 /// For a complete stream (`dropped_events == 0`) the result equals the
-/// runtime's [`OverheadLedger`] field for field — the derivability contract
-/// enforced by the check harness on every shipped cell.
+/// runtime's [`OverheadLedger`] field for field, because the runtime's
+/// recorder built that ledger by applying the same events.
 pub fn fold(events: &[Event]) -> OverheadLedger {
-    fold_iter(events)
-}
-
-fn fold_iter<'a>(events: impl IntoIterator<Item = &'a Event>) -> OverheadLedger {
     let mut l = OverheadLedger::default();
     for e in events {
         l.apply(&e.kind);
@@ -778,95 +815,104 @@ pub struct AttributionReport {
     pub dropped_events: u64,
 }
 
-/// Build the per-site attribution report from an event stream.
-pub fn attribution(report: &TelemetryReport) -> AttributionReport {
-    fn site<'a>(
-        sites: &'a mut HashMap<(u64, u64), SiteProfile>,
-        r: &AddrRange,
-    ) -> &'a mut SiteProfile {
-        let s = sites.entry((r.start.as_u64(), r.len)).or_default();
-        s.range = *r;
-        s
+/// The map site (host extent) an event's charge is attributed to. A
+/// recovery prefault charges the recovery ledger, not a site; kernel,
+/// retry, recovery and sanitizer events have no site.
+fn site_of(kind: &EventKind) -> Option<&AddrRange> {
+    match kind {
+        EventKind::MapBegin { range, .. }
+        | EventKind::MapEnd { range, .. }
+        | EventKind::MapService { range, .. }
+        | EventKind::PoolAlloc { range, .. }
+        | EventKind::PoolFree { range, .. }
+        | EventKind::Copy { range, .. }
+        | EventKind::Prefault {
+            range,
+            recovery: false,
+            ..
+        }
+        | EventKind::Elide { range, .. } => Some(range),
+        EventKind::Prefault { recovery: true, .. }
+        | EventKind::KernelLaunch { .. }
+        | EventKind::KernelComplete { .. }
+        | EventKind::Backoff { .. }
+        | EventKind::Evicted { .. }
+        | EventKind::Recovery { .. }
+        | EventKind::Sanitizer { .. } => None,
     }
-    let mut sites: HashMap<(u64, u64), SiteProfile> = HashMap::new();
-    let mut kernels: HashMap<String, KernelProfile> = HashMap::new();
+}
+
+/// Build the per-site attribution report from an event stream. Each site's
+/// events and each kernel's completions fold through
+/// [`OverheadLedger::apply`] into a ledger of their own, and the profiles
+/// copy their fields out of those ledgers; only a site's `allocs` is
+/// counted here.
+pub fn attribution(report: &TelemetryReport) -> AttributionReport {
+    let mut sites: HashMap<(u64, u64), (AddrRange, OverheadLedger, u64)> = HashMap::new();
+    let mut kernels: HashMap<&str, OverheadLedger> = HashMap::new();
     for e in &report.events {
-        match &e.kind {
-            EventKind::MapBegin { range, .. } | EventKind::MapEnd { range, .. } => {
-                site(&mut sites, range).maps += 1;
+        if let Some(range) = site_of(&e.kind) {
+            let (_, ledger, allocs) = sites.entry((range.start.as_u64(), range.len)).or_insert((
+                *range,
+                OverheadLedger::default(),
+                0,
+            ));
+            ledger.apply(&e.kind);
+            if let EventKind::PoolAlloc { .. } = e.kind {
+                *allocs += 1;
             }
-            EventKind::MapService { range, cost } => {
-                site(&mut sites, range).mm_map += *cost;
-            }
-            EventKind::PoolAlloc { range, cost } => {
-                let s = site(&mut sites, range);
-                s.allocs += 1;
-                s.mm_alloc += *cost;
-            }
-            EventKind::PoolFree { range, cost } => {
-                site(&mut sites, range).mm_free += *cost;
-            }
-            EventKind::Copy {
-                range, bytes, cost, ..
-            } => {
-                let s = site(&mut sites, range);
-                s.copies += 1;
-                s.bytes += *bytes;
-                s.mm_copy += *cost;
-            }
-            EventKind::Prefault {
-                range,
-                cost,
-                recovery: false,
-            } => {
-                site(&mut sites, range).mm_prefault += *cost;
-            }
-            EventKind::Prefault { recovery: true, .. } => {}
-            EventKind::Elide {
-                range,
-                lookup,
-                saved,
-                ..
-            } => {
-                let s = site(&mut sites, range);
-                s.elided += 1;
-                s.mm_map += *lookup;
-                s.mm_saved += *saved;
-            }
-            EventKind::KernelComplete {
-                name,
-                compute,
-                fault_stall,
-                tlb_stall,
-                replayed_pages,
-                zero_filled_pages,
-            } => {
-                let k = kernels.entry(name.to_string()).or_default();
-                k.name = name.to_string();
-                k.launches += 1;
-                k.compute += *compute;
-                k.fault_stall += *fault_stall;
-                k.tlb_stall += *tlb_stall;
-                k.replayed_pages += *replayed_pages;
-                k.zero_filled_pages += *zero_filled_pages;
-            }
-            _ => {}
+        } else if let EventKind::KernelComplete { name, .. } = &e.kind {
+            kernels.entry(&**name).or_default().apply(&e.kind);
         }
     }
-    let mut sites: Vec<SiteProfile> = sites.into_values().collect();
+    let mut sites: Vec<SiteProfile> = sites
+        .into_values()
+        .map(|(range, l, allocs)| SiteProfile {
+            range,
+            maps: l.maps,
+            allocs,
+            copies: l.copies,
+            bytes: l.bytes_copied,
+            elided: l.maps_elided,
+            mm_alloc: l.mm_alloc,
+            mm_copy: l.mm_copy,
+            mm_free: l.mm_free,
+            mm_prefault: l.mm_prefault,
+            mm_map: l.mm_map,
+            mm_saved: l.mm_saved,
+        })
+        .collect();
+    let mut kernels: Vec<KernelProfile> = kernels
+        .into_iter()
+        .map(|(name, l)| KernelProfile {
+            name: name.to_string(),
+            launches: l.kernels,
+            compute: l.kernel_compute,
+            fault_stall: l.mi_fault_stall,
+            tlb_stall: l.tlb_stall,
+            replayed_pages: l.replayed_pages,
+            zero_filled_pages: l.zero_filled_pages,
+        })
+        .collect();
+    rank_profiles(&mut sites, &mut kernels);
+    AttributionReport {
+        sites,
+        kernels,
+        dropped_events: report.dropped_events,
+    }
+}
+
+/// Attribution order: sites by total MM charge (descending, ties by address
+/// then length), kernels by XNACK fault stall (descending, ties by name).
+/// [`attribution`] and the sweep's merged aggregate both rank through here.
+pub fn rank_profiles(sites: &mut [SiteProfile], kernels: &mut [KernelProfile]) {
     sites.sort_by(|a, b| {
         b.mm_total()
             .cmp(&a.mm_total())
             .then(a.range.start.as_u64().cmp(&b.range.start.as_u64()))
             .then(a.range.len.cmp(&b.range.len))
     });
-    let mut kernels: Vec<KernelProfile> = kernels.into_values().collect();
     kernels.sort_by(|a, b| b.fault_stall.cmp(&a.fault_stall).then(a.name.cmp(&b.name)));
-    AttributionReport {
-        sites,
-        kernels,
-        dropped_events: report.dropped_events,
-    }
 }
 
 impl AttributionReport {
@@ -1165,8 +1211,7 @@ mod tests {
         assert_eq!(l, OverheadLedger::default());
     }
 
-    /// [`to_jsonl`] of the every-kind fixture in
-    /// `jsonl_of_every_kind_is_pinned`, byte for byte.
+    /// [`to_jsonl`] of [`every_kind_report`], byte for byte.
     const JSONL_EVERY_KIND: &str = r#"{"type":"header","version":1,"capacity":128,"events":15,"dropped_events":5}
 {"type":"event","seq":0,"thread":2,"anchor":0,"anchor_end":1,"kind":"map_begin","start":16,"len":8,"dir":"to","always":true}
 {"type":"event","seq":1,"thread":2,"anchor":1,"anchor_end":2,"kind":"map_end","start":16,"len":8,"dir":"from","delete":true}
@@ -1185,8 +1230,9 @@ mod tests {
 {"type":"event","seq":14,"thread":2,"anchor":14,"anchor_end":15,"kind":"sanitizer","code":"MC007"}
 "#;
 
-    #[test]
-    fn jsonl_of_every_kind_is_pinned() {
+    /// One event of every kind on thread 2, anchors `i..i + 1`, after 5
+    /// dropped events: the fixture behind the JSONL and attribution goldens.
+    fn every_kind_report() -> TelemetryReport {
         let us = VirtDuration::from_micros;
         let kinds = vec![
             EventKind::MapBegin {
@@ -1277,13 +1323,81 @@ mod tests {
                 kind,
             })
             .collect();
-        let report = TelemetryReport {
+        TelemetryReport {
             events,
             dropped_events: 5,
             capacity: 128,
+        }
+    }
+
+    #[test]
+    fn jsonl_of_every_kind_is_pinned() {
+        assert_eq!(to_jsonl(&every_kind_report()), JSONL_EVERY_KIND);
+    }
+
+    /// Every [`SiteProfile`] and [`KernelProfile`] field of the every-kind
+    /// fixture, plus one eager prefault so that `mm_prefault` is charged
+    /// too. The recovery prefault at 0x40 creates no site.
+    #[test]
+    fn attribution_of_every_kind_is_pinned() {
+        let us = VirtDuration::from_micros;
+        let mut report = every_kind_report();
+        report.events.push(Event {
+            seq: 15,
+            thread: 2,
+            anchor: 15,
+            anchor_end: 16,
+            kind: EventKind::Prefault {
+                range: r(0x10, 8),
+                cost: us(6),
+                recovery: false,
+            },
+        });
+        let site = |start, len| SiteProfile {
+            range: r(start, len),
+            ..SiteProfile::default()
         };
-        let text = to_jsonl(&report);
-        assert_eq!(text, JSONL_EVERY_KIND);
+        assert_eq!(
+            attribution(&report),
+            AttributionReport {
+                sites: vec![
+                    SiteProfile {
+                        allocs: 1,
+                        mm_alloc: us(3),
+                        mm_free: us(4),
+                        mm_map: us(2),
+                        ..site(0x20, 8)
+                    },
+                    SiteProfile {
+                        maps: 2,
+                        mm_prefault: us(6),
+                        ..site(0x10, 8)
+                    },
+                    SiteProfile {
+                        copies: 1,
+                        bytes: 16,
+                        mm_copy: us(5),
+                        ..site(0x30, 16)
+                    },
+                    SiteProfile {
+                        elided: 1,
+                        mm_map: us(1),
+                        mm_saved: us(9),
+                        ..site(0x50, 64)
+                    },
+                ],
+                kernels: vec![KernelProfile {
+                    name: "stencil \"hot\"\nloop".into(),
+                    launches: 1,
+                    compute: us(7),
+                    fault_stall: us(8),
+                    tlb_stall: us(1),
+                    replayed_pages: 3,
+                    zero_filled_pages: 1,
+                }],
+                dropped_events: 5,
+            }
+        );
     }
 
     #[test]

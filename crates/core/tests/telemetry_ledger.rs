@@ -61,17 +61,16 @@ fn fold_equals_ledger_under_every_configuration() {
             .unwrap();
         program(&mut rt);
         let ledger = *rt.ledger();
-        assert_eq!(
-            rt.telemetry_fold(),
-            Some(ledger),
-            "fold != ledger under {}",
-            config.label()
-        );
         assert_eq!(rt.telemetry_dropped(), 0);
 
         let report = rt.finish();
         let telemetry = report.telemetry.expect("ring was on");
-        assert_eq!(fold(&telemetry.events), ledger);
+        assert_eq!(
+            fold(&telemetry.events),
+            ledger,
+            "fold != ledger under {}",
+            config.label()
+        );
         assert_eq!(report.ledger, ledger);
         // The report surfaces the mapping-cache counters alongside.
         let (hits, misses) = report.mapping_cache;
@@ -88,24 +87,24 @@ fn fold_equals_ledger_under_fault_injection() {
             .build()
             .unwrap();
         program(&mut rt);
-        let ledger = *rt.ledger();
+        let report = rt.finish();
+        let telemetry = report.telemetry.expect("ring was on");
         assert_eq!(
-            rt.telemetry_fold(),
-            Some(ledger),
+            fold(&telemetry.events),
+            report.ledger,
             "faulty fold != ledger under {}",
             config.label()
         );
-        // Recovery episodes appear in both the log and the stream.
-        let report = rt.finish();
-        let telemetry = report.telemetry.expect("ring was on");
-        if !report.recovery_log.is_empty() {
-            let recovery_events = telemetry
-                .events
-                .iter()
-                .filter(|e| e.kind.name() == "recovery")
-                .count();
-            assert_eq!(recovery_events, report.recovery_log.len());
-        }
+        // Every recovery episode and degradation is one stream event.
+        let recovery_events = telemetry
+            .events
+            .iter()
+            .filter(|e| e.kind.name() == "recovery")
+            .count() as u64;
+        assert_eq!(
+            recovery_events,
+            report.ledger.recoveries + report.ledger.degradations
+        );
     }
 }
 
@@ -113,7 +112,6 @@ fn fold_equals_ledger_under_fault_injection() {
 fn telemetry_off_reports_nothing() {
     let mut rt = builder(RuntimeConfig::LegacyCopy).build().unwrap();
     program(&mut rt);
-    assert_eq!(rt.telemetry_fold(), None);
     assert_eq!(rt.telemetry_dropped(), 0);
     let report = rt.finish();
     assert!(report.telemetry.is_none());

@@ -87,11 +87,6 @@ impl HsaRuntime {
         )
     }
 
-    /// A runtime over a system of the given kind (APU or discrete GPU).
-    pub fn new_system(cost: CostModel, topo: Topology, kind: apu_mem::SystemKind) -> Self {
-        Self::with_options(cost, topo, kind, MemOptions::default())
-    }
-
     /// Attach an injected-failure schedule. Callers normally attach *after*
     /// device/thread initialization so faults target the measured phase of
     /// a run, not runtime bring-up.

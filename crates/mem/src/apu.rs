@@ -275,11 +275,6 @@ impl ApuMemory {
         )
     }
 
-    /// A memory system of the given kind (APU or discrete GPU).
-    pub fn new_system(cost: CostModel, kind: SystemKind) -> Self {
-        Self::with_options(cost, kind, MemOptions::default())
-    }
-
     /// The system kind.
     pub fn kind(&self) -> &SystemKind {
         &self.kind
@@ -1233,9 +1228,10 @@ mod tests {
             link_bandwidth: 25_000_000_000,
             migrate_per_page: VirtDuration::from_micros(25),
         };
-        let mut m = ApuMemory::new_system(
+        let mut m = ApuMemory::with_options(
             CostModel::mi300a_no_thp(),
             SystemKind::Discrete(spec.clone()),
+            MemOptions::default(),
         );
         let a = m.host_alloc(8 * 4096).unwrap();
         let r = AddrRange::new(a.addr, 8 * 4096);
@@ -1262,7 +1258,11 @@ mod tests {
             link_bandwidth: 25_000_000_000,
             migrate_per_page: VirtDuration::from_micros(25),
         };
-        let mut m = ApuMemory::new_system(CostModel::mi300a_no_thp(), SystemKind::Discrete(spec));
+        let mut m = ApuMemory::with_options(
+            CostModel::mi300a_no_thp(),
+            SystemKind::Discrete(spec),
+            MemOptions::default(),
+        );
         let a = m.host_alloc(16 * 4096).unwrap();
         let r = AddrRange::new(a.addr, 16 * 4096);
         m.host_touch(r).unwrap();
@@ -1283,7 +1283,11 @@ mod tests {
             link_bandwidth: 25_000_000_000,
             migrate_per_page: VirtDuration::from_micros(25),
         };
-        let mut m = ApuMemory::new_system(CostModel::mi300a_no_thp(), SystemKind::Discrete(spec));
+        let mut m = ApuMemory::with_options(
+            CostModel::mi300a_no_thp(),
+            SystemKind::Discrete(spec),
+            MemOptions::default(),
+        );
         let a = m.pool_alloc(12 * 4096).unwrap();
         assert_eq!(m.vram_used(), 12 * 4096);
         // The APU would take this; the discrete device cannot.
@@ -1300,7 +1304,11 @@ mod tests {
     fn discrete_copies_cross_the_link() {
         let spec = DiscreteSpec::mi200_class();
         let link = spec.link_bandwidth;
-        let mut m = ApuMemory::new_system(CostModel::mi300a(), SystemKind::Discrete(spec));
+        let mut m = ApuMemory::with_options(
+            CostModel::mi300a(),
+            SystemKind::Discrete(spec),
+            MemOptions::default(),
+        );
         let h = m.host_alloc(1 << 24).unwrap();
         let d = m.pool_alloc(1 << 24).unwrap();
         let h2 = m.host_alloc(1 << 24).unwrap();
@@ -1323,7 +1331,11 @@ mod tests {
     fn discrete_prefetch_is_bulk_migration() {
         let spec = DiscreteSpec::mi200_class();
         let per_page = spec.migration_cost(4096);
-        let mut m = ApuMemory::new_system(CostModel::mi300a_no_thp(), SystemKind::Discrete(spec));
+        let mut m = ApuMemory::with_options(
+            CostModel::mi300a_no_thp(),
+            SystemKind::Discrete(spec),
+            MemOptions::default(),
+        );
         let a = m.host_alloc(8 * 4096).unwrap();
         let r = AddrRange::new(a.addr, 8 * 4096);
         m.host_touch(r).unwrap();

@@ -12,7 +12,8 @@
 //! oversubscription (so eviction interleaves with migration mid-range).
 
 use apu_mem::{
-    AddrRange, ApuMemory, CostModel, DiscreteSpec, MemError, SystemKind, VirtAddr, XnackMode,
+    AddrRange, ApuMemory, CostModel, DiscreteSpec, MemError, MemOptions, SystemKind, VirtAddr,
+    XnackMode,
 };
 use proptest::prelude::*;
 
@@ -48,7 +49,7 @@ fn build(scenario: Scenario, pagewise: bool) -> ApuMemory {
                 link_bandwidth: 25_000_000_000,
                 ..DiscreteSpec::mi200_class()
             };
-            ApuMemory::new_system(cost, SystemKind::Discrete(spec))
+            ApuMemory::with_options(cost, SystemKind::Discrete(spec), MemOptions::default())
         }
         _ => ApuMemory::with_capacity(cost, 64 * 1024 * 1024),
     };
@@ -330,11 +331,16 @@ fn discrete_thrash_sweep_is_equivalent() {
         link_bandwidth: 25_000_000_000,
         ..DiscreteSpec::mi200_class()
     };
-    let mut fast = ApuMemory::new_system(
+    let mut fast = ApuMemory::with_options(
         CostModel::mi300a_no_thp(),
         SystemKind::Discrete(spec.clone()),
+        MemOptions::default(),
     );
-    let mut slow = ApuMemory::new_system(CostModel::mi300a_no_thp(), SystemKind::Discrete(spec));
+    let mut slow = ApuMemory::with_options(
+        CostModel::mi300a_no_thp(),
+        SystemKind::Discrete(spec),
+        MemOptions::default(),
+    );
     slow.set_pagewise(true);
     let af = fast.host_alloc(16 * PAGE).unwrap();
     let as_ = slow.host_alloc(16 * PAGE).unwrap();

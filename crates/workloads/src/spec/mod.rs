@@ -16,30 +16,3 @@ pub use ep::Ep;
 pub use lbm::Lbm;
 pub use sp::SpC;
 pub use stencil::Stencil;
-
-use crate::common::Workload;
-
-/// All five benchmarks at ref-like scale, in the paper's Table II order.
-pub fn table2_suite() -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(Stencil::ref_size()),
-        Box::new(Lbm::ref_size()),
-        Box::new(Ep::ref_size()),
-        Box::new(SpC::ref_size()),
-        Box::new(Bt::ref_size()),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn suite_matches_table_order() {
-        let names: Vec<String> = table2_suite().iter().map(|w| w.name()).collect();
-        assert_eq!(
-            names,
-            vec!["403.stencil", "404.lbm", "452.ep", "457.spC", "470.bt"]
-        );
-    }
-}

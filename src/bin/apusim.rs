@@ -518,7 +518,8 @@ fn cmd_replay_batch(
 }
 
 /// `apusim optimize`: run the whole-program static optimizer over one
-/// capture. Writes the rewritten capture with `-o` (stdout report either
+/// capture and rank the admissible configurations by replaying the
+/// rewrite. Writes the rewritten capture with `-o` (stdout report either
 /// way); `--report` adds the per-config equivalence evidence. Exit codes:
 /// 0 optimized, 2 ill-formed input (refused, never rewritten) or usage.
 fn cmd_optimize(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
@@ -546,9 +547,23 @@ fn cmd_optimize(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     };
     println!("{input}: {}", opt.report);
+    let configs = mi300a_zerocopy::mapcheck::admissible_configs(&ir);
+    let ranking = mi300a_zerocopy::mapcheck::rank_configs(&opt.ir, &configs)?;
+    println!("config ranking (optimized replay, cheapest first):");
+    for s in &ranking {
+        println!(
+            "  {:<6} makespan {:>14}  mm_total {:>14}",
+            s.config.token(),
+            s.makespan.to_string(),
+            s.mm_total.to_string()
+        );
+    }
+    if let Some(best) = ranking.first() {
+        println!("recommended: {}", best.config.token());
+    }
     if report {
         println!("equivalence (baseline vs optimized replay):");
-        for config in mi300a_zerocopy::mapcheck::admissible_configs(&ir) {
+        for config in configs {
             let eq = mi300a_zerocopy::mapcheck::verify_equivalence(&ir, &opt.ir, config)?;
             println!(
                 "  {:<6} {}  digest {:#018x}  kernels {}  mm {} -> {} (saved {})",

@@ -14,7 +14,7 @@
 //! * [`workloads`] — mini-QMCPack and SPECaccel-like benchmark programs
 //! * [`analysis`] — experiment driver, statistics, tables and figures
 //! * [`mapcheck`] — static map-clause analyzer cross-validated by the
-//!   runtime sanitizer (`repro --check`, `apusim check`)
+//!   runtime sanitizer (`apusim check`)
 //! * [`batch`] — replay-at-scale: work-stealing batched sweep driver with
 //!   a content-addressed result cache (`repro --jobs/--cache`,
 //!   `apusim replay FILE...`)

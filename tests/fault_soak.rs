@@ -2,13 +2,18 @@
 //! multi-phase program. Each faulty run must (a) produce numeric results
 //! identical to the healthy run, (b) finish with zero live mappings and no
 //! outstanding nowait regions, and (c) replay deterministically per seed.
+//! Runs record telemetry, so every recovery episode and degradation can be
+//! read back from the event stream.
 //!
 //! The default profile is quick (3 seeds); set `FAULT_SOAK_SEEDS=n` for a
 //! longer soak.
 
 use mi300a_zerocopy::hsa::Topology;
 use mi300a_zerocopy::mem::{AddrRange, CostModel, DiscreteSpec, SystemKind, VirtAddr};
-use mi300a_zerocopy::omp::{MapEntry, OmpRuntime, RunReport, RuntimeConfig, TargetRegion};
+use mi300a_zerocopy::omp::telemetry::EventKind;
+use mi300a_zerocopy::omp::{
+    MapEntry, OmpRuntime, RecoveryEvent, RunReport, RuntimeConfig, TargetRegion, TelemetryMode,
+};
 use mi300a_zerocopy::sim::{FaultPlan, FaultSpec, VirtDuration};
 
 const N: usize = 256;
@@ -93,11 +98,27 @@ fn run_program(mut rt: OmpRuntime) -> (Vec<f64>, RunReport) {
 }
 
 fn apu_rt(config: RuntimeConfig, plan: Option<FaultPlan>) -> OmpRuntime {
-    let mut b = OmpRuntime::builder(CostModel::mi300a(), Topology::default()).config(config);
+    let mut b = OmpRuntime::builder(CostModel::mi300a(), Topology::default())
+        .config(config)
+        .telemetry(TelemetryMode::ring());
     if let Some(plan) = plan {
         b = b.fault_plan(plan);
     }
     b.build().unwrap()
+}
+
+/// The recovery episodes and degradations a run recorded, in order.
+fn recovery_events(report: &RunReport) -> Vec<RecoveryEvent> {
+    let telemetry = report.telemetry.as_ref().expect("ring was on");
+    assert_eq!(telemetry.dropped_events, 0);
+    telemetry
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Recovery { event } => Some(event),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
@@ -113,12 +134,15 @@ fn soak_all_configs_and_seeds_match_healthy_results() {
                 faulty, healthy,
                 "config {config} seed {seed}: faulty run diverged from healthy"
             );
-            // Every injected episode must have been resolved by recovery.
+            // Every injected episode must have been resolved by recovery,
+            // and each one is a stream event. The soak spec has no XNACK
+            // knob, so nothing degrades.
             assert_eq!(
-                report.ledger.recoveries as usize,
-                report.recovery_log.len(),
+                recovery_events(&report).len() as u64,
+                report.ledger.recoveries + report.ledger.degradations,
                 "config {config} seed {seed}"
             );
+            assert_eq!(report.ledger.degradations, 0, "config {config} seed {seed}");
         }
     }
 }
@@ -141,7 +165,7 @@ fn soak_runs_replay_deterministically_per_seed() {
                 rep1.fault_stats.total_injected(),
                 rep2.fault_stats.total_injected()
             );
-            assert_eq!(rep1.recovery_log, rep2.recovery_log);
+            assert_eq!(recovery_events(&rep1), recovery_events(&rep2));
         }
     }
 }
@@ -155,7 +179,7 @@ fn soak_disabled_faults_equal_no_plan() {
     assert_eq!(healthy, nofault);
     assert_eq!(healthy_report.makespan, report.makespan);
     assert_eq!(report.fault_stats.total_injected(), 0);
-    assert!(report.recovery_log.is_empty());
+    assert!(recovery_events(&report).is_empty());
 }
 
 #[test]
@@ -180,7 +204,10 @@ fn soak_discrete_system_with_faults_recovers() {
             .unwrap();
         let (faulty, report) = run_program(rt);
         assert_eq!(faulty, healthy, "seed {seed}");
-        assert!(report.fault_stats.total_injected() > 0 || report.recovery_log.is_empty());
+        assert!(
+            report.fault_stats.total_injected() > 0
+                || report.ledger.recoveries + report.ledger.degradations == 0
+        );
     }
 }
 
@@ -197,5 +224,9 @@ fn soak_mid_run_xnack_loss_is_absorbed() {
         assert_eq!(report.fault_stats.xnack_flips, 1);
         assert_eq!(report.ledger.degradations, 1);
         assert!(report.ledger.recovery_prefaults > 0);
+        assert_eq!(
+            recovery_events(&report).len() as u64,
+            report.ledger.recoveries + report.ledger.degradations
+        );
     }
 }
