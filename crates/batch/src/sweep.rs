@@ -156,7 +156,7 @@ fn run_cell(mut rt: OmpRuntime, ir: &MapIr) -> Result<SweepResult, OmpError> {
 
 /// One multi-tenant cell, prepared once and shared by its tenant tasks:
 /// the resolved (possibly statically rewritten) program plus the
-/// [`TenantPool`] whose sharded table every tenant inserts into. Tenant
+/// [`TenantPool`] whose one mapping table every tenant inserts into. Tenant
 /// tasks borrow the cell concurrently from the work-stealing pool; the
 /// pool's VA-window isolation makes the schedule unobservable in the
 /// per-tenant bytes.
@@ -536,8 +536,15 @@ mod tests {
         stripped.tenant_rows.clear();
         assert_eq!(stripped, solo, "primary fields are tenant 0's solo bytes");
         // The tenant schedule is unobservable: the flattened tenant tasks
-        // produce the same cell bytes on 1 and 4 workers.
-        let corpus = vec![multi];
+        // produce the same cell bytes on 1 and 4 workers, plain and in the
+        // sweep-tenants benchmark's recipe, where each tenant's lookup cache
+        // probes the shared table under online elision.
+        let bench = SweepRequest {
+            elide: ElideKind::Online,
+            telemetry: TelemetryKind::Ring,
+            ..multi.clone()
+        };
+        let corpus = vec![multi, bench];
         let serial = run_sweep(&corpus, 1, &CacheMode::Off).unwrap();
         let parallel = run_sweep(&corpus, 4, &CacheMode::Off).unwrap();
         assert_eq!(serial.results, parallel.results);

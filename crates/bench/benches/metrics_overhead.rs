@@ -1,7 +1,7 @@
 //! Ablation: cost of the metrics layer on the simulator itself.
 //!
 //! The contention instruments sit on the hottest paths of the stack —
-//! every sharded-table lock acquisition — so the Off mode must be a
+//! every mapping-table lock acquisition — so the Off mode must be a
 //! measured no-op: one relaxed atomic-bool branch per site, no allocation,
 //! no fences. This bench runs the streaming workload with metrics off and
 //! on, reports best-of-N wall-clock of the *simulator* (the virtual

@@ -2,7 +2,7 @@
 //! concurrent tenants per cell, driven through `run_sweep` at `-j 1`,
 //! `-j 4` and `-j 8`. The metric is *maps per second* — mapping-table
 //! operations retired per wall-clock second across every tenant — because
-//! the sharded table is exactly the structure the tenants contend on.
+//! the shared mapping table is exactly the structure the tenants contend on.
 //! Writes `BENCH_tenants.json` for CI to archive.
 //!
 //! Two identities are asserted alongside the timing, so the speedup can
@@ -12,7 +12,7 @@
 //!   (cell, tenant) schedule is order-free), and
 //! * tenant 0 of every multi-tenant cell reports the same memory digest,
 //!   makespan and map count as the classic single-tenant run of the same
-//!   request (sharding and co-tenancy are observationally free).
+//!   request (co-tenancy is observationally free).
 //!
 //! As with the sweep-throughput bench, the parallel speedup is bounded by
 //! the host: `available_parallelism` is recorded so a reader can judge the

@@ -1,8 +1,8 @@
 //! The static checker: abstract interpretation of a [`MapIr`] stream
 //! against a symbolic mapping table.
 //!
-//! The table is a [`MapModel`], the same model the runtime's sharded table
-//! is built from, so presence classification, refcounting and `nowait`
+//! The table is a [`MapModel`], the same model the runtime's mapping table
+//! holds, so presence classification, refcounting and `nowait`
 //! exit-map deferral are the runtime's. Its per-extent payload carries the
 //! staleness model the runtime sanitizer uses: host/device version clocks,
 //! advanced by host writes, to-transfers, kernel writes, and

@@ -14,7 +14,7 @@ use crate::elide::ElideMode;
 use crate::error::OmpError;
 use crate::metrics::MetricsMode;
 use crate::runtime::OmpRuntime;
-use crate::shard::ShardedMappingTable;
+use crate::table::MappingTable;
 use crate::telemetry::TelemetryMode;
 use apu_mem::{CostModel, MemOptions, SystemKind, XnackMode};
 use hsa_rocr::{HsaRuntime, Topology};
@@ -31,7 +31,7 @@ pub(crate) struct Instrumentation {
     pub telemetry: TelemetryMode,
     pub metrics: MetricsMode,
     /// Shared mapping table (tenant pools); `None` builds a private one.
-    pub table: Option<Arc<ShardedMappingTable>>,
+    pub table: Option<Arc<MappingTable>>,
     /// Host-VA window `[lo, hi)` this runtime owns within a shared table.
     pub window: Option<(u64, u64)>,
 }
@@ -66,7 +66,7 @@ pub struct RuntimeBuilder {
     elide: ElideMode,
     telemetry: TelemetryMode,
     metrics: MetricsMode,
-    shared_table: Option<Arc<ShardedMappingTable>>,
+    shared_table: Option<Arc<MappingTable>>,
     tenant: Option<u32>,
 }
 
@@ -185,7 +185,7 @@ impl RuntimeBuilder {
     }
 
     /// Concurrency-metrics mode (default [`MetricsMode::Off`]). `On` arms
-    /// the mapping table's shard-contention instruments,
+    /// the mapping table's lock-contention instruments,
     /// read back through [`OmpRuntime::contention`]. The ledger needs no
     /// arming: it is always kept and lands in
     /// [`RunReport::ledger`](crate::RunReport::ledger). Off costs one
@@ -199,7 +199,7 @@ impl RuntimeBuilder {
     /// by [`TenantPool`](crate::TenantPool)): the memory image shifts into
     /// the tenant's disjoint VA window and the end-of-program leak scan is
     /// bounded to that window's slice of the shared table.
-    pub(crate) fn attach_tenant(mut self, table: Arc<ShardedMappingTable>, id: u32) -> Self {
+    pub(crate) fn attach_tenant(mut self, table: Arc<MappingTable>, id: u32) -> Self {
         self.shared_table = Some(table);
         self.tenant = Some(id);
         self

@@ -8,7 +8,7 @@
 //! per-entry transfer-decision path entirely. The elision pass does exactly
 //! that, in one of two modes:
 //!
-//! * **Online** — the runtime probes the live [`ShardedMappingTable`] at map
+//! * **Online** — the runtime probes the live [`MappingTable`] at map
 //!   entry (through its extent-keyed [`MapLookupCache`]) and promotes
 //!   eligible entries on the fly, charging only the probe.
 //! * **Plan** — a capture is analyzed once (see `omp-mapcheck`'s
@@ -20,7 +20,7 @@
 //! enclosing reference that outlives the construct, which is what makes the
 //! skip safe (see DESIGN.md §11).
 //!
-//! [`ShardedMappingTable`]: crate::ShardedMappingTable
+//! [`MappingTable`]: crate::MappingTable
 //! [`MapLookupCache`]: crate::MapLookupCache
 
 use std::collections::BTreeSet;

@@ -60,7 +60,7 @@ pub mod modes;
 mod replay;
 mod runtime;
 mod sanitize;
-mod shard;
+mod table;
 pub mod telemetry;
 mod tenant;
 mod trace;
@@ -80,7 +80,7 @@ pub use modes::{CacheMode, ElideKind, ModeParseError, TelemetryKind};
 pub use replay::{replay, replay_threads, ReplayOutcome, REPLAY_KERNEL_COMPUTE_US};
 pub use runtime::{OmpRuntime, RunReport};
 pub use sanitize::SanitizerReport;
-pub use shard::{MapLookupCache, ShardContention, ShardedMappingTable, SHARD_COUNT};
+pub use table::{MapLookupCache, MappingTable, TableContention};
 pub use telemetry::{TelemetryMode, TelemetryReport};
 pub use tenant::{Tenant, TenantPool, MAX_TENANTS, TENANT_VA_STRIDE};
 pub use trace::{

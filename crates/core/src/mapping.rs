@@ -9,7 +9,7 @@
 //! semantics — but the "device" address equals the host address.
 //!
 //! [`MapModel`] is the one implementation of those rules: the runtime's
-//! sharded table, the static checker, the elision planner and the
+//! mapping table, the static checker, the elision planner and the
 //! optimizer each hold instances of it.
 
 use crate::error::OmpError;
@@ -139,7 +139,7 @@ pub enum Presence {
 /// thread has deferred to its next taskwait.
 ///
 /// Pure and single-owner. Every presence/refcount user is an instance:
-/// each shard of [`crate::shard::ShardedMappingTable`] (`P` = device
+/// the one behind [`crate::table::MappingTable`]'s lock (`P` = device
 /// base), the static checker (`P` = version clocks), and the elision
 /// planner and optimizer (`P` = `()`). Live entries never overlap: callers
 /// insert only `Absent` ranges.

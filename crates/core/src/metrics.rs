@@ -5,7 +5,7 @@
 //! [`OverheadLedger`](crate::OverheadLedger) (per-run virtual-time
 //! accounting, exposed as `SweepResult` text) and the telemetry event
 //! stream it is applied from. What neither can see is the *concurrent
-//! machinery* — shard lock contention, work-stealing pool behaviour,
+//! machinery* — mapping-table lock contention, work-stealing pool behaviour,
 //! serve-side request latency — because those are properties of the
 //! wall-clock schedule, not of any single simulated run.
 //!
@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// `Off` must cost a single predictable branch on every instrumented
 /// path (the `metrics_overhead` bench measures this); `On` arms the
-/// mapping table's shard contention counters.
+/// mapping table's lock contention counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricsMode {
     /// No concurrency metrics: one branch per instrumented site.

@@ -16,7 +16,7 @@ use crate::kernel::{KernelCtx, TargetRegion};
 use crate::mapir::{KernelOp, MapIr, MapOp};
 use crate::mapping::{MapDir, MapEntry, Presence};
 use crate::sanitize::{MapSanitizer, SanitizerReport};
-use crate::shard::{MapLookupCache, ShardedMappingTable};
+use crate::table::{MapLookupCache, MappingTable};
 use crate::telemetry::{ElideProbe, EventKind, Recorder, TelemetryReport};
 use crate::trace::{KernelTraceEntry, OverheadLedger, RecoveryAction, RecoveryEvent};
 use apu_mem::{AddrRange, ApuMemory, CostModel, MemError, MemStats, VirtAddr, XnackMode};
@@ -73,7 +73,7 @@ pub struct OmpRuntime {
     xnack: XnackMode,
     /// The mapping table — possibly shared with other tenants of a
     /// [`crate::tenant::TenantPool`]; a solo runtime owns its `Arc` alone.
-    mapping: Arc<ShardedMappingTable>,
+    mapping: Arc<MappingTable>,
     /// This runtime's private presence lookup cache (the zero-contention
     /// fast path). Invalidated at this runtime's own insert/remove sites;
     /// sound across tenants because their VA windows are disjoint.
@@ -135,9 +135,7 @@ impl OmpRuntime {
             hsa,
             config,
             xnack: config.xnack(),
-            mapping: instr
-                .table
-                .unwrap_or_else(|| Arc::new(ShardedMappingTable::new())),
+            mapping: instr.table.unwrap_or_else(|| Arc::new(MappingTable::new())),
             lookup: MapLookupCache::new(),
             live_maps: 0,
             window: instr.window,
@@ -239,10 +237,10 @@ impl OmpRuntime {
         self.recorder.ledger()
     }
 
-    /// The shard-contention report of the underlying mapping table
+    /// The lock-contention reading of the underlying mapping table
     /// (all-zero unless built with
     /// [`MetricsMode::On`](crate::metrics::MetricsMode)).
-    pub fn contention(&self) -> crate::shard::ShardContention {
+    pub fn contention(&self) -> crate::table::TableContention {
         self.mapping.contention()
     }
 
@@ -761,7 +759,7 @@ impl OmpRuntime {
         self.hsa.thread_ops(thread) as u32
     }
 
-    /// Record a charged event spanning `a0` to `thread`'s current cursor.
+    /// Record a charged event covering `a0` to `thread`'s current cursor.
     /// Every charge goes through here, after the HSA work it covers;
     /// instantaneous events pass the current cursor as `a0`.
     fn charge(&mut self, thread: usize, a0: u32, kind: EventKind) {

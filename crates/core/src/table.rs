@@ -1,26 +1,15 @@
-//! Sharded mapping state for the multi-tenant runtime.
+//! The runtime's mapping table, shared by every tenant of a pool.
 //!
-//! [`ShardedMappingTable`] splits the live-entry map into
-//! [`SHARD_COUNT`] independently locked address-range shards so many
-//! tenants (or many worker threads of one sweep) can mutate disjoint
-//! regions of the table without serializing on a single lock.
-//! Each shard, and the `spanning` map, is a [`MapModel`] keyed by host
-//! start, so the refcount and presence rules are the single-owner model's.
-//! [`MapLookupCache`] is a per-tenant 8-way MRU presence cache: probes are a
-//! zero-contention fast path over plain `Cell`/`RefCell` state owned by
-//! one thread, and only a miss takes shard locks to recompute presence
-//! (the pop-fast / refill-bulk pattern from the ROADMAP).
-//!
-//! ## Sharding scheme
-//!
-//! Addresses are bucketed by 4 MiB *granule*: shard index =
-//! `(addr >> 22) & (SHARD_COUNT - 1)`. An entry whose host range is
-//! confined to a single granule lives in that granule's shard; the rare
-//! entry that crosses a granule boundary lives in a dedicated `spanning`
-//! map. Because live entries never overlap (the runtime checks
-//! `Absent` before every insert), a point lookup needs exactly two
-//! predecessor probes — the address's own shard plus `spanning` — and
-//! at most one can produce a containing entry.
+//! [`MappingTable`] is one [`MapModel`] behind one mutex, the shape
+//! libomptarget gives each device's host-to-target map. Every table
+//! operation takes the lock once and makes one `MapModel` call, so the
+//! refcount and presence rules are the single-owner model's and nothing
+//! here re-derives them. [`MapLookupCache`] is a per-tenant 8-way MRU
+//! presence cache in front of it: probes are plain `Cell`/`RefCell` state
+//! owned by one thread, and only a miss takes the table lock to recompute
+//! presence. The cache is there for the cost model, not for contention:
+//! online elision charges `map_lookup_hit` or `map_lookup_miss` from its
+//! hit/miss sequence.
 //!
 //! ## Cache coherence rule
 //!
@@ -36,30 +25,21 @@
 //!
 //! ## Contention metrics
 //!
-//! With [`enable_metrics`](ShardedMappingTable::enable_metrics) armed,
-//! every mutating/probing lock acquisition is counted per shard, a
-//! contended acquisition (detected by `try_lock`-then-`lock`) is
-//! counted separately, and [`contention`](ShardedMappingTable::contention)
-//! snapshots both into a [`ShardContention`] report: per-shard counts and
-//! totals. The counts depend on the wall-clock schedule and never appear
-//! in result bytes. When metrics are off (the default) every instrumented
-//! site costs exactly one relaxed atomic load and branch.
+//! With [`enable_metrics`](MappingTable::enable_metrics) armed, each
+//! table operation counts its one lock acquisition, a contended
+//! acquisition (detected by `try_lock`-then-`lock`) is counted
+//! separately, and [`contention`](MappingTable::contention) reads both
+//! as a [`TableContention`] pair. The contended count depends on the
+//! wall-clock schedule, and neither count appears in result bytes. When
+//! metrics are off (the default) the lock costs one relaxed atomic load
+//! and branch on top of the plain `lock()`.
 
 use crate::error::OmpError;
 use crate::mapping::{MapModel, Mapping, Presence};
 use apu_mem::{AddrRange, VirtAddr};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
-
-/// Number of address-range shards. A power of two so the granule index
-/// folds with a mask.
-pub const SHARD_COUNT: usize = 16;
-
-/// log2 of the sharding granule: 4 MiB. Small enough that distinct
-/// buffers of one program usually land in distinct shards, large enough
-/// that typical map extents (KBs to a few MBs) stay confined.
-const SHARD_GRANULE_BITS: u32 = 22;
 
 /// Ways in the extent-keyed presence lookup cache. Sized for the
 /// repeated-map workloads that drive elision (a kernel's handful of
@@ -71,8 +51,8 @@ pub(crate) const LOOKUP_CACHE_WAYS: usize = 8;
 /// Interior mutability is `Cell`/`RefCell`, not a lock: probes from the
 /// owning thread never contend with anything. The type is deliberately
 /// `Send` but **not** `Sync` — sharing one cache between threads would
-/// reintroduce the contention (and the cross-tenant hit/miss coupling)
-/// the sharded design removes, so the compiler forbids it.
+/// couple the tenants' hit/miss sequences, and with them their elision
+/// lookup charges, so the compiler forbids it.
 #[derive(Debug, Default)]
 pub struct MapLookupCache {
     /// Most-recently-used first, so index 0 is the last-hit slot and the
@@ -130,65 +110,29 @@ impl MapLookupCache {
     }
 }
 
-/// The concurrent mapping table: live entries partitioned into
-/// independently locked address-range shards, shared by every tenant of
-/// a pool behind an `Arc`.
+/// The concurrent mapping table: one [`MapModel`] keyed by host start
+/// behind one mutex, shared by every tenant of a pool behind an `Arc`.
 ///
-/// All methods take `&self`; the statistics are atomics and the entry
-/// maps are per-shard mutexes. Single-owner use (one runtime, one
-/// table) behaves bit-identically to one [`MapModel`].
-#[derive(Debug)]
-pub struct ShardedMappingTable {
-    /// Entries confined to a single 4 MiB granule, keyed by host start,
-    /// in the shard of that granule.
-    shards: [Mutex<MapModel<VirtAddr>>; SHARD_COUNT],
-    /// Entries whose host range crosses a granule boundary.
-    spanning: Mutex<MapModel<VirtAddr>>,
+/// All methods take `&self`. Single-owner use (one runtime, one table)
+/// behaves bit-identically to one [`MapModel`].
+#[derive(Debug, Default)]
+pub struct MappingTable {
+    /// Live entries, keyed by host start.
+    model: Mutex<MapModel<VirtAddr>>,
     /// Lifetime number of map operations processed (statistics).
     total_maps: AtomicU64,
-    /// Current number of live entries.
-    live: AtomicUsize,
-    /// Whether contention metrics are armed (off: one branch per site).
+    /// Whether contention metrics are armed (off: one branch per lock).
     metrics_on: AtomicBool,
-    /// Per-shard lock acquisitions (armed only).
-    acquisitions: [AtomicU64; SHARD_COUNT],
-    /// Per-shard contended acquisitions: `try_lock` failed, `lock` waited.
-    contended: [AtomicU64; SHARD_COUNT],
-    /// Spanning-map lock acquisitions (armed only).
-    spanning_acquisitions: AtomicU64,
-    /// Spanning-map contended acquisitions.
-    spanning_contended: AtomicU64,
+    /// Lock acquisitions by table operations (armed only).
+    acquisitions: AtomicU64,
+    /// Contended acquisitions: `try_lock` failed, `lock` waited.
+    contended: AtomicU64,
 }
 
-impl Default for ShardedMappingTable {
-    fn default() -> Self {
-        ShardedMappingTable {
-            shards: std::array::from_fn(|_| Mutex::new(MapModel::new())),
-            spanning: Mutex::new(MapModel::new()),
-            total_maps: AtomicU64::new(0),
-            live: AtomicUsize::new(0),
-            metrics_on: AtomicBool::new(false),
-            acquisitions: std::array::from_fn(|_| AtomicU64::new(0)),
-            contended: std::array::from_fn(|_| AtomicU64::new(0)),
-            spanning_acquisitions: AtomicU64::new(0),
-            spanning_contended: AtomicU64::new(0),
-        }
-    }
-}
-
-impl ShardedMappingTable {
+impl MappingTable {
     /// Create a new instance.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn shard_of(addr: u64) -> usize {
-        ((addr >> SHARD_GRANULE_BITS) as usize) & (SHARD_COUNT - 1)
-    }
-
-    /// Is `host` confined to one sharding granule?
-    fn confined(host: &AddrRange) -> bool {
-        host.start.as_u64() >> SHARD_GRANULE_BITS == (host.end() - 1) >> SHARD_GRANULE_BITS
     }
 
     /// Arm the contention instruments. One-way: there is no disarm, so
@@ -202,51 +146,33 @@ impl ShardedMappingTable {
         self.metrics_on.load(Ordering::Relaxed)
     }
 
-    /// Acquire `lock`, counting the acquisition (and, when `try_lock`
-    /// would block, the contention) if metrics are armed. When metrics are
-    /// off this is exactly one relaxed load + branch on top of the plain
-    /// `lock()`.
-    fn lock_counted<'a>(
-        &self,
-        lock: &'a Mutex<MapModel<VirtAddr>>,
-        acquisitions: &AtomicU64,
-        contended: &AtomicU64,
-    ) -> MutexGuard<'a, MapModel<VirtAddr>> {
+    /// Acquire the table for one operation, counting the acquisition
+    /// (and, when `try_lock` would block, the contention) if metrics are
+    /// armed.
+    fn lock(&self) -> MutexGuard<'_, MapModel<VirtAddr>> {
         if !self.metrics_on.load(Ordering::Relaxed) {
-            return lock.lock().unwrap();
+            return self.observe();
         }
-        acquisitions.fetch_add(1, Ordering::Relaxed);
-        match lock.try_lock() {
+        self.acquisitions.fetch_add(1, Ordering::Relaxed);
+        match self.model.try_lock() {
             Ok(g) => g,
             Err(TryLockError::WouldBlock) => {
-                contended.fetch_add(1, Ordering::Relaxed);
-                lock.lock().unwrap()
+                self.contended.fetch_add(1, Ordering::Relaxed);
+                self.observe()
             }
             Err(TryLockError::Poisoned(e)) => panic!("mapping table lock poisoned: {e}"),
         }
     }
 
-    /// Acquire shard `idx` under the counting discipline.
-    fn lock_shard(&self, idx: usize) -> MutexGuard<'_, MapModel<VirtAddr>> {
-        self.lock_counted(
-            &self.shards[idx],
-            &self.acquisitions[idx],
-            &self.contended[idx],
-        )
-    }
-
-    /// Acquire the spanning map under the same discipline.
-    fn lock_spanning(&self) -> MutexGuard<'_, MapModel<VirtAddr>> {
-        self.lock_counted(
-            &self.spanning,
-            &self.spanning_acquisitions,
-            &self.spanning_contended,
-        )
+    /// Acquire the table uncounted: observer-side reads (`len`,
+    /// snapshots) are not table operations.
+    fn observe(&self) -> MutexGuard<'_, MapModel<VirtAddr>> {
+        self.model.lock().expect("mapping table lock poisoned")
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.live.load(Ordering::Acquire)
+        self.observe().len()
     }
 
     /// True when empty.
@@ -260,15 +186,9 @@ impl ShardedMappingTable {
     }
 
     /// The live entry containing `addr`, if any (an owned copy — the
-    /// shard lock is released before returning).
+    /// lock is released before returning).
     pub fn find(&self, addr: VirtAddr) -> Option<Mapping> {
-        {
-            let shard = self.lock_shard(Self::shard_of(addr.as_u64()));
-            if let Some(m) = shard.find(addr) {
-                return Some(m.clone());
-            }
-        }
-        self.lock_spanning().find(addr).cloned()
+        self.lock().find(addr).cloned()
     }
 
     /// Translate a host address through the table.
@@ -278,34 +198,7 @@ impl ShardedMappingTable {
 
     /// Classify `range` against the live entries.
     pub fn presence(&self, range: &AddrRange) -> Presence {
-        if let Some(m) = self.find(range.start) {
-            return if m.host.contains_range(range) {
-                Presence::Present
-            } else {
-                Presence::Partial
-            };
-        }
-        // No entry contains the range's start, so any overlapping entry
-        // starts inside the range: a partial overlap. Such an entry is
-        // either spanning or confined to one of the granules the probe
-        // range touches — at most SHARD_COUNT distinct shards before the
-        // mask wraps.
-        let (lo, hi) = (range.start.as_u64(), range.end());
-        if lo >= hi {
-            return Presence::Absent;
-        }
-        if self.lock_spanning().presence(range) != Presence::Absent {
-            return Presence::Partial;
-        }
-        let first = lo >> SHARD_GRANULE_BITS;
-        let last = ((hi - 1) >> SHARD_GRANULE_BITS).min(first + SHARD_COUNT as u64 - 1);
-        for granule in first..=last {
-            let shard = self.lock_shard((granule as usize) & (SHARD_COUNT - 1));
-            if shard.presence(range) != Presence::Absent {
-                return Presence::Partial;
-            }
-        }
-        Presence::Absent
+        self.lock().presence(range)
     }
 
     /// Classify `range` through a caller-owned [`MapLookupCache`]:
@@ -324,28 +217,15 @@ impl ShardedMappingTable {
     /// the range is `Absent` (within its own VA window — the check is
     /// racy only across tenants, whose windows are disjoint).
     pub fn insert(&self, host: AddrRange, device_base: VirtAddr) {
-        debug_assert_eq!(self.presence(&host), Presence::Absent);
         self.total_maps.fetch_add(1, Ordering::AcqRel);
-        if Self::confined(&host) {
-            self.lock_shard(Self::shard_of(host.start.as_u64()))
-                .insert(host, device_base);
-        } else {
-            self.lock_spanning().insert(host, device_base);
-        }
-        self.live.fetch_add(1, Ordering::AcqRel);
+        self.lock().insert(host, device_base);
     }
 
     /// Increment the refcount of the entry containing `range`.
     /// Returns the new count.
     pub fn retain(&self, range: &AddrRange) -> Result<u32, OmpError> {
         self.total_maps.fetch_add(1, Ordering::AcqRel);
-        {
-            let mut shard = self.lock_shard(Self::shard_of(range.start.as_u64()));
-            if let Ok(refcount) = shard.retain(range) {
-                return Ok(refcount);
-            }
-        }
-        self.lock_spanning().retain(range)
+        self.lock().retain(range)
     }
 
     /// Decrement the refcount of the entry containing `range`. When it
@@ -357,84 +237,54 @@ impl ShardedMappingTable {
         range: &AddrRange,
         force_delete: bool,
     ) -> Result<Option<Mapping>, OmpError> {
-        let in_shard = self
-            .lock_shard(Self::shard_of(range.start.as_u64()))
-            .release(range, force_delete);
-        let removed = match in_shard {
-            Ok(removed) => removed,
-            Err(_) => self.lock_spanning().release(range, force_delete)?,
-        };
-        if removed.is_some() {
-            self.live.fetch_sub(1, Ordering::AcqRel);
-        }
-        Ok(removed)
+        self.lock().release(range, force_delete)
     }
 
-    /// Every live entry, sorted by host start address (the iteration
-    /// order the unsharded table had). Observer-side: snapshot lock
-    /// acquisitions are deliberately uncounted.
+    /// Every live entry, sorted by host start address.
     pub fn snapshot(&self) -> Vec<Mapping> {
-        let mut out: Vec<Mapping> = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.lock().unwrap().iter().cloned());
-        }
-        out.extend(self.spanning.lock().unwrap().iter().cloned());
-        out.sort_by_key(|m| m.host.start.as_u64());
-        out
+        self.observe().iter().cloned().collect()
     }
 
     /// Live entries whose host start falls in `[lo, hi)`, sorted by host
     /// start — a tenant's slice of the shared table.
     pub fn snapshot_window(&self, lo: u64, hi: u64) -> Vec<Mapping> {
-        let mut out = self.snapshot();
-        out.retain(|m| (lo..hi).contains(&m.host.start.as_u64()));
-        out
+        self.observe()
+            .iter()
+            .filter(|m| (lo..hi).contains(&m.host.start.as_u64()))
+            .cloned()
+            .collect()
     }
 
-    /// Snapshot the contention instruments (observer-side: these lock
-    /// acquisitions are uncounted). Meaningful only after
+    /// Read the contention instruments. Meaningful only after
     /// [`enable_metrics`](Self::enable_metrics); all-zero otherwise.
-    pub fn contention(&self) -> ShardContention {
-        let shards = (0..SHARD_COUNT)
-            .map(|i| {
-                (
-                    self.acquisitions[i].load(Ordering::Relaxed),
-                    self.contended[i].load(Ordering::Relaxed),
-                )
-            })
-            .collect();
-        ShardContention {
-            shards,
-            spanning: (
-                self.spanning_acquisitions.load(Ordering::Relaxed),
-                self.spanning_contended.load(Ordering::Relaxed),
-            ),
+    pub fn contention(&self) -> TableContention {
+        TableContention {
+            acquisitions: self.acquisitions.load(Ordering::Relaxed),
+            contended: self.contended.load(Ordering::Relaxed),
         }
     }
 }
 
-/// A point-in-time report of the table's lock-contention instruments:
-/// per-shard acquisition/contention counts and the spanning-map pair.
+/// A point-in-time reading of the table lock's instruments: the
+/// `(acquisitions, contended)` pair.
 ///
-/// Everything here depends on the wall-clock schedule — which threads
-/// raced for which locks — and must never enter result bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ShardContention {
-    /// `(acquisitions, contended)` per shard index.
-    pub shards: Vec<(u64, u64)>,
-    /// `(acquisitions, contended)` of the spanning map.
-    pub spanning: (u64, u64),
+/// The contended count depends on the wall-clock schedule — which
+/// threads raced for the lock — so neither count may enter result bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableContention {
+    acquisitions: u64,
+    contended: u64,
 }
 
-impl ShardContention {
-    /// Total lock acquisitions across shards and the spanning map.
+impl TableContention {
+    /// Lock acquisitions by table operations.
     pub fn total_acquisitions(&self) -> u64 {
-        self.shards.iter().map(|(a, _)| a).sum::<u64>() + self.spanning.0
+        self.acquisitions
     }
 
-    /// Total contended acquisitions across shards and the spanning map.
+    /// Acquisitions that found the lock held and waited for it.
     pub fn total_contended(&self) -> u64 {
-        self.shards.iter().map(|(_, c)| c).sum::<u64>() + self.spanning.1
+        self.contended
     }
 }
 
@@ -446,11 +296,11 @@ mod tests {
         AddrRange::new(VirtAddr(start), len)
     }
 
-    const MIB4: u64 = 1 << SHARD_GRANULE_BITS;
+    const MIB4: u64 = 1 << 22;
 
     #[test]
-    fn presence_classification_matches_unsharded() {
-        let t = ShardedMappingTable::new();
+    fn presence_classification_matches_map_model() {
+        let t = MappingTable::new();
         t.insert(r(1000, 100), VirtAddr(9000));
         assert_eq!(t.presence(&r(1000, 100)), Presence::Present);
         assert_eq!(t.presence(&r(1010, 50)), Presence::Present);
@@ -460,9 +310,9 @@ mod tests {
     }
 
     #[test]
-    fn spanning_entries_are_found_and_classified() {
-        let t = ShardedMappingTable::new();
-        // Crosses the granule boundary at 4 MiB.
+    fn boundary_crossing_entries_are_found_and_classified() {
+        let t = MappingTable::new();
+        // Crosses the 4 MiB boundary.
         t.insert(r(MIB4 - 4096, 8192), VirtAddr(MIB4 - 4096));
         assert_eq!(t.presence(&r(MIB4 - 4096, 8192)), Presence::Present);
         assert_eq!(t.presence(&r(MIB4, 1024)), Presence::Present);
@@ -474,10 +324,9 @@ mod tests {
     }
 
     #[test]
-    fn probe_spanning_many_granules_sees_far_entries() {
-        let t = ShardedMappingTable::new();
-        // Entry 40 granules above the probe start: the probe range covers
-        // its shard only modulo SHARD_COUNT, which the scan bound handles.
+    fn wide_probe_sees_far_entries() {
+        let t = MappingTable::new();
+        // An entry 160 MiB above the start of a 256 MiB probe.
         t.insert(r(40 * MIB4 + 64, 64), VirtAddr(0));
         assert_eq!(t.presence(&r(0, 64 * MIB4)), Presence::Partial);
         assert_eq!(t.presence(&r(0, 64)), Presence::Absent);
@@ -485,7 +334,7 @@ mod tests {
 
     #[test]
     fn refcount_lifecycle() {
-        let t = ShardedMappingTable::new();
+        let t = MappingTable::new();
         t.insert(r(1000, 100), VirtAddr(1000));
         assert_eq!(t.retain(&r(1000, 100)).unwrap(), 2);
         assert!(t.release(&r(1000, 100), false).unwrap().is_none());
@@ -498,7 +347,7 @@ mod tests {
 
     #[test]
     fn force_delete_and_unmapped_errors() {
-        let t = ShardedMappingTable::new();
+        let t = MappingTable::new();
         t.insert(r(1000, 100), VirtAddr(1000));
         t.retain(&r(1000, 100)).unwrap();
         assert!(t.release(&r(1000, 100), true).unwrap().is_some());
@@ -515,7 +364,7 @@ mod tests {
 
     #[test]
     fn lookup_cache_hits_and_ages_lru() {
-        let t = ShardedMappingTable::new();
+        let t = MappingTable::new();
         let c = MapLookupCache::new();
         t.insert(r(0, 8), VirtAddr(0));
         assert_eq!(t.presence_cached(&c, &r(0, 8)), (Presence::Present, false));
@@ -534,7 +383,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_window_filters() {
-        let t = ShardedMappingTable::new();
+        let t = MappingTable::new();
         t.insert(r(9 * MIB4, 64), VirtAddr(0));
         t.insert(r(1000, 100), VirtAddr(1000));
         t.insert(r(MIB4 - 64, 128), VirtAddr(0));
@@ -548,7 +397,7 @@ mod tests {
     #[test]
     fn concurrent_disjoint_windows_do_not_interfere() {
         use std::sync::Arc;
-        let t = Arc::new(ShardedMappingTable::new());
+        let t = Arc::new(MappingTable::new());
         let stride: u64 = 1 << 40;
         std::thread::scope(|s| {
             for w in 0..4u64 {
@@ -575,7 +424,7 @@ mod tests {
 
     #[test]
     fn metrics_off_records_nothing() {
-        let t = ShardedMappingTable::new();
+        let t = MappingTable::new();
         t.insert(r(1000, 100), VirtAddr(1000));
         t.retain(&r(1000, 100)).unwrap();
         t.release(&r(1000, 100), true).unwrap();
@@ -586,15 +435,36 @@ mod tests {
 
     #[test]
     fn contention_counters_track_armed_ops() {
-        let t = ShardedMappingTable::new();
+        let t = MappingTable::new();
         t.enable_metrics();
         assert!(t.metrics_enabled());
-        // Two granule-0 ops (insert + release) and one granule-9 insert.
+        // Every counted table call is exactly one lock acquisition.
+        let mut expected = 0;
+        let mut one_more = |op: &str| {
+            expected += 1;
+            assert_eq!(t.contention().total_acquisitions(), expected, "{op}");
+        };
         t.insert(r(1000, 100), VirtAddr(1000));
+        one_more("insert");
         t.insert(r(9 * MIB4 + 8, 64), VirtAddr(0));
-        t.release(&r(1000, 100), true).unwrap();
+        one_more("second insert");
+        assert!(t.find(VirtAddr(1010)).is_some());
+        one_more("find");
+        assert_eq!(t.presence(&r(1000, 100)), Presence::Present);
+        one_more("present probe");
+        // An absent probe covering 256 MiB is still one acquisition.
+        assert_eq!(t.presence(&r(10 * MIB4, 64 * MIB4)), Presence::Absent);
+        one_more("wide absent probe");
+        assert_eq!(t.retain(&r(1000, 100)).unwrap(), 2);
+        one_more("retain");
+        assert!(t.release(&r(1000, 100), true).unwrap().is_some());
+        one_more("release");
+        // Observer reads are not table operations.
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.snapshot().len(), 1);
+        assert!(t.snapshot_window(0, MIB4).is_empty());
         let c = t.contention();
-        assert!(c.total_acquisitions() > 0);
+        assert_eq!(c.total_acquisitions(), 7);
         // Uncontended single-thread run: try_lock always succeeds.
         assert_eq!(c.total_contended(), 0);
     }
@@ -602,9 +472,8 @@ mod tests {
     #[test]
     fn contended_acquisitions_are_detected_under_racing_threads() {
         use std::sync::Arc;
-        let t = Arc::new(ShardedMappingTable::new());
+        let t = Arc::new(MappingTable::new());
         t.enable_metrics();
-        // All threads hammer granule 0 entries: same shard lock.
         std::thread::scope(|s| {
             for w in 0..4u64 {
                 let t = Arc::clone(&t);
@@ -617,7 +486,7 @@ mod tests {
             }
         });
         let c = t.contention();
-        assert!(c.shards[0].0 >= 8000);
+        assert_eq!(c.total_acquisitions(), 8000);
         // Contention is schedule-dependent; on a single-core runner it can
         // legitimately be zero, so only sanity-bound it.
         assert!(c.total_contended() <= c.total_acquisitions());

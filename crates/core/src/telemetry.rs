@@ -577,7 +577,7 @@ impl Recorder {
     }
 
     /// Charge `kind` to the ledger and, ring on, record it on `thread`
-    /// spanning the op-stream anchors `anchor..anchor_end`.
+    /// covering the op-stream anchors `anchor..anchor_end`.
     pub(crate) fn record(&mut self, thread: u32, anchor: u32, anchor_end: u32, kind: EventKind) {
         self.ledger.apply(&kind);
         if let Some(ring) = &mut self.ring {

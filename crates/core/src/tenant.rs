@@ -1,11 +1,11 @@
 //! Multi-tenant runtime pools: many concurrent data environments over
-//! one shared [`ShardedMappingTable`].
+//! one shared [`MappingTable`].
 //!
 //! A [`TenantPool`] captures a fully-configured [`RuntimeBuilder`]
 //! recipe plus one shared table; [`TenantPool::tenant`] then stamps out
 //! independent [`Tenant`] runtimes, each with its own overhead ledger,
 //! telemetry ring, lookup cache, and fault-plan slice, but all
-//! inserting into the shared sharded table.
+//! inserting into the one shared table.
 //!
 //! ## Tenant lifecycle
 //!
@@ -38,7 +38,7 @@
 use crate::builder::RuntimeBuilder;
 use crate::error::OmpError;
 use crate::runtime::OmpRuntime;
-use crate::shard::ShardedMappingTable;
+use crate::table::MappingTable;
 use sim_des::FaultPlan;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -57,7 +57,7 @@ pub const MAX_TENANTS: u32 =
 #[derive(Debug, Clone)]
 pub struct TenantPool {
     recipe: RuntimeBuilder,
-    table: Arc<ShardedMappingTable>,
+    table: Arc<MappingTable>,
 }
 
 impl TenantPool {
@@ -68,12 +68,12 @@ impl TenantPool {
     pub fn new(recipe: RuntimeBuilder) -> Self {
         TenantPool {
             recipe,
-            table: Arc::new(ShardedMappingTable::new()),
+            table: Arc::new(MappingTable::new()),
         }
     }
 
-    /// The shared sharded table.
-    pub fn table(&self) -> &Arc<ShardedMappingTable> {
+    /// The shared mapping table.
+    pub fn table(&self) -> &Arc<MappingTable> {
         &self.table
     }
 

@@ -1,6 +1,8 @@
-//! Overhead attribution: the paper's MM / MI decomposition (Table III), the
-//! `LIBOMPTARGET_KERNEL_TRACE` analog, and the recovery-event log that makes
-//! fault-injected runs auditable.
+//! Overhead attribution: the [`OverheadLedger`] (the paper's MM / MI
+//! decomposition, Table III), [`LEDGER_FIELDS`] (its one field list for
+//! serialization), the [`RecoveryAction`]/[`RecoveryEvent`] payloads that
+//! telemetry `Recovery` events carry, and the kernel trace
+//! ([`KernelTraceEntry`], the `LIBOMPTARGET_KERNEL_TRACE` analog).
 
 use crate::config::RuntimeConfig;
 use sim_des::VirtDuration;

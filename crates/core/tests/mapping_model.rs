@@ -2,17 +2,17 @@
 //!
 //! 1. the single-owner [`MapModel`] against a naive reference (a plain
 //!    `Vec` of entries with linear search), and
-//! 2. the concurrent [`ShardedMappingTable`] against `MapModel` as the
-//!    oracle, over an address universe that scatters entries across shard
-//!    granules and deliberately straddles granule boundaries (the
-//!    `spanning` path), with the per-thread [`MapLookupCache`] checked for
+//! 2. the concurrent [`MappingTable`] against `MapModel` as the oracle,
+//!    over an address universe that scatters entries across 4 MiB
+//!    granules and straddles granule boundaries, with probes up to 8 MiB
+//!    long, and with the per-thread [`MapLookupCache`] checked for
 //!    coherence under the observer-side invalidation rule.
 //!
 //! Random sequences of insert / retain / release / translate / presence
 //! operations must behave identically on all of them.
 
 use apu_mem::{AddrRange, VirtAddr};
-use omp_offload::{MapLookupCache, MapModel, Presence, ShardedMappingTable};
+use omp_offload::{MapLookupCache, MapModel, MappingTable, Presence};
 use proptest::prelude::*;
 
 /// The trivially-correct reference.
@@ -138,10 +138,9 @@ proptest! {
     }
 }
 
-/// 16 disjoint 128-byte slots scattered across shard granules (4 MiB):
-/// even slots sit comfortably inside granule `s`, odd slots straddle the
-/// boundary into granule `s + 1`, so every run exercises both the
-/// per-shard maps and the spanning overflow map.
+/// 16 disjoint 128-byte slots scattered across 4 MiB granules: even
+/// slots sit comfortably inside granule `s`, odd slots straddle the
+/// boundary into granule `s + 1`.
 fn slot_range(slot: u8) -> AddrRange {
     let s = u64::from(slot % 16);
     const GRANULE: u64 = 1 << 22;
@@ -161,7 +160,7 @@ fn probe_addr(slot: u8, jit: u8) -> VirtAddr {
 }
 
 #[derive(Debug, Clone)]
-enum ShardOp {
+enum TableOp {
     Insert { slot: u8 },
     Retain { slot: u8, jit: u8 },
     Release { slot: u8, jit: u8, delete: bool },
@@ -169,20 +168,20 @@ enum ShardOp {
     Presence { slot: u8, jit: u8, len: u32 },
 }
 
-fn arb_shard_op() -> impl Strategy<Value = ShardOp> {
+fn arb_table_op() -> impl Strategy<Value = TableOp> {
     prop_oneof![
-        (0u8..16).prop_map(|slot| ShardOp::Insert { slot }),
-        ((0u8..16), any::<u8>()).prop_map(|(slot, jit)| ShardOp::Retain { slot, jit }),
-        ((0u8..16), any::<u8>(), any::<bool>()).prop_map(|(slot, jit, delete)| ShardOp::Release {
+        (0u8..16).prop_map(|slot| TableOp::Insert { slot }),
+        ((0u8..16), any::<u8>()).prop_map(|(slot, jit)| TableOp::Retain { slot, jit }),
+        ((0u8..16), any::<u8>(), any::<bool>()).prop_map(|(slot, jit, delete)| TableOp::Release {
             slot,
             jit,
             delete
         }),
-        ((0u8..16), any::<u8>()).prop_map(|(slot, jit)| ShardOp::Translate { slot, jit }),
-        // Lengths up to 8 MiB span several granules, stressing the bounded
-        // presence scan and the spanning probe together.
+        ((0u8..16), any::<u8>()).prop_map(|(slot, jit)| TableOp::Translate { slot, jit }),
+        // Lengths up to 8 MiB span several granules, so a probe can find a
+        // partial overlap far from its start.
         ((0u8..16), any::<u8>(), (1u32..0x80_0000))
-            .prop_map(|(slot, jit, len)| ShardOp::Presence { slot, jit, len }),
+            .prop_map(|(slot, jit, len)| TableOp::Presence { slot, jit, len }),
     ]
 }
 
@@ -190,11 +189,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn sharded_table_matches_unsharded_oracle(
-        ops in proptest::collection::vec(arb_shard_op(), 0..120),
+    fn table_matches_map_model_oracle(
+        ops in proptest::collection::vec(arb_table_op(), 0..120),
     ) {
         let oracle = &mut MapModel::new();
-        let sharded = ShardedMappingTable::new();
+        let table = MappingTable::new();
         let cache = MapLookupCache::new();
         // Every cache.invalidate() call below is mirrored here, so the
         // cache's own invalidation counter is pinned to the coherence
@@ -202,26 +201,26 @@ proptest! {
         let mut expected_invalidations = 0u64;
         for op in ops {
             match op {
-                ShardOp::Insert { slot } => {
+                TableOp::Insert { slot } => {
                     let host = slot_range(slot);
                     if oracle.presence(&host) == Presence::Absent {
                         let device = VirtAddr(0x9000_0000 + u64::from(slot) * 0x1000);
                         oracle.insert(host, device);
-                        sharded.insert(host, device);
+                        table.insert(host, device);
                         // The coherence rule: the owner invalidates its
                         // cache at every mutation of its table.
                         cache.invalidate();
                         expected_invalidations += 1;
                     }
                 }
-                ShardOp::Retain { slot, jit } => {
+                TableOp::Retain { slot, jit } => {
                     let r = AddrRange::new(probe_addr(slot, jit), 1);
-                    prop_assert_eq!(sharded.retain(&r).ok(), oracle.retain(&r).ok());
+                    prop_assert_eq!(table.retain(&r).ok(), oracle.retain(&r).ok());
                 }
-                ShardOp::Release { slot, jit, delete } => {
+                TableOp::Release { slot, jit, delete } => {
                     let r = AddrRange::new(probe_addr(slot, jit), 1);
                     let key = |m: &omp_offload::Mapping| (m.host, m.payload, m.refcount);
-                    let got = sharded.release(&r, delete).ok();
+                    let got = table.release(&r, delete).ok();
                     let want = oracle.release(&r, delete).ok();
                     if matches!(got, Some(Some(_))) {
                         cache.invalidate();
@@ -232,26 +231,26 @@ proptest! {
                         want.map(|o| o.map(|m| key(&m)))
                     );
                 }
-                ShardOp::Translate { slot, jit } => {
+                TableOp::Translate { slot, jit } => {
                     let a = probe_addr(slot, jit);
-                    prop_assert_eq!(sharded.translate(a), oracle.find(a).map(|m| m.translate(a)));
+                    prop_assert_eq!(table.translate(a), oracle.find(a).map(|m| m.translate(a)));
                 }
-                ShardOp::Presence { slot, jit, len } => {
+                TableOp::Presence { slot, jit, len } => {
                     let r = AddrRange::new(probe_addr(slot, jit), u64::from(len));
-                    let p = sharded.presence(&r);
+                    let p = table.presence(&r);
                     prop_assert_eq!(p, oracle.presence(&r));
                     // The cached read must agree with the uncached one —
                     // on the fill and on every subsequent hit.
-                    let (cached, _) = sharded.presence_cached(&cache, &r);
+                    let (cached, _) = table.presence_cached(&cache, &r);
                     prop_assert_eq!(cached, p);
-                    let (hit, _) = sharded.presence_cached(&cache, &r);
+                    let (hit, _) = table.presence_cached(&cache, &r);
                     prop_assert_eq!(hit, p);
                 }
             }
-            prop_assert_eq!(sharded.len(), oracle.len());
+            prop_assert_eq!(table.len(), oracle.len());
             prop_assert_eq!(cache.invalidations(), expected_invalidations);
         }
-        let snap = sharded.snapshot();
+        let snap = table.snapshot();
         prop_assert!(
             snap.windows(2).all(|w| w[0].host.start < w[1].host.start),
             "snapshot must be sorted by host start"

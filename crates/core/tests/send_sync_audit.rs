@@ -12,8 +12,8 @@
 use apu_mem::ApuMemory;
 use omp_offload::telemetry::TelemetryReport;
 use omp_offload::{
-    ElisionPlan, MapIr, MapLookupCache, OmpRuntime, OverheadLedger, RunReport, SanitizerReport,
-    ShardedMappingTable, Tenant, TenantPool,
+    ElisionPlan, MapIr, MapLookupCache, MappingTable, OmpRuntime, OverheadLedger, RunReport,
+    SanitizerReport, Tenant, TenantPool,
 };
 use sim_des::FaultPlan;
 use std::marker::PhantomData;
@@ -70,11 +70,11 @@ fn shared_sweep_inputs_are_sync() {
 }
 
 #[test]
-fn sharded_table_and_tenant_pool_are_shared_across_workers() {
-    // The sharded table is the one mapping structure many tenants mutate
+fn mapping_table_and_tenant_pool_are_shared_across_workers() {
+    // The mapping table is the one mapping structure many tenants mutate
     // concurrently through `&self`; the pool hands it out from any worker.
-    assert_send::<ShardedMappingTable>();
-    assert_sync::<ShardedMappingTable>();
+    assert_send::<MappingTable>();
+    assert_sync::<MappingTable>();
     assert_send::<TenantPool>();
     assert_sync::<TenantPool>();
 }
@@ -96,6 +96,6 @@ fn tenants_migrate_but_lookup_caches_never_cross_threads() {
             "MapLookupCache must stay single-owner (!Sync)"
         );
         // The probe itself must not be trivially false.
-        assert!(SyncProbe::<ShardedMappingTable>::SYNC);
+        assert!(SyncProbe::<MappingTable>::SYNC);
     }
 }

@@ -4,9 +4,6 @@
 //! outstanding nowait regions, and (c) replay deterministically per seed.
 //! Runs record telemetry, so every recovery episode and degradation can be
 //! read back from the event stream.
-//!
-//! The default profile is quick (3 seeds); set `FAULT_SOAK_SEEDS=n` for a
-//! longer soak.
 
 use mi300a_zerocopy::hsa::Topology;
 use mi300a_zerocopy::mem::{AddrRange, CostModel, DiscreteSpec, SystemKind, VirtAddr};
@@ -19,11 +16,7 @@ use mi300a_zerocopy::sim::{FaultPlan, FaultSpec, VirtDuration};
 const N: usize = 256;
 
 fn seeds() -> Vec<u64> {
-    let n = std::env::var("FAULT_SOAK_SEEDS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(3);
-    (0..n).map(|i| 0x50AC + i * 7).collect()
+    (0..5).map(|i| 0x50AC + i * 7).collect()
 }
 
 fn write_f64s(rt: &mut OmpRuntime, addr: VirtAddr, vals: &[f64]) {

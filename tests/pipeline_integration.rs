@@ -1,4 +1,4 @@
-//! End-to-end pipeline tests spanning all crates: workload -> runtime ->
+//! End-to-end pipeline tests across all crates: workload -> runtime ->
 //! HSA layer -> scheduler -> analysis, plus consistency invariants between
 //! layers (recorded call counts vs schedule aggregation, ledger vs memory
 //! statistics).

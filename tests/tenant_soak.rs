@@ -1,5 +1,5 @@
 //! Multi-tenant soak: many concurrent data environments over one shared
-//! sharded mapping table. For every configuration and tenant count, each
+//! mapping table. For every configuration and tenant count, each
 //! tenant's observable results — memory digest, ledger, makespan,
 //! diagnostics — must be byte-identical to running that tenant serially
 //! alone in its own pool, under whatever interleaving the OS scheduler
@@ -9,22 +9,33 @@
 //! validity model (exit only what was entered), in the style of
 //! `tests/fault_soak.rs`; every tenant carries its derived slice of a
 //! seeded fault plan, so recovery activity is soaked concurrently too.
+//! Copy runs the way the `sweep-tenants` benchmark drives the table: with
+//! online elision and the telemetry ring, so each tenant's lookup cache
+//! probes the shared table while the other tenants mutate it.
 
 use mi300a_zerocopy::hsa::Topology;
 use mi300a_zerocopy::mem::{AddrRange, CostModel};
-use mi300a_zerocopy::omp::{MapEntry, OmpRuntime, RuntimeConfig, TargetRegion, Tenant, TenantPool};
+use mi300a_zerocopy::omp::{
+    ElideMode, MapEntry, OmpRuntime, RuntimeConfig, TargetRegion, TelemetryMode, Tenant, TenantPool,
+};
 use mi300a_zerocopy::sim::{FaultPlan, FaultSpec, VirtDuration};
 use proptest::prelude::*;
 
 const N: usize = 64;
 
 fn pool(config: RuntimeConfig) -> TenantPool {
-    TenantPool::new(
-        OmpRuntime::builder(CostModel::mi300a(), Topology::default())
-            .config(config)
-            .sanitize(true)
-            .fault_plan(FaultPlan::new(0x50AC, FaultSpec::soak())),
-    )
+    let recipe = OmpRuntime::builder(CostModel::mi300a(), Topology::default())
+        .config(config)
+        .sanitize(true)
+        .fault_plan(FaultPlan::new(0x50AC, FaultSpec::soak()));
+    // Copy is the configuration where online elision fires.
+    TenantPool::new(if config == RuntimeConfig::LegacyCopy {
+        recipe
+            .elide(ElideMode::Online)
+            .telemetry(TelemetryMode::ring())
+    } else {
+        recipe
+    })
 }
 
 fn write_f64s(rt: &mut OmpRuntime, addr: mi300a_zerocopy::mem::VirtAddr, vals: &[f64]) {
@@ -142,6 +153,7 @@ proptest! {
                     handles.into_iter().map(|h| h.join().unwrap()).collect()
                 });
                 prop_assert_eq!(p.live_total(), 0, "config {}: shared table must drain", config);
+                prop_assert!(p.table().total_maps() > 0, "config {}: tenants mapped nothing", config);
                 for id in 0..tenants as usize {
                     prop_assert_eq!(
                         &concurrent[id],
