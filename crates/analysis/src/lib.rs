@@ -4,13 +4,15 @@
 //! paper's methodology, Copy/zero-copy ratio computation, aligned text
 //! tables and ASCII line figures with CSV export, builders for every
 //! table and figure in the evaluation section ([`paper`]), launch-indexed
-//! warm-up comparison ([`warmup`], paper §V-A.4), and Chrome-trace timeline
+//! warm-up comparison ([`warmup`], paper §V-A.4), the measurements behind
+//! EXPERIMENTS.md's extensions ([`extensions`]), and Chrome-trace timeline
 //! export of schedules ([`timeline`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod experiment;
+pub mod extensions;
 mod figure;
 pub mod kernels;
 pub mod paper;

@@ -6,18 +6,19 @@
 //! initial phase, the difference lowers to milliseconds and lower" — Eager
 //! Maps wins the warm-up (no first-touch stalls) but keeps paying prefault
 //! syscalls forever. This module reproduces that analysis from the
-//! `LIBOMPTARGET_KERNEL_TRACE` analog.
+//! `LIBOMPTARGET_KERNEL_TRACE` analog, a run's `kernel_complete` events
+//! (see [`crate::kernels`]).
 
-use omp_offload::KernelTraceEntry;
+use crate::kernels::kernel_times;
+use omp_offload::TelemetryReport;
 use sim_des::VirtDuration;
 
 /// Cumulative kernel-side time (compute + stalls) after each launch.
-pub fn cumulative_kernel_time(trace: &[KernelTraceEntry]) -> Vec<VirtDuration> {
+pub fn cumulative_kernel_time(trace: &TelemetryReport) -> Vec<VirtDuration> {
     let mut total = VirtDuration::ZERO;
-    trace
-        .iter()
-        .map(|e| {
-            total += e.compute + e.stall;
+    kernel_times(trace)
+        .map(|t| {
+            total += t;
             total
         })
         .collect()
@@ -35,7 +36,7 @@ pub struct WarmupComparison {
 
 impl WarmupComparison {
     /// Compare two traces (truncated to the shorter one).
-    pub fn new(a: &[KernelTraceEntry], b: &[KernelTraceEntry]) -> Self {
+    pub fn new(a: &TelemetryReport, b: &TelemetryReport) -> Self {
         let mut ca = cumulative_kernel_time(a);
         let mut cb = cumulative_kernel_time(b);
         let n = ca.len().min(cb.len());
@@ -87,21 +88,11 @@ impl WarmupComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    fn entry(compute_us: u64, stall_us: u64) -> KernelTraceEntry {
-        KernelTraceEntry {
-            name: Arc::from("k"),
-            thread: 0,
-            compute: VirtDuration::from_micros(compute_us),
-            stall: VirtDuration::from_micros(stall_us),
-            faulted_pages: 0,
-        }
-    }
+    use crate::kernels::trace_of;
 
     #[test]
     fn cumulative_is_monotone_prefix_sum() {
-        let trace = vec![entry(10, 5), entry(10, 0), entry(10, 0)];
+        let trace = trace_of(&[(10, 5), (10, 0), (10, 0)]);
         let c = cumulative_kernel_time(&trace);
         assert_eq!(
             c,
@@ -116,12 +107,10 @@ mod tests {
     #[test]
     fn warmup_advantage_shrinks_once_faults_stop() {
         // "IZC": big stalls on the first 3 launches (first touch), then none.
-        let izc: Vec<_> = (0..10)
-            .map(|i| entry(10, if i < 3 { 100 } else { 0 }))
-            .collect();
+        let izc: Vec<_> = (0..10).map(|i| (10, if i < 3 { 100 } else { 0 })).collect();
         // "EM": no stalls at all.
-        let em: Vec<_> = (0..10).map(|_| entry(10, 0)).collect();
-        let cmp = WarmupComparison::new(&izc, &em);
+        let em = [(10, 0); 10];
+        let cmp = WarmupComparison::new(&trace_of(&izc), &trace_of(&em));
         assert_eq!(cmp.launches(), 10);
         // EM is ahead by 300us after warm-up...
         assert_eq!(cmp.advantage_at(9), 300_000);
@@ -131,17 +120,13 @@ mod tests {
 
     #[test]
     fn never_settling_is_reported() {
-        let a: Vec<_> = (0..5).map(|_| entry(10, 50)).collect();
-        let b: Vec<_> = (0..5).map(|_| entry(10, 0)).collect();
-        let cmp = WarmupComparison::new(&a, &b);
+        let cmp = WarmupComparison::new(&trace_of(&[(10, 50); 5]), &trace_of(&[(10, 0); 5]));
         assert_eq!(cmp.settled_after(VirtDuration::from_micros(1)), None);
     }
 
     #[test]
     fn unequal_lengths_truncate() {
-        let a: Vec<_> = (0..5).map(|_| entry(1, 0)).collect();
-        let b: Vec<_> = (0..3).map(|_| entry(1, 0)).collect();
-        let cmp = WarmupComparison::new(&a, &b);
+        let cmp = WarmupComparison::new(&trace_of(&[(1, 0); 5]), &trace_of(&[(1, 0); 3]));
         assert_eq!(cmp.launches(), 3);
         assert_eq!(cmp.advantage_at(2), 0);
     }

@@ -11,7 +11,7 @@
 //! the paper's §IV-B describes.
 
 use apu_mem::CostModel;
-use hsa_rocr::Topology;
+use hsa_rocr::{Topology, ALL_API_KINDS};
 use omp_mapcheck::{
     admissible_configs, capture_workload, check, check_workload, elision_plan, harness,
 };
@@ -58,6 +58,80 @@ fn every_shipped_workload_is_error_free_under_all_compatible_configs() {
         0x6193_c24c_2ae7_cc66
     );
 }
+
+/// Table I's raw material for every `apusim check` cell: the per-kind HSA
+/// call counts (in `ALL_API_KINDS` order) of the cell's unelided live run,
+/// as `ApiStats` counts them from the schedule's op tags. (Online elision
+/// only drops untagged map-service work, so the elided run's counts are
+/// the same.)
+#[test]
+fn api_call_counts_of_every_check_cell_are_pinned() {
+    let mut got = String::new();
+    for w in harness::shipped_workloads() {
+        let threads = harness::capture_threads(w.as_ref());
+        let ir = capture_workload(w.as_ref(), threads).expect("capture succeeds");
+        for config in admissible_configs(&ir) {
+            let mut rt = OmpRuntime::builder(CostModel::mi300a_no_thp(), Topology::default())
+                .config(config)
+                .threads(threads)
+                .build()
+                .expect("build");
+            w.run(&mut rt).expect("run");
+            let stats = rt.finish().api_stats;
+            let counts: Vec<String> = ALL_API_KINDS
+                .iter()
+                .map(|&k| stats.get(k).calls.to_string())
+                .collect();
+            got += &format!("{} {}: {}\n", w.name(), config.label(), counts.join(" "));
+        }
+    }
+    assert_eq!(got, API_CALL_COUNTS);
+}
+
+const API_CALL_COUNTS: &str = "\
+qmcpack-nio-S2 Copy: 82 41 15 64 22 18 0 1 4 0 1 0
+qmcpack-nio-S2 USM: 21 26 0 3 0 18 0 1 4 0 1 0
+qmcpack-nio-S2 Implicit Z-C: 21 26 0 3 0 18 0 1 4 0 1 0
+qmcpack-nio-S2 Eager Maps: 21 26 0 3 0 18 75 1 4 0 1 0
+qmcpack-nio-S2 Copy: 82 41 15 64 22 18 0 1 4 0 1 0
+qmcpack-nio-S2 USM: 21 26 0 3 0 18 0 1 4 0 1 0
+qmcpack-nio-S2 Implicit Z-C: 21 26 0 3 0 18 0 1 4 0 1 0
+qmcpack-nio-S2 Eager Maps: 21 26 0 3 0 18 75 1 4 0 1 0
+403.stencil Copy: 13 18 2 5 1 8 0 1 2 0 1 0
+403.stencil USM: 11 16 0 3 0 8 0 1 2 0 1 0
+403.stencil Implicit Z-C: 11 16 0 3 0 8 0 1 2 0 1 0
+403.stencil Eager Maps: 11 16 0 3 0 8 17 1 2 0 1 0
+404.lbm Copy: 34 18 2 20 1 14 0 1 2 0 1 0
+404.lbm USM: 17 16 0 3 0 14 0 1 2 0 1 0
+404.lbm Implicit Z-C: 17 16 0 3 0 14 0 1 2 0 1 0
+404.lbm Eager Maps: 17 16 0 3 0 14 30 1 2 0 1 0
+452.ep Copy: 19 22 6 13 5 6 0 1 2 0 1 0
+452.ep USM: 9 16 0 3 0 6 0 1 2 0 1 0
+452.ep Implicit Z-C: 9 16 0 3 0 6 0 1 2 0 1 0
+452.ep Eager Maps: 9 16 0 3 0 6 12 1 2 0 1 0
+457.spC Copy: 60 34 18 21 9 39 0 1 2 0 1 0
+457.spC USM: 42 16 0 3 0 39 0 1 2 0 1 0
+457.spC Implicit Z-C: 42 16 0 3 0 39 0 1 2 0 1 0
+457.spC Eager Maps: 42 16 0 3 0 39 252 1 2 0 1 0
+470.bt Copy: 39 31 15 9 3 30 0 1 2 0 1 0
+470.bt USM: 33 16 0 3 0 30 0 1 2 0 1 0
+470.bt Implicit Z-C: 33 16 0 3 0 30 0 1 2 0 1 0
+470.bt Eager Maps: 33 16 0 3 0 30 165 1 2 0 1 0
+babelstream Copy: 39 20 4 14 8 25 0 1 2 0 1 0
+babelstream USM: 28 16 0 3 0 25 0 1 2 0 1 0
+babelstream Implicit Z-C: 28 16 0 3 0 25 0 1 2 0 1 0
+babelstream Eager Maps: 28 16 0 3 0 25 69 1 2 0 1 0
+openfoam-mini-usm USM: 65 16 0 3 0 62 0 1 2 0 1 0
+openfoam-mini-usm Implicit Z-C: 65 16 0 3 0 62 0 1 2 0 1 0
+mini-cg Copy: 59 22 6 19 11 40 0 1 2 0 1 0
+mini-cg USM: 43 16 0 3 0 40 0 1 2 0 1 0
+mini-cg Implicit Z-C: 43 16 0 3 0 40 0 1 2 0 1 0
+mini-cg Eager Maps: 43 16 0 3 0 40 116 1 2 0 1 0
+mini-cg-nowait Copy: 59 22 6 19 11 40 0 1 2 0 1 0
+mini-cg-nowait USM: 43 16 0 3 0 40 0 1 2 0 1 0
+mini-cg-nowait Implicit Z-C: 43 16 0 3 0 40 0 1 2 0 1 0
+mini-cg-nowait Eager Maps: 43 16 0 3 0 40 116 1 2 0 1 0
+";
 
 /// The elision pass is not a no-op on the shipped programs: under Copy data
 /// handling the steady-state workloads recover strictly positive map-service

@@ -84,6 +84,5 @@ pub use table::{MapLookupCache, MappingTable, TableContention};
 pub use telemetry::{TelemetryMode, TelemetryReport};
 pub use tenant::{Tenant, TenantPool, MAX_TENANTS, TENANT_VA_STRIDE};
 pub use trace::{
-    KernelTraceEntry, LedgerField, LedgerUnit, OverheadLedger, RecoveryAction, RecoveryEvent,
-    LEDGER_FIELDS,
+    LedgerField, LedgerUnit, OverheadLedger, RecoveryAction, RecoveryEvent, LEDGER_FIELDS,
 };

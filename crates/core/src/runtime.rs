@@ -18,7 +18,7 @@ use crate::mapping::{MapDir, MapEntry, Presence};
 use crate::sanitize::{MapSanitizer, SanitizerReport};
 use crate::table::{MapLookupCache, MappingTable};
 use crate::telemetry::{ElideProbe, EventKind, Recorder, TelemetryReport};
-use crate::trace::{KernelTraceEntry, OverheadLedger, RecoveryAction, RecoveryEvent};
+use crate::trace::{OverheadLedger, RecoveryAction, RecoveryEvent};
 use apu_mem::{AddrRange, ApuMemory, CostModel, MemError, MemStats, VirtAddr, XnackMode};
 use hsa_rocr::{ApiStats, HsaRunResult, HsaRuntime, Topology};
 use sim_des::{AsyncToken, Backoff, FaultStats, RunOptions, Schedule, VirtDuration};
@@ -48,8 +48,6 @@ pub struct RunReport {
     pub mem_stats: MemStats,
     /// The full schedule (per-op latencies, resource utilization).
     pub schedule: Schedule,
-    /// Kernel trace, when enabled.
-    pub kernel_trace: Vec<KernelTraceEntry>,
     /// What the attached fault plan injected (zeroes on healthy runs).
     pub fault_stats: FaultStats,
     /// When startup degradation replaced the requested configuration, the
@@ -78,16 +76,11 @@ pub struct OmpRuntime {
     /// fast path). Invalidated at this runtime's own insert/remove sites;
     /// sound across tenants because their VA windows are disjoint.
     lookup: MapLookupCache,
-    /// Live entries *this* runtime inserted (the shared table's `len()`
-    /// counts every tenant's).
-    live_maps: usize,
     /// Host-VA window `[lo, hi)` owned by this tenant, when the table is
     /// shared; bounds the end-of-program leak scan to our own entries.
     window: Option<(u64, u64)>,
     globals: GlobalRegistry,
     threads: usize,
-    trace_kernels: bool,
-    kernel_trace: Vec<KernelTraceEntry>,
     /// Outstanding `target nowait` regions per thread: (token, deferred
     /// exit maps).
     pending_nowait: Vec<Vec<(AsyncToken, Vec<MapEntry>)>>,
@@ -137,12 +130,9 @@ impl OmpRuntime {
             xnack: config.xnack(),
             mapping: instr.table.unwrap_or_else(|| Arc::new(MappingTable::new())),
             lookup: MapLookupCache::new(),
-            live_maps: 0,
             window: instr.window,
             globals: GlobalRegistry::new(),
             threads,
-            trace_kernels: false,
-            kernel_trace: Vec::new(),
             pending_nowait: vec![Vec::new(); threads],
             degraded_from,
             xnack_lost: false,
@@ -189,9 +179,10 @@ impl OmpRuntime {
         self.threads
     }
 
-    /// Live mapping-table entries this runtime inserted (diagnostics).
+    /// Live mapping-table entries this runtime is responsible for
+    /// (diagnostics: the leak check after a program's teardown).
     pub fn live_mappings(&self) -> usize {
-        self.live_maps
+        self.live_snapshot().len()
     }
 
     /// `(hits, misses)` observed by this runtime's extent-keyed presence
@@ -252,11 +243,6 @@ impl OmpRuntime {
     /// Read-only memory access.
     pub fn mem(&self) -> &ApuMemory {
         self.hsa.mem()
-    }
-
-    /// Enable the kernel trace (`LIBOMPTARGET_KERNEL_TRACE` analog).
-    pub fn set_kernel_trace(&mut self, on: bool) {
-        self.trace_kernels = on;
     }
 
     /// Allocate host (OS) memory on behalf of `thread`.
@@ -628,15 +614,6 @@ impl OmpRuntime {
                 compute,
             },
         );
-        if self.trace_kernels {
-            self.kernel_trace.push(KernelTraceEntry {
-                name: Arc::clone(&name),
-                thread: thread as u32,
-                compute,
-                stall: out.stall,
-                faulted_pages: out.faulted_pages(),
-            });
-        }
         self.charge(
             thread,
             a0,
@@ -645,6 +622,7 @@ impl OmpRuntime {
                 compute,
                 fault_stall,
                 tlb_stall,
+                stall: out.stall,
                 replayed_pages: out.replayed_pages,
                 zero_filled_pages: out.zero_filled_pages,
             },
@@ -923,7 +901,6 @@ impl OmpRuntime {
             ledger,
             mem_stats,
             schedule: result.schedule,
-            kernel_trace: self.kernel_trace,
             fault_stats,
             degraded_from: self.degraded_from,
             sanitizer,
@@ -1162,7 +1139,6 @@ impl OmpRuntime {
                     // Zero-copy: presence bookkeeping only; device == host.
                     self.mapping.insert(e.range, e.range.start);
                     self.lookup.invalidate();
-                    self.live_maps += 1;
                 } else {
                     let a0 = self.anchor(thread);
                     let dev = self.pool_allocate_recovered(thread, e.range.len)?;
@@ -1178,7 +1154,6 @@ impl OmpRuntime {
                     );
                     self.mapping.insert(e.range, dev);
                     self.lookup.invalidate();
-                    self.live_maps += 1;
                     if e.dir.copies_to() {
                         self.issue_copy(thread, e.range.start, dev, e.range.len, false)?;
                     }
@@ -1227,7 +1202,6 @@ impl OmpRuntime {
         if self.config.is_zero_copy() {
             if self.mapping.release(&e.range, delete)?.is_some() {
                 self.lookup.invalidate();
-                self.live_maps -= 1;
             }
             return Ok(());
         }
@@ -1246,7 +1220,6 @@ impl OmpRuntime {
         }
         if let Some(removed) = self.mapping.release(&e.range, delete)? {
             self.lookup.invalidate();
-            self.live_maps -= 1;
             let pages = self
                 .mem()
                 .page_size()
@@ -1273,6 +1246,7 @@ mod tests {
     use crate::config::RunEnv;
     use crate::mapping::MapEntry;
     use crate::telemetry::TelemetryMode;
+    use hsa_rocr::HsaApiKind;
 
     fn rt(config: RuntimeConfig) -> OmpRuntime {
         OmpRuntime::builder(CostModel::mi300a_no_thp(), Topology::default())
@@ -1538,20 +1512,56 @@ mod tests {
         assert_eq!(r.live_mappings(), 0);
     }
 
+    /// The kernel trace is the stream's `KernelComplete` events: each
+    /// carries the stall the schedule added to the kernel's GPU service,
+    /// beside the ledger's charge.
     #[test]
     fn kernel_trace_records_launches() {
-        let mut r = rt(RuntimeConfig::ImplicitZeroCopy);
-        r.set_kernel_trace(true);
+        let mut r = OmpRuntime::builder(CostModel::mi300a_no_thp(), Topology::default())
+            .config(RuntimeConfig::ImplicitZeroCopy)
+            .telemetry(TelemetryMode::ring())
+            .build()
+            .unwrap();
         let a = r.host_alloc(0, 4096).unwrap();
-        let region = TargetRegion::new("traced", VirtDuration::from_micros(5))
-            .map(MapEntry::tofrom(AddrRange::new(a, 4096)));
+        let compute = VirtDuration::from_micros(5);
+        let region =
+            TargetRegion::new("traced", compute).map(MapEntry::tofrom(AddrRange::new(a, 4096)));
         r.target(0, region).unwrap();
+        let wait_svc = r.mem().cost().signal_wait_service;
         let report = r.finish();
-        assert_eq!(report.kernel_trace.len(), 1);
-        let e = &report.kernel_trace[0];
-        assert_eq!(&*e.name, "traced");
-        assert_eq!(e.faulted_pages, 1);
-        assert!(e.stall > VirtDuration::ZERO);
+        let completions: Vec<&EventKind> = report
+            .telemetry
+            .as_ref()
+            .unwrap()
+            .events
+            .iter()
+            .map(|e| &e.kind)
+            .filter(|k| matches!(k, EventKind::KernelComplete { .. }))
+            .collect();
+        let [EventKind::KernelComplete {
+            name,
+            fault_stall,
+            tlb_stall,
+            stall,
+            replayed_pages,
+            zero_filled_pages,
+            ..
+        }] = completions[..]
+        else {
+            panic!("one launch, one completion: {completions:?}")
+        };
+        assert_eq!(&**name, "traced");
+        assert_eq!(replayed_pages + zero_filled_pages, 1);
+        assert!(*stall >= *fault_stall + *tlb_stall && *stall > VirtDuration::ZERO);
+        // The kernel's signal wait (the run's last) spans its GPU service,
+        // compute + stall.
+        let wait = report
+            .schedule
+            .records()
+            .iter()
+            .rfind(|op| op.tag == HsaApiKind::SignalWaitScacquire.tag())
+            .unwrap();
+        assert_eq!(wait.latency(), compute + *stall + wait_svc);
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl MappingTable {
         self.metrics_on.store(true, Ordering::Relaxed);
     }
 
-    /// True when the contention instruments are armed.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics_on.load(Ordering::Relaxed)
-    }
-
     /// Acquire the table for one operation, counting the acquisition
     /// (and, when `try_lock` would block, the contention) if metrics are
     /// armed.
@@ -437,7 +432,6 @@ mod tests {
     fn contention_counters_track_armed_ops() {
         let t = MappingTable::new();
         t.enable_metrics();
-        assert!(t.metrics_enabled());
         // Every counted table call is exactly one lock acquisition.
         let mut expected = 0;
         let mut one_more = |op: &str| {

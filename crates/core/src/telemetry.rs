@@ -170,7 +170,11 @@ pub enum EventKind {
         compute: VirtDuration,
     },
     /// A kernel completed (`kernels`, `kernel_compute`, `mi_fault_stall`,
-    /// `tlb_stall`, page counters).
+    /// `tlb_stall`, page counters). Its `compute + stall` is the kernel's
+    /// GPU service in the schedule; the ledger charges `fault_stall` and
+    /// `tlb_stall` instead of `stall`. A run's completions, in `seq`
+    /// order, are its kernel trace (the `LIBOMPTARGET_KERNEL_TRACE`
+    /// analog).
     KernelComplete {
         /// Region name.
         name: Arc<str>,
@@ -180,6 +184,9 @@ pub enum EventKind {
         fault_stall: VirtDuration,
         /// TLB-miss stall.
         tlb_stall: VirtDuration,
+        /// The schedule's stall: what faults, migrations and TLB misses
+        /// added to the kernel's GPU service. Not a ledger charge.
+        stall: VirtDuration,
         /// Pages XNACK-replayed by this launch.
         replayed_pages: u64,
         /// Pages zero-filled in the fault handler.
@@ -318,6 +325,7 @@ impl EventKind {
                 compute,
                 fault_stall,
                 tlb_stall,
+                stall,
                 replayed_pages,
                 zero_filled_pages,
             } => vec![
@@ -325,6 +333,7 @@ impl EventKind {
                 ("compute_ns", FieldVal::U64(compute.as_nanos())),
                 ("fault_stall_ns", FieldVal::U64(fault_stall.as_nanos())),
                 ("tlb_stall_ns", FieldVal::U64(tlb_stall.as_nanos())),
+                ("stall_ns", FieldVal::U64(stall.as_nanos())),
                 ("replayed_pages", FieldVal::U64(*replayed_pages)),
                 ("zero_filled_pages", FieldVal::U64(*zero_filled_pages)),
             ],
@@ -518,6 +527,7 @@ impl OverheadLedger {
                 self.mm_prefault += *cost;
                 self.prefault_calls += 1;
             }
+            // `stall` is the schedule's, not a charge: MI is `fault_stall`.
             EventKind::KernelComplete {
                 compute,
                 fault_stall,
@@ -1065,6 +1075,7 @@ mod tests {
                     compute: us(100),
                     fault_stall: us(40),
                     tlb_stall: us(1),
+                    stall: us(51),
                     replayed_pages: 7,
                     zero_filled_pages: 2,
                 },
@@ -1183,6 +1194,7 @@ mod tests {
                 mm_map: us(6 + 1),
                 mm_saved: us(9),
                 maps_elided: 1,
+                // The completion's schedule `stall` (51 µs) is not charged.
                 mi_fault_stall: us(40),
                 tlb_stall: us(1),
                 kernel_compute: us(100),
@@ -1221,7 +1233,7 @@ mod tests {
 {"type":"event","seq":5,"thread":2,"anchor":5,"anchor_end":6,"kind":"copy","start":48,"len":16,"bytes":16,"cost_ns":5000,"to_host":true}
 {"type":"event","seq":6,"thread":2,"anchor":6,"anchor_end":7,"kind":"prefault","start":64,"len":32,"cost_ns":6000,"recovery":true}
 {"type":"event","seq":7,"thread":2,"anchor":7,"anchor_end":8,"kind":"kernel_launch","name":"stencil \"hot\"\nloop","compute_ns":7000}
-{"type":"event","seq":8,"thread":2,"anchor":8,"anchor_end":9,"kind":"kernel_complete","name":"stencil \"hot\"\nloop","compute_ns":7000,"fault_stall_ns":8000,"tlb_stall_ns":1000,"replayed_pages":3,"zero_filled_pages":1}
+{"type":"event","seq":8,"thread":2,"anchor":8,"anchor_end":9,"kind":"kernel_complete","name":"stencil \"hot\"\nloop","compute_ns":7000,"fault_stall_ns":8000,"tlb_stall_ns":1000,"stall_ns":19000,"replayed_pages":3,"zero_filled_pages":1}
 {"type":"event","seq":9,"thread":2,"anchor":9,"anchor_end":10,"kind":"elide","start":80,"len":64,"probe":"miss","lookup_ns":1000,"saved_ns":9000}
 {"type":"event","seq":10,"thread":2,"anchor":10,"anchor_end":11,"kind":"backoff","attempt":3,"delay_ns":10000}
 {"type":"event","seq":11,"thread":2,"anchor":11,"anchor_end":12,"kind":"evicted","pages":12}
@@ -1277,6 +1289,7 @@ mod tests {
                 compute: us(7),
                 fault_stall: us(8),
                 tlb_stall: us(1),
+                stall: us(19),
                 replayed_pages: 3,
                 zero_filled_pages: 1,
             },
@@ -1427,6 +1440,7 @@ mod tests {
                     compute: us(5),
                     fault_stall: us(1),
                     tlb_stall: us(0),
+                    stall: us(11),
                     replayed_pages: 1,
                     zero_filled_pages: 0,
                 },
@@ -1438,6 +1452,7 @@ mod tests {
                     compute: us(5),
                     fault_stall: us(100),
                     tlb_stall: us(0),
+                    stall: us(110),
                     replayed_pages: 9,
                     zero_filled_pages: 4,
                 },

@@ -1,13 +1,11 @@
 //! Overhead attribution: the [`OverheadLedger`] (the paper's MM / MI
 //! decomposition, Table III), [`LEDGER_FIELDS`] (its one field list for
-//! serialization), the [`RecoveryAction`]/[`RecoveryEvent`] payloads that
-//! telemetry `Recovery` events carry, and the kernel trace
-//! ([`KernelTraceEntry`], the `LIBOMPTARGET_KERNEL_TRACE` analog).
+//! serialization), and the [`RecoveryAction`]/[`RecoveryEvent`] payloads
+//! that telemetry `Recovery` events carry.
 
 use crate::config::RuntimeConfig;
 use sim_des::VirtDuration;
 use std::fmt;
-use std::sync::Arc;
 
 /// Accumulated overheads for one run, split by cause.
 ///
@@ -275,21 +273,6 @@ pub struct RecoveryEvent {
     pub attempts: u32,
     /// What the recovery policy did.
     pub action: RecoveryAction,
-}
-
-/// One kernel launch in the trace (`LIBOMPTARGET_KERNEL_TRACE=3` analog).
-#[derive(Debug, Clone)]
-pub struct KernelTraceEntry {
-    /// Region name.
-    pub name: Arc<str>,
-    /// Issuing host thread.
-    pub thread: u32,
-    /// Modeled compute time.
-    pub compute: VirtDuration,
-    /// Stall added by faults and TLB misses.
-    pub stall: VirtDuration,
-    /// Pages XNACK-replayed by this launch.
-    pub faulted_pages: u64,
 }
 
 #[cfg(test)]

@@ -41,8 +41,6 @@ pub struct HsaRuntime {
     machine: Machine,
     res: Resources,
     streams: OpStreams,
-    /// Record-time call counts (cross-checked against the schedule).
-    recorded: [u64; crate::api::API_KIND_COUNT],
     /// Async-token allocator for `nowait` dispatches.
     next_token: u64,
     /// Optional injected-failure schedule, consulted before each fallible
@@ -66,7 +64,6 @@ impl HsaRuntime {
             machine,
             res,
             streams: OpStreams::new(1),
-            recorded: [0; crate::api::API_KIND_COUNT],
             next_token: 0,
             fault: None,
         }
@@ -122,7 +119,6 @@ impl HsaRuntime {
         if !plan.should_fail(kind) {
             return Ok(());
         }
-        self.count(api);
         self.streams.push(
             thread,
             Op::service(api.tag(), self.res.runtime_lock, service),
@@ -157,15 +153,6 @@ impl HsaRuntime {
         }
     }
 
-    /// Record-time count of calls of `kind`.
-    pub fn recorded_calls(&self, kind: HsaApiKind) -> u64 {
-        self.recorded[kind as usize]
-    }
-
-    fn count(&mut self, kind: HsaApiKind) {
-        self.recorded[kind as usize] += 1;
-    }
-
     fn lock_service(&self) -> VirtDuration {
         self.mem.cost().runtime_call_service
     }
@@ -178,7 +165,6 @@ impl HsaRuntime {
     pub fn device_init(&mut self, thread: usize) -> Result<(), MemError> {
         let lock = self.res.runtime_lock;
         let svc = self.lock_service();
-        self.count(HsaApiKind::QueueCreate);
         self.streams.push(
             thread,
             Op::service(
@@ -188,13 +174,11 @@ impl HsaRuntime {
             ),
         );
         for _ in 0..2 {
-            self.count(HsaApiKind::SignalCreate);
             self.streams.push(
                 thread,
                 Op::service(HsaApiKind::SignalCreate.tag(), lock, svc),
             );
         }
-        self.count(HsaApiKind::CodeObjectLoad);
         self.streams.push(
             thread,
             Op::service(
@@ -220,7 +204,6 @@ impl HsaRuntime {
         let lock = self.res.runtime_lock;
         let svc = self.lock_service();
         for _ in 0..2 {
-            self.count(HsaApiKind::SignalCreate);
             self.streams.push(
                 thread,
                 Op::service(HsaApiKind::SignalCreate.tag(), lock, svc),
@@ -259,7 +242,6 @@ impl HsaRuntime {
             failed_service,
         )?;
         let out = self.mem.pool_alloc(len)?;
-        self.count(HsaApiKind::MemoryPoolAllocate);
         self.streams.push(
             thread,
             Op::service(
@@ -274,7 +256,6 @@ impl HsaRuntime {
     /// `hsa_amd_memory_pool_free`.
     pub fn pool_free(&mut self, thread: usize, addr: VirtAddr) -> Result<(), MemError> {
         let out = self.mem.pool_free(addr)?;
-        self.count(HsaApiKind::MemoryPoolFree);
         self.streams.push(
             thread,
             Op::service(
@@ -313,7 +294,6 @@ impl HsaRuntime {
         let wait_svc = cost.signal_wait_service;
         let handler = cost.copy_handler;
 
-        self.count(HsaApiKind::MemoryAsyncCopy);
         self.streams.push(
             thread,
             Op::service(
@@ -322,7 +302,6 @@ impl HsaRuntime {
                 self.lock_service() + submit,
             ),
         );
-        self.count(HsaApiKind::SignalWaitScacquire);
         self.streams.push(
             thread,
             Op::new(HsaApiKind::SignalWaitScacquire.tag())
@@ -330,7 +309,6 @@ impl HsaRuntime {
                 .then_local(wait_svc),
         );
         if with_handler {
-            self.count(HsaApiKind::SignalAsyncHandler);
             self.streams.push(
                 thread,
                 Op::local(HsaApiKind::SignalAsyncHandler.tag(), handler),
@@ -348,7 +326,6 @@ impl HsaRuntime {
         range: AddrRange,
     ) -> Result<PrefaultOutcome, MemError> {
         let out = self.mem.prefault(range)?;
-        self.count(HsaApiKind::SvmAttributesSet);
         self.streams.push(
             thread,
             Op::service(
@@ -385,7 +362,6 @@ impl HsaRuntime {
         let dispatch = cost.kernel_dispatch;
         let wait_svc = cost.signal_wait_service;
 
-        self.count(HsaApiKind::KernelDispatch);
         self.streams.push(
             thread,
             Op::service(
@@ -394,7 +370,6 @@ impl HsaRuntime {
                 self.lock_service() + dispatch,
             ),
         );
-        self.count(HsaApiKind::SignalWaitScacquire);
         self.streams.push(
             thread,
             Op::new(HsaApiKind::SignalWaitScacquire.tag())
@@ -428,7 +403,6 @@ impl HsaRuntime {
         let dispatch = cost.kernel_dispatch;
         let token = AsyncToken(self.next_token);
         self.next_token += 1;
-        self.count(HsaApiKind::KernelDispatch);
         self.streams.push(
             thread,
             Op::new(HsaApiKind::KernelDispatch.tag())
@@ -443,7 +417,6 @@ impl HsaRuntime {
     pub fn await_kernels(&mut self, thread: usize, tokens: &[AsyncToken]) {
         let wait_svc = self.mem.cost().signal_wait_service;
         for &token in tokens {
-            self.count(HsaApiKind::SignalWaitScacquire);
             self.streams.push(
                 thread,
                 Op::new(HsaApiKind::SignalWaitScacquire.tag())
@@ -466,7 +439,6 @@ impl HsaRuntime {
         if duration == VirtDuration::ZERO {
             return;
         }
-        self.count(HsaApiKind::RecoveryBackoff);
         self.streams.push(
             thread,
             Op::local(HsaApiKind::RecoveryBackoff.tag(), duration),
@@ -480,7 +452,6 @@ impl HsaRuntime {
         let evicted = self.mem.evict_um_pages(max_pages);
         if evicted > 0 {
             let cost = self.mem.cost().pool_free_cost(evicted);
-            self.count(HsaApiKind::RecoveryBackoff);
             self.streams.push(
                 thread,
                 Op::service(
@@ -540,7 +511,6 @@ mod tests {
     fn pool_alloc_records_call_and_populates_gpu_pt() {
         let mut r = rt();
         let a = r.pool_allocate(0, 10_000).unwrap();
-        assert_eq!(r.recorded_calls(HsaApiKind::MemoryPoolAllocate), 1);
         assert!(r.mem().gpu_pt().len() >= 3);
         r.pool_free(0, a).unwrap();
         let res = r.finish(&RunOptions::noiseless());
@@ -644,10 +614,11 @@ mod tests {
     fn device_init_emits_expected_call_mix() {
         let mut r = rt();
         r.device_init(0).unwrap();
-        assert_eq!(r.recorded_calls(HsaApiKind::QueueCreate), 1);
-        assert_eq!(r.recorded_calls(HsaApiKind::CodeObjectLoad), 1);
-        assert_eq!(r.recorded_calls(HsaApiKind::MemoryPoolAllocate), 16);
-        assert_eq!(r.recorded_calls(HsaApiKind::MemoryAsyncCopy), 3);
+        let stats = r.finish(&RunOptions::noiseless()).api_stats;
+        assert_eq!(stats.get(HsaApiKind::QueueCreate).calls, 1);
+        assert_eq!(stats.get(HsaApiKind::CodeObjectLoad).calls, 1);
+        assert_eq!(stats.get(HsaApiKind::MemoryPoolAllocate).calls, 16);
+        assert_eq!(stats.get(HsaApiKind::MemoryAsyncCopy).calls, 3);
     }
 
     #[test]
@@ -656,7 +627,6 @@ mod tests {
         let h = r.host_alloc(0, 16 * 4096).unwrap();
         let out = r.svm_prefault(0, AddrRange::new(h, 16 * 4096)).unwrap();
         assert_eq!(out.new_pages(), 16);
-        assert_eq!(r.recorded_calls(HsaApiKind::SvmAttributesSet), 1);
         // Now GPU access never faults even with XNACK disabled.
         let o = r
             .dispatch_kernel(
@@ -667,6 +637,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(o.faulted_pages(), 0);
+        let stats = r.finish(&RunOptions::noiseless()).api_stats;
+        assert_eq!(stats.get(HsaApiKind::SvmAttributesSet).calls, 1);
     }
 
     #[test]
@@ -677,11 +649,11 @@ mod tests {
         r.async_copy(0, h, d, 100, true).unwrap();
         r.dispatch_kernel(0, VirtDuration::from_micros(5), &[], XnackMode::Disabled)
             .unwrap();
-        let expected_waits = r.recorded_calls(HsaApiKind::SignalWaitScacquire);
+        // Every recorded op but the host allocation's untagged one is an API
+        // call, and the statistics count each call from its op's tag.
+        let recorded = r.thread_ops(0) as u64;
         let res = r.finish(&RunOptions::noiseless());
-        assert_eq!(
-            res.api_stats.get(HsaApiKind::SignalWaitScacquire).calls,
-            expected_waits
-        );
+        assert_eq!(res.api_stats.total_calls(), recorded - 1);
+        assert_eq!(res.api_stats.get(HsaApiKind::SignalWaitScacquire).calls, 2);
     }
 }

@@ -10,58 +10,42 @@
 //!    VRAM* — unified-memory oversubscription makes pages migrate over the
 //!    link every sweep (the collapse reported by the paper's related work).
 //!
+//! The measurements are `analysis::extensions::{porting_story,
+//! oversubscription}`, which `tests/extensions.rs` pins.
+//!
 //! ```text
 //! cargo run --release --example apu_vs_discrete
 //! ```
 
-use mi300a_zerocopy::hsa::Topology;
-use mi300a_zerocopy::mem::{CostModel, DiscreteSpec, SystemKind};
-use mi300a_zerocopy::omp::{OmpRuntime, RuntimeConfig};
-use mi300a_zerocopy::workloads::{spec::Ep, NioSize, QmcPack, Workload};
-
-fn run(
-    w: &dyn Workload,
-    kind: SystemKind,
-    config: RuntimeConfig,
-    threads: usize,
-) -> Result<mi300a_zerocopy::omp::RunReport, Box<dyn std::error::Error>> {
-    let mut rt = OmpRuntime::builder(CostModel::mi300a(), Topology::default())
-        .config(config)
-        .system(kind)
-        .threads(threads)
-        .build()?;
-    w.run(&mut rt)?;
-    Ok(rt.finish())
-}
+use mi300a_zerocopy::analysis::extensions::{
+    oversubscription, porting_story, OVERSUBSCRIPTION_GIB,
+};
+use mi300a_zerocopy::mem::DiscreteSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let apu = SystemKind::Apu;
-    let discrete = SystemKind::Discrete(DiscreteSpec::mi200_class());
-
     println!("== 1. QMCPack S8, 4 threads, the porting story ==\n");
-    let w = QmcPack::nio(NioSize { factor: 8 }).with_steps(120);
-    let d_copy = run(&w, discrete.clone(), RuntimeConfig::LegacyCopy, 4)?;
-    let a_copy = run(&w, apu.clone(), RuntimeConfig::LegacyCopy, 4)?;
-    let a_izc = run(&w, apu.clone(), RuntimeConfig::ImplicitZeroCopy, 4)?;
+    let story = porting_story()?;
     println!("{:<44} {:>12}", "system / configuration", "makespan");
     println!(
         "{:<44} {:>12}",
         "discrete GPU, Copy (the starting point)",
-        d_copy.makespan.to_string()
+        story.discrete_copy.to_string()
     );
     println!(
         "{:<44} {:>12}",
         "MI300A APU, Copy (recompile only)",
-        a_copy.makespan.to_string()
+        story.apu_copy.to_string()
     );
     println!(
         "{:<44} {:>12}",
         "MI300A APU, Implicit Zero-Copy",
-        a_izc.makespan.to_string()
+        story.apu_izc.to_string()
     );
-    let s1 = d_copy.makespan.as_nanos() as f64 / a_copy.makespan.as_nanos() as f64;
-    let s2 = d_copy.makespan.as_nanos() as f64 / a_izc.makespan.as_nanos() as f64;
-    println!("\nAPU speedup from faster copies alone: {s1:.2}x; with zero-copy: {s2:.2}x\n");
+    println!(
+        "\nAPU speedup from faster copies alone: {:.2}x; with zero-copy: {:.2}x\n",
+        story.copy_speedup(),
+        story.zero_copy_speedup()
+    );
 
     println!("== 2. Unified-memory oversubscription on the discrete device ==\n");
     println!(
@@ -72,19 +56,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>18} | {:>14} | {:>14} | {:>12} | {:>12}",
         "working set", "APU", "discrete", "migrated", "evicted"
     );
-    for gib in [8u64, 32, 56, 96] {
-        let mut ep = Ep::scaled(1.0);
-        ep.array_bytes = gib << 30;
-        ep.batches = 10;
-        let a = run(&ep, apu.clone(), RuntimeConfig::ImplicitZeroCopy, 1)?;
-        let d = run(&ep, discrete.clone(), RuntimeConfig::ImplicitZeroCopy, 1)?;
+    for gib in OVERSUBSCRIPTION_GIB {
+        let p = oversubscription(gib)?;
         println!(
             "{:>13} GiB | {:>14} | {:>14} | {:>12} | {:>12}",
-            gib,
-            a.makespan.to_string(),
-            d.makespan.to_string(),
-            d.mem_stats.migrated_pages,
-            d.mem_stats.evicted_pages,
+            p.gib,
+            p.apu.to_string(),
+            p.discrete.to_string(),
+            p.migrated_pages,
+            p.evicted_pages,
         );
     }
     println!("\nBelow VRAM capacity the discrete device pays one migration per page;");

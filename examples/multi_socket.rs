@@ -5,75 +5,14 @@
 //! zero-copy kernels; after every sweep, neighbouring ranks exchange halo
 //! rows. Weak scaling: per-socket work is constant, so the card's makespan
 //! should stay nearly flat as sockets are added, paying only the fabric.
+//! The measurement is `analysis::extensions::weak_scaling`, which
+//! `tests/extensions.rs` pins.
 //!
 //! ```text
 //! cargo run --release --example multi_socket
 //! ```
 
-use mi300a_zerocopy::hsa::Topology;
-use mi300a_zerocopy::mem::{AddrRange, CostModel, VirtAddr};
-use mi300a_zerocopy::omp::{CardRuntime, MapEntry, RuntimeConfig, TargetRegion};
-use mi300a_zerocopy::sim::VirtDuration;
-
-const SLAB_BYTES: u64 = 64 << 20; // per-socket domain slab
-const HALO_BYTES: u64 = 256 << 10; // exchanged boundary rows
-const SWEEPS: usize = 40;
-
-fn run_card(sockets: usize) -> Result<(VirtDuration, u64), Box<dyn std::error::Error>> {
-    let mut card = CardRuntime::new(
-        CostModel::mi300a(),
-        Topology::default(),
-        RuntimeConfig::ImplicitZeroCopy,
-        sockets,
-        1,
-    )?;
-
-    // Each rank allocates and initializes its slab.
-    let mut slabs: Vec<VirtAddr> = Vec::new();
-    for s in 0..sockets {
-        let rt = card.socket(s);
-        let slab = rt.host_alloc(0, SLAB_BYTES)?;
-        rt.mem_mut().host_touch(AddrRange::new(slab, SLAB_BYTES))?;
-        rt.target_enter_data(0, &[MapEntry::to(AddrRange::new(slab, SLAB_BYTES))])?;
-        slabs.push(slab);
-    }
-
-    for _sweep in 0..SWEEPS {
-        // Local sweeps, all sockets in parallel.
-        for (s, &slab) in slabs.iter().enumerate() {
-            card.socket(s).target(
-                0,
-                TargetRegion::new("halo_stencil_sweep", VirtDuration::from_micros(120))
-                    .map(MapEntry::alloc(AddrRange::new(slab, SLAB_BYTES))),
-            )?;
-        }
-        // Halo exchange with the right neighbour (ring).
-        if sockets > 1 {
-            for s in 0..sockets {
-                let right = (s + 1) % sockets;
-                // Send my top boundary into the neighbour's ghost region.
-                card.exchange(
-                    s,
-                    slabs[s],
-                    right,
-                    slabs[right].offset(HALO_BYTES),
-                    HALO_BYTES,
-                )?;
-            }
-        }
-    }
-
-    for (s, slab) in slabs.iter().enumerate() {
-        card.socket(s).target_exit_data(
-            0,
-            &[MapEntry::from(AddrRange::new(*slab, SLAB_BYTES))],
-            false,
-        )?;
-    }
-
-    let report = card.finish();
-    Ok((report.makespan, report.exchanged_bytes))
-}
+use mi300a_zerocopy::analysis::extensions::{weak_scaling, WEAK_SCALING_SOCKETS};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Domain-decomposed stencil on a multi-socket APU card (weak scaling)\n");
@@ -82,14 +21,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sockets", "makespan", "exchanged bytes", "efficiency"
     );
     let mut base = None;
-    for sockets in [1usize, 2, 4] {
-        let (makespan, bytes) = run_card(sockets)?;
-        let eff = base.get_or_insert(makespan).as_nanos() as f64 / makespan.as_nanos() as f64;
+    for sockets in WEAK_SCALING_SOCKETS {
+        let p = weak_scaling(sockets)?;
+        let eff = p.efficiency(base.get_or_insert(p));
         println!(
             "{:>8} | {:>12} | {:>16} | {:>9.1}%",
-            sockets,
-            makespan.to_string(),
-            bytes,
+            p.sockets,
+            p.makespan.to_string(),
+            p.exchanged_bytes,
             100.0 * eff
         );
     }

@@ -10,15 +10,16 @@
 use mi300a_zerocopy::analysis::kernels::total_kernel_time;
 use mi300a_zerocopy::hsa::Topology;
 use mi300a_zerocopy::mem::CostModel;
-use mi300a_zerocopy::omp::{OmpRuntime, RunReport, RuntimeConfig};
+use mi300a_zerocopy::omp::{OmpRuntime, RunReport, RuntimeConfig, TelemetryMode};
+use mi300a_zerocopy::sim::VirtDuration;
 use mi300a_zerocopy::workloads::{NioSize, QmcPack, Workload};
 
 fn traced_run(factor: u32, config: RuntimeConfig) -> RunReport {
     let mut rt = OmpRuntime::builder(CostModel::mi300a(), Topology::default())
         .config(config)
+        .telemetry(TelemetryMode::ring())
         .build()
         .unwrap();
-    rt.set_kernel_trace(true);
     QmcPack::nio(NioSize { factor })
         .with_steps(100)
         .run(&mut rt)
@@ -26,13 +27,35 @@ fn traced_run(factor: u32, config: RuntimeConfig) -> RunReport {
     rt.finish()
 }
 
+/// Kernel-side time of a traced run, from its `kernel_complete` events.
+fn kernel_time(r: &RunReport) -> VirtDuration {
+    let telemetry = r.telemetry.as_ref().expect("ring was on");
+    assert_eq!(telemetry.dropped_events, 0);
+    total_kernel_time(telemetry)
+}
+
 #[test]
 fn kernel_time_grows_an_order_of_magnitude_s2_to_s24() {
-    for config in [RuntimeConfig::LegacyCopy, RuntimeConfig::ImplicitZeroCopy] {
-        let s2 = traced_run(2, config);
-        let s24 = traced_run(24, config);
-        let ratio = total_kernel_time(&s24.kernel_trace).as_nanos() as f64
-            / total_kernel_time(&s2.kernel_trace).as_nanos() as f64;
+    // Kernel-side nanoseconds at S2 and S24, and their ratio, exactly.
+    for (config, s2_ns, s24_ns, pinned_ratio) in [
+        (
+            RuntimeConfig::LegacyCopy,
+            2_337_900,
+            24_710_300,
+            10.569442662218231,
+        ),
+        (
+            RuntimeConfig::ImplicitZeroCopy,
+            2_429_900,
+            24_998_500,
+            10.287871928885963,
+        ),
+    ] {
+        let s2 = kernel_time(&traced_run(2, config));
+        let s24 = kernel_time(&traced_run(24, config));
+        assert_eq!((s2.as_nanos(), s24.as_nanos()), (s2_ns, s24_ns), "{config}");
+        let ratio = s24.as_nanos() as f64 / s2.as_nanos() as f64;
+        assert_eq!(ratio, pinned_ratio, "{config}");
         // The paper reports ~10x; our kernels scale with the S factor
         // (24/2 = 12), dampened by the fixed kernel-launch floor.
         assert!(
@@ -47,8 +70,8 @@ fn copy_overheads_grow_at_about_half_rate_of_kernels() {
     let s2 = traced_run(2, RuntimeConfig::LegacyCopy);
     let s24 = traced_run(24, RuntimeConfig::LegacyCopy);
 
-    let kernel_ratio = total_kernel_time(&s24.kernel_trace).as_nanos() as f64
-        / total_kernel_time(&s2.kernel_trace).as_nanos() as f64;
+    let kernel_ratio = kernel_time(&s24).as_nanos() as f64 / kernel_time(&s2).as_nanos() as f64;
+    assert_eq!(kernel_ratio, 10.569442662218231);
     let mm_ratio = s24.ledger.mm_total().as_nanos() as f64 / s2.ledger.mm_total().as_nanos() as f64;
 
     // "about at half rate": the copy-overhead growth exponent is about half
@@ -64,10 +87,12 @@ fn copy_overheads_grow_at_about_half_rate_of_kernels() {
 
     // Consequence (the paper's conclusion): kernel time dominates at large
     // sizes, so the zero-copy advantage shrinks — checked in fig4 tests.
-    let kernel_share_s2 =
-        total_kernel_time(&s2.kernel_trace).as_nanos() as f64 / s2.makespan.as_nanos() as f64;
-    let kernel_share_s24 =
-        total_kernel_time(&s24.kernel_trace).as_nanos() as f64 / s24.makespan.as_nanos() as f64;
+    let kernel_share_s2 = kernel_time(&s2).as_nanos() as f64 / s2.makespan.as_nanos() as f64;
+    let kernel_share_s24 = kernel_time(&s24).as_nanos() as f64 / s24.makespan.as_nanos() as f64;
+    assert_eq!(
+        (kernel_share_s2, kernel_share_s24),
+        (0.12459919898154717, 0.43118913889799865)
+    );
     assert!(kernel_share_s24 > kernel_share_s2);
 }
 
