@@ -148,9 +148,13 @@ impl ResultCache {
             std::process::id(),
             self.tmp_seq.fetch_add(1, Ordering::Relaxed),
         ));
-        fs::write(&tmp, payload)?;
-        fs::rename(&tmp, &path)?;
-        Ok(())
+        let stored = fs::write(&tmp, payload).and_then(|()| fs::rename(&tmp, &path));
+        if stored.is_err() {
+            // `gc` and `size_bytes` see only `.sweep` files, so a temp file
+            // left here would never be reclaimed or counted.
+            let _ = fs::remove_file(&tmp);
+        }
+        stored
     }
 
     /// Total bytes the store's `.sweep` entries occupy right now (0 for a
@@ -291,6 +295,23 @@ mod tests {
         assert_eq!(c.lookup(&req()), None, "cold cache must miss");
         c.store(&req(), &result()).unwrap();
         assert_eq!(c.lookup(&req()), Some(result()));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_store_leaves_no_temp_file() {
+        let dir = scratch_dir("blocked");
+        let c = ResultCache::open(&CacheMode::Dir(dir.clone()));
+        // A directory at the entry path makes the rename fail.
+        fs::create_dir_all(dir.join(format!("{:016x}.sweep", req().digest()))).unwrap();
+        assert!(c.store(&req(), &result()).is_err());
+        let temps: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name())
+            .filter(|n| n.to_string_lossy().starts_with(".tmp-"))
+            .collect();
+        assert!(temps.is_empty(), "temp files left behind: {temps:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

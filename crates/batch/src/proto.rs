@@ -90,9 +90,9 @@ pub enum Verb {
     Result,
     /// Counter snapshot (`key=value` pairs in the response header).
     Stats,
-    /// Prometheus-style metrics exposition (text body; see
-    /// `omp_offload::metrics` for the format and the
-    /// derivable-vs-schedule class contract).
+    /// Prometheus-style exposition of the latency, pool and cache-size
+    /// instruments (text body; see `omp_offload::metrics` for the
+    /// format). It restates no `STATS` counter.
     Metrics,
     /// Run cache garbage collection against the server's byte budget.
     Gc,

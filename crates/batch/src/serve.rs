@@ -44,12 +44,13 @@ use crate::result::SweepResult;
 use crate::sweep::{render_report, run_sweep_in};
 use crate::CacheMode;
 use omp_offload::metrics::{
-    Counter, FamilySnapshot, Gauge, Histogram, MetricClass, MetricKind, MetricsSnapshot, Sample,
+    Counter, FamilySnapshot, Gauge, Histogram, MetricKind, MetricsSnapshot, Sample,
 };
 use omp_offload::{MapIr, OmpError};
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -181,12 +182,12 @@ struct PoolWorker {
     depth_hwm: Gauge,
 }
 
-/// The server's schedule-class instruments: per-verb request latency
-/// (cold = at least one cell simulated, warm = everything answered from
-/// residency or the cache) and the work-stealing pool counters absorbed
-/// from every sweep's [`DriveStats`]. All of it is [`MetricClass::Schedule`]
-/// — it rides the `METRICS` verb only and never enters response bodies,
-/// so the byte-identity contract is untouched.
+/// The server's wall-clock instruments: per-verb request latency (cold =
+/// at least one cell simulated, warm = everything answered from residency
+/// or the cache) and the work-stealing pool counters absorbed from every
+/// sweep's [`DriveStats`]. All of it depends on the schedule: it rides the
+/// `METRICS` verb only and never enters response bodies, so the
+/// byte-identity contract is untouched.
 struct ServeMetrics {
     /// One histogram per (verb, cold), in render order.
     latency: Vec<(Verb, bool, Histogram)>,
@@ -237,7 +238,6 @@ impl ServeMetrics {
             name: "omp_serve_latency_us".into(),
             help: "Wall-clock request handling latency, integer microseconds.".into(),
             kind: MetricKind::Histogram,
-            class: MetricClass::Schedule,
             samples: self
                 .latency
                 .iter()
@@ -251,7 +251,6 @@ impl ServeMetrics {
             name: "omp_pool_ops_total".into(),
             help: "Work-stealing pool scheduling events, accumulated across sweeps.".into(),
             kind: MetricKind::Counter,
-            class: MetricClass::Schedule,
             samples: self
                 .pool
                 .iter()
@@ -274,7 +273,6 @@ impl ServeMetrics {
             name: "omp_pool_queue_depth_hwm".into(),
             help: "High-water mark of each worker's seeded queue depth.".into(),
             kind: MetricKind::Gauge,
-            class: MetricClass::Schedule,
             samples: self
                 .pool
                 .iter()
@@ -299,7 +297,7 @@ struct Shared {
     inflight: Mutex<HashMap<u64, Arc<Inflight>>>,
     /// Construction instant, the zero of `uptime_ms`.
     start: Instant,
-    /// Schedule-class instruments (latency, pool); see [`ServeMetrics`].
+    /// Wall-clock instruments (latency, pool); see [`ServeMetrics`].
     metrics: ServeMetrics,
     shutdown: AtomicBool,
     requests: AtomicU64,
@@ -507,10 +505,23 @@ impl Server {
         }
     }
 
-    /// Bind a Unix-domain socket at `path` (a stale socket file from a
-    /// previous unclean exit is removed first).
+    /// Bind a Unix-domain socket at `path`. A stale socket left by an
+    /// unclean exit (a socket that refuses connections) is replaced; any
+    /// other file there, a live server's socket included, is left alone
+    /// and the bind fails with `AddrInUse`.
     pub fn bind_unix(path: &Path, cfg: ServerConfig) -> std::io::Result<Server> {
-        let _ = std::fs::remove_file(path);
+        if let Ok(meta) = std::fs::symlink_metadata(path) {
+            let stale = meta.file_type().is_socket()
+                && UnixStream::connect(path)
+                    .is_err_and(|e| e.kind() == std::io::ErrorKind::ConnectionRefused);
+            if !stale {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::AddrInUse,
+                    format!("{} exists and is not a stale socket", path.display()),
+                ));
+            }
+            std::fs::remove_file(path)?;
+        }
         let listener = UnixListener::bind(path)?;
         Ok(Server::new(
             Listener::Unix(listener),
@@ -641,12 +652,17 @@ fn handle_connection(conn: Conn, shared: Arc<Shared>) {
     }
 }
 
-/// Whether a response carries cold work: any `simulated=N` info pair with
-/// `N > 0` (sweep/result verbs only ever emit one). Cache hits, coalesced
-/// waits, and the non-simulating verbs are all warm.
+/// Whether a response carries cold work: a `SWEEP` or `RESULT` answer
+/// with a `simulated=N` info pair, `N > 0`. Cache hits, coalesced waits
+/// and every other verb are warm (`STATS` carries a `simulated` counter
+/// too, but simulates nothing).
 fn response_is_cold(resp: &Response) -> bool {
     match resp {
-        Response::Ok { info, .. } => info
+        Response::Ok {
+            verb: Verb::Sweep | Verb::Result,
+            info,
+            ..
+        } => info
             .iter()
             .any(|(k, v)| k == "simulated" && v.parse::<u64>().is_ok_and(|n| n > 0)),
         _ => false,
@@ -912,67 +928,19 @@ fn handle_gc(shared: &Arc<Shared>) -> Response {
 }
 
 /// Build the `METRICS` exposition, family by family in a fixed order: the
-/// derivable families are read from the same atomics `STATS` serves (so
-/// the two verbs agree counter-for-counter by construction), then the
-/// schedule-class families — momentary gauges, then the live latency and
-/// pool instruments ([`ServeMetrics::push_families`]). The body is
+/// cache-size gauge, then the live latency and pool instruments
+/// ([`ServeMetrics::push_families`]). It restates no `STATS` counter:
+/// `STATS` is the one view of the request counters. The body is
 /// [`MetricsSnapshot::render`] text and re-parses exactly
-/// (`tests/serve_matrix.rs` pins both properties and the series list).
+/// (`tests/serve_matrix.rs` pins that and the series list).
 fn handle_metrics(shared: &Arc<Shared>) -> Response {
-    let stats = shared.stats();
     let mut snap = MetricsSnapshot::default();
     snap.push(FamilySnapshot {
-        name: "omp_serve_events_total".into(),
-        help: "Request-derived serve counters, identical to STATS.".into(),
-        kind: MetricKind::Counter,
-        class: MetricClass::Derivable,
-        samples: vec![
-            Sample::labelled("event", "requests", stats.requests),
-            Sample::labelled("event", "hits", stats.hits),
-            Sample::labelled("event", "simulated", stats.simulated),
-            Sample::labelled("event", "malformed", stats.malformed),
-        ],
-    });
-    snap.push(FamilySnapshot {
-        name: "omp_serve_resident".into(),
-        help: "Objects resident in server memory.".into(),
+        name: "omp_cache_size_bytes".into(),
+        help: "Bytes the result cache's entries occupy on disk.".into(),
         kind: MetricKind::Gauge,
-        class: MetricClass::Derivable,
-        samples: vec![Sample::labelled("kind", "captures", stats.captures)],
+        samples: vec![Sample::plain(shared.cache.size_bytes())],
     });
-    snap.push(FamilySnapshot {
-        name: "omp_serve_schedule_events_total".into(),
-        help: "Schedule-dependent serve counters (timing and admission).".into(),
-        kind: MetricKind::Counter,
-        class: MetricClass::Schedule,
-        samples: vec![
-            Sample::labelled("event", "coalesced", stats.coalesced),
-            Sample::labelled("event", "busy_rejections", stats.busy_rejections),
-            Sample::labelled("event", "evicted", stats.evicted),
-        ],
-    });
-    let plain_gauge = |name: &str, help: &str, value: u64| FamilySnapshot {
-        name: name.into(),
-        help: help.into(),
-        kind: MetricKind::Gauge,
-        class: MetricClass::Schedule,
-        samples: vec![Sample::plain(value)],
-    };
-    snap.push(plain_gauge(
-        "omp_serve_inflight",
-        "Sweep cells currently running or queued.",
-        stats.in_flight,
-    ));
-    snap.push(plain_gauge(
-        "omp_serve_uptime_ms",
-        "Milliseconds since the server was constructed.",
-        stats.uptime_ms,
-    ));
-    snap.push(plain_gauge(
-        "omp_cache_size_bytes",
-        "Bytes the result cache's entries occupy on disk.",
-        shared.cache.size_bytes(),
-    ));
     shared.metrics.push_families(&mut snap);
     let body = snap.render();
     Response::ok_with(

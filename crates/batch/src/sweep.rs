@@ -54,10 +54,10 @@ pub struct SweepOutcome {
     pub results: Vec<SweepResult>,
     /// Cache effectiveness over the whole sweep.
     pub stats: SweepStats,
-    /// Work-stealing pool counters of this sweep's drive. Schedule-
-    /// dependent ([`omp_offload::metrics::MetricClass::Schedule`]):
-    /// reported on the stats channel only, never rendered into
-    /// [`render_report`] bytes.
+    /// Work-stealing pool counters of this sweep's drive. They depend on
+    /// the wall-clock schedule, so they are reported on the stats channel
+    /// only (the serve layer's `METRICS` pool families), never rendered
+    /// into [`render_report`] bytes.
     pub pool: DriveStats,
 }
 

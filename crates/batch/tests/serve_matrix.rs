@@ -8,13 +8,14 @@
 //! Robustness is pinned alongside: malformed frames are answered with `ERR`
 //! and poison nothing, admission control answers `BUSY` deterministically,
 //! a zero timeout detaches the connection while the sweep still finishes
-//! into the cache, and `SHUTDOWN` drains and removes the socket.
+//! into the cache, `SHUTDOWN` drains and removes the socket, and a bind
+//! replaces only a stale socket, never a regular file or a live server's.
 
 use omp_batch::{
     execute, render_report, run_sweep, smoke_corpus, CacheMode, Client, ElideKind, Server,
     ServerConfig, ServerStats, SweepRequest,
 };
-use omp_offload::metrics::{MetricClass, MetricKind, MetricsSnapshot};
+use omp_offload::metrics::{MetricKind, MetricsSnapshot};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -372,17 +373,7 @@ fn stats_info_round_trips_and_appends_uptime_last() {
 
 /// Every `METRICS` series of a two-worker server, in render order: family,
 /// suffix and labels of each sample line, with the value dropped.
-const METRICS_SERIES: &str = r#"omp_serve_events_total{event="requests"}
-omp_serve_events_total{event="hits"}
-omp_serve_events_total{event="simulated"}
-omp_serve_events_total{event="malformed"}
-omp_serve_resident{kind="captures"}
-omp_serve_schedule_events_total{event="coalesced"}
-omp_serve_schedule_events_total{event="busy_rejections"}
-omp_serve_schedule_events_total{event="evicted"}
-omp_serve_inflight
-omp_serve_uptime_ms
-omp_cache_size_bytes
+const METRICS_SERIES: &str = r#"omp_cache_size_bytes
 omp_serve_latency_us_bucket{verb="ping",temp="warm",le="100"}
 omp_serve_latency_us_bucket{verb="ping",temp="warm",le="1000"}
 omp_serve_latency_us_bucket{verb="ping",temp="warm",le="10000"}
@@ -511,8 +502,7 @@ fn metrics_verb_round_trips_and_agrees_with_stats() {
     let warm = client.sweep(&cells).expect("warm sweep");
     assert_eq!(warm.into_ok_body().unwrap(), expected);
 
-    // STATS first, METRICS second: the two requests' counters differ only
-    // by the METRICS request itself.
+    // STATS first, METRICS second: nothing else is handled in between.
     let stats_resp = client.stats().expect("stats");
     let stats = ServerStats::from_info(
         &stats_resp
@@ -535,60 +525,20 @@ fn metrics_verb_round_trips_and_agrees_with_stats() {
     );
     assert_eq!(snap.families.len() as u64, families);
 
-    // Golden family schema: names, kinds, and classes are pinned.
-    let schema: Vec<(&str, MetricKind, MetricClass)> = snap
+    // Golden family schema: names and kinds are pinned. No family
+    // restates a STATS counter.
+    let schema: Vec<(&str, MetricKind)> = snap
         .families
         .iter()
-        .map(|f| (f.name.as_str(), f.kind, f.class))
+        .map(|f| (f.name.as_str(), f.kind))
         .collect();
     assert_eq!(
         schema,
         [
-            (
-                "omp_serve_events_total",
-                MetricKind::Counter,
-                MetricClass::Derivable
-            ),
-            (
-                "omp_serve_resident",
-                MetricKind::Gauge,
-                MetricClass::Derivable
-            ),
-            (
-                "omp_serve_schedule_events_total",
-                MetricKind::Counter,
-                MetricClass::Schedule
-            ),
-            (
-                "omp_serve_inflight",
-                MetricKind::Gauge,
-                MetricClass::Schedule
-            ),
-            (
-                "omp_serve_uptime_ms",
-                MetricKind::Gauge,
-                MetricClass::Schedule
-            ),
-            (
-                "omp_cache_size_bytes",
-                MetricKind::Gauge,
-                MetricClass::Schedule
-            ),
-            (
-                "omp_serve_latency_us",
-                MetricKind::Histogram,
-                MetricClass::Schedule
-            ),
-            (
-                "omp_pool_ops_total",
-                MetricKind::Counter,
-                MetricClass::Schedule
-            ),
-            (
-                "omp_pool_queue_depth_hwm",
-                MetricKind::Gauge,
-                MetricClass::Schedule
-            ),
+            ("omp_cache_size_bytes", MetricKind::Gauge),
+            ("omp_serve_latency_us", MetricKind::Histogram),
+            ("omp_pool_ops_total", MetricKind::Counter),
+            ("omp_pool_queue_depth_hwm", MetricKind::Gauge),
         ],
         "METRICS family schema is pinned"
     );
@@ -603,44 +553,27 @@ fn metrics_verb_round_trips_and_agrees_with_stats() {
         "METRICS series list is pinned"
     );
 
-    // Derivable identity with STATS: the METRICS request was the only one
-    // handled since the STATS snapshot.
-    let v = |name: &str, key: &str, label: &str| {
-        snap.value(name, "", &[(key, label)])
-            .unwrap_or_else(|| panic!("missing {name}{{{key}={label}}}"))
-    };
-    assert_eq!(
-        v("omp_serve_events_total", "event", "requests"),
-        stats.requests + 1
-    );
-    assert_eq!(v("omp_serve_events_total", "event", "hits"), stats.hits);
-    assert_eq!(v("omp_serve_events_total", "event", "hits"), n);
-    assert_eq!(
-        v("omp_serve_events_total", "event", "simulated"),
-        stats.simulated
-    );
-    assert_eq!(v("omp_serve_events_total", "event", "simulated"), n);
-    assert_eq!(v("omp_serve_events_total", "event", "malformed"), 0);
-    assert_eq!(v("omp_serve_resident", "kind", "captures"), stats.captures);
-    assert_eq!(
-        snap.value("omp_serve_inflight", "", &[]),
-        Some(0),
-        "nothing in flight after both sweeps completed"
-    );
+    assert_eq!((stats.hits, stats.simulated), (n, n));
+    assert_eq!((stats.malformed, stats.in_flight), (0, 0));
     assert!(
         snap.value("omp_cache_size_bytes", "", &[]).unwrap() > 0,
         "the cold sweep stored entries"
     );
 
-    // The pool instruments absorbed both sweeps. Cache hits never reach
-    // the pool, so only the cold sweep scheduled work: every cell exactly
-    // once (own pop or steal), nothing more.
-    let pool_family = snap
-        .families
+    // What the two views share. Every request STATS counted, itself
+    // included, was timed before its response went out; the METRICS
+    // request is timed only after its body is built.
+    let family = |name: &str| snap.families.iter().find(|f| f.name == name).unwrap();
+    let timed: u64 = family("omp_serve_latency_us")
+        .samples
         .iter()
-        .find(|f| f.name == "omp_pool_ops_total")
-        .unwrap();
-    let scheduled: u64 = pool_family
+        .filter(|s| s.suffix == "_count")
+        .map(|s| s.value)
+        .sum();
+    assert_eq!(timed, stats.requests, "one latency sample per request");
+    // Cache hits never reach the pool, so only the cold sweep scheduled
+    // work: every simulated cell exactly once (own pop or steal).
+    let scheduled: u64 = family("omp_pool_ops_total")
         .samples
         .iter()
         .filter(|s| {
@@ -651,8 +584,8 @@ fn metrics_verb_round_trips_and_agrees_with_stats() {
         .map(|s| s.value)
         .sum();
     assert_eq!(
-        scheduled, n,
-        "the cold sweep scheduled each cell once; warm hits bypass the pool"
+        scheduled, stats.simulated,
+        "the pool scheduled each simulated cell once; warm hits bypass it"
     );
 
     // Latency has both temperatures for the sweep verb.
@@ -794,6 +727,55 @@ fn timed_out_sweeps_still_finish_into_the_cache() {
     assert_eq!(warm.stats.hits, n, "detached sweep cached every cell");
     assert_eq!(warm.stats.simulated, 0);
 
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server exits cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bind_unix_leaves_a_regular_file_alone() {
+    let dir = scratch_dir("bind-file");
+    let path = dir.join("notes.txt");
+    std::fs::write(&path, "keep me").unwrap();
+    let err = Server::bind_unix(&path, ServerConfig::default())
+        .err()
+        .expect("binding over a regular file fails");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), "keep me");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bind_unix_leaves_a_live_server_reachable() {
+    let dir = scratch_dir("bind-live");
+    let sock = dir.join("serve.sock");
+    let first = Server::bind_unix(&sock, ServerConfig::default())
+        .expect("bind")
+        .spawn();
+    let err = Server::bind_unix(&sock, ServerConfig::default())
+        .err()
+        .expect("a second bind on a live path fails");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
+    let mut client = Client::connect_unix(&sock).expect("the first server keeps its path");
+    assert_eq!(client.ping().unwrap().info_get("proto"), Some("1"));
+    client.shutdown().expect("shutdown");
+    first.join().expect("server exits cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bind_unix_replaces_a_stale_socket() {
+    let dir = scratch_dir("bind-stale");
+    let sock = dir.join("serve.sock");
+    // Dropping a listener leaves its socket file behind, as a killed
+    // server does.
+    drop(std::os::unix::net::UnixListener::bind(&sock).unwrap());
+    assert!(sock.exists());
+    let handle = Server::bind_unix(&sock, ServerConfig::default())
+        .expect("a stale socket is replaced")
+        .spawn();
+    let mut client = Client::connect_unix(&sock).expect("connect");
+    assert_eq!(client.ping().unwrap().info_get("proto"), Some("1"));
     client.shutdown().expect("shutdown");
     handle.join().expect("server exits cleanly");
     let _ = std::fs::remove_dir_all(&dir);

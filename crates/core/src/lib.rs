@@ -75,7 +75,7 @@ pub use globals::{GlobalEntry, GlobalId, GlobalRegistry};
 pub use kernel::{GpuPerf, KernelBody, KernelCtx, TargetRegion};
 pub use mapir::{KernelOp, MapIr, MapOp, MapRecord};
 pub use mapping::{MapDir, MapEntry, MapModel, Mapped, Mapping, Presence};
-pub use metrics::{MetricClass, MetricKind, MetricsMode, MetricsSnapshot};
+pub use metrics::{MetricKind, MetricsMode, MetricsSnapshot};
 pub use modes::{CacheMode, ElideKind, ModeParseError, TelemetryKind};
 pub use replay::{replay, replay_threads, ReplayOutcome, REPLAY_KERNEL_COMPUTE_US};
 pub use runtime::{OmpRuntime, RunReport};

@@ -15,21 +15,12 @@
 //! [`FamilySnapshot`] from its live instruments, series for series, and
 //! pushes it into a [`MetricsSnapshot`], which renders as Prometheus text.
 //! That is the only way a family is built; the serve layer's `METRICS`
-//! verb is its one user.
-//!
-//! ## The two metric classes
-//!
-//! Every family declares a [`MetricClass`], carried through the exposition
-//! as a `# CLASS` comment line:
-//!
-//! * [`MetricClass::Derivable`] — the value is a pure function of the
-//!   requests the server answered: it equals the corresponding `STATS`
-//!   counter (`omp-batch/tests/serve_matrix.rs` pins the agreement).
-//! * [`MetricClass::Schedule`] — the value depends on the wall-clock
-//!   schedule (lock contention, steals, latency). Schedule metrics travel
-//!   on the stats channel only (stderr, `STATS`, `METRICS`) and must never
-//!   appear in sweep/serve *response* bytes, so the `-j N` byte-identity
-//!   contract is untouched.
+//! verb is its one user. It carries only what the instruments alone can
+//! see: the server's request counters have one view, `STATS`, and no
+//! family restates them. Every value here depends on the wall-clock
+//! schedule, so it travels on the stats channel only (stderr, `STATS`,
+//! `METRICS`) and never appears in sweep/serve *response* bytes; the
+//! `-j N` byte-identity contract is untouched.
 //!
 //! ## Exposition format
 //!
@@ -37,13 +28,12 @@
 //! values: every sample is a `u64` (durations are integer nanoseconds,
 //! latencies integer microseconds), so
 //! `render(parse(text)) == text` holds byte-for-byte. Each family is a
-//! three-comment header followed by its samples:
+//! `# HELP` line, exactly one `# TYPE` line naming it, then its samples:
 //!
 //! ```text
-//! # HELP omp_serve_events_total Request-derived serve counters, identical to STATS.
-//! # TYPE omp_serve_events_total counter
-//! # CLASS omp_serve_events_total derivable
-//! omp_serve_events_total{event="hits"} 2
+//! # HELP omp_pool_ops_total Work-stealing pool scheduling events, accumulated across sweeps.
+//! # TYPE omp_pool_ops_total counter
+//! omp_pool_ops_total{worker="0",event="own_pop"} 2
 //! ```
 
 use std::fmt::Write as _;
@@ -67,34 +57,6 @@ impl MetricsMode {
     /// True when instruments are armed.
     pub fn is_on(self) -> bool {
         matches!(self, MetricsMode::On)
-    }
-}
-
-/// The declared class of a metric family (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricClass {
-    /// A pure function of the requests answered; equals `STATS`.
-    Derivable,
-    /// Depends on the wall-clock schedule; stats-channel only.
-    Schedule,
-}
-
-impl MetricClass {
-    /// The exposition token (`derivable` / `schedule`).
-    pub fn token(self) -> &'static str {
-        match self {
-            MetricClass::Derivable => "derivable",
-            MetricClass::Schedule => "schedule",
-        }
-    }
-
-    /// Inverse of [`token`](Self::token).
-    pub fn from_token(s: &str) -> Option<Self> {
-        match s {
-            "derivable" => Some(MetricClass::Derivable),
-            "schedule" => Some(MetricClass::Schedule),
-            _ => None,
-        }
     }
 }
 
@@ -126,6 +88,16 @@ impl MetricKind {
             "gauge" => Some(MetricKind::Gauge),
             "histogram" => Some(MetricKind::Histogram),
             _ => None,
+        }
+    }
+
+    /// Whether a series of this kind may carry the series-name `suffix`:
+    /// histograms take exactly `_bucket`, `_sum` and `_count`; counters
+    /// and gauges take none.
+    fn takes_suffix(self, suffix: &str) -> bool {
+        match self {
+            MetricKind::Histogram => matches!(suffix, "_bucket" | "_sum" | "_count"),
+            MetricKind::Counter | MetricKind::Gauge => suffix.is_empty(),
         }
     }
 }
@@ -313,8 +285,6 @@ pub struct FamilySnapshot {
     pub help: String,
     /// Instrument kind.
     pub kind: MetricKind,
-    /// Declared class.
-    pub class: MetricClass,
     /// Samples in render order.
     pub samples: Vec<Sample>,
 }
@@ -381,15 +351,28 @@ fn unescape(s: &str, quote: bool) -> String {
 }
 
 impl MetricsSnapshot {
-    /// Append one family, panicking on invalid names (instrument
-    /// registration is program text, not input).
+    /// Append one family, panicking on what [`parse`](Self::parse) would
+    /// reject (instrument registration is program text, not input): an
+    /// invalid or repeated name, or a suffix the kind cannot have.
     pub fn push(&mut self, family: FamilySnapshot) {
         assert!(
             valid_name(&family.name),
             "invalid metric name {:?}",
             family.name
         );
+        assert!(
+            self.families.iter().all(|f| f.name != family.name),
+            "repeated metric family {:?}",
+            family.name
+        );
         for s in &family.samples {
+            assert!(
+                family.kind.takes_suffix(&s.suffix),
+                "suffix {:?} in {} family {:?}",
+                s.suffix,
+                family.kind.token(),
+                family.name
+            );
             for (k, _) in &s.labels {
                 assert!(valid_label_name(k), "invalid label name {k:?}");
             }
@@ -424,7 +407,6 @@ impl MetricsSnapshot {
         for f in &self.families {
             let _ = writeln!(out, "# HELP {} {}", f.name, escape_help(&f.help));
             let _ = writeln!(out, "# TYPE {} {}", f.name, f.kind.token());
-            let _ = writeln!(out, "# CLASS {} {}", f.name, f.class.token());
             for s in &f.samples {
                 let _ = write!(out, "{}{}", f.name, s.suffix);
                 if !s.labels.is_empty() {
@@ -444,67 +426,77 @@ impl MetricsSnapshot {
     }
 
     /// Parse a text exposition produced by [`render`](Self::render).
-    /// Strict: families must carry `# HELP` / `# TYPE` / `# CLASS`
-    /// headers in that order and every value must be a decimal `u64`.
+    /// Strict: a family is a `# HELP` line, exactly one `# TYPE` line
+    /// naming it, then its samples; no family name repeats; only
+    /// histograms take the `_bucket`/`_sum`/`_count` suffixes, and
+    /// histograms take only those; every value is a decimal `u64`.
     pub fn parse(text: &str) -> Result<MetricsSnapshot, String> {
         let mut snap = MetricsSnapshot::default();
-        let mut current: Option<FamilySnapshot> = None;
+        // Whether the last family read has its TYPE line.
+        let mut typed = true;
         for (no, line) in text.lines().enumerate() {
             let err = |msg: &str| format!("metrics line {}: {msg}: {line:?}", no + 1);
             if let Some(rest) = line.strip_prefix("# HELP ") {
-                if let Some(f) = current.take() {
-                    snap.families.push(f);
+                if !typed {
+                    return Err(err("HELP of a family without TYPE"));
                 }
                 let (name, help) = rest.split_once(' ').ok_or_else(|| err("malformed HELP"))?;
                 if !valid_name(name) {
                     return Err(err("invalid family name"));
                 }
-                current = Some(FamilySnapshot {
+                if snap.families.iter().any(|f| f.name == name) {
+                    return Err(err("repeated family"));
+                }
+                snap.families.push(FamilySnapshot {
                     name: name.to_string(),
                     help: unescape_help(help),
                     kind: MetricKind::Counter,
-                    class: MetricClass::Derivable,
                     samples: Vec::new(),
                 });
+                typed = false;
             } else if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let f = current.as_mut().ok_or_else(|| err("TYPE before HELP"))?;
+                let f = snap
+                    .families
+                    .last_mut()
+                    .ok_or_else(|| err("TYPE before HELP"))?;
+                if typed {
+                    return Err(err("repeated TYPE"));
+                }
                 let (name, kind) = rest.split_once(' ').ok_or_else(|| err("malformed TYPE"))?;
                 if name != f.name {
                     return Err(err("TYPE family mismatch"));
                 }
                 f.kind = MetricKind::from_token(kind).ok_or_else(|| err("unknown kind"))?;
-            } else if let Some(rest) = line.strip_prefix("# CLASS ") {
-                let f = current.as_mut().ok_or_else(|| err("CLASS before HELP"))?;
-                let (name, class) = rest.split_once(' ').ok_or_else(|| err("malformed CLASS"))?;
-                if name != f.name {
-                    return Err(err("CLASS family mismatch"));
-                }
-                f.class = MetricClass::from_token(class).ok_or_else(|| err("unknown class"))?;
-            } else if line.is_empty() {
-                continue;
+                typed = true;
             } else {
-                let f = current.as_mut().ok_or_else(|| err("sample before HELP"))?;
-                let sample = parse_sample(line, &f.name).map_err(|m| err(&m))?;
+                let f = match snap.families.last_mut() {
+                    Some(f) if typed => f,
+                    _ => return Err(err("sample before TYPE")),
+                };
+                let sample = parse_sample(line, f).map_err(|m| err(&m))?;
                 f.samples.push(sample);
             }
         }
-        if let Some(f) = current.take() {
-            snap.families.push(f);
+        if !typed {
+            return Err("metrics: last family has no TYPE".to_string());
         }
         Ok(snap)
     }
 }
 
-/// Parse one sample line of family `family`.
-fn parse_sample(line: &str, family: &str) -> Result<Sample, String> {
+/// Parse one sample line of `family`, whose kind is already known.
+fn parse_sample(line: &str, family: &FamilySnapshot) -> Result<Sample, String> {
     let rest = line
-        .strip_prefix(family)
-        .ok_or_else(|| format!("sample outside family {family}"))?;
+        .strip_prefix(family.name.as_str())
+        .ok_or_else(|| format!("sample outside family {}", family.name))?;
     // Split off the series-name suffix (up to '{' or ' ').
     let suffix_end = rest.find(['{', ' ']).ok_or("missing value")?;
     let suffix = &rest[..suffix_end];
-    if !matches!(suffix, "" | "_bucket" | "_sum" | "_count") {
-        return Err(format!("unknown series suffix {suffix:?}"));
+    if !family.kind.takes_suffix(suffix) {
+        return Err(format!(
+            "series suffix {suffix:?} in a {} family",
+            family.kind.token()
+        ));
     }
     let rest = &rest[suffix_end..];
     let (labels, rest) = if let Some(body) = rest.strip_prefix('{') {
@@ -595,7 +587,6 @@ mod tests {
             name: name.into(),
             help: format!("The {name} family."),
             kind,
-            class: MetricClass::Schedule,
             samples,
         }
     }
@@ -611,10 +602,11 @@ mod tests {
         h.observe(250);
         h.observe(9999);
         let mut snap = MetricsSnapshot::default();
-        snap.push(FamilySnapshot {
-            class: MetricClass::Derivable,
-            ..family("a_total", MetricKind::Counter, vec![Sample::plain(c.get())])
-        });
+        snap.push(family(
+            "a_total",
+            MetricKind::Counter,
+            vec![Sample::plain(c.get())],
+        ));
         snap.push(family(
             "b_level",
             MetricKind::Gauge,
@@ -663,7 +655,6 @@ mod tests {
             name: "weird".into(),
             help: "help with \\ backslash\nand newline".into(),
             kind: MetricKind::Gauge,
-            class: MetricClass::Schedule,
             samples: vec![Sample {
                 suffix: String::new(),
                 labels: vec![("k".into(), "a\"b\\c\nd".into())],
@@ -678,17 +669,29 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_input() {
-        assert!(MetricsSnapshot::parse("a_total 1").is_err()); // sample before HELP
-        assert!(MetricsSnapshot::parse("# HELP a x\n# TYPE a widget\n").is_err());
-        assert!(MetricsSnapshot::parse("# HELP a x\n# TYPE a counter\n# CLASS a nope\n").is_err());
-        assert!(MetricsSnapshot::parse(
-            "# HELP a x\n# TYPE a counter\n# CLASS a derivable\na -1\n"
-        )
-        .is_err());
-        assert!(MetricsSnapshot::parse(
-            "# HELP a x\n# TYPE a counter\n# CLASS a derivable\nb_z 1\n"
-        )
-        .is_err());
+        let rejects = |text: &str| assert!(MetricsSnapshot::parse(text).is_err(), "{text:?}");
+        rejects("a_total 1"); // sample before HELP
+        rejects("# HELP a x\n# TYPE a widget\n");
+        rejects("# HELP a x\n# TYPE a counter\na -1\n");
+        rejects("# HELP a x\n# TYPE a counter\nb_z 1\n");
+        rejects("# HELP a x\n# TYPE a counter\n\na 1\n"); // blank line
+        rejects("# HELP a x\n# TYPE a counter\n# CLASS a schedule\n");
+        // A family is HELP, exactly one TYPE naming it, then samples.
+        rejects("# HELP a x\na 1\n");
+        rejects("# HELP a x\n# TYPE a counter\n# TYPE a gauge\na 1\n");
+        // A family name appears once.
+        rejects("# HELP a x\n# TYPE a counter\na 1\n# HELP a y\n# TYPE a counter\na 2\n");
+        // Only histograms take `_bucket`/`_sum`/`_count`, and only those.
+        rejects("# HELP a x\n# TYPE a counter\na_bucket{le=\"1\"} 1\n");
+        rejects("# HELP h x\n# TYPE h histogram\nh 1\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated metric family")]
+    fn push_rejects_a_repeated_family() {
+        let mut snap = MetricsSnapshot::default();
+        snap.push(family("a", MetricKind::Counter, vec![Sample::plain(1)]));
+        snap.push(family("a", MetricKind::Gauge, vec![Sample::plain(2)]));
     }
 
     #[test]

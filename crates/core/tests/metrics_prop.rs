@@ -1,13 +1,13 @@
 //! Property tests for the metrics exposition: every family an owner can
-//! build from the instruments — counters, gauges or histograms, either
-//! class, any number of series, any labels (including ones that need
-//! escaping), any recorded values — renders to text that re-parses to the
-//! identical snapshot and re-renders to the identical bytes. This is the
+//! build from the instruments — counters, gauges or histograms, any
+//! number of series, any labels (including ones that need escaping), any
+//! recorded values — renders to text that re-parses to the identical
+//! snapshot and re-renders to the identical bytes. This is the
 //! property half of the `METRICS` round-trip pin; the golden half lives in
 //! `omp-batch/tests/serve_matrix.rs`.
 
 use omp_offload::metrics::{
-    Counter, FamilySnapshot, Gauge, Histogram, MetricClass, MetricKind, MetricsSnapshot, Sample,
+    Counter, FamilySnapshot, Gauge, Histogram, MetricKind, MetricsSnapshot, Sample,
 };
 use proptest::prelude::*;
 
@@ -39,13 +39,12 @@ fn arb_text() -> impl Strategy<Value = String> {
 /// One series: its labels and the values fed to a fresh instrument.
 type Series = (Vec<(u8, String)>, Vec<u64>);
 
-/// One family to build: which stem, which kind, which class, the
-/// histogram bounds, and its series.
+/// One family to build: which stem, which kind, the histogram bounds,
+/// and its series.
 #[derive(Debug, Clone)]
 struct Fam {
     stem: u8,
     kind: u8,
-    schedule: bool,
     bounds: u8,
     series: Vec<Series>,
 }
@@ -56,26 +55,20 @@ fn arb_fam() -> impl Strategy<Value = Fam> {
         proptest::collection::vec(any::<u64>(), 0..5),
     );
     (
-        (
-            0u8..STEMS.len() as u8,
-            0u8..3,
-            any::<bool>(),
-            0u8..BOUNDS.len() as u8,
-        ),
+        (0u8..STEMS.len() as u8, 0u8..3, 0u8..BOUNDS.len() as u8),
         proptest::collection::vec(series, 0..4),
     )
-        .prop_map(|((stem, kind, schedule, bounds), series)| Fam {
+        .prop_map(|((stem, kind, bounds), series)| Fam {
             stem,
             kind,
-            schedule,
             bounds,
             series,
         })
 }
 
 /// Build `f`'s snapshot the way an owner does: one live instrument per
-/// series, read back into samples.
-fn build(f: &Fam) -> FamilySnapshot {
+/// series, read back into samples. `i` keeps the family names distinct.
+fn build(i: usize, f: &Fam) -> FamilySnapshot {
     let plain = |labels, value| Sample {
         suffix: String::new(),
         labels,
@@ -110,18 +103,13 @@ fn build(f: &Fam) -> FamilySnapshot {
         .collect();
     let k = f.kind as usize;
     FamilySnapshot {
-        name: format!("{}_{}", STEMS[f.stem as usize], ["c", "g", "h"][k]),
+        name: format!("{}_{}{i}", STEMS[f.stem as usize], ["c", "g", "h"][k]),
         help: ["counted\nthings \\ etc.", "", "observed things."][k].into(),
         kind: [
             MetricKind::Counter,
             MetricKind::Gauge,
             MetricKind::Histogram,
         ][k],
-        class: if f.schedule {
-            MetricClass::Schedule
-        } else {
-            MetricClass::Derivable
-        },
         samples,
     }
 }
@@ -134,8 +122,8 @@ proptest! {
         fams in proptest::collection::vec(arb_fam(), 0..8),
     ) {
         let mut snap = MetricsSnapshot::default();
-        for f in &fams {
-            snap.push(build(f));
+        for (i, f) in fams.iter().enumerate() {
+            snap.push(build(i, f));
         }
         let text = snap.render();
         let parsed = MetricsSnapshot::parse(&text);

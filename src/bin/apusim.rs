@@ -54,11 +54,14 @@
 //! (or `--tcp ADDR`): parsed captures and the open result cache survive
 //! between requests, every sweep runs the offline cell path, and every
 //! `SWEEP` response is byte-identical to the offline `apusim replay` stdout
-//! for the same corpus. `request` is the matching client: it uploads captures, sends one
-//! `SWEEP` for the given files (report to stdout, cache counters to
-//! stderr), and can probe (`--ping`), inspect (`--stats`), scrape the
-//! Prometheus-style exposition (`--metrics`, body to stdout),
-//! garbage-collect (`--gc`), or stop (`--shutdown`) a running server.
+//! for the same corpus. The socket path may hold a stale socket, which is
+//! replaced, but no other file and no live server's socket. `request` is
+//! the matching client: it uploads captures, sends one `SWEEP` for the
+//! given files (report to stdout, cache counters to stderr), and can probe
+//! (`--ping`), read the request counters (`--stats`), scrape the latency,
+//! pool and cache-size instruments as Prometheus text (`--metrics`, body
+//! to stdout), garbage-collect (`--gc`), or stop (`--shutdown`) a running
+//! server.
 //! `cache gc` bounds an offline cache directory by evicting
 //! least-recently-used entries.
 

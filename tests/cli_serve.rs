@@ -1,8 +1,9 @@
 //! `apusim serve` end to end, driven through the binary: the served sweep
 //! report is byte-equal to offline `apusim replay`, cold and warm; a
-//! garbage frame gets `ERR`; `STATS` and `METRICS` agree counter for
-//! counter; `--gc` succeeds; `--shutdown` drains the server and removes its
-//! socket; and `cache gc --dry-run` accepts the store the server wrote.
+//! garbage frame gets `ERR`; `METRICS` holds the four instrument families,
+//! restates no `STATS` counter and agrees with `STATS` where they meet;
+//! `--gc` succeeds; `--shutdown` drains the server and removes its socket;
+//! and `cache gc --dry-run` accepts the store the server wrote.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -66,15 +67,15 @@ fn stat(stats: &str, key: &str) -> u64 {
         .expect("numeric STATS value")
 }
 
-/// The value of `omp_serve_events_total{event="<key>"}` in a `METRICS` body.
-fn event(metrics: &str, key: &str) -> u64 {
-    let series = format!("omp_serve_events_total{{event=\"{key}\"}} ");
+/// The sum of the `METRICS` samples whose series starts with `series` and
+/// contains `label`.
+fn sum(metrics: &str, series: &str, label: &str) -> u64 {
     metrics
         .lines()
-        .find_map(|l| l.strip_prefix(&series))
-        .unwrap_or_else(|| panic!("no {series}in\n{metrics}"))
-        .parse()
-        .expect("numeric METRICS value")
+        .filter(|l| l.starts_with(series) && l.contains(label))
+        .map(|l| l.rsplit_once(' ').expect("sample line has a value").1)
+        .map(|v| v.parse::<u64>().expect("numeric METRICS value"))
+        .sum()
 }
 
 #[test]
@@ -135,20 +136,39 @@ fn served_sweeps_match_offline_replay_and_the_server_drains() {
     assert!(stats.contains("hits=2 simulated=2"), "{stats}");
     assert!(stats.contains("malformed=1"), "{stats}");
 
-    // The derivable METRICS families equal STATS, and METRICS itself is
-    // one request beyond the STATS snapshot.
+    // METRICS holds only the instruments, and meets STATS in two places:
+    // every request STATS counted (itself included) was timed, and the
+    // pool scheduled each simulated cell once.
     let metrics = request("--metrics");
-    for key in ["hits", "simulated", "malformed"] {
-        assert_eq!(event(&metrics, key), stat(&stats, key), "{key}");
-    }
-    assert_eq!(event(&metrics, "requests"), stat(&stats, "requests") + 1);
-    for class in [
-        "# CLASS omp_serve_events_total derivable",
-        "# CLASS omp_serve_latency_us schedule",
-        "# CLASS omp_pool_ops_total schedule",
-    ] {
-        assert!(metrics.lines().any(|l| l == class), "no `{class}`");
-    }
+    let types: Vec<&str> = metrics
+        .lines()
+        .filter(|l| l.starts_with("# TYPE "))
+        .collect();
+    assert_eq!(
+        types,
+        [
+            "# TYPE omp_cache_size_bytes gauge",
+            "# TYPE omp_serve_latency_us histogram",
+            "# TYPE omp_pool_ops_total counter",
+            "# TYPE omp_pool_queue_depth_hwm gauge",
+        ]
+    );
+    assert!(
+        metrics
+            .lines()
+            .filter(|l| l.starts_with('#'))
+            .all(|l| l.starts_with("# HELP ") || l.starts_with("# TYPE ")),
+        "a comment other than HELP and TYPE:\n{metrics}"
+    );
+    assert_eq!(
+        sum(&metrics, "omp_serve_latency_us_count{", ""),
+        stat(&stats, "requests")
+    );
+    let pool = |event: &str| sum(&metrics, "omp_pool_ops_total{", event);
+    assert_eq!(
+        pool(r#"event="own_pop""#) + pool(r#"event="steal""#),
+        stat(&stats, "simulated")
+    );
 
     request("--gc");
     request("--shutdown");
