@@ -483,22 +483,6 @@ impl OptimizeRow {
     }
 }
 
-/// Replay a capture under Copy data handling with the given elision mode
-/// and report its MM overhead (the harness cost model, sanitized).
-fn replay_mm_copy(ir: &omp_offload::MapIr, elide: ElideMode) -> Result<VirtDuration, OmpError> {
-    let mut rt = omp_offload::OmpRuntime::builder(
-        apu_mem::CostModel::mi300a_no_thp(),
-        hsa_rocr::Topology::default(),
-    )
-    .config(RuntimeConfig::LegacyCopy)
-    .threads(omp_offload::replay_threads(ir))
-    .sanitize(true)
-    .elide(elide)
-    .build()?;
-    omp_offload::replay(&mut rt, ir)?;
-    Ok(rt.finish().ledger.mm_total())
-}
-
 /// Table III optimizer delta (`repro --table3 --optimize`): MM overhead of
 /// the steady-state captures replayed under Copy data handling before and
 /// after whole-program static optimization, next to what plan-mode elision
@@ -529,17 +513,19 @@ pub fn table3_optimize(cfg: &PaperConfig) -> Result<(Table, Vec<OptimizeRow>), O
         let ir = omp_mapcheck::capture_workload(w.as_ref(), 1)?;
         let opt = omp_mapcheck::optimize(&ir)
             .expect("shipped workloads are well-formed; the optimizer never refuses them");
-        let mm_baseline = replay_mm_copy(&ir, ElideMode::Off)?;
-        let plan = omp_mapcheck::elision_plan(&ir);
-        let mm_plan = replay_mm_copy(&ir, ElideMode::Plan(plan))?;
-        let mm_optimized = replay_mm_copy(&opt.ir, ElideMode::Off)?;
-        let verified =
-            omp_mapcheck::verify_equivalence(&ir, &opt.ir, RuntimeConfig::LegacyCopy)?.holds();
+        let equivalence =
+            omp_mapcheck::verify_equivalence(&ir, &opt.ir, RuntimeConfig::LegacyCopy)?;
+        let plan = omp_mapcheck::replay_probe(
+            &ir,
+            RuntimeConfig::LegacyCopy,
+            ElideMode::Plan(omp_mapcheck::elision_plan(&ir)),
+            false,
+        )?;
         let row = OptimizeRow {
             workload: w.name(),
-            mm_baseline,
-            mm_plan,
-            mm_optimized,
+            mm_baseline: equivalence.baseline.ledger.mm_total(),
+            mm_plan: plan.ledger.mm_total(),
+            mm_optimized: equivalence.optimized.ledger.mm_total(),
             hoisted: opt.report.hoisted,
             dead_to: opt.report.dead_to,
             dead_from: opt.report.dead_from,
@@ -549,8 +535,8 @@ pub fn table3_optimize(cfg: &PaperConfig) -> Result<(Table, Vec<OptimizeRow>), O
                 &omp_mapcheck::admissible_configs(&ir),
             )?
             .first()
-            .map(|s| s.config),
-            verified,
+            .map(|(config, _)| *config),
+            verified: equivalence.holds(),
         };
         t.push_row(vec![
             row.workload.clone(),
@@ -718,18 +704,18 @@ pub fn profile_sites_csv(cells: &[ProfileCell]) -> String {
                 c.config.label(),
                 s.range.start.as_u64(),
                 s.range.len,
-                s.maps,
+                s.ledger.maps,
                 s.allocs,
-                s.copies,
-                s.bytes,
-                s.elided,
-                s.mm_alloc.as_micros_f64(),
-                s.mm_copy.as_micros_f64(),
-                s.mm_free.as_micros_f64(),
-                s.mm_prefault.as_micros_f64(),
-                s.mm_map.as_micros_f64(),
-                s.mm_saved.as_micros_f64(),
-                s.mm_total().as_micros_f64(),
+                s.ledger.copies,
+                s.ledger.bytes_copied,
+                s.ledger.maps_elided,
+                s.ledger.mm_alloc.as_micros_f64(),
+                s.ledger.mm_copy.as_micros_f64(),
+                s.ledger.mm_free.as_micros_f64(),
+                s.ledger.mm_prefault.as_micros_f64(),
+                s.ledger.mm_map.as_micros_f64(),
+                s.ledger.mm_saved.as_micros_f64(),
+                s.ledger.mm_total().as_micros_f64(),
             );
         }
     }
@@ -752,12 +738,12 @@ pub fn profile_kernels_csv(cells: &[ProfileCell]) -> String {
                 c.workload,
                 c.config.label(),
                 k.name,
-                k.launches,
-                k.compute.as_micros_f64(),
-                k.fault_stall.as_micros_f64(),
-                k.tlb_stall.as_micros_f64(),
-                k.replayed_pages,
-                k.zero_filled_pages,
+                k.ledger.kernels,
+                k.ledger.kernel_compute.as_micros_f64(),
+                k.ledger.mi_fault_stall.as_micros_f64(),
+                k.ledger.tlb_stall.as_micros_f64(),
+                k.ledger.replayed_pages,
+                k.ledger.zero_filled_pages,
             );
         }
     }

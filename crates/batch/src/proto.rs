@@ -86,7 +86,8 @@ pub enum Verb {
     /// Run one or more sweep cells (stanza body) and answer with the
     /// rendered sweep report — byte-identical to offline `apusim replay`.
     Sweep,
-    /// Run exactly one cell and answer with its raw `sweepresult v1` text.
+    /// Run exactly one cell and answer with its raw `sweepresult` text
+    /// ([`SweepResult::to_text`](crate::SweepResult::to_text)).
     Result,
     /// Counter snapshot (`key=value` pairs in the response header).
     Stats,

@@ -4,7 +4,7 @@
 //! op counts, the virtual makespan, the full [`OverheadLedger`], the memory
 //! digest, the sanitizer's findings, and (when the request ran with the
 //! telemetry ring) the per-site/per-kernel attribution aggregate. The
-//! line-oriented `sweepresult v1` text form round-trips exactly, which is
+//! line-oriented `sweepresult v2` text form round-trips exactly, which is
 //! what the content-addressed cache stores: a cache hit *parses* the stored
 //! result and is therefore byte-indistinguishable from a fresh simulation
 //! in every downstream report. The determinism matrix test pins that
@@ -16,7 +16,8 @@ use sim_des::VirtDuration;
 use std::fmt::Write as _;
 
 /// The serialized-result schema version, folded into the cache salt.
-pub const RESULT_VERSION: u32 = 1;
+/// Version 2 appends `prefault_calls` to each `site` row.
+pub const RESULT_VERSION: u32 = 2;
 
 /// Outcome of one executed (or cache-recalled) sweep request.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -93,7 +94,7 @@ fn ledger_key(unit: LedgerUnit) -> &'static str {
 }
 
 impl SweepResult {
-    /// Serialize to the line-oriented `sweepresult v1` text form. The
+    /// Serialize to the line-oriented `sweepresult v2` text form. The
     /// output is canonical: equal results serialize to equal bytes.
     pub fn to_text(&self) -> String {
         let mut out = format!("sweepresult v{RESULT_VERSION}\n");
@@ -111,22 +112,24 @@ impl SweepResult {
         let _ = writeln!(out, "telemetry_events {}", self.telemetry_events);
         let _ = writeln!(out, "dropped_events {}", self.dropped_events);
         for s in &self.sites {
+            let l = &s.ledger;
             let _ = writeln!(
                 out,
-                "site {} {} {} {} {} {} {} {} {} {} {} {} {}",
+                "site {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
                 s.range.start.as_u64(),
                 s.range.len,
-                s.maps,
+                l.maps,
                 s.allocs,
-                s.copies,
-                s.bytes,
-                s.elided,
-                s.mm_alloc.as_nanos(),
-                s.mm_copy.as_nanos(),
-                s.mm_free.as_nanos(),
-                s.mm_prefault.as_nanos(),
-                s.mm_map.as_nanos(),
-                s.mm_saved.as_nanos(),
+                l.copies,
+                l.bytes_copied,
+                l.maps_elided,
+                l.mm_alloc.as_nanos(),
+                l.mm_copy.as_nanos(),
+                l.mm_free.as_nanos(),
+                l.mm_prefault.as_nanos(),
+                l.mm_map.as_nanos(),
+                l.mm_saved.as_nanos(),
+                l.prefault_calls,
             );
         }
         for t in &self.tenant_rows {
@@ -145,21 +148,22 @@ impl SweepResult {
                 .chars()
                 .map(|c| if c.is_whitespace() { '_' } else { c })
                 .collect();
+            let l = &k.ledger;
             let _ = writeln!(
                 out,
                 "kernelrow {name} {} {} {} {} {} {}",
-                k.launches,
-                k.compute.as_nanos(),
-                k.fault_stall.as_nanos(),
-                k.tlb_stall.as_nanos(),
-                k.replayed_pages,
-                k.zero_filled_pages,
+                l.kernels,
+                l.kernel_compute.as_nanos(),
+                l.mi_fault_stall.as_nanos(),
+                l.tlb_stall.as_nanos(),
+                l.replayed_pages,
+                l.zero_filled_pages,
             );
         }
         out
     }
 
-    /// Parse the `sweepresult v1` form produced by
+    /// Parse the `sweepresult v2` form produced by
     /// [`to_text`](Self::to_text).
     pub fn parse(text: &str) -> Result<SweepResult, String> {
         let mut lines = text.lines();
@@ -201,22 +205,26 @@ impl SweepResult {
                 "dropped_events" => r.dropped_events = num(rest)?,
                 "site" => {
                     let v: Vec<u64> = rest.split_whitespace().map(num).collect::<Result<_, _>>()?;
-                    if v.len() != 13 {
-                        return Err(format!("line {}: site needs 13 fields", no + 2));
+                    if v.len() != 14 {
+                        return Err(format!("line {}: site needs 14 fields", no + 2));
                     }
                     r.sites.push(SiteProfile {
                         range: apu_mem::AddrRange::new(apu_mem::VirtAddr(v[0]), v[1]),
-                        maps: v[2],
                         allocs: v[3],
-                        copies: v[4],
-                        bytes: v[5],
-                        elided: v[6],
-                        mm_alloc: VirtDuration::from_nanos(v[7]),
-                        mm_copy: VirtDuration::from_nanos(v[8]),
-                        mm_free: VirtDuration::from_nanos(v[9]),
-                        mm_prefault: VirtDuration::from_nanos(v[10]),
-                        mm_map: VirtDuration::from_nanos(v[11]),
-                        mm_saved: VirtDuration::from_nanos(v[12]),
+                        ledger: OverheadLedger {
+                            maps: v[2],
+                            copies: v[4],
+                            bytes_copied: v[5],
+                            maps_elided: v[6],
+                            mm_alloc: VirtDuration::from_nanos(v[7]),
+                            mm_copy: VirtDuration::from_nanos(v[8]),
+                            mm_free: VirtDuration::from_nanos(v[9]),
+                            mm_prefault: VirtDuration::from_nanos(v[10]),
+                            mm_map: VirtDuration::from_nanos(v[11]),
+                            mm_saved: VirtDuration::from_nanos(v[12]),
+                            prefault_calls: v[13],
+                            ..OverheadLedger::default()
+                        },
                     });
                 }
                 "tenant" => {
@@ -255,12 +263,15 @@ impl SweepResult {
                     }
                     r.kernel_rows.push(KernelProfile {
                         name,
-                        launches: v[0],
-                        compute: VirtDuration::from_nanos(v[1]),
-                        fault_stall: VirtDuration::from_nanos(v[2]),
-                        tlb_stall: VirtDuration::from_nanos(v[3]),
-                        replayed_pages: v[4],
-                        zero_filled_pages: v[5],
+                        ledger: OverheadLedger {
+                            kernels: v[0],
+                            kernel_compute: VirtDuration::from_nanos(v[1]),
+                            mi_fault_stall: VirtDuration::from_nanos(v[2]),
+                            tlb_stall: VirtDuration::from_nanos(v[3]),
+                            replayed_pages: v[4],
+                            zero_filled_pages: v[5],
+                            ..OverheadLedger::default()
+                        },
                     });
                 }
                 other => return Err(format!("line {}: unknown key {other:?}", no + 2)),
@@ -271,7 +282,8 @@ impl SweepResult {
 }
 
 /// Merge per-request attribution aggregates across a sweep into one
-/// profile: sites summed by extent, kernels summed by name, re-ranked by
+/// profile: each row's ledger [absorbed](OverheadLedger::absorb) into its
+/// site's (by extent) or kernel's (by name), re-ranked by
 /// [`rank_profiles`], the order
 /// [`attribution`](omp_offload::telemetry::attribution) ranks in.
 /// Deterministic for a given result sequence, independent of worker
@@ -279,49 +291,28 @@ impl SweepResult {
 pub fn merge_attribution(results: &[SweepResult]) -> (Vec<SiteProfile>, Vec<KernelProfile>) {
     use std::collections::BTreeMap;
     let mut sites: BTreeMap<(u64, u64), SiteProfile> = BTreeMap::new();
-    let mut kernels: BTreeMap<String, KernelProfile> = BTreeMap::new();
+    let mut kernels: BTreeMap<&str, OverheadLedger> = BTreeMap::new();
     for r in results {
         for s in &r.sites {
-            let e = sites
+            sites
                 .entry((s.range.start.as_u64(), s.range.len))
-                .or_default();
-            e.range = s.range;
-            e.maps += s.maps;
-            e.allocs += s.allocs;
-            e.copies += s.copies;
-            e.bytes += s.bytes;
-            e.elided += s.elided;
-            e.mm_alloc += s.mm_alloc;
-            e.mm_copy += s.mm_copy;
-            e.mm_free += s.mm_free;
-            e.mm_prefault += s.mm_prefault;
-            e.mm_map += s.mm_map;
-            e.mm_saved += s.mm_saved;
+                .or_insert_with(|| SiteProfile::new(s.range))
+                .absorb(s);
         }
         for k in &r.kernel_rows {
-            let e = kernels
-                .entry(k.name.clone())
-                .or_insert_with(|| KernelProfile {
-                    name: k.name.clone(),
-                    launches: 0,
-                    compute: VirtDuration::ZERO,
-                    fault_stall: VirtDuration::ZERO,
-                    tlb_stall: VirtDuration::ZERO,
-                    replayed_pages: 0,
-                    zero_filled_pages: 0,
-                });
-            e.launches += k.launches;
-            e.compute += k.compute;
-            e.fault_stall += k.fault_stall;
-            e.tlb_stall += k.tlb_stall;
-            e.replayed_pages += k.replayed_pages;
-            e.zero_filled_pages += k.zero_filled_pages;
+            kernels.entry(&k.name).or_default().absorb(&k.ledger);
         }
     }
     let mut site_rows: Vec<SiteProfile> = sites.into_values().collect();
-    let mut kernel_out: Vec<KernelProfile> = kernels.into_values().collect();
-    rank_profiles(&mut site_rows, &mut kernel_out);
-    (site_rows, kernel_out)
+    let mut kernel_rows: Vec<KernelProfile> = kernels
+        .into_iter()
+        .map(|(name, ledger)| KernelProfile {
+            name: name.to_string(),
+            ledger,
+        })
+        .collect();
+    rank_profiles(&mut site_rows, &mut kernel_rows);
+    (site_rows, kernel_rows)
 }
 
 #[cfg(test)]
@@ -344,19 +335,21 @@ mod tests {
         r.ledger.maps = 7;
         r.ledger.bytes_copied = 1 << 30;
         r.sites.push(SiteProfile {
-            range: AddrRange::new(VirtAddr(4096), 8192),
-            maps: 2,
-            mm_map: VirtDuration::from_nanos(55),
-            ..SiteProfile::default()
+            ledger: OverheadLedger {
+                maps: 2,
+                mm_map: VirtDuration::from_nanos(55),
+                ..OverheadLedger::default()
+            },
+            ..SiteProfile::new(AddrRange::new(VirtAddr(4096), 8192))
         });
         r.kernel_rows.push(KernelProfile {
             name: "axpy".into(),
-            launches: 3,
-            compute: VirtDuration::from_micros(5),
-            fault_stall: VirtDuration::ZERO,
-            tlb_stall: VirtDuration::from_nanos(9),
-            replayed_pages: 0,
-            zero_filled_pages: 0,
+            ledger: OverheadLedger {
+                kernels: 3,
+                kernel_compute: VirtDuration::from_micros(5),
+                tlb_stall: VirtDuration::from_nanos(9),
+                ..OverheadLedger::default()
+            },
         });
         r.tenant_rows.push(TenantRow {
             tenant: 0,
@@ -416,7 +409,7 @@ mod tests {
             },
             ..sample()
         };
-        let golden = r"sweepresult v1
+        let golden = r"sweepresult v2
 ops 12
 kernels 3
 makespan_ns 42000
@@ -449,7 +442,7 @@ diag MC001: stray\nexit
 diag back\\slash
 telemetry_events 99
 dropped_events 0
-site 4096 8192 2 0 0 0 0 0 0 0 0 55 0
+site 4096 8192 2 0 0 0 0 0 0 0 0 55 0 0
 tenant 0 deadbeef00421234 42000 7
 tenant 3 0123456789abcdef 40000 7
 kernelrow axpy 3 5000 0 9 0 0
@@ -461,14 +454,98 @@ kernelrow axpy 3 5000 0 9 0 0
     #[test]
     fn parse_rejects_garbage() {
         assert!(SweepResult::parse("nope").is_err());
-        assert!(SweepResult::parse("sweepresult v1\nfrob 3").is_err());
-        assert!(SweepResult::parse("sweepresult v1\nledger bogus 3").is_err());
+        assert!(SweepResult::parse("sweepresult v2\nfrob 3").is_err());
+        assert!(SweepResult::parse("sweepresult v2\nledger bogus 3").is_err());
         // A field under the other unit's key is unknown, not coerced.
-        assert!(SweepResult::parse("sweepresult v1\nledger mm_alloc 3").is_err());
-        assert!(SweepResult::parse("sweepresult v1\nledger_ns maps 3").is_err());
-        assert!(SweepResult::parse("sweepresult v1\nsite 1 2 3").is_err());
-        assert!(SweepResult::parse("sweepresult v1\ntenant 1 beef").is_err());
-        assert!(SweepResult::parse("sweepresult v1\ntenant x beef 1 2").is_err());
+        assert!(SweepResult::parse("sweepresult v2\nledger mm_alloc 3").is_err());
+        assert!(SweepResult::parse("sweepresult v2\nledger_ns maps 3").is_err());
+        assert!(SweepResult::parse("sweepresult v2\nsite 1 2 3").is_err());
+        assert!(SweepResult::parse("sweepresult v2\ntenant 1 beef").is_err());
+        assert!(SweepResult::parse("sweepresult v2\ntenant x beef 1 2").is_err());
+        // A v1 entry (13-number site rows) is a stale schema, not a result.
+        assert!(SweepResult::parse("sweepresult v1\nops 3").is_err());
+        assert!(SweepResult::parse("sweepresult v2\nsite 1 2 3 4 5 6 7 8 9 10 11 12 13").is_err());
+    }
+
+    /// A one-event stream of each kind that charges a site, and of a kernel
+    /// completion: its one attribution row carries the stream's whole
+    /// ledger and survives `to_text` then `parse` exactly.
+    #[test]
+    fn attribution_rows_of_every_charging_kind_round_trip() {
+        use omp_offload::telemetry::{
+            attribution, fold, ElideProbe, Event, EventKind, TelemetryReport,
+        };
+        use omp_offload::MapDir;
+        let us = VirtDuration::from_micros;
+        let range = AddrRange::new(VirtAddr(0x4000), 4096);
+        let kinds = [
+            EventKind::MapBegin {
+                range,
+                dir: MapDir::To,
+                always: false,
+            },
+            EventKind::MapEnd {
+                range,
+                dir: MapDir::From,
+                delete: true,
+            },
+            EventKind::MapService { range, cost: us(2) },
+            EventKind::PoolAlloc { range, cost: us(3) },
+            EventKind::PoolFree { range, cost: us(4) },
+            EventKind::Copy {
+                range,
+                bytes: 4096,
+                cost: us(5),
+                to_host: false,
+            },
+            EventKind::Prefault {
+                range,
+                cost: us(6),
+                recovery: false,
+            },
+            EventKind::Elide {
+                range,
+                probe: ElideProbe::CacheHit,
+                lookup: us(1),
+                saved: us(9),
+            },
+            EventKind::KernelComplete {
+                name: "axpy".into(),
+                compute: us(7),
+                fault_stall: us(8),
+                tlb_stall: us(1),
+                stall: us(16),
+                replayed_pages: 3,
+                zero_filled_pages: 1,
+            },
+        ];
+        for kind in kinds {
+            let report = TelemetryReport {
+                events: vec![Event {
+                    seq: 0,
+                    thread: 0,
+                    anchor: 0,
+                    anchor_end: 1,
+                    kind: kind.clone(),
+                }],
+                dropped_events: 0,
+                capacity: 1,
+            };
+            let attr = attribution(&report);
+            let rows: Vec<OverheadLedger> = attr
+                .sites
+                .iter()
+                .map(|s| s.ledger)
+                .chain(attr.kernels.iter().map(|k| k.ledger))
+                .collect();
+            assert_eq!(rows, [fold(&report.events)], "{kind:?}");
+            let r = SweepResult {
+                sites: attr.sites,
+                kernel_rows: attr.kernels,
+                ..SweepResult::default()
+            };
+            assert_eq!(SweepResult::parse(&r.to_text()), Ok(r), "{kind:?}");
+        }
     }
 
     #[test]
@@ -480,20 +557,24 @@ kernelrow axpy 3 5000 0 9 0 0
     fn merge_sums_and_ranks() {
         let a = sample();
         let mut b = sample();
-        b.sites[0].mm_map = VirtDuration::from_nanos(45);
+        b.sites[0].ledger.mm_map = VirtDuration::from_nanos(45);
         b.sites.push(SiteProfile {
-            range: AddrRange::new(VirtAddr(1 << 20), 4096),
-            maps: 1,
-            mm_map: VirtDuration::from_nanos(500),
-            ..SiteProfile::default()
+            allocs: 1,
+            ledger: OverheadLedger {
+                maps: 1,
+                mm_map: VirtDuration::from_nanos(500),
+                ..OverheadLedger::default()
+            },
+            ..SiteProfile::new(AddrRange::new(VirtAddr(1 << 20), 4096))
         });
         let (sites, kernels) = merge_attribution(&[a, b]);
         assert_eq!(sites.len(), 2);
         // The 500ns site outranks the merged 100ns site.
         assert_eq!(sites[0].range.start.as_u64(), 1 << 20);
-        assert_eq!(sites[1].mm_map, VirtDuration::from_nanos(100));
-        assert_eq!(sites[1].maps, 4);
+        assert_eq!(sites[0].allocs, 1);
+        assert_eq!(sites[1].ledger.mm_map, VirtDuration::from_nanos(100));
+        assert_eq!(sites[1].ledger.maps, 4);
         assert_eq!(kernels.len(), 1);
-        assert_eq!(kernels[0].launches, 6);
+        assert_eq!(kernels[0].ledger.kernels, 6);
     }
 }

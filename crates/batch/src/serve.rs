@@ -15,7 +15,7 @@
 //!
 //! A `SWEEP` response body is exactly the [`render_report`] bytes the
 //! offline `apusim replay` prints for the same corpus, and a `RESULT` body
-//! is exactly the cell's `sweepresult v1` text — cached or cold, serial or
+//! is exactly the cell's `sweepresult` text — cached or cold, serial or
 //! concurrent, first request or thousandth. The contract holds by
 //! construction: the server decodes the same canonical encodings and calls
 //! the same function the offline sweep does ([`run_sweep_in`]), against
@@ -517,7 +517,7 @@ impl Server {
             if !stale {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::AddrInUse,
-                    format!("{} exists and is not a stale socket", path.display()),
+                    "in use: not a stale socket",
                 ));
             }
             std::fs::remove_file(path)?;
@@ -1007,7 +1007,7 @@ impl Client {
         self.roundtrip(&Frame::new(Verb::Sweep, body))
     }
 
-    /// Run exactly one cell; the `OK` body is its `sweepresult v1` text.
+    /// Run exactly one cell; the `OK` body is its `sweepresult` text.
     pub fn result(&mut self, name: &str, req: &SweepRequest) -> Result<Response, ProtoError> {
         self.roundtrip(&Frame::new(Verb::Result, sweep_stanza(name, req)))
     }

@@ -364,10 +364,10 @@ pub fn render_report(corpus: &[SweepRequest], results: &[SweepResult]) -> String
                 "  {:#012x}+{:<10} maps {:<6} copies {:<6} mm_us {:<10.3} saved_us {:.3}",
                 s.range.start.as_u64(),
                 s.range.len,
-                s.maps,
-                s.copies,
-                s.mm_total().as_nanos() as f64 / 1_000.0,
-                s.mm_saved.as_nanos() as f64 / 1_000.0,
+                s.ledger.maps,
+                s.ledger.copies,
+                s.ledger.mm_total().as_nanos() as f64 / 1_000.0,
+                s.ledger.mm_saved.as_nanos() as f64 / 1_000.0,
             );
         }
         let _ = writeln!(out, "merged kernel profile (top 10 by fault stall):");
@@ -376,10 +376,10 @@ pub fn render_report(corpus: &[SweepRequest], results: &[SweepResult]) -> String
                 out,
                 "  {:<24} launches {:<6} fault_us {:<10.3} tlb_us {:<10.3} replayed {}",
                 k.name,
-                k.launches,
-                k.fault_stall.as_nanos() as f64 / 1_000.0,
-                k.tlb_stall.as_nanos() as f64 / 1_000.0,
-                k.replayed_pages,
+                k.ledger.kernels,
+                k.ledger.mi_fault_stall.as_nanos() as f64 / 1_000.0,
+                k.ledger.tlb_stall.as_nanos() as f64 / 1_000.0,
+                k.ledger.replayed_pages,
             );
         }
     }

@@ -2,7 +2,7 @@
 //! offline replay path, cold and warm, serial and parallel, one client and
 //! many — every `SWEEP` response body must equal the offline
 //! [`render_report`] bytes for the same corpus, every `RESULT` body the
-//! cell's `sweepresult v1` text, and the server's counters must account for
+//! cell's `sweepresult` text, and the server's counters must account for
 //! every cell exactly.
 //!
 //! Robustness is pinned alongside: malformed frames are answered with `ERR`

@@ -54,6 +54,6 @@ pub use checker::check;
 pub use elision::elision_plan;
 pub use harness::{check_all, check_workload, has_errors, render_json, render_text, CheckCell};
 pub use opt::{
-    admissible_configs, optimize, rank_configs, replay_probe, verify_equivalence, ConfigScore,
-    Equivalence, OptError, OptReport, Optimized, ReplayProbe,
+    admissible_configs, optimize, rank_configs, replay_probe, verify_equivalence, Equivalence,
+    OptError, OptReport, Optimized, ReplayProbe,
 };

@@ -36,9 +36,12 @@
 //!
 //! [`optimize`] only checks and rewrites; it replays nothing. Ranking the
 //! admissible configurations is a separate call, [`rank_configs`]: it
-//! replays the optimized program under each with the calibrated cost model
-//! and orders them by makespan. Only the callers that print a
-//! recommendation (`apusim optimize`, the Table III optimizer delta) rank.
+//! takes a [`replay_probe`] of the optimized program under each, on the
+//! 4 KiB-page cost model the check harness uses
+//! ([`CostModel::mi300a_no_thp`]), and orders them by makespan. Only the
+//! callers that print a recommendation (`apusim optimize`, the Table III
+//! optimizer delta) rank, and they judge equivalence from the same kind of
+//! probe.
 
 use crate::checker::Interp;
 use crate::elision::track;
@@ -46,8 +49,8 @@ use crate::{check, elision_plan};
 use apu_mem::{AddrRange, CostModel};
 use hsa_rocr::Topology;
 use omp_offload::{
-    replay, replay_threads, DiagCode, Diagnostic, MapDir, MapEntry, MapIr, MapModel, MapOp,
-    MapRecord, OmpError, OmpRuntime, Presence, RuntimeConfig, Severity,
+    replay, replay_threads, DiagCode, Diagnostic, ElideMode, MapDir, MapEntry, MapIr, MapModel,
+    MapOp, MapRecord, OmpError, OmpRuntime, OverheadLedger, Presence, RuntimeConfig, Severity,
 };
 use sim_des::VirtDuration;
 use std::collections::BTreeMap;
@@ -67,17 +70,6 @@ pub struct OptReport {
     pub dead_from: usize,
     /// `target update` ranges dropped because the clocks already agreed.
     pub updates_dropped: usize,
-}
-
-/// One configuration's cost when replaying the optimized program.
-#[derive(Debug, Clone, Copy)]
-pub struct ConfigScore {
-    /// The configuration replayed.
-    pub config: RuntimeConfig,
-    /// Total virtual execution time.
-    pub makespan: VirtDuration,
-    /// Memory-management overhead total (Table III).
-    pub mm_total: VirtDuration,
 }
 
 impl OptReport {
@@ -214,26 +206,21 @@ pub fn optimize(ir: &MapIr) -> Result<Optimized, OptError> {
     })
 }
 
-/// Rank `configs` by replaying `ir` (normally an [`optimize`]d capture)
-/// under each with the calibrated MI300A cost model: cheapest makespan
-/// first, so the first entry is the recommendation.
-pub fn rank_configs(ir: &MapIr, configs: &[RuntimeConfig]) -> Result<Vec<ConfigScore>, OmpError> {
-    let mut scores = Vec::with_capacity(configs.len());
+/// Rank `configs` by a [`replay_probe`] of `ir` (normally an [`optimize`]d
+/// capture) under each, elision off and no digest: cheapest makespan
+/// first, so the first entry is the recommendation. The sanitizer the
+/// probes run moves no makespan, so this is the order an unsanitized
+/// replay would give.
+pub fn rank_configs(
+    ir: &MapIr,
+    configs: &[RuntimeConfig],
+) -> Result<Vec<(RuntimeConfig, ReplayProbe)>, OmpError> {
+    let mut ranked = Vec::with_capacity(configs.len());
     for &config in configs {
-        let mut rt = OmpRuntime::builder(CostModel::mi300a_no_thp(), Topology::default())
-            .config(config)
-            .threads(replay_threads(ir))
-            .build()?;
-        replay(&mut rt, ir)?;
-        let report = rt.finish();
-        scores.push(ConfigScore {
-            config,
-            makespan: report.makespan,
-            mm_total: report.ledger.mm_total(),
-        });
+        ranked.push((config, replay_probe(ir, config, ElideMode::Off, false)?));
     }
-    scores.sort_by_key(|s| s.makespan);
-    Ok(scores)
+    ranked.sort_by_key(|(_, probe)| probe.makespan);
+    Ok(ranked)
 }
 
 fn ranges_overlap(a: &AddrRange, b: &AddrRange) -> bool {
@@ -649,33 +636,44 @@ fn downgrade_updates(ir: &mut MapIr) -> usize {
 // The equivalence contract, checked on replay.
 // ---------------------------------------------------------------------------
 
-/// One sanitized replay leg: the facts the contract compares.
+/// One sanitized replay: the facts the ranking orders by and the
+/// equivalence contract compares.
 #[derive(Debug, Clone)]
 pub struct ReplayProbe {
-    /// FNV digest of live memory after the full replay.
-    pub digest: u64,
-    /// Kernel launches.
-    pub kernels: u64,
-    /// Memory-management overhead total (Table III).
-    pub mm_total: VirtDuration,
+    /// FNV digest of live memory after the full replay, when the probe took
+    /// it. Only the equivalence contract reads it, and it dominates a
+    /// probe's cost, so the ranking skips it.
+    pub digest: Option<u64>,
+    /// Total virtual execution time.
+    pub makespan: VirtDuration,
+    /// The replay's overhead ledger.
+    pub ledger: OverheadLedger,
     /// Sanitizer findings.
     pub codes: Vec<DiagCode>,
     /// Error-severity findings among them.
     pub errors: usize,
 }
 
-/// Replay `ir` under `config` with the sanitizer on and collect the facts
-/// the equivalence contract compares.
-pub fn replay_probe(ir: &MapIr, config: RuntimeConfig) -> Result<ReplayProbe, OmpError> {
+/// Replay `ir` under `config` and `elide` with the sanitizer on, on the
+/// 4 KiB-page cost model the check harness uses
+/// ([`CostModel::mi300a_no_thp`]), and collect its probe, with the memory
+/// digest when `digest` is set.
+pub fn replay_probe(
+    ir: &MapIr,
+    config: RuntimeConfig,
+    elide: ElideMode,
+    digest: bool,
+) -> Result<ReplayProbe, OmpError> {
     let mut rt = OmpRuntime::builder(CostModel::mi300a_no_thp(), Topology::default())
         .config(config)
         .threads(replay_threads(ir))
         .sanitize(true)
+        .elide(elide)
         .build()?;
     replay(&mut rt, ir)?;
-    let digest = rt.memory_digest();
-    let ledger = *rt.ledger();
-    let diags = rt.sanitizer_finalize();
+    let digest = digest.then(|| rt.memory_digest());
+    let report = rt.finish();
+    let diags = report.sanitizer.map(|s| s.diagnostics).unwrap_or_default();
     let errors = diags
         .iter()
         .filter(|d| d.severity() == Severity::Error)
@@ -684,8 +682,8 @@ pub fn replay_probe(ir: &MapIr, config: RuntimeConfig) -> Result<ReplayProbe, Om
     codes.sort();
     Ok(ReplayProbe {
         digest,
-        kernels: ledger.kernels,
-        mm_total: ledger.mm_total(),
+        makespan: report.makespan,
+        ledger: report.ledger,
         codes,
         errors,
     })
@@ -703,19 +701,22 @@ pub struct Equivalence {
 }
 
 impl Equivalence {
-    /// The load-bearing contract: bit-identical memory digest, identical
-    /// kernel count, an error-free sanitizer report introducing no code the
-    /// baseline lacks, and no added memory-management overhead.
+    /// The load-bearing contract: bit-identical memory digest (taken by
+    /// both probes), identical kernel count, an error-free sanitizer report
+    /// introducing no code the baseline lacks, and no added
+    /// memory-management overhead.
     pub fn holds(&self) -> bool {
-        self.baseline.digest == self.optimized.digest
-            && self.baseline.kernels == self.optimized.kernels
+        let (base, opt) = (&self.baseline.ledger, &self.optimized.ledger);
+        self.baseline.digest.is_some()
+            && self.baseline.digest == self.optimized.digest
+            && base.kernels == opt.kernels
             && self.optimized.errors == 0
             && self
                 .optimized
                 .codes
                 .iter()
                 .all(|c| self.baseline.codes.contains(c))
-            && self.optimized.mm_total <= self.baseline.mm_total
+            && opt.mm_total() <= base.mm_total()
     }
 
     /// Map-management time the optimization removed.
@@ -723,8 +724,9 @@ impl Equivalence {
         // Saturating: a broken contract (optimized costs more) reads as a
         // zero saving rather than a panic in reporting paths.
         self.baseline
-            .mm_total
-            .saturating_sub(self.optimized.mm_total)
+            .ledger
+            .mm_total()
+            .saturating_sub(self.optimized.ledger.mm_total())
     }
 }
 
@@ -736,8 +738,8 @@ pub fn verify_equivalence(
 ) -> Result<Equivalence, OmpError> {
     Ok(Equivalence {
         config,
-        baseline: replay_probe(baseline, config)?,
-        optimized: replay_probe(optimized, config)?,
+        baseline: replay_probe(baseline, config, ElideMode::Off, true)?,
+        optimized: replay_probe(optimized, config, ElideMode::Off, true)?,
     })
 }
 
@@ -857,10 +859,10 @@ mod tests {
         let ir = capture_run(1, dead_from_copies).unwrap();
         let opt = optimize(&ir).unwrap();
         assert_eq!(opt.report.dead_from, 3, "{}", opt.report);
-        let copy_base = replay_probe(&ir, RuntimeConfig::LegacyCopy).unwrap();
-        let copy_opt = replay_probe(&opt.ir, RuntimeConfig::LegacyCopy).unwrap();
+        let copy = |ir| replay_probe(ir, RuntimeConfig::LegacyCopy, ElideMode::Off, false).unwrap();
+        let (copy_base, copy_opt) = (copy(&ir), copy(&opt.ir));
         assert!(
-            copy_opt.mm_total < copy_base.mm_total,
+            copy_opt.ledger.mm_total() < copy_base.ledger.mm_total(),
             "dead from-copies must cut mm_total: {copy_opt:?} vs {copy_base:?}"
         );
         assert_contract(&ir, &opt);
@@ -953,7 +955,9 @@ mod tests {
         let opt = optimize(&ir).unwrap();
         let ranking = rank_configs(&opt.ir, &admissible_configs(&ir)).unwrap();
         assert_eq!(ranking.len(), RuntimeConfig::ALL.len());
-        assert!(ranking.windows(2).all(|w| w[0].makespan <= w[1].makespan));
+        assert!(ranking
+            .windows(2)
+            .all(|w| w[0].1.makespan <= w[1].1.makespan));
     }
 
     #[test]

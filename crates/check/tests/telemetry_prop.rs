@@ -6,6 +6,9 @@
 //! * folding the event stream reproduces the overhead ledger **field for
 //!   field** (`ledger == fold(events)` — the derivability contract);
 //! * the default ring drops nothing;
+//! * on healthy runs, the attribution rows partition the ledger: the
+//!   [`absorb`](omp_offload::OverheadLedger::absorb) sum of every site
+//!   row's and kernel row's ledger is the run's ledger;
 //! * the JSONL export's header counts exactly the event lines that follow
 //!   it, with no drops.
 //!
@@ -15,9 +18,10 @@
 
 use apu_mem::{AddrRange, CostModel};
 use hsa_rocr::Topology;
-use omp_offload::telemetry::{fold, to_jsonl};
+use omp_offload::telemetry::{attribution, fold, to_jsonl};
 use omp_offload::{
-    ElideMode, MapDir, MapEntry, OmpError, OmpRuntime, RuntimeConfig, TargetRegion, TelemetryMode,
+    ElideMode, MapDir, MapEntry, OmpError, OmpRuntime, OverheadLedger, RuntimeConfig, TargetRegion,
+    TelemetryMode,
 };
 use proptest::prelude::*;
 use sim_des::{FaultPlan, VirtDuration};
@@ -159,6 +163,24 @@ fn exact_run(
         fault_seed,
         outcome.as_ref().err(),
     );
+    if fault_seed.is_none() {
+        // Without recovery every charge lands on a site or a kernel.
+        let attr = attribution(&telemetry);
+        let mut rows = OverheadLedger::default();
+        for ledger in attr.sites.iter().map(|s| &s.ledger) {
+            rows.absorb(ledger);
+        }
+        for ledger in attr.kernels.iter().map(|k| &k.ledger) {
+            rows.absorb(ledger);
+        }
+        assert_eq!(
+            rows,
+            report.ledger,
+            "attribution rows do not partition the ledger under {} (elide {:?})",
+            config.label(),
+            std::mem::discriminant(&elide),
+        );
+    }
     let jsonl = to_jsonl(&telemetry);
     let header = jsonl.lines().next().expect("JSONL has a header line");
     let counts = format!("\"events\":{},\"dropped_events\":0", telemetry.events.len());

@@ -20,7 +20,8 @@
 //! ring in one recorder, whose one mutator applies each event and (ring
 //! on) records that same event. The ledger is thus the running fold of the
 //! stream, not a parallel bookkeeping path; [`attribution`] folds each site's
-//! and each kernel's events through `apply` as well. What can still break
+//! and each kernel's events through `apply` as well, into the ledger each
+//! of its rows holds. What can still break
 //! the contract is ring overflow, so the check harness's `telemetry_exact`
 //! verdict is the drop count.
 //!
@@ -36,7 +37,7 @@
 use crate::diag::DiagCode;
 use crate::mapping::MapDir;
 use crate::trace::{OverheadLedger, RecoveryAction, RecoveryEvent};
-use apu_mem::{AddrRange, VirtAddr};
+use apu_mem::AddrRange;
 use sim_des::{Schedule, VirtDuration, VirtInstant};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -739,78 +740,46 @@ pub fn to_jsonl(report: &TelemetryReport) -> String {
     out
 }
 
-/// Aggregated charges for one map site (keyed by host extent).
+/// Aggregated charges for one map site (keyed by host extent): the ledger
+/// of the site's events, plus the one count a ledger lacks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteProfile {
     /// The host extent identifying the site.
     pub range: AddrRange,
-    /// Map operations (begins + ends) at the site.
-    pub maps: u64,
     /// Pool allocations backing the site.
     pub allocs: u64,
-    /// Map-triggered copies at the site.
-    pub copies: u64,
-    /// Bytes moved by those copies.
-    pub bytes: u64,
-    /// Maps elided at the site.
-    pub elided: u64,
-    /// Pool-allocation time charged.
-    pub mm_alloc: VirtDuration,
-    /// Copy time charged.
-    pub mm_copy: VirtDuration,
-    /// Pool-free time charged.
-    pub mm_free: VirtDuration,
-    /// Eager prefault time charged.
-    pub mm_prefault: VirtDuration,
-    /// Map-service plus elision-lookup time charged.
-    pub mm_map: VirtDuration,
-    /// Map-service time recovered by elision.
-    pub mm_saved: VirtDuration,
-}
-
-impl Default for SiteProfile {
-    fn default() -> Self {
-        SiteProfile {
-            range: AddrRange::new(VirtAddr(0), 0),
-            maps: 0,
-            allocs: 0,
-            copies: 0,
-            bytes: 0,
-            elided: 0,
-            mm_alloc: VirtDuration::ZERO,
-            mm_copy: VirtDuration::ZERO,
-            mm_free: VirtDuration::ZERO,
-            mm_prefault: VirtDuration::ZERO,
-            mm_map: VirtDuration::ZERO,
-            mm_saved: VirtDuration::ZERO,
-        }
-    }
+    /// What the site's events charged, folded through
+    /// [`OverheadLedger::apply`]: maps, copies and their bytes, elisions,
+    /// eager prefaults and the MM micro-charges.
+    pub ledger: OverheadLedger,
 }
 
 impl SiteProfile {
-    /// Total MM charge attributed to the site (the ranking key).
-    pub fn mm_total(&self) -> VirtDuration {
-        self.mm_alloc + self.mm_copy + self.mm_free + self.mm_prefault + self.mm_map
+    /// An empty profile for the site at `range`.
+    pub fn new(range: AddrRange) -> Self {
+        SiteProfile {
+            range,
+            allocs: 0,
+            ledger: OverheadLedger::default(),
+        }
+    }
+
+    /// Fold another profile of the same site into this one.
+    pub fn absorb(&mut self, other: &SiteProfile) {
+        self.allocs += other.allocs;
+        self.ledger.absorb(&other.ledger);
     }
 }
 
-/// Aggregated charges for one kernel (keyed by region name).
+/// Aggregated charges for one kernel (keyed by region name): the ledger of
+/// its completions (launches, compute, MI and TLB stalls, faulted pages).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelProfile {
     /// Region name.
     pub name: String,
-    /// Completed launches.
-    pub launches: u64,
-    /// Modeled compute time.
-    pub compute: VirtDuration,
-    /// XNACK first-touch stall (the MI ranking key).
-    pub fault_stall: VirtDuration,
-    /// TLB-miss stall.
-    pub tlb_stall: VirtDuration,
-    /// Pages XNACK-replayed.
-    pub replayed_pages: u64,
-    /// Pages zero-filled in the fault handler.
-    pub zero_filled_pages: u64,
+    /// What the kernel's completions charged, folded through
+    /// [`OverheadLedger::apply`].
+    pub ledger: OverheadLedger,
 }
 
 /// Per-site / per-kernel drill-down of the Table III decomposition.
@@ -854,54 +823,30 @@ fn site_of(kind: &EventKind) -> Option<&AddrRange> {
 
 /// Build the per-site attribution report from an event stream. Each site's
 /// events and each kernel's completions fold through
-/// [`OverheadLedger::apply`] into a ledger of their own, and the profiles
-/// copy their fields out of those ledgers; only a site's `allocs` is
-/// counted here.
+/// [`OverheadLedger::apply`] into the profile's own ledger; only a site's
+/// `allocs` is counted here.
 pub fn attribution(report: &TelemetryReport) -> AttributionReport {
-    let mut sites: HashMap<(u64, u64), (AddrRange, OverheadLedger, u64)> = HashMap::new();
+    let mut sites: HashMap<(u64, u64), SiteProfile> = HashMap::new();
     let mut kernels: HashMap<&str, OverheadLedger> = HashMap::new();
     for e in &report.events {
         if let Some(range) = site_of(&e.kind) {
-            let (_, ledger, allocs) = sites.entry((range.start.as_u64(), range.len)).or_insert((
-                *range,
-                OverheadLedger::default(),
-                0,
-            ));
-            ledger.apply(&e.kind);
+            let site = sites
+                .entry((range.start.as_u64(), range.len))
+                .or_insert_with(|| SiteProfile::new(*range));
+            site.ledger.apply(&e.kind);
             if let EventKind::PoolAlloc { .. } = e.kind {
-                *allocs += 1;
+                site.allocs += 1;
             }
         } else if let EventKind::KernelComplete { name, .. } = &e.kind {
             kernels.entry(&**name).or_default().apply(&e.kind);
         }
     }
-    let mut sites: Vec<SiteProfile> = sites
-        .into_values()
-        .map(|(range, l, allocs)| SiteProfile {
-            range,
-            maps: l.maps,
-            allocs,
-            copies: l.copies,
-            bytes: l.bytes_copied,
-            elided: l.maps_elided,
-            mm_alloc: l.mm_alloc,
-            mm_copy: l.mm_copy,
-            mm_free: l.mm_free,
-            mm_prefault: l.mm_prefault,
-            mm_map: l.mm_map,
-            mm_saved: l.mm_saved,
-        })
-        .collect();
+    let mut sites: Vec<SiteProfile> = sites.into_values().collect();
     let mut kernels: Vec<KernelProfile> = kernels
         .into_iter()
-        .map(|(name, l)| KernelProfile {
+        .map(|(name, ledger)| KernelProfile {
             name: name.to_string(),
-            launches: l.kernels,
-            compute: l.kernel_compute,
-            fault_stall: l.mi_fault_stall,
-            tlb_stall: l.tlb_stall,
-            replayed_pages: l.replayed_pages,
-            zero_filled_pages: l.zero_filled_pages,
+            ledger,
         })
         .collect();
     rank_profiles(&mut sites, &mut kernels);
@@ -917,12 +862,18 @@ pub fn attribution(report: &TelemetryReport) -> AttributionReport {
 /// [`attribution`] and the sweep's merged aggregate both rank through here.
 pub fn rank_profiles(sites: &mut [SiteProfile], kernels: &mut [KernelProfile]) {
     sites.sort_by(|a, b| {
-        b.mm_total()
-            .cmp(&a.mm_total())
+        b.ledger
+            .mm_total()
+            .cmp(&a.ledger.mm_total())
             .then(a.range.start.as_u64().cmp(&b.range.start.as_u64()))
             .then(a.range.len.cmp(&b.range.len))
     });
-    kernels.sort_by(|a, b| b.fault_stall.cmp(&a.fault_stall).then(a.name.cmp(&b.name)));
+    kernels.sort_by(|a, b| {
+        b.ledger
+            .mi_fault_stall
+            .cmp(&a.ledger.mi_fault_stall)
+            .then(a.name.cmp(&b.name))
+    });
 }
 
 impl AttributionReport {
@@ -947,11 +898,11 @@ impl AttributionReport {
                 out,
                 "{:>18} | {:>5} | {:>6} | {:>13.1} | {:>11.1} | {:>10.1}",
                 format!("{:#x}+{}", s.range.start.as_u64(), s.range.len),
-                s.maps,
-                s.elided,
-                s.mm_total().as_micros_f64(),
-                s.mm_copy.as_micros_f64(),
-                s.mm_saved.as_micros_f64()
+                s.ledger.maps,
+                s.ledger.maps_elided,
+                s.ledger.mm_total().as_micros_f64(),
+                s.ledger.mm_copy.as_micros_f64(),
+                s.ledger.mm_saved.as_micros_f64()
             );
         }
         let _ = writeln!(
@@ -964,10 +915,10 @@ impl AttributionReport {
                 out,
                 "{:>18} | {:>8} | {:>12.1} | {:>14.1} | {:>9}",
                 k.name,
-                k.launches,
-                k.compute.as_micros_f64(),
-                k.fault_stall.as_micros_f64(),
-                k.replayed_pages
+                k.ledger.kernels,
+                k.ledger.kernel_compute.as_micros_f64(),
+                k.ledger.mi_fault_stall.as_micros_f64(),
+                k.ledger.replayed_pages
             );
         }
         out
@@ -978,6 +929,7 @@ impl AttributionReport {
 mod tests {
     use super::*;
     use crate::config::RuntimeConfig;
+    use apu_mem::VirtAddr;
 
     fn ev(seq: u64, kind: EventKind) -> Event {
         Event {
@@ -1348,8 +1300,8 @@ mod tests {
         assert_eq!(to_jsonl(&every_kind_report()), JSONL_EVERY_KIND);
     }
 
-    /// Every [`SiteProfile`] and [`KernelProfile`] field of the every-kind
-    /// fixture, plus one eager prefault so that `mm_prefault` is charged
+    /// Every site and kernel ledger of the every-kind fixture, plus one
+    /// eager prefault so that `mm_prefault` and `prefault_calls` are charged
     /// too. The recovery prefault at 0x40 creates no site.
     #[test]
     fn attribution_of_every_kind_is_pinned() {
@@ -1366,47 +1318,71 @@ mod tests {
                 recovery: false,
             },
         });
-        let site = |start, len| SiteProfile {
+        let site = |start, len, allocs, ledger| SiteProfile {
             range: r(start, len),
-            ..SiteProfile::default()
+            allocs,
+            ledger,
         };
         assert_eq!(
             attribution(&report),
             AttributionReport {
                 sites: vec![
-                    SiteProfile {
-                        allocs: 1,
-                        mm_alloc: us(3),
-                        mm_free: us(4),
-                        mm_map: us(2),
-                        ..site(0x20, 8)
-                    },
-                    SiteProfile {
-                        maps: 2,
-                        mm_prefault: us(6),
-                        ..site(0x10, 8)
-                    },
-                    SiteProfile {
-                        copies: 1,
-                        bytes: 16,
-                        mm_copy: us(5),
-                        ..site(0x30, 16)
-                    },
-                    SiteProfile {
-                        elided: 1,
-                        mm_map: us(1),
-                        mm_saved: us(9),
-                        ..site(0x50, 64)
-                    },
+                    site(
+                        0x20,
+                        8,
+                        1,
+                        OverheadLedger {
+                            mm_alloc: us(3),
+                            mm_free: us(4),
+                            mm_map: us(2),
+                            ..OverheadLedger::default()
+                        }
+                    ),
+                    site(
+                        0x10,
+                        8,
+                        0,
+                        OverheadLedger {
+                            maps: 2,
+                            mm_prefault: us(6),
+                            prefault_calls: 1,
+                            ..OverheadLedger::default()
+                        }
+                    ),
+                    site(
+                        0x30,
+                        16,
+                        0,
+                        OverheadLedger {
+                            copies: 1,
+                            bytes_copied: 16,
+                            mm_copy: us(5),
+                            ..OverheadLedger::default()
+                        }
+                    ),
+                    site(
+                        0x50,
+                        64,
+                        0,
+                        OverheadLedger {
+                            maps_elided: 1,
+                            mm_map: us(1),
+                            mm_saved: us(9),
+                            ..OverheadLedger::default()
+                        }
+                    ),
                 ],
                 kernels: vec![KernelProfile {
                     name: "stencil \"hot\"\nloop".into(),
-                    launches: 1,
-                    compute: us(7),
-                    fault_stall: us(8),
-                    tlb_stall: us(1),
-                    replayed_pages: 3,
-                    zero_filled_pages: 1,
+                    ledger: OverheadLedger {
+                        kernels: 1,
+                        kernel_compute: us(7),
+                        mi_fault_stall: us(8),
+                        tlb_stall: us(1),
+                        replayed_pages: 3,
+                        zero_filled_pages: 1,
+                        ..OverheadLedger::default()
+                    },
                 }],
                 dropped_events: 5,
             }
@@ -1466,7 +1442,7 @@ mod tests {
         let attr = attribution(&report);
         assert_eq!(attr.sites.len(), 2);
         assert_eq!(attr.sites[0].range, r(0x2000, 64));
-        assert_eq!(attr.sites[0].mm_copy, us(50));
+        assert_eq!(attr.sites[0].ledger.mm_copy, us(50));
         assert_eq!(attr.kernels[0].name, "hot");
         assert_eq!(attr.kernels[1].name, "cold");
         let text = attr.render_text(10);

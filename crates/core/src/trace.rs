@@ -99,6 +99,14 @@ impl OverheadLedger {
             || self.recovery_prefaults != 0
             || self.recovery_total() != VirtDuration::ZERO
     }
+
+    /// Add every field of `other` into this ledger: the sum of two ledgers
+    /// is the ledger of their two event streams together.
+    pub fn absorb(&mut self, other: &OverheadLedger) {
+        for f in &LEDGER_FIELDS {
+            (f.set)(self, (f.get)(self) + (f.get)(other));
+        }
+    }
 }
 
 /// How a ledger field's raw value reads: virtual nanoseconds or a count.
@@ -314,6 +322,20 @@ mod tests {
         assert!(LEDGER_FIELDS
             .windows(2)
             .all(|w| !(w[0].unit == LedgerUnit::Count && w[1].unit == LedgerUnit::Ns)));
+    }
+
+    #[test]
+    fn absorb_sums_every_field() {
+        let mut a = OverheadLedger::default();
+        let mut b = OverheadLedger::default();
+        for (i, field) in LEDGER_FIELDS.iter().enumerate() {
+            (field.set)(&mut a, i as u64);
+            (field.set)(&mut b, 100 * i as u64);
+        }
+        a.absorb(&b);
+        for (i, field) in LEDGER_FIELDS.iter().enumerate() {
+            assert_eq!((field.get)(&a), 101 * i as u64, "{}", field.name);
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! apusim replay FILE.mapir... [--config copy|usm|izc|eager]
 //!               [--elide off|online|plan|opt] [--jobs N] [--cache DIR|off]
 //!               [--trace FILE [--trace-format chrome|jsonl]]
+//! apusim optimize IN.mapir [-o OUT.mapir] [--report]
 //! apusim check [--json] [NAME]
 //! apusim serve [--socket PATH | --tcp ADDR] [--jobs N] [--cache DIR|off]
 //!              [--cache-max-bytes SIZE] [--max-inflight N] [--timeout-ms N]
@@ -44,6 +45,11 @@
 //! (default `.apusim-cache/`, `--cache off` disables), and the per-capture
 //! report is byte-identical for any `--jobs` count, cached or cold.
 //!
+//! `optimize` rewrites one capture with the whole-program static optimizer
+//! and ranks the configurations it admits by replaying the rewrite;
+//! `--report` adds each configuration's equivalence evidence and `-o`
+//! writes the rewritten capture.
+//!
 //! `check` runs the mapcheck harness (static map-clause analysis of a
 //! captured MapIR, cross-validated by a sanitized real run) over the
 //! shipped workloads, optionally filtered by a case-insensitive name
@@ -64,6 +70,11 @@
 //! server.
 //! `cache gc` bounds an offline cache directory by evicting
 //! least-recently-used entries.
+//!
+//! A malformed or missing option value, or an unknown option, exits 2 with
+//! one line naming it and the usage text. A runtime error exits 1 with one
+//! line, `apusim: <path>: <error>` when it concerns a file or socket and
+//! `apusim: <verb>: <error>` otherwise.
 
 use mi300a_zerocopy::analysis::paper::{qmc_sweep, PaperConfig};
 use mi300a_zerocopy::analysis::timeline::merged_chrome_trace;
@@ -87,6 +98,45 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Exit 2 with a one-line diagnostic and the usage text.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("apusim: {msg}");
+    usage()
+}
+
+fn unknown_argument(arg: &str) -> ! {
+    usage_error(&format!("unknown argument: {arg}"))
+}
+
+fn bad_value(flag: &str, raw: &str) -> ! {
+    usage_error(&format!("bad value '{raw}' for {flag}"))
+}
+
+/// The value after option `flag`; a missing one exits 2 naming the flag.
+fn value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> &'a String {
+    it.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} requires a value")))
+}
+
+/// The value after option `flag`, parsed; a missing or malformed one exits
+/// 2 naming the flag and the value.
+fn parsed<'a, T: std::str::FromStr>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> T {
+    let raw = value(it, flag);
+    raw.parse().unwrap_or_else(|_| bad_value(flag, raw))
+}
+
+/// [`parsed`] for a comma-separated list.
+fn parsed_list<'a, T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+) -> Vec<T> {
+    let raw = value(it, flag);
+    raw.split(',')
+        .map(str::parse)
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|_| bad_value(flag, raw))
+}
+
 /// Parse a shared mode token through its one `FromStr` surface, exiting
 /// with the canonical diagnostic on rejection.
 fn parse_mode<T>(s: &str) -> T
@@ -94,10 +144,32 @@ where
     T: std::str::FromStr,
     T::Err: std::fmt::Display,
 {
-    s.parse().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage()
-    })
+    s.parse()
+        .unwrap_or_else(|e: T::Err| usage_error(&e.to_string()))
+}
+
+/// A runtime error prefixed with the file or socket it concerns; `main`
+/// prints it after `apusim:` rather than after the verb.
+#[derive(Debug)]
+struct AtPath(String);
+
+impl std::fmt::Display for AtPath {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for AtPath {}
+
+/// Prefix an error with `path` (for `map_err`).
+fn at<E: std::fmt::Display>(path: &str) -> impl FnOnce(E) -> AtPath + '_ {
+    move |err| AtPath(format!("{path}: {err}"))
+}
+
+/// Read and parse a MapIR capture.
+fn read_capture(path: &str) -> Result<MapIr, AtPath> {
+    let text = std::fs::read_to_string(path).map_err(at(path))?;
+    MapIr::parse(&text).map_err(at(path))
 }
 
 fn parse_config(s: &str) -> RuntimeConfig {
@@ -108,10 +180,7 @@ fn parse_trace_format(s: &str) -> &'static str {
     match s {
         "chrome" => "chrome",
         "jsonl" => "jsonl",
-        other => {
-            eprintln!("unknown trace format '{other}' (chrome | jsonl)");
-            usage()
-        }
+        other => usage_error(&format!("unknown trace format '{other}' (chrome | jsonl)")),
     }
 }
 
@@ -134,7 +203,7 @@ fn write_trace(
             " — open in chrome://tracing or Perfetto",
         ),
     };
-    std::fs::write(path, out)?;
+    std::fs::write(path, out).map_err(at(path))?;
     println!(
         "\nwrote {format} trace to {path}: {} event(s), {} dropped{hint}",
         telemetry.events.len(),
@@ -236,7 +305,7 @@ fn cmd_env(args: &[String]) {
             "--apu-maps" => env.ompx_apu_maps = true,
             "--eager" => env.eager_maps = true,
             "--usm" => env.requires_usm = true,
-            _ => usage(),
+            _ => unknown_argument(a),
         }
     }
     println!(
@@ -257,25 +326,11 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--jobs" | "-j" => jobs = it.next().unwrap_or_else(|| usage()).parse()?,
-            "--sizes" => {
-                sizes = it
-                    .next()
-                    .unwrap_or_else(|| usage())
-                    .split(',')
-                    .map(|v| v.parse())
-                    .collect::<Result<_, _>>()?;
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .unwrap_or_else(|| usage())
-                    .split(',')
-                    .map(|v| v.parse())
-                    .collect::<Result<_, _>>()?;
-            }
-            "--steps" => steps = it.next().unwrap_or_else(|| usage()).parse()?,
-            _ => usage(),
+            "--jobs" | "-j" => jobs = parsed(&mut it, a),
+            "--sizes" => sizes = parsed_list(&mut it, a),
+            "--threads" => threads = parsed_list(&mut it, a),
+            "--steps" => steps = parsed(&mut it, a),
+            _ => unknown_argument(a),
         }
     }
     let cfg = PaperConfig {
@@ -327,18 +382,18 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--config" => config = parse_config(it.next().unwrap_or_else(|| usage())),
-            "--threads" => threads = it.next().unwrap_or_else(|| usage()).parse()?,
-            "--scale" => scale = it.next().unwrap_or_else(|| usage()).parse()?,
-            "--steps" => steps = it.next().unwrap_or_else(|| usage()).parse()?,
+            "--config" => config = parse_config(value(&mut it, a)),
+            "--threads" => threads = parsed(&mut it, a),
+            "--scale" => scale = parsed(&mut it, a),
+            "--steps" => steps = parsed(&mut it, a),
             "--discrete" => discrete = true,
             "--mem-report" => mem_report = true,
-            "--trace" => trace_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "--trace" => trace_path = Some(value(&mut it, a).clone()),
             "--trace-format" => {
-                trace_format = parse_trace_format(it.next().unwrap_or_else(|| usage()));
+                trace_format = parse_trace_format(value(&mut it, a));
             }
-            "--capture" => capture_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            _ => usage(),
+            "--capture" => capture_path = Some(value(&mut it, a).clone()),
+            _ => unknown_argument(a),
         }
     }
     let Some(w) = make_workload(name, scale, steps) else {
@@ -396,7 +451,7 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         // Captures record the op stream, not the timing, so they always run
         // under the zero-copy capture configuration regardless of --config.
         let ir = mi300a_zerocopy::mapcheck::capture_workload(w.as_ref(), threads)?;
-        std::fs::write(&path, ir.to_text())?;
+        std::fs::write(&path, ir.to_text()).map_err(at(&path))?;
         println!("\nwrote MapIR capture to {path} (re-execute with `apusim replay`)");
     }
     Ok(())
@@ -413,16 +468,16 @@ fn cmd_replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--config" => config = parse_config(it.next().unwrap_or_else(|| usage())),
-            "--elide" => elide_arg = it.next().unwrap_or_else(|| usage()).clone(),
-            "--trace" => trace_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "--config" => config = parse_config(value(&mut it, a)),
+            "--elide" => elide_arg = value(&mut it, a).clone(),
+            "--trace" => trace_path = Some(value(&mut it, a).clone()),
             "--trace-format" => {
-                trace_format = parse_trace_format(it.next().unwrap_or_else(|| usage()));
+                trace_format = parse_trace_format(value(&mut it, a));
             }
-            "--jobs" | "-j" => jobs = Some(it.next().unwrap_or_else(|| usage()).parse()?),
-            "--cache" => cache_arg = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "--jobs" | "-j" => jobs = Some(parsed(&mut it, a)),
+            "--cache" => cache_arg = Some(value(&mut it, a).clone()),
             other if !other.starts_with("--") => paths.push(other.to_string()),
-            _ => usage(),
+            _ => unknown_argument(a),
         }
     }
     if paths.is_empty() {
@@ -433,8 +488,7 @@ fn cmd_replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // single-run output below.
     if paths.len() > 1 || jobs.is_some() || cache_arg.is_some() {
         if trace_path.is_some() {
-            eprintln!("--trace applies to single-file replay only");
-            usage();
+            usage_error("--trace applies to single-file replay only");
         }
         return cmd_replay_batch(&paths, config, &elide_arg, jobs.unwrap_or(1), cache_arg);
     }
@@ -442,7 +496,7 @@ fn cmd_replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // refuses configurations the capture cannot run under, and `opt`
     // rewrites the program before replay.
     let path = &paths[0];
-    let ir = MapIr::parse(&std::fs::read_to_string(path)?)?;
+    let ir = read_capture(path)?;
     let req = batch::SweepRequest::builder(path.clone(), std::sync::Arc::new(ir))
         .config(config)
         .elide(parse_mode(&elide_arg))
@@ -497,7 +551,7 @@ fn cmd_replay_batch(
     let elide: batch::ElideKind = parse_mode(elide_arg);
     let mut corpus = Vec::with_capacity(paths.len());
     for path in paths {
-        let ir = MapIr::parse(&std::fs::read_to_string(path)?)?;
+        let ir = read_capture(path)?;
         corpus.push(
             batch::SweepRequest::builder(path.clone(), std::sync::Arc::new(ir))
                 .config(config)
@@ -532,16 +586,16 @@ fn cmd_optimize(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "-o" | "--output" => output = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "-o" | "--output" => output = Some(value(&mut it, a).clone()),
             "--report" => report = true,
             other if !other.starts_with('-') && input.is_none() => {
                 input = Some(other.to_string());
             }
-            _ => usage(),
+            _ => unknown_argument(a),
         }
     }
     let Some(input) = input else { usage() };
-    let ir = MapIr::parse(&std::fs::read_to_string(&input)?)?;
+    let ir = read_capture(&input)?;
     let opt = match mi300a_zerocopy::mapcheck::optimize(&ir) {
         Ok(opt) => opt,
         Err(e) => {
@@ -553,16 +607,16 @@ fn cmd_optimize(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let configs = mi300a_zerocopy::mapcheck::admissible_configs(&ir);
     let ranking = mi300a_zerocopy::mapcheck::rank_configs(&opt.ir, &configs)?;
     println!("config ranking (optimized replay, cheapest first):");
-    for s in &ranking {
+    for (config, probe) in &ranking {
         println!(
             "  {:<6} makespan {:>14}  mm_total {:>14}",
-            s.config.token(),
-            s.makespan.to_string(),
-            s.mm_total.to_string()
+            config.token(),
+            probe.makespan.to_string(),
+            probe.ledger.mm_total().to_string()
         );
     }
-    if let Some(best) = ranking.first() {
-        println!("recommended: {}", best.config.token());
+    if let Some((best, _)) = ranking.first() {
+        println!("recommended: {}", best.token());
     }
     if report {
         println!("equivalence (baseline vs optimized replay):");
@@ -572,16 +626,18 @@ fn cmd_optimize(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 "  {:<6} {}  digest {:#018x}  kernels {}  mm {} -> {} (saved {})",
                 config.token(),
                 if eq.holds() { "ok" } else { "BROKEN" },
-                eq.optimized.digest,
-                eq.optimized.kernels,
-                eq.baseline.mm_total,
-                eq.optimized.mm_total,
+                eq.optimized
+                    .digest
+                    .expect("verify_equivalence digests both replays"),
+                eq.optimized.ledger.kernels,
+                eq.baseline.ledger.mm_total(),
+                eq.optimized.ledger.mm_total(),
                 eq.mm_saved()
             );
         }
     }
     if let Some(out) = output {
-        std::fs::write(&out, opt.ir.to_text())?;
+        std::fs::write(&out, opt.ir.to_text()).map_err(at(&out))?;
         println!(
             "wrote optimized capture to {out}: {} record(s) (was {})",
             opt.ir.records.len(),
@@ -600,7 +656,7 @@ fn cmd_check(args: &[String]) -> ! {
             other if !other.starts_with("--") && filter.is_none() => {
                 filter = Some(other.to_string());
             }
-            _ => usage(),
+            _ => unknown_argument(a),
         }
     }
     let cells = match mi300a_zerocopy::mapcheck::check_all(filter.as_deref()) {
@@ -654,29 +710,27 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--socket" => socket = it.next().unwrap_or_else(|| usage()).clone(),
-            "--tcp" => tcp = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--jobs" | "-j" => cfg.jobs = it.next().unwrap_or_else(|| usage()).parse()?,
-            "--cache" => cfg.cache = parse_mode(it.next().unwrap_or_else(|| usage())),
+            "--socket" => socket = value(&mut it, a).clone(),
+            "--tcp" => tcp = Some(value(&mut it, a).clone()),
+            "--jobs" | "-j" => cfg.jobs = parsed(&mut it, a),
+            "--cache" => cfg.cache = parse_mode(value(&mut it, a)),
             "--cache-max-bytes" => {
-                cfg.cache_max_bytes = Some(
-                    parse_size(it.next().unwrap_or_else(|| usage())).unwrap_or_else(|| {
-                        eprintln!("bad --cache-max-bytes (want N, NK, NM, or NG)");
-                        usage()
-                    }),
-                );
+                cfg.cache_max_bytes = Some(parse_size(value(&mut it, a)).unwrap_or_else(|| {
+                    usage_error("bad --cache-max-bytes (want N, NK, NM, or NG)")
+                }));
             }
-            "--max-inflight" => cfg.max_inflight = it.next().unwrap_or_else(|| usage()).parse()?,
+            "--max-inflight" => cfg.max_inflight = parsed(&mut it, a),
             "--timeout-ms" => {
-                cfg.timeout =
-                    std::time::Duration::from_millis(it.next().unwrap_or_else(|| usage()).parse()?);
+                cfg.timeout = std::time::Duration::from_millis(parsed(&mut it, a));
             }
-            _ => usage(),
+            _ => unknown_argument(a),
         }
     }
     let server = match &tcp {
-        Some(addr) => batch::Server::bind_tcp(addr, cfg)?,
-        None => batch::Server::bind_unix(std::path::Path::new(&socket), cfg)?,
+        Some(addr) => batch::Server::bind_tcp(addr, cfg).map_err(at(addr))?,
+        None => {
+            batch::Server::bind_unix(std::path::Path::new(&socket), cfg).map_err(at(&socket))?
+        }
     };
     match server.tcp_addr() {
         Some(addr) => eprintln!("apusim serve: listening on tcp {addr}"),
@@ -729,28 +783,28 @@ fn cmd_request(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--socket" => socket = it.next().unwrap_or_else(|| usage()).clone(),
-            "--tcp" => tcp = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--config" => config = parse_config(it.next().unwrap_or_else(|| usage())),
-            "--elide" => elide = parse_mode(it.next().unwrap_or_else(|| usage())),
-            "--telemetry" => telemetry = parse_mode(it.next().unwrap_or_else(|| usage())),
-            "--preset" => preset = parse_mode(it.next().unwrap_or_else(|| usage())),
-            "--fault" => fault = Some(it.next().unwrap_or_else(|| usage()).parse()?),
+            "--socket" => socket = value(&mut it, a).clone(),
+            "--tcp" => tcp = Some(value(&mut it, a).clone()),
+            "--config" => config = parse_config(value(&mut it, a)),
+            "--elide" => elide = parse_mode(value(&mut it, a)),
+            "--telemetry" => telemetry = parse_mode(value(&mut it, a)),
+            "--preset" => preset = parse_mode(value(&mut it, a)),
+            "--fault" => fault = Some(parsed(&mut it, a)),
             "--ping" => ping = true,
             "--stats" => stats = true,
             "--metrics" => metrics = true,
             "--gc" => gc = true,
             "--shutdown" => shutdown = true,
             other if !other.starts_with("--") => paths.push(other.to_string()),
-            _ => usage(),
+            _ => unknown_argument(a),
         }
     }
     if paths.is_empty() && !(ping || stats || metrics || gc || shutdown) {
         usage();
     }
     let mut client = match &tcp {
-        Some(addr) => batch::Client::connect_tcp(addr)?,
-        None => batch::Client::connect_unix(std::path::Path::new(&socket))?,
+        Some(addr) => batch::Client::connect_tcp(addr).map_err(at(addr))?,
+        None => batch::Client::connect_unix(std::path::Path::new(&socket)).map_err(at(&socket))?,
     };
     if ping {
         let resp = expect_ok(client.ping()?);
@@ -762,9 +816,9 @@ fn cmd_request(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         // byte-identical to the offline path.
         let mut cells = Vec::with_capacity(paths.len());
         for path in &paths {
-            let text = std::fs::read_to_string(path)?;
+            let text = std::fs::read_to_string(path).map_err(at(path))?;
             expect_ok(client.capture(&text)?);
-            let ir = MapIr::parse(&text)?;
+            let ir = MapIr::parse(&text).map_err(at(path))?;
             let mut b = batch::SweepRequest::builder(path.clone(), std::sync::Arc::new(ir))
                 .preset(preset)
                 .config(config)
@@ -815,15 +869,13 @@ fn cmd_cache(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--cache" => cache = parse_mode(it.next().unwrap_or_else(|| usage())),
+            "--cache" => cache = parse_mode(value(&mut it, a)),
             "--max-bytes" => {
-                max_bytes = parse_size(it.next().unwrap_or_else(|| usage())).unwrap_or_else(|| {
-                    eprintln!("bad --max-bytes (want N, NK, NM, or NG)");
-                    usage()
-                });
+                max_bytes = parse_size(value(&mut it, a))
+                    .unwrap_or_else(|| usage_error("bad --max-bytes (want N, NK, NM, or NG)"));
             }
             "--dry-run" => dry_run = true,
-            _ => usage(),
+            _ => unknown_argument(a),
         }
     }
     let summary = batch::ResultCache::open(&cache).gc(max_bytes, dry_run)?;
@@ -831,21 +883,30 @@ fn cmd_cache(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("costs") => cmd_costs(),
-        Some("env") => cmd_env(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..])?,
-        Some("run") => cmd_run(&args[1..])?,
-        Some("replay") => cmd_replay(&args[1..])?,
-        Some("optimize") => cmd_optimize(&args[1..])?,
-        Some("check") => cmd_check(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..])?,
-        Some("request") => cmd_request(&args[1..])?,
-        Some("cache") => cmd_cache(&args[1..])?,
-        _ => usage(),
+    let Some(verb) = args.first() else { usage() };
+    let rest = &args[1..];
+    let outcome = match verb.as_str() {
+        "list" => return cmd_list(),
+        "costs" => return cmd_costs(),
+        "env" => return cmd_env(rest),
+        "check" => cmd_check(rest),
+        "sweep" => cmd_sweep(rest),
+        "run" => cmd_run(rest),
+        "replay" => cmd_replay(rest),
+        "optimize" => cmd_optimize(rest),
+        "serve" => cmd_serve(rest),
+        "request" => cmd_request(rest),
+        "cache" => cmd_cache(rest),
+        other => usage_error(&format!("unknown command: {other}")),
+    };
+    if let Err(e) = outcome {
+        if e.is::<AtPath>() {
+            eprintln!("apusim: {e}");
+        } else {
+            eprintln!("apusim: {verb}: {e}");
+        }
+        std::process::exit(1);
     }
-    Ok(())
 }

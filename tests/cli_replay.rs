@@ -1,7 +1,9 @@
 //! Single-file `apusim replay` runs the same cell as the batch path: for
 //! every elide mode, the makespan, memory digest and ledger it prints equal
 //! `execute` on the same request, and a configuration the capture does not
-//! admit is refused by the request gate before any replay starts.
+//! admit is refused by the request gate before any replay starts. Errors
+//! are one line: a missing capture exits 1 naming its path, a malformed
+//! option value exits 2 naming the flag and the value.
 
 use mi300a_zerocopy::batch::{execute, ElideKind, SweepRequest};
 use mi300a_zerocopy::mapcheck::capture_workload;
@@ -73,6 +75,43 @@ fn single_file_replay_refuses_an_inadmissible_config_before_replay() {
     let out = replay(&path, "copy", "off");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
-    assert!(stderr.contains("RawAccessNeedsXnack"), "{stderr}");
+    // The request gate's `RawAccessNeedsXnack`, in its display form.
+    assert!(
+        stderr.contains("config 'copy' runs without XNACK (MC005)"),
+        "{stderr}"
+    );
     assert!(!stderr.contains("GpuFatalFault"), "{stderr}");
+}
+
+#[test]
+fn a_missing_capture_exits_1_with_one_line_naming_its_path() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_replay_missing.mapir");
+    let _ = std::fs::remove_file(&path);
+    let out = replay(&path, "copy", "off");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("apusim: {}: ", path.display())),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("Os {"), "{stderr}");
+}
+
+#[test]
+fn a_malformed_option_value_exits_2_naming_the_flag_and_the_value() {
+    let out = Command::new(env!("CARGO_BIN_EXE_apusim"))
+        .args(["run", "stencil", "--threads", "x"])
+        .output()
+        .expect("spawn apusim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let mut lines = stderr.lines();
+    assert_eq!(
+        lines.next(),
+        Some("apusim: bad value 'x' for --threads"),
+        "{stderr}"
+    );
+    assert_eq!(lines.next(), Some("usage:"), "{stderr}");
+    assert!(out.stdout.is_empty(), "{out:?}");
 }
