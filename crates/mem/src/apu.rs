@@ -16,11 +16,12 @@
 //!
 //! The fault, prefault, touch, and teardown paths classify whole address
 //! ranges into present / replay / zero-fill sub-extents by set algebra
-//! against the extent-based CPU and GPU page tables, then charge stalls and
-//! TLB statistics arithmetically per sub-extent. The work per operation is
-//! O(extents touched), not O(pages), while every observable value — page
-//! counts, `MemStats`, TLB hit/miss/eviction counters, virtual-time charges,
-//! and error addresses — is bit-identical to the page-at-a-time loops. The
+//! against the CPU and GPU page tables (run sets of present pages; the VMA
+//! supplies every physical address), then charge stalls and TLB statistics
+//! arithmetically per sub-extent. The work per operation is O(extents
+//! touched), not O(pages), while every observable value — page counts,
+//! `MemStats`, TLB hit/miss/eviction counters, virtual-time charges, and
+//! error addresses — is bit-identical to the page-at-a-time loops. The
 //! original per-page implementation is retained as a reference oracle:
 //! enable it with [`ApuMemory::set_pagewise`] or [`MemOptions::pagewise`].
 
@@ -29,7 +30,7 @@ use crate::cost::CostModel;
 use crate::error::MemError;
 use crate::page_table::PageTable;
 use crate::phys::PhysicalMemory;
-use crate::runs::{RunFifo, RunSet};
+use crate::runs::FifoRunSet;
 use crate::system::{DiscreteSpec, SystemKind};
 use crate::tlb::Tlb;
 use crate::vma::{Backing, Vma, VmaTable};
@@ -218,9 +219,8 @@ pub struct ApuMemory {
     kind: SystemKind,
     /// Discrete only: VRAM bytes consumed by pool allocations.
     vram_used: u64,
-    /// Discrete only: FIFO of unified-memory pages resident in VRAM.
-    um_resident: RunFifo,
-    um_resident_set: RunSet,
+    /// Discrete only: unified-memory pages resident in VRAM, oldest first.
+    um_resident: FifoRunSet,
     phys: PhysicalMemory,
     vmas: VmaTable,
     cpu_pt: PageTable,
@@ -239,20 +239,18 @@ impl ApuMemory {
     /// typed [`MemOptions`]. All other constructors delegate here.
     pub fn with_options(cost: CostModel, kind: SystemKind, opts: MemOptions) -> Self {
         let tlb = Tlb::new(cost.gpu_tlb_entries);
-        let ps = cost.page_size;
         ApuMemory {
             cost,
             kind,
             vram_used: 0,
-            um_resident: RunFifo::new(),
-            um_resident_set: RunSet::new(),
+            um_resident: FifoRunSet::default(),
             phys: match opts.capacity {
                 Some(bytes) => PhysicalMemory::new(bytes),
                 None => PhysicalMemory::mi300a(),
             },
             vmas: VmaTable::new(),
-            cpu_pt: PageTable::with_page_size(ps),
-            gpu_pt: PageTable::with_page_size(ps),
+            cpu_pt: PageTable::default(),
+            gpu_pt: PageTable::default(),
             gpu_tlb: tlb,
             host_brk: HOST_VA_BASE + opts.va_shift,
             pool_brk: POOL_VA_BASE + opts.va_shift,
@@ -403,10 +401,14 @@ impl ApuMemory {
         (range.start.as_u64() / pb, count)
     }
 
-    /// Physical address backing `vpage` under `vma`.
-    fn vma_page_phys(vma: &Vma, vpage: u64, pb: u64) -> PhysAddr {
-        let off = vpage * pb - vma.range.start.align_down(pb).as_u64();
-        vma.phys.offset(off)
+    /// The live allocation covering `range`.
+    fn covering_vma(&self, range: &AddrRange) -> Result<&Vma, MemError> {
+        self.vmas
+            .find_covering(range)
+            .ok_or(MemError::RangeOutsideAllocation {
+                addr: range.start,
+                len: range.len,
+            })
     }
 
     /// OS allocation (malloc/mmap path). Pages are *reserved, not touched*:
@@ -437,42 +439,19 @@ impl ApuMemory {
     /// CPU page table by demand paging. Returns pages newly touched. Both
     /// configurations pay this equally, so no cost is charged.
     pub fn host_touch(&mut self, range: AddrRange) -> Result<u64, MemError> {
-        let vma = self
-            .vmas
-            .find_covering(&range)
-            .ok_or(MemError::RangeOutsideAllocation {
-                addr: range.start,
-                len: range.len,
-            })?
-            .clone();
-        let ps = self.cost.page_size;
-        let pb = ps.bytes();
+        self.covering_vma(&range)?;
         if self.pagewise {
             let mut newly = 0;
-            for vpage in range.page_indices(ps) {
+            for vpage in range.page_indices(self.cost.page_size) {
                 if !self.cpu_pt.contains(vpage) {
-                    self.cpu_pt
-                        .map_page(vpage, Self::vma_page_phys(&vma, vpage, pb));
+                    self.cpu_pt.map_pages(vpage, 1);
                     newly += 1;
                 }
             }
             return Ok(newly);
         }
-        // Fast path: map each unmapped gap of the span as one extent.
         let (first, count) = self.page_span(&range);
-        let end = first + count;
-        let mut newly = 0;
-        let mut pos = first;
-        while pos < end {
-            let (mapped, run_end) = self.cpu_pt.span_at(pos, end);
-            if !mapped {
-                self.cpu_pt
-                    .map_pages(pos, run_end - pos, Self::vma_page_phys(&vma, pos, pb));
-                newly += run_end - pos;
-            }
-            pos = run_end;
-        }
-        Ok(newly)
+        Ok(self.cpu_pt.map_pages(first, count))
     }
 
     /// Free an OS allocation. Tears down CPU *and* GPU translations (so a
@@ -514,8 +493,9 @@ impl ApuMemory {
         let addr = VirtAddr(self.pool_brk);
         self.pool_brk += alen + self.page_bytes();
         let range = AddrRange::new(addr, alen);
-        self.cpu_pt.map_range(range, phys, self.cost.page_size);
-        self.gpu_pt.map_range(range, phys, self.cost.page_size);
+        let (first, count) = self.page_span(&range);
+        self.cpu_pt.map_pages(first, count);
+        self.gpu_pt.map_pages(first, count);
         self.vmas.insert(Vma {
             range,
             backing: Backing::DevicePool,
@@ -555,18 +535,23 @@ impl ApuMemory {
         if self.discrete().is_none() {
             return 0;
         }
-        let mut evicted = 0;
-        while evicted < max_pages {
-            let Some(victim) = self.um_resident.pop_front_page() else {
-                break;
-            };
-            self.um_resident_set.remove_run(victim, 1);
-            if self.gpu_pt.unmap_page(victim) {
-                self.gpu_tlb.invalidate(victim);
-            }
-            evicted += 1;
-        }
+        let evicted = self.evict_oldest(max_pages);
         self.stats.evicted_pages += evicted;
+        evicted
+    }
+
+    /// Evict up to `n` of the oldest resident unified-memory pages: each
+    /// loses its GPU translation and TLB entry. Returns the pages evicted.
+    /// Evicting pages together leaves the state evicting them one at a
+    /// time would: each victim's teardown touches only that page.
+    fn evict_oldest(&mut self, n: u64) -> u64 {
+        let mut evicted = 0;
+        for (s, l) in self.um_resident.pop_oldest(n) {
+            for (us, ul) in self.gpu_pt.unmap_pages(s, l) {
+                self.gpu_tlb.invalidate_range(us, ul);
+            }
+            evicted += l;
+        }
         evicted
     }
 
@@ -580,25 +565,20 @@ impl ApuMemory {
     }
 
     fn teardown(&mut self, vma: &Vma) {
-        let ps = self.cost.page_size;
-        self.cpu_pt.unmap_range(vma.range, ps);
+        let (first, count) = self.page_span(&vma.range);
+        self.cpu_pt.unmap_pages(first, count);
         if self.pagewise {
-            for vpage in vma.range.page_indices(ps) {
-                if self.gpu_pt.unmap_page(vpage) {
-                    self.gpu_tlb.invalidate(vpage);
+            for vpage in first..first + count {
+                if !self.gpu_pt.unmap_pages(vpage, 1).is_empty() {
+                    self.gpu_tlb.invalidate_range(vpage, 1);
                 }
-                if !self.um_resident_set.remove_run(vpage, 1).is_empty() {
-                    self.um_resident.remove_pages(vpage, 1);
-                }
+                self.um_resident.remove(vpage, 1);
             }
         } else {
-            let (first, count) = self.page_span(&vma.range);
             for (s, l) in self.gpu_pt.unmap_pages(first, count) {
                 self.gpu_tlb.invalidate_range(s, l);
             }
-            if !self.um_resident_set.remove_run(first, count).is_empty() {
-                self.um_resident.remove_pages(first, count);
-            }
+            self.um_resident.remove(first, count);
         }
         self.phys.free(vma.phys, vma.range.len);
     }
@@ -620,18 +600,11 @@ impl ApuMemory {
             if range.is_empty() {
                 continue;
             }
-            let vma = self
-                .vmas
-                .find_covering(range)
-                .ok_or(MemError::RangeOutsideAllocation {
-                    addr: range.start,
-                    len: range.len,
-                })?
-                .clone();
+            self.covering_vma(range)?;
             let mut o = if self.pagewise {
-                self.resolve_range_pagewise(range, &vma, xnack)?
+                self.resolve_range_pagewise(range, xnack)?
             } else {
-                self.resolve_range_extents(range, &vma, xnack)?
+                self.resolve_range_extents(range, xnack)?
             };
             o.stall = self.cost.fault_stall(o.replayed_pages, o.zero_filled_pages)
                 + self.cost.tlb_miss * o.tlb_misses;
@@ -654,7 +627,6 @@ impl ApuMemory {
     fn resolve_range_pagewise(
         &mut self,
         range: &AddrRange,
-        vma: &Vma,
         xnack: XnackMode,
     ) -> Result<GpuAccessOutcome, MemError> {
         let ps = self.cost.page_size;
@@ -673,27 +645,19 @@ impl ApuMemory {
                     addr: VirtAddr(vpage * pb),
                 });
             }
-            let phys = Self::vma_page_phys(vma, vpage, pb);
             if let Some(d) = self.discrete().cloned() {
                 // Discrete GPU unified memory: first touch *migrates*
                 // the page over the interconnect into VRAM; when VRAM
                 // is oversubscribed, the oldest migrated page evicts
                 // and will re-migrate on its next touch.
-                self.cpu_pt.map_page(vpage, phys);
-                self.gpu_pt.map_page(vpage, phys);
+                self.cpu_pt.map_pages(vpage, 1);
+                self.gpu_pt.map_pages(vpage, 1);
                 self.gpu_tlb.access(vpage);
-                self.um_resident.push_back_run(vpage, 1);
-                self.um_resident_set.insert_run(vpage, 1);
+                self.um_resident.insert(vpage, 1);
                 o.migrated_pages += 1;
                 let budget_pages = d.vram_bytes.saturating_sub(self.vram_used) / pb;
-                while self.um_resident.len_pages() > budget_pages {
-                    let victim = self.um_resident.pop_front_page().expect("nonempty");
-                    self.um_resident_set.remove_run(victim, 1);
-                    if self.gpu_pt.unmap_page(victim) {
-                        self.gpu_tlb.invalidate(victim);
-                    }
-                    o.evicted_pages += 1;
-                }
+                let over = self.um_resident.len_pages().saturating_sub(budget_pages);
+                o.evicted_pages += self.evict_oldest(over);
                 continue;
             }
             if self.cpu_pt.contains(vpage) {
@@ -701,10 +665,10 @@ impl ApuMemory {
             } else {
                 // First touch anywhere: allocate + zero in the handler,
                 // and the CPU table gains the entry too.
-                self.cpu_pt.map_page(vpage, phys);
+                self.cpu_pt.map_pages(vpage, 1);
                 o.zero_filled_pages += 1;
             }
-            self.gpu_pt.map_page(vpage, phys);
+            self.gpu_pt.map_pages(vpage, 1);
             self.gpu_tlb.access(vpage);
         }
         Ok(o)
@@ -719,7 +683,6 @@ impl ApuMemory {
     fn resolve_range_extents(
         &mut self,
         range: &AddrRange,
-        vma: &Vma,
         xnack: XnackMode,
     ) -> Result<GpuAccessOutcome, MemError> {
         let pb = self.page_bytes();
@@ -747,7 +710,7 @@ impl ApuMemory {
                 });
             }
             if let Some(d) = self.discrete().cloned() {
-                self.migrate_run(pos, run_len, vma, &d, &mut o);
+                self.migrate_run(pos, run_len, &d, &mut o);
             } else {
                 // APU: split the faulting run by CPU residency into replay
                 // (CPU-touched) and zero-fill (never-touched) sub-runs.
@@ -755,14 +718,13 @@ impl ApuMemory {
                 while q < run_end {
                     let (cpu_mapped, sub_end) = self.cpu_pt.span_at(q, run_end);
                     let sub_len = sub_end - q;
-                    let phys = Self::vma_page_phys(vma, q, pb);
                     if cpu_mapped {
                         o.replayed_pages += sub_len;
                     } else {
-                        self.cpu_pt.map_pages(q, sub_len, phys);
+                        self.cpu_pt.map_pages(q, sub_len);
                         o.zero_filled_pages += sub_len;
                     }
-                    self.gpu_pt.map_pages(q, sub_len, phys);
+                    self.gpu_pt.map_pages(q, sub_len);
                     self.gpu_tlb.access_range(q, sub_len);
                     q = sub_end;
                 }
@@ -778,58 +740,33 @@ impl ApuMemory {
     /// Otherwise eviction interleaves with migration page by page — evicted
     /// pages may sit ahead in this very run — so fall back to the exact
     /// per-page protocol for this run only.
-    fn migrate_run(
-        &mut self,
-        start: u64,
-        len: u64,
-        vma: &Vma,
-        d: &DiscreteSpec,
-        o: &mut GpuAccessOutcome,
-    ) {
+    fn migrate_run(&mut self, start: u64, len: u64, d: &DiscreteSpec, o: &mut GpuAccessOutcome) {
         let pb = self.page_bytes();
         let budget_pages = d.vram_bytes.saturating_sub(self.vram_used) / pb;
         if self.um_resident.len_pages() + len <= budget_pages {
-            let phys = Self::vma_page_phys(vma, start, pb);
-            self.cpu_pt.map_pages(start, len, phys);
-            self.gpu_pt.map_pages(start, len, phys);
+            self.cpu_pt.map_pages(start, len);
+            self.gpu_pt.map_pages(start, len);
             self.gpu_tlb.access_range(start, len);
-            self.um_resident.push_back_run(start, len);
-            self.um_resident_set.insert_run(start, len);
+            self.um_resident.insert(start, len);
             o.migrated_pages += len;
             return;
         }
         for vpage in start..start + len {
-            let phys = Self::vma_page_phys(vma, vpage, pb);
-            self.cpu_pt.map_page(vpage, phys);
-            self.gpu_pt.map_page(vpage, phys);
+            self.cpu_pt.map_pages(vpage, 1);
+            self.gpu_pt.map_pages(vpage, 1);
             self.gpu_tlb.access(vpage);
-            self.um_resident.push_back_run(vpage, 1);
-            self.um_resident_set.insert_run(vpage, 1);
+            self.um_resident.insert(vpage, 1);
             o.migrated_pages += 1;
-            while self.um_resident.len_pages() > budget_pages {
-                let victim = self.um_resident.pop_front_page().expect("nonempty");
-                self.um_resident_set.remove_run(victim, 1);
-                if self.gpu_pt.unmap_page(victim) {
-                    self.gpu_tlb.invalidate(victim);
-                }
-                o.evicted_pages += 1;
-            }
+            let over = self.um_resident.len_pages().saturating_sub(budget_pages);
+            o.evicted_pages += self.evict_oldest(over);
         }
     }
 
     /// Host-side GPU page-table prefault over `range`
     /// (the `svm_attributes_set` path used by Eager Maps).
     pub fn prefault(&mut self, range: AddrRange) -> Result<PrefaultOutcome, MemError> {
-        let vma = self
-            .vmas
-            .find_covering(&range)
-            .ok_or(MemError::RangeOutsideAllocation {
-                addr: range.start,
-                len: range.len,
-            })?
-            .clone();
+        self.covering_vma(&range)?;
         let ps = self.cost.page_size;
-        let pb = ps.bytes();
         let mut inserted = 0;
         let mut zero_filled = 0;
         let mut present = 0;
@@ -839,14 +776,13 @@ impl ApuMemory {
                     present += 1;
                     continue;
                 }
-                let phys = Self::vma_page_phys(&vma, vpage, pb);
                 if self.cpu_pt.contains(vpage) {
                     inserted += 1;
                 } else {
-                    self.cpu_pt.map_page(vpage, phys);
+                    self.cpu_pt.map_pages(vpage, 1);
                     zero_filled += 1;
                 }
-                self.gpu_pt.map_page(vpage, phys);
+                self.gpu_pt.map_pages(vpage, 1);
             }
         } else {
             // Fast path: classify the span into GPU-present runs (re-check
@@ -866,14 +802,13 @@ impl ApuMemory {
                 while q < run_end {
                     let (cpu_mapped, sub_end) = self.cpu_pt.span_at(q, run_end);
                     let sub_len = sub_end - q;
-                    let phys = Self::vma_page_phys(&vma, q, pb);
                     if cpu_mapped {
                         inserted += sub_len;
                     } else {
-                        self.cpu_pt.map_pages(q, sub_len, phys);
+                        self.cpu_pt.map_pages(q, sub_len);
                         zero_filled += sub_len;
                     }
-                    self.gpu_pt.map_pages(q, sub_len, phys);
+                    self.gpu_pt.map_pages(q, sub_len);
                     q = sub_end;
                 }
                 pos = run_end;
@@ -893,25 +828,12 @@ impl ApuMemory {
         };
         if self.discrete().is_some() {
             if self.pagewise {
-                for vpage in range.page_indices(self.cost.page_size) {
-                    if self.um_resident_set.insert_run(vpage, 1) == 1 {
-                        self.um_resident.push_back_run(vpage, 1);
-                    }
+                for vpage in range.page_indices(ps) {
+                    self.um_resident.insert(vpage, 1);
                 }
             } else {
-                // Enqueue each not-yet-resident run in ascending order —
-                // the same page order the per-page loop produces.
                 let (first, count) = self.page_span(&range);
-                let end = first + count;
-                let mut pos = first;
-                while pos < end {
-                    let (resident, run_end) = self.um_resident_set.span_at(pos, end);
-                    if !resident {
-                        self.um_resident_set.insert_run(pos, run_end - pos);
-                        self.um_resident.push_back_run(pos, run_end - pos);
-                    }
-                    pos = run_end;
-                }
+                self.um_resident.insert(first, count);
             }
         }
         Ok(PrefaultOutcome {
@@ -973,12 +895,7 @@ impl ApuMemory {
     /// Translate `addr` for a `len`-byte access through the VMA table
     /// (allocations are physically contiguous). When `gpu` is set, every
     /// covered page must have a GPU page-table entry.
-    fn translate_vma(
-        &self,
-        addr: VirtAddr,
-        len: u64,
-        gpu: bool,
-    ) -> Result<crate::addr::PhysAddr, MemError> {
+    fn translate_vma(&self, addr: VirtAddr, len: u64, gpu: bool) -> Result<PhysAddr, MemError> {
         let range = AddrRange::new(addr, len.max(1));
         let vma = self
             .vmas
@@ -1359,5 +1276,78 @@ mod tests {
         assert_eq!(o.stall, m.cost().tlb_miss * 4);
         let o2 = m.gpu_access(&[r], XnackMode::Disabled).unwrap();
         assert_eq!(o2.tlb_misses, 0);
+    }
+
+    /// `evict_um_pages` has no per-page twin in the oracle: evicting `n`
+    /// pages at once must leave the state `n` single-page evictions leave,
+    /// on a residency queue whose runs are out of page order.
+    #[test]
+    fn evicting_n_pages_equals_n_single_evictions() {
+        fn fragmented() -> (ApuMemory, AddrRange, AddrRange) {
+            let spec = DiscreteSpec {
+                vram_bytes: 64 * 4096,
+                ..DiscreteSpec::mi200_class()
+            };
+            // A TLB smaller than the resident set, so its order matters.
+            let mut cost = CostModel::mi300a_no_thp();
+            cost.gpu_tlb_entries = 12;
+            let mut m =
+                ApuMemory::with_options(cost, SystemKind::Discrete(spec), MemOptions::default());
+            let a = m.host_alloc(16 * 4096).unwrap().addr;
+            let b = m.host_alloc(16 * 4096).unwrap().addr;
+            let pages = |at: VirtAddr, first: u64, n: u64| {
+                AddrRange::new(at.offset(first * 4096), n * 4096)
+            };
+            m.host_touch(pages(a, 0, 16)).unwrap();
+            m.prefault(pages(b, 8, 4)).unwrap();
+            m.gpu_access(&[pages(a, 0, 6)], XnackMode::Enabled).unwrap();
+            m.prefault(pages(a, 10, 4)).unwrap();
+            m.gpu_access(&[pages(b, 0, 16)], XnackMode::Enabled)
+                .unwrap();
+            m.gpu_access(&[pages(a, 4, 8)], XnackMode::Enabled).unwrap();
+            let (pa, pb) = (a.as_u64() / 4096, b.as_u64() / 4096);
+            assert_eq!(
+                m.um_resident.order_runs(),
+                [
+                    (pb + 8, 4),
+                    (pa, 6),
+                    (pa + 10, 4),
+                    (pb, 8),
+                    (pb + 12, 4),
+                    (pa + 6, 4)
+                ]
+            );
+            (m, pages(a, 0, 16), pages(b, 0, 16))
+        }
+        fn state(m: &ApuMemory) -> String {
+            let (pt, tlb) = (m.gpu_pt(), m.gpu_tlb());
+            format!(
+                "{:?} gpu_pt {} -{} tlb {}/{}/{} len {} resident {}",
+                m.stats(),
+                pt.len(),
+                pt.removes(),
+                tlb.hits(),
+                tlb.misses(),
+                tlb.evictions(),
+                tlb.len(),
+                m.um_resident_pages()
+            )
+        }
+        for n in [1, 5, 13, 30, 40] {
+            let (mut bulk, ra, rb) = fragmented();
+            let (mut single, _, _) = fragmented();
+            assert_eq!(bulk.evict_um_pages(n), n.min(30), "n = {n}");
+            for _ in 0..n {
+                single.evict_um_pages(1);
+            }
+            assert_eq!(state(&bulk), state(&single), "n = {n}");
+            assert_eq!(bulk.um_resident, single.um_resident, "n = {n}");
+            // The TLB's replacement order agrees too: the same re-access
+            // misses, migrates and evicts alike.
+            let ob = bulk.gpu_access(&[ra, rb], XnackMode::Enabled).unwrap();
+            let os = single.gpu_access(&[ra, rb], XnackMode::Enabled).unwrap();
+            assert_eq!(format!("{ob:?}"), format!("{os:?}"), "n = {n}");
+            assert_eq!(state(&bulk), state(&single), "n = {n}");
+        }
     }
 }

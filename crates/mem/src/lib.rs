@@ -38,7 +38,7 @@ mod error;
 mod page_table;
 mod phys;
 mod report;
-pub mod runs;
+mod runs;
 mod system;
 mod tlb;
 mod vma;

@@ -1,13 +1,11 @@
-//! Run-length primitives for extent-based bookkeeping.
+//! Run-length page sets: the one split/coalesce/span walk in the crate.
 //!
-//! Both the TLB and the unified-memory residency queue need two views of the
-//! same population of pages: a *membership* view (is page `p` tracked?) and an
-//! *order* view (which page entered first?). [`RunSet`] is the membership side
-//! — a sorted, coalesced set of `[start, start + len)` page runs supporting
-//! O(log n) point queries and O(runs-touched) span edits. [`RunFifo`] is the
-//! order side — an insertion-ordered queue of runs that can pop pages from the
-//! front or surgically remove pages from the middle without disturbing the
-//! relative order of the rest.
+//! [`RunSet`] is a sorted, coalesced set of `[start, start + len)` page runs
+//! with O(log n) point queries and O(runs touched) span edits. Both page
+//! tables are one each. [`FifoRunSet`] adds the order in which pages entered
+//! to a `RunSet`: the GPU TLB and the discrete VRAM residency queue are one
+//! each, and its insert, pop-oldest and remove keep membership and order in
+//! step.
 //!
 //! Every operation is defined so that run-granular calls are *net-effect
 //! identical* to the equivalent sequence of single-page calls. That invariant
@@ -17,7 +15,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 /// A sorted, coalesced set of disjoint page runs `[start, start + len)`.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RunSet {
     /// `start -> len`; invariant: runs are disjoint and non-adjacent
     /// (adjacent runs are merged on insert).
@@ -27,19 +25,9 @@ pub struct RunSet {
 }
 
 impl RunSet {
-    /// Empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Total number of pages in the set.
     pub fn len_pages(&self) -> u64 {
         self.pages
-    }
-
-    /// True if no pages are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.pages == 0
     }
 
     /// Number of stored runs (bookkeeping granularity, not page count).
@@ -77,25 +65,19 @@ impl RunSet {
         if len == 0 {
             return 0;
         }
-        let end = start + len;
-        // Absorb every run overlapping or adjacent to [start, end).
         let mut new_start = start;
-        let mut new_end = end;
+        let mut new_end = start + len;
         let mut absorbed_pages = 0u64;
-        // Candidate runs begin at or before `end`; walk back from there.
-        let mut doomed: Vec<u64> = Vec::new();
-        for (&s, &l) in self.runs.range(..=end).rev() {
+        // Absorb, highest first, every run overlapping or adjacent to
+        // [start, start + len): each begins at or before its end.
+        while let Some((&s, &l)) = self.runs.range(..=new_end).next_back() {
             if s + l < new_start {
                 break;
             }
-            // Overlapping or adjacent: absorb.
+            self.runs.remove(&s);
             new_start = new_start.min(s);
             new_end = new_end.max(s + l);
             absorbed_pages += l;
-            doomed.push(s);
-        }
-        for s in doomed {
-            self.runs.remove(&s);
         }
         self.runs.insert(new_start, new_end - new_start);
         let total_after = new_end - new_start;
@@ -136,182 +118,126 @@ impl RunSet {
         removed
     }
 
-    /// Number of member pages inside `[start, start + len)`.
-    pub fn count_in(&self, start: u64, len: u64) -> u64 {
-        if len == 0 {
-            return 0;
-        }
-        let end = start + len;
-        let mut n = 0;
-        for (&s, &l) in self.runs.range(..end).rev() {
-            if s + l <= start {
-                break;
-            }
-            n += (s + l).min(end) - s.max(start);
-        }
-        n
-    }
-
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.runs.clear();
-        self.pages = 0;
-    }
-
     /// Iterate runs in ascending order as `(start, len)`.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.runs.iter().map(|(&s, &l)| (s, l))
     }
 }
 
-/// An insertion-ordered FIFO of page runs.
+/// A [`RunSet`] that also remembers the order in which its pages entered.
 ///
-/// Pages keep the relative order in which they were pushed; a run `(start,
-/// len)` stands for pages `start, start + 1, ..., start + len - 1` pushed in
-/// ascending order, so popping from the front of a run yields its lowest page
-/// first — exactly what a page-at-a-time FIFO would have produced.
-#[derive(Debug, Default, Clone)]
-pub struct RunFifo {
-    queue: VecDeque<(u64, u64)>,
-    pages: u64,
+/// A page enters once, at the back, when it is inserted while absent;
+/// [`pop_oldest`](Self::pop_oldest) takes pages from the front. An order run
+/// `(start, len)` stands for pages `start, start + 1, ..., start + len - 1`
+/// entered in ascending order, so popping from the front of a run yields its
+/// lowest page first — exactly what a page-at-a-time FIFO would produce.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct FifoRunSet {
+    members: RunSet,
+    /// Runs oldest first; no entry continues the one before it (contiguous
+    /// neighbours are merged), so equal page sequences store equal runs.
+    order: VecDeque<(u64, u64)>,
 }
 
-impl RunFifo {
-    /// Empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total pages queued.
+impl FifoRunSet {
+    /// Total pages in the set.
     pub fn len_pages(&self) -> u64 {
-        self.pages
+        self.members.len_pages()
     }
 
-    /// True if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.pages == 0
+    /// Membership classification of `pos` within `[pos, end)`, as
+    /// [`RunSet::span_at`].
+    pub fn span_at(&self, pos: u64, end: u64) -> (bool, u64) {
+        self.members.span_at(pos, end)
     }
 
-    /// Number of stored runs.
-    pub fn run_count(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Push `[start, start + len)` at the back, merging with the back run
-    /// when contiguous (page order is unaffected by the merge).
-    pub fn push_back_run(&mut self, start: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        if let Some(&mut (bs, ref mut bl)) = self.queue.back_mut() {
-            if bs + *bl == start {
-                *bl += len;
-                self.pages += len;
-                return;
+    /// Insert `[start, start + len)`: its absent sub-runs enter at the back
+    /// in ascending page order; pages already present keep their place.
+    pub fn insert(&mut self, start: u64, len: u64) {
+        let end = start + len;
+        let mut pos = start;
+        while pos < end {
+            let (member, run_end) = self.members.span_at(pos, end);
+            if !member {
+                Self::push_back(&mut self.order, pos, run_end - pos);
             }
+            pos = run_end;
         }
-        self.queue.push_back((start, len));
-        self.pages += len;
+        self.members.insert_run(start, len);
     }
 
-    /// Pop the single oldest page, if any.
-    pub fn pop_front_page(&mut self) -> Option<u64> {
-        let &mut (s, ref mut l) = self.queue.front_mut()?;
-        let page = s;
-        *l -= 1;
-        self.pages -= 1;
-        if *l == 0 {
-            self.queue.pop_front();
-        } else {
-            // Front run loses its lowest page: re-key it.
-            let (_, l) = self.queue.pop_front().unwrap();
-            self.queue.push_front((s + 1, l));
-        }
-        Some(page)
-    }
-
-    /// Pop up to `n` of the oldest pages, returned as runs in pop order.
-    pub fn pop_front_pages(&mut self, n: u64) -> Vec<(u64, u64)> {
+    /// Remove up to `n` of the oldest pages, returned as runs in pop order.
+    pub fn pop_oldest(&mut self, n: u64) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        let mut left = n.min(self.pages);
+        let mut left = n.min(self.len_pages());
         while left > 0 {
-            let (s, l) = *self.queue.front().expect("pages underflow");
-            if l <= left {
-                self.queue.pop_front();
-                self.pages -= l;
-                left -= l;
-                out.push((s, l));
+            let front = self.order.front_mut().expect("order holds every member");
+            let (s, l) = *front;
+            let take = l.min(left);
+            if take == l {
+                self.order.pop_front();
             } else {
-                *self.queue.front_mut().unwrap() = (s + left, l - left);
-                self.pages -= left;
-                out.push((s, left));
-                left = 0;
+                *front = (s + take, l - take);
             }
+            self.members.remove_run(s, take);
+            out.push((s, take));
+            left -= take;
         }
         out
     }
 
     /// Remove every page of `[start, start + len)` wherever it sits in the
-    /// queue, preserving the order of the remaining pages. Equivalent to
-    /// `retain(|p| p < start || p >= start + len)` on a page queue.
-    pub fn remove_pages(&mut self, start: u64, len: u64) {
-        if len == 0 || self.pages == 0 {
+    /// order, keeping the order of the rest: `retain(|p| p < start || p >=
+    /// start + len)` on a page queue.
+    pub fn remove(&mut self, start: u64, len: u64) {
+        if self.members.remove_run(start, len).is_empty() {
             return;
         }
         let end = start + len;
-        let mut next = VecDeque::with_capacity(self.queue.len());
-        let mut pages = 0u64;
-        for &(s, l) in &self.queue {
+        let mut next = VecDeque::with_capacity(self.order.len());
+        for &(s, l) in &self.order {
             let e = s + l;
-            if e <= start || s >= end {
-                Self::push_merged(&mut next, &mut pages, s, l);
-                continue;
-            }
             if s < start {
-                Self::push_merged(&mut next, &mut pages, s, start - s);
+                Self::push_back(&mut next, s, e.min(start) - s);
             }
             if e > end {
-                Self::push_merged(&mut next, &mut pages, end, e - end);
+                let from = s.max(end);
+                Self::push_back(&mut next, from, e - from);
             }
         }
-        self.queue = next;
-        self.pages = pages;
+        self.order = next;
     }
 
-    fn push_merged(queue: &mut VecDeque<(u64, u64)>, pages: &mut u64, s: u64, l: u64) {
-        if l == 0 {
-            return;
+    /// The order runs, oldest first.
+    #[cfg(test)]
+    pub fn order_runs(&self) -> Vec<(u64, u64)> {
+        self.order.iter().copied().collect()
+    }
+
+    /// Append `[s, s + l)` to `order`, merging with the back run when it
+    /// continues it (page order is unaffected by the merge).
+    fn push_back(order: &mut VecDeque<(u64, u64)>, s: u64, l: u64) {
+        match order.back_mut() {
+            Some((bs, bl)) if *bs + *bl == s => *bl += l,
+            _ => order.push_back((s, l)),
         }
-        if let Some(&mut (bs, ref mut bl)) = queue.back_mut() {
-            if bs + *bl == s {
-                *bl += l;
-                *pages += l;
-                return;
-            }
-        }
-        queue.push_back((s, l));
-        *pages += l;
-    }
-
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.queue.clear();
-        self.pages = 0;
-    }
-
-    /// Iterate queued runs oldest-first as `(start, len)`.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.queue.iter().copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    fn pages(runs: &[(u64, u64)]) -> Vec<u64> {
+        runs.iter().flat_map(|&(s, l)| s..s + l).collect()
+    }
 
     #[test]
     fn insert_coalesces_and_counts_new_pages() {
-        let mut s = RunSet::new();
+        let mut s = RunSet::default();
         assert_eq!(s.insert_run(10, 5), 5);
         assert_eq!(s.insert_run(15, 5), 5); // adjacent: coalesces
         assert_eq!(s.run_count(), 1);
@@ -323,7 +249,7 @@ mod tests {
 
     #[test]
     fn insert_bridges_disjoint_runs() {
-        let mut s = RunSet::new();
+        let mut s = RunSet::default();
         s.insert_run(0, 2);
         s.insert_run(10, 2);
         s.insert_run(20, 2);
@@ -336,7 +262,7 @@ mod tests {
 
     #[test]
     fn remove_splits_runs_and_reports_sub_runs() {
-        let mut s = RunSet::new();
+        let mut s = RunSet::default();
         s.insert_run(0, 10);
         let removed = s.remove_run(3, 4);
         assert_eq!(removed, vec![(3, 4)]);
@@ -346,12 +272,12 @@ mod tests {
         // Removal across a gap reports only present sub-runs, ascending.
         let removed = s.remove_run(0, 10);
         assert_eq!(removed, vec![(0, 3), (7, 3)]);
-        assert!(s.is_empty());
+        assert_eq!(s.len_pages(), 0);
     }
 
     #[test]
     fn span_at_classifies_membership_runs() {
-        let mut s = RunSet::new();
+        let mut s = RunSet::default();
         s.insert_run(4, 4); // members: 4..8
         assert_eq!(s.span_at(0, 16), (false, 4));
         assert_eq!(s.span_at(4, 16), (true, 8));
@@ -360,57 +286,88 @@ mod tests {
     }
 
     #[test]
-    fn count_in_clips_to_span() {
-        let mut s = RunSet::new();
-        s.insert_run(0, 4);
-        s.insert_run(8, 4);
-        assert_eq!(s.count_in(2, 8), 4); // 2,3 + 8,9
-        assert_eq!(s.count_in(4, 4), 0);
-        assert_eq!(s.count_in(0, 16), 8);
-    }
-
-    #[test]
     fn fifo_pops_pages_in_push_order() {
-        let mut f = RunFifo::new();
-        f.push_back_run(10, 3);
-        f.push_back_run(13, 2); // contiguous: merges, order unchanged
-        f.push_back_run(0, 1);
-        assert_eq!(f.run_count(), 2);
-        assert_eq!(f.len_pages(), 6);
-        let mut popped = Vec::new();
-        while let Some(p) = f.pop_front_page() {
-            popped.push(p);
-        }
-        assert_eq!(popped, vec![10, 11, 12, 13, 14, 0]);
+        let mut f = FifoRunSet::default();
+        f.insert(10, 3);
+        f.insert(13, 2); // continues the back run: merges, order unchanged
+        f.insert(0, 1);
+        f.insert(11, 3); // all present: keeps its place
+        assert_eq!(f.order.len(), 2);
+        f.insert(8, 10); // only the absent 8..10 and 15..18 enter, ascending
+        assert_eq!(f.len_pages(), 11);
+        let popped: Vec<u64> = (0..12).flat_map(|_| pages(&f.pop_oldest(1))).collect();
+        assert_eq!(popped, vec![10, 11, 12, 13, 14, 0, 8, 9, 15, 16, 17]);
+        assert_eq!(f, FifoRunSet::default());
     }
 
     #[test]
     fn fifo_bulk_pop_matches_single_pops() {
-        let mut a = RunFifo::new();
-        let mut b = RunFifo::new();
-        for f in [&mut a, &mut b] {
-            f.push_back_run(0, 4);
-            f.push_back_run(100, 4);
-        }
-        let runs = a.pop_front_pages(6);
-        let pages: Vec<u64> = runs
-            .iter()
-            .flat_map(|&(s, l)| (s..s + l).collect::<Vec<_>>())
-            .collect();
-        let single: Vec<u64> = (0..6).map(|_| b.pop_front_page().unwrap()).collect();
-        assert_eq!(pages, single);
-        assert_eq!(a.len_pages(), b.len_pages());
+        let mut a = FifoRunSet::default();
+        a.insert(0, 4);
+        a.insert(100, 4);
+        let mut b = a.clone();
+        let bulk = pages(&a.pop_oldest(6));
+        let single: Vec<u64> = (0..6).flat_map(|_| pages(&b.pop_oldest(1))).collect();
+        assert_eq!(bulk, single);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn fifo_remove_pages_preserves_relative_order() {
-        let mut f = RunFifo::new();
-        f.push_back_run(0, 8);
-        f.push_back_run(20, 4);
-        f.remove_pages(2, 4); // drop 2..6
-        let runs: Vec<(u64, u64)> = f.iter().collect();
-        assert_eq!(runs, vec![(0, 2), (6, 2), (20, 4)]);
+        let mut f = FifoRunSet::default();
+        f.insert(0, 8);
+        f.insert(20, 4);
+        f.remove(2, 4); // drop 2..6
+        assert_eq!(f.order, [(0, 2), (6, 2), (20, 4)]);
         assert_eq!(f.len_pages(), 8);
-        assert_eq!(f.pop_front_page(), Some(0));
+        assert_eq!(f.pop_oldest(1), vec![(0, 1)]);
+    }
+
+    proptest! {
+        /// The run set against a page-at-a-time model: a `VecDeque` for the
+        /// order, a `BTreeSet` for membership.
+        #[test]
+        fn fifo_run_set_matches_a_page_queue(
+            ops in proptest::collection::vec((0u8..3, 0u64..48, 0u64..12), 1..64),
+        ) {
+            let mut set = FifoRunSet::default();
+            let mut order: VecDeque<u64> = VecDeque::new();
+            let mut members: BTreeSet<u64> = BTreeSet::new();
+            for (op, a, b) in ops {
+                match op {
+                    0 => {
+                        set.insert(a, b);
+                        for p in a..a + b {
+                            if members.insert(p) {
+                                order.push_back(p);
+                            }
+                        }
+                    }
+                    1 => {
+                        let want: Vec<u64> = (0..b).map_while(|_| order.pop_front()).collect();
+                        for p in &want {
+                            members.remove(p);
+                        }
+                        prop_assert_eq!(pages(&set.pop_oldest(b)), want);
+                    }
+                    _ => {
+                        set.remove(a, b);
+                        order.retain(|p| !(a..a + b).contains(p));
+                        members.retain(|p| !(a..a + b).contains(p));
+                    }
+                }
+                let runs: Vec<(u64, u64)> = set.members.iter().collect();
+                prop_assert_eq!(pages(&runs), members.iter().copied().collect::<Vec<_>>());
+                let queued = set.order_runs();
+                prop_assert_eq!(pages(&queued), order.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!(set.len_pages(), members.len() as u64);
+                for w in runs.windows(2) {
+                    prop_assert!(w[0].0 + w[0].1 < w[1].0, "runs {:?} touch", w);
+                }
+                for w in queued.windows(2) {
+                    prop_assert!(w[0].0 + w[0].1 != w[1].0, "order runs {:?} not merged", w);
+                }
+            }
+        }
     }
 }

@@ -13,18 +13,18 @@
 //! then pop `max(0, occupancy + L - capacity)` pages off the front". That
 //! lets [`Tlb::access_range`] process whole page runs with eviction, hit,
 //! and miss counters bit-identical to a page-at-a-time loop, in O(runs)
-//! instead of O(pages). State is run-length encoded ([`RunSet`] membership +
-//! [`RunFifo`] insertion order), so a multi-GiB streaming sweep costs a few
-//! run operations rather than millions of hash updates.
+//! instead of O(pages). The entries are a [`FifoRunSet`], the same
+//! run-length FIFO set that holds the discrete GPU's VRAM residency, so a
+//! multi-GiB streaming sweep costs a few run operations rather than
+//! millions of hash updates.
 
-use crate::runs::{RunFifo, RunSet};
+use crate::runs::FifoRunSet;
 
 /// GPU translation lookaside buffer.
 #[derive(Debug)]
 pub struct Tlb {
-    capacity: usize,
-    present: RunSet,
-    fifo: RunFifo,
+    capacity: u64,
+    entries: FifoRunSet,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -35,28 +35,22 @@ impl Tlb {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB must have at least one entry");
         Tlb {
-            capacity,
-            present: RunSet::new(),
-            fifo: RunFifo::new(),
+            capacity: capacity as u64,
+            entries: FifoRunSet::default(),
             hits: 0,
             misses: 0,
             evictions: 0,
         }
     }
 
-    /// Number of translation entries the TLB can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.present.len_pages() as usize
+        self.entries.len_pages() as usize
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.present.is_empty()
+        self.entries.len_pages() == 0
     }
 
     /// TLB hits so far.
@@ -95,13 +89,19 @@ impl Tlb {
             // Evictions from a previous miss-run in this same range can
             // remove pages ahead of `pos`, so classification must be
             // incremental rather than precomputed.
-            let (present, run_end) = self.present.span_at(pos, end);
+            let (present, run_end) = self.entries.span_at(pos, end);
             let run_len = run_end - pos;
             if present {
                 hits += run_len;
             } else {
                 misses += run_len;
-                self.install_run(pos, run_len);
+                // Each insert at full occupancy first pops the oldest page,
+                // so `run_len` inserts evict the overflow — possibly the
+                // run's own earliest pages when `run_len > capacity`.
+                self.entries.insert(pos, run_len);
+                let overflow = self.entries.len_pages().saturating_sub(self.capacity);
+                self.entries.pop_oldest(overflow);
+                self.evictions += overflow;
             }
             pos = run_end;
         }
@@ -110,52 +110,10 @@ impl Tlb {
         (hits, misses)
     }
 
-    /// Install a run of pages known to be absent, evicting from the FIFO
-    /// front exactly as a page-at-a-time insert loop would: each insert at
-    /// full occupancy first pops the oldest page. Net effect of `len`
-    /// inserts: `max(0, occupancy + len - capacity)` evictions — possibly
-    /// including the run's own earliest pages when `len > capacity`.
-    fn install_run(&mut self, start: u64, len: u64) {
-        let occupancy = self.fifo.len_pages();
-        self.fifo.push_back_run(start, len);
-        self.present.insert_run(start, len);
-        let overflow = (occupancy + len).saturating_sub(self.capacity as u64);
-        if overflow > 0 {
-            for (s, l) in self.fifo.pop_front_pages(overflow) {
-                self.present.remove_run(s, l);
-                self.evictions += l;
-            }
-        }
-    }
-
-    /// Drop an entry (page unmapped from the GPU page table).
-    pub fn invalidate(&mut self, vpage: u64) {
-        self.invalidate_range(vpage, 1);
-    }
-
-    /// Drop every entry in `[start, start + len)` (bulk shootdown after a
-    /// range unmap).
+    /// Drop every entry in `[start, start + len)` (shootdown after an
+    /// unmap).
     pub fn invalidate_range(&mut self, start: u64, len: u64) {
-        let removed = self.present.remove_run(start, len);
-        if !removed.is_empty() {
-            self.fifo.remove_pages(start, len);
-        }
-    }
-
-    /// Drop everything (full shootdown).
-    pub fn flush(&mut self) {
-        self.present.clear();
-        self.fifo.clear();
-    }
-
-    /// Fraction of accesses that missed.
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
+        self.entries.remove(start, len);
     }
 }
 
@@ -191,8 +149,7 @@ mod tests {
                 t.access(p);
             }
         }
-        assert_eq!(t.hits(), 0);
-        assert!((t.miss_rate() - 1.0).abs() < 1e-12);
+        assert_eq!((t.hits(), t.misses()), (0, 48));
     }
 
     #[test]
@@ -212,10 +169,10 @@ mod tests {
         let mut t = Tlb::new(4);
         t.access(1);
         t.access(2);
-        t.invalidate(1);
+        t.invalidate_range(1, 1);
         assert_eq!(t.len(), 1);
         assert!(!t.access(1));
-        t.flush();
+        t.invalidate_range(0, u64::MAX); // full shootdown
         assert!(t.is_empty());
     }
 
@@ -246,13 +203,8 @@ mod tests {
         assert_eq!(bulk.hits(), seq.hits(), "hits");
         assert_eq!(bulk.misses(), seq.misses(), "misses");
         assert_eq!(bulk.evictions(), seq.evictions(), "evictions");
-        assert_eq!(bulk.len(), seq.len(), "occupancy");
-        // Same survivors: every page present in one must be in the other.
-        for (s, l) in bulk.present.iter() {
-            for p in s..s + l {
-                assert!(seq.access(p), "page {p} present in bulk only");
-            }
-        }
+        // Same survivors in the same replacement order.
+        assert_eq!(bulk.entries, seq.entries, "entries");
     }
 
     #[test]
@@ -300,15 +252,15 @@ mod tests {
         }
         a.invalidate_range(2, 3);
         for p in 2..5 {
-            b.invalidate(p);
+            b.invalidate_range(p, 1);
         }
-        assert_eq!(a.len(), b.len());
+        assert_eq!(a.entries, b.entries);
         // Eviction order afterwards must also agree.
         a.access_range(100, 6);
         for p in 100..106 {
             b.access(p);
         }
         assert_eq!(a.evictions(), b.evictions());
-        assert_eq!(a.len(), b.len());
+        assert_eq!(a.entries, b.entries);
     }
 }

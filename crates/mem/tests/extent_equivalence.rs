@@ -5,9 +5,9 @@
 //! `ApuMemory` instances — one on the extent paths, one forced page-wise via
 //! `set_pagewise(true)` — and every observable is compared after every
 //! operation: `MemStats`, `GpuAccessOutcome`/`PrefaultOutcome` counters and
-//! virtual-time charges, TLB hit/miss/eviction counts, page-table entry and
-//! lifetime insert/remove counters, unified-memory residency, and error
-//! values. Scenarios cover the APU, a capacity-starved TLB (so bulk runs
+//! virtual-time charges, TLB hit/miss/eviction counts, page-table entry,
+//! extent and lifetime insert/remove counters, unified-memory residency, and
+//! error values. Scenarios cover the APU, a capacity-starved TLB (so bulk runs
 //! overflow and evict their own head), and a discrete GPU with VRAM
 //! oversubscription (so eviction interleaves with migration mid-range).
 
@@ -82,6 +82,16 @@ fn assert_states_agree(fast: &ApuMemory, slow: &ApuMemory, step: usize) {
         fast.gpu_pt().len(),
         slow.gpu_pt().len(),
         "step {step}: gpu pages"
+    );
+    assert_eq!(
+        fast.cpu_pt().extent_count(),
+        slow.cpu_pt().extent_count(),
+        "step {step}: cpu extents"
+    );
+    assert_eq!(
+        fast.gpu_pt().extent_count(),
+        slow.gpu_pt().extent_count(),
+        "step {step}: gpu extents"
     );
     assert_eq!(
         fast.cpu_pt().inserts(),

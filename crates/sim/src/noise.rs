@@ -8,7 +8,8 @@
 //! *seeded* jitter: same seed, same "measurement".
 //!
 //! The generator is an embedded SplitMix64 so this crate stays
-//! dependency-free; workload-level randomness uses the `rand` crate.
+//! dependency-free; fault plans and the random programs of the
+//! cross-config equivalence test draw from it too.
 
 /// SplitMix64: tiny, high-quality, deterministic PRNG.
 #[derive(Debug, Clone)]

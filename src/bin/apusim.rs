@@ -71,10 +71,10 @@
 //! `cache gc` bounds an offline cache directory by evicting
 //! least-recently-used entries.
 //!
-//! A malformed or missing option value, or an unknown option, exits 2 with
-//! one line naming it and the usage text. A runtime error exits 1 with one
-//! line, `apusim: <path>: <error>` when it concerns a file or socket and
-//! `apusim: <verb>: <error>` otherwise.
+//! A missing command or operand, a malformed or missing option value, or an
+//! unknown option exits 2 with one line naming it and the usage text. A
+//! runtime error exits 1 with one line, `apusim: <path>: <error>` when it
+//! concerns a file or socket and `apusim: <verb>: <error>` otherwise.
 
 use mi300a_zerocopy::analysis::paper::{qmc_sweep, PaperConfig};
 use mi300a_zerocopy::analysis::timeline::merged_chrome_trace;
@@ -91,17 +91,13 @@ use mi300a_zerocopy::workloads::{
     MiniCg, NioSize, OpenFoamMini, QmcPack, Stream, Workload,
 };
 
-fn usage() -> ! {
+/// Exit 2 with a one-line diagnostic and the usage text.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("apusim: {msg}");
     eprintln!(
         "usage:\n  apusim list\n  apusim costs\n  apusim sweep [--sizes 2,8,32] [--threads 1,4,8] [--steps N] [--jobs N]\n  apusim env [--no-apu] [--no-xnack] [--apu-maps] [--eager] [--usm]\n  apusim run <workload> [--config copy|usm|izc|eager] [--threads N] [--scale F] [--steps N] [--discrete] [--mem-report] [--trace FILE [--trace-format chrome|jsonl]] [--capture FILE.mapir]\n  apusim replay FILE.mapir... [--config copy|usm|izc|eager] [--elide off|online|plan|opt] [--jobs N] [--cache DIR|off] [--trace FILE [--trace-format chrome|jsonl]]\n  apusim optimize IN.mapir [-o OUT.mapir] [--report]\n  apusim check [--json] [NAME]\n  apusim serve [--socket PATH | --tcp ADDR] [--jobs N] [--cache DIR|off] [--cache-max-bytes SIZE] [--max-inflight N] [--timeout-ms N]\n  apusim request [--socket PATH | --tcp ADDR] [FILE.mapir...] [--config C] [--elide K] [--telemetry K] [--fault SEED] [--preset P] [--ping] [--stats] [--metrics] [--gc] [--shutdown]\n  apusim cache gc [--cache DIR] [--max-bytes SIZE] [--dry-run]"
     );
     std::process::exit(2);
-}
-
-/// Exit 2 with a one-line diagnostic and the usage text.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("apusim: {msg}");
-    usage()
 }
 
 fn unknown_argument(arg: &str) -> ! {
@@ -369,7 +365,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(name) = args.first() else { usage() };
+    let Some(name) = args.first() else {
+        usage_error("run requires a workload name")
+    };
     let mut config = RuntimeConfig::ImplicitZeroCopy;
     let mut threads = 1usize;
     let mut scale = 0.1f64;
@@ -397,8 +395,7 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let Some(w) = make_workload(name, scale, steps) else {
-        eprintln!("unknown workload '{name}' (try `apusim list`)");
-        std::process::exit(2);
+        usage_error(&format!("unknown workload '{name}' (try `apusim list`)"))
     };
     let kind = if discrete {
         SystemKind::Discrete(DiscreteSpec::mi200_class())
@@ -481,7 +478,7 @@ fn cmd_replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     if paths.is_empty() {
-        usage()
+        usage_error("replay requires a capture file")
     }
     // More than one capture, or an explicit --jobs/--cache, routes through
     // the batch driver; a plain single-file replay keeps the detailed
@@ -594,7 +591,9 @@ fn cmd_optimize(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             _ => unknown_argument(a),
         }
     }
-    let Some(input) = input else { usage() };
+    let Some(input) = input else {
+        usage_error("optimize requires a capture file")
+    };
     let ir = read_capture(&input)?;
     let opt = match mi300a_zerocopy::mapcheck::optimize(&ir) {
         Ok(opt) => opt,
@@ -800,7 +799,7 @@ fn cmd_request(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     if paths.is_empty() && !(ping || stats || metrics || gc || shutdown) {
-        usage();
+        usage_error("request has nothing to send (give FILE.mapir or a probe flag)");
     }
     let mut client = match &tcp {
         Some(addr) => batch::Client::connect_tcp(addr).map_err(at(addr))?,
@@ -861,7 +860,7 @@ fn cmd_request(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_cache(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if args.first().map(String::as_str) != Some("gc") {
-        usage();
+        usage_error("cache requires the subcommand gc");
     }
     let mut cache = batch::CacheMode::default_dir(std::path::Path::new("."));
     let mut max_bytes: u64 = 256 << 20;
@@ -885,7 +884,9 @@ fn cmd_cache(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(verb) = args.first() else { usage() };
+    let Some(verb) = args.first() else {
+        usage_error("missing command")
+    };
     let rest = &args[1..];
     let outcome = match verb.as_str() {
         "list" => return cmd_list(),

@@ -115,3 +115,29 @@ fn a_malformed_option_value_exits_2_naming_the_flag_and_the_value() {
     assert_eq!(lines.next(), Some("usage:"), "{stderr}");
     assert!(out.stdout.is_empty(), "{out:?}");
 }
+
+#[test]
+fn a_missing_operand_exits_2_naming_what_is_missing() {
+    let cases: [&[&str]; 7] = [
+        &[],
+        &["run"],
+        &["replay"],
+        &["optimize"],
+        &["request"],
+        &["cache"],
+        &["run", "bogus"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_apusim"))
+            .args(args)
+            .output()
+            .expect("spawn apusim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+        let mut lines = stderr.lines();
+        let first = lines.next().unwrap_or_default();
+        assert!(first.starts_with("apusim: "), "{args:?}: {stderr}");
+        assert_eq!(lines.next(), Some("usage:"), "{args:?}: {stderr}");
+    }
+}

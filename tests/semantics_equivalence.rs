@@ -5,9 +5,8 @@
 use mi300a_zerocopy::hsa::Topology;
 use mi300a_zerocopy::mem::{AddrRange, CostModel, VirtAddr};
 use mi300a_zerocopy::omp::{MapEntry, OmpRuntime, RuntimeConfig, TargetRegion};
-use mi300a_zerocopy::sim::VirtDuration;
+use mi300a_zerocopy::sim::{SplitMix64, VirtDuration};
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
 
 /// A small random offload program description.
 #[derive(Debug, Clone)]
@@ -40,12 +39,12 @@ fn execute(p: &Program, config: RuntimeConfig, seed: u64) -> Vec<Vec<f64>> {
         .build()
         .unwrap();
     let bytes = (p.len * 8) as u64;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed ^ 0x9e37_79b9_7f4a_7c15);
     let bufs: Vec<VirtAddr> = (0..p.buffers)
         .map(|_| rt.host_alloc(0, bytes).unwrap())
         .collect();
     for &b in &bufs {
-        let init: Vec<f64> = (0..p.len).map(|_| rng.gen_range(-8.0..8.0)).collect();
+        let init: Vec<f64> = (0..p.len).map(|_| -8.0 + 16.0 * rng.next_f64()).collect();
         write_f64s(&mut rt, b, &init);
     }
 
@@ -114,7 +113,7 @@ fn execute_two_threads(p: &Program, config: RuntimeConfig, seed: u64) -> Vec<Vec
         .build()
         .unwrap();
     let bytes = (p.len * 8) as u64;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed ^ 0x9e37_79b9_7f4a_7c15);
     // Two disjoint universes, one per thread.
     let bufs: Vec<Vec<VirtAddr>> = (0..2)
         .map(|t| {
@@ -125,7 +124,7 @@ fn execute_two_threads(p: &Program, config: RuntimeConfig, seed: u64) -> Vec<Vec
         .collect();
     for universe in &bufs {
         for &b in universe {
-            let init: Vec<f64> = (0..p.len).map(|_| rng.gen_range(-8.0..8.0)).collect();
+            let init: Vec<f64> = (0..p.len).map(|_| -8.0 + 16.0 * rng.next_f64()).collect();
             write_f64s(&mut rt, b, &init);
         }
     }
