@@ -8,7 +8,8 @@
 use apu_mem::CostModel;
 use hsa_rocr::Topology;
 use omp_mapcheck::{capture_run, check, corpus};
-use omp_offload::{DiagCode, Diagnostic, OmpRuntime};
+use omp_offload::telemetry::EventKind;
+use omp_offload::{DiagCode, Diagnostic, OmpRuntime, RuntimeConfig, TelemetryMode};
 
 /// Static pass: capture the program (capture mode never faults — directives
 /// are recorded, not executed) and abstractly interpret the MapIR under the
@@ -29,6 +30,48 @@ fn dynamic_diags(p: &corpus::GoldenProgram) -> Vec<Diagnostic> {
         .expect("build sanitized runtime");
     let _ = (p.run)(&mut rt);
     rt.sanitizer_finalize().to_vec()
+}
+
+/// Every verdict the sanitizer reaches is one `Sanitizer` event on the
+/// telemetry stream: in `seq` order the stream's codes are the report's
+/// diagnostics in detection order, under every configuration.
+#[test]
+fn sanitizer_events_are_the_reported_diagnostics_in_order() {
+    let mut verdicts = 0;
+    for p in corpus::all() {
+        for config in RuntimeConfig::ALL {
+            let mut rt = OmpRuntime::builder(CostModel::mi300a_no_thp(), Topology::default())
+                .config(config)
+                .sanitize(true)
+                .telemetry(TelemetryMode::ring())
+                .build()
+                .expect("build sanitized runtime");
+            let _ = (p.run)(&mut rt);
+            let report = rt.finish();
+            let telemetry = report.telemetry.expect("ring was on");
+            assert_eq!(telemetry.dropped_events, 0);
+            let mut events: Vec<(u64, DiagCode)> = telemetry
+                .events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::Sanitizer { code } => Some((e.seq, code)),
+                    _ => None,
+                })
+                .collect();
+            events.sort_by_key(|&(seq, _)| seq);
+            let streamed: Vec<DiagCode> = events.into_iter().map(|(_, code)| code).collect();
+            let found: Vec<DiagCode> = report
+                .sanitizer
+                .expect("sanitizer was on")
+                .diagnostics
+                .iter()
+                .map(|d| d.code)
+                .collect();
+            assert_eq!(streamed, found, "{} under {}", p.name, config.label());
+            verdicts += found.len();
+        }
+    }
+    assert!(verdicts > 0, "the corpus yielded no verdict");
 }
 
 fn codes(diags: &[Diagnostic]) -> Vec<DiagCode> {

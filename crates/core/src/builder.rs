@@ -271,7 +271,7 @@ impl RuntimeBuilder {
             (lo, lo + crate::tenant::TENANT_VA_STRIDE)
         });
 
-        let mut hsa = HsaRuntime::with_options(self.cost, self.topo, kind, mem_options);
+        let mut hsa = HsaRuntime::new(self.cost, self.topo, kind, mem_options);
         hsa.device_init(0)?;
         for t in 1..self.threads {
             hsa.thread_init(t)?;

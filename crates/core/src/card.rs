@@ -19,7 +19,7 @@ use crate::error::OmpError;
 use crate::runtime::{OmpRuntime, RunReport};
 use apu_mem::{CostModel, VirtAddr};
 use hsa_rocr::Topology;
-use sim_des::{RunOptions, VirtDuration};
+use sim_des::VirtDuration;
 
 /// Inter-socket fabric parameters.
 #[derive(Debug, Clone, Copy)]
@@ -138,16 +138,7 @@ impl CardRuntime {
 
     /// Finish all ranks; the card's makespan is the slowest socket.
     pub fn finish(self) -> CardReport {
-        self.finish_with(&RunOptions::noiseless())
-    }
-
-    /// Finish with explicit scheduling options.
-    pub fn finish_with(self, opts: &RunOptions) -> CardReport {
-        let reports: Vec<RunReport> = self
-            .sockets
-            .into_iter()
-            .map(|s| s.finish_with(opts))
-            .collect();
+        let reports: Vec<RunReport> = self.sockets.into_iter().map(OmpRuntime::finish).collect();
         let makespan = reports
             .iter()
             .map(|r| r.makespan)

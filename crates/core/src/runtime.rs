@@ -20,7 +20,7 @@ use crate::table::{MapLookupCache, MappingTable};
 use crate::telemetry::{ElideProbe, EventKind, Recorder, TelemetryReport};
 use crate::trace::{OverheadLedger, RecoveryAction, RecoveryEvent};
 use apu_mem::{AddrRange, ApuMemory, CostModel, MemError, MemStats, VirtAddr, XnackMode};
-use hsa_rocr::{ApiStats, HsaRunResult, HsaRuntime, Topology};
+use hsa_rocr::{ApiStats, HsaRuntime, Topology};
 use sim_des::{AsyncToken, Backoff, FaultStats, RunOptions, Schedule, VirtDuration};
 use std::sync::Arc;
 
@@ -104,8 +104,6 @@ pub struct OmpRuntime {
     /// The ledger and, telemetry on, the event ring: every charge and
     /// every event goes through its one mutator.
     recorder: Recorder,
-    /// Sanitizer diagnostics already recorded as `Sanitizer` events.
-    san_seen: usize,
 }
 
 impl OmpRuntime {
@@ -143,7 +141,6 @@ impl OmpRuntime {
             elide: instr.elide,
             op_counter: 0,
             recorder: Recorder::new(instr.telemetry),
-            san_seen: 0,
         };
         if instr.metrics.is_on() {
             rt.mapping.enable_metrics();
@@ -169,11 +166,6 @@ impl OmpRuntime {
         self.degraded_from
     }
 
-    /// What the attached fault plan injected so far.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.hsa.fault_stats()
-    }
-
     /// Host-thread count.
     pub fn threads(&self) -> usize {
         self.threads
@@ -183,12 +175,6 @@ impl OmpRuntime {
     /// (diagnostics: the leak check after a program's teardown).
     pub fn live_mappings(&self) -> usize {
         self.live_snapshot().len()
-    }
-
-    /// `(hits, misses)` observed by this runtime's extent-keyed presence
-    /// lookup cache (the online-elision hot path).
-    pub fn mapping_cache_stats(&self) -> (u64, u64) {
-        self.lookup.stats()
     }
 
     /// Telemetry events evicted by ring overflow so far (0 when off). While
@@ -271,10 +257,7 @@ impl OmpRuntime {
     /// data traffic is visible to the checking passes.
     pub fn host_write(&mut self, thread: usize, range: AddrRange) -> Result<(), OmpError> {
         self.record(thread, MapOp::HostWrite { range });
-        if let Some(s) = &mut self.sanitizer {
-            s.on_host_write(thread as u32, range);
-        }
-        self.sync_sanitizer_events(thread);
+        self.sanitize(thread, |s| s.on_host_write(thread as u32, range));
         self.hsa.mem_mut().host_touch(range)?;
         Ok(())
     }
@@ -284,10 +267,7 @@ impl OmpRuntime {
     /// is recorded in capture mode.
     pub fn host_read(&mut self, thread: usize, range: AddrRange) {
         self.record(thread, MapOp::HostRead { range });
-        if let Some(s) = &mut self.sanitizer {
-            s.on_host_read(thread as u32, range);
-        }
-        self.sync_sanitizer_events(thread);
+        self.sanitize(thread, |s| s.on_host_read(thread as u32, range));
     }
 
     /// Host-side compute on `thread` (advances its virtual clock).
@@ -299,41 +279,33 @@ impl OmpRuntime {
     /// pointer usable in target regions via
     /// [`TargetRegion::access`](crate::TargetRegion::access) (it is
     /// GPU-translated in every configuration — pool memory is bulk-faulted
-    /// at allocation).
+    /// at allocation). The allocation charges its pool block, the
+    /// allocated pages, as its site.
     pub fn omp_target_alloc(&mut self, thread: usize, len: u64) -> Result<VirtAddr, OmpError> {
-        let a0 = self.anchor(thread);
-        let d = self.pool_allocate_recovered(thread, len)?;
-        let pages = self.mem().page_size().pages_covering(d, len);
-        let cost = self.mem().cost().pool_alloc_cost(pages);
-        self.charge(
-            thread,
-            a0,
-            EventKind::PoolAlloc {
-                range: AddrRange::new(d, len),
-                cost,
-            },
-        );
-        self.record(
-            thread,
-            MapOp::PoolAlloc {
-                range: AddrRange::new(d, len),
-            },
-        );
-        if let Some(s) = &mut self.sanitizer {
-            s.on_pool_alloc(AddrRange::new(d, len));
-        }
-        self.sync_sanitizer_events(thread);
+        let d = self.pool_alloc(thread, len, None)?;
+        let range = AddrRange::new(d, len);
+        self.record(thread, MapOp::PoolAlloc { range });
+        self.sanitize(thread, |s| s.on_pool_alloc(range));
         Ok(d)
     }
 
-    /// `omp_target_free`.
+    /// `omp_target_free`: charges the free to the same pool block
+    /// [`omp_target_alloc`](Self::omp_target_alloc) charged its allocation
+    /// to.
     pub fn omp_target_free(&mut self, thread: usize, addr: VirtAddr) -> Result<(), OmpError> {
         self.record(thread, MapOp::PoolFree { addr });
-        if let Some(s) = &mut self.sanitizer {
-            s.on_pool_free(addr);
-        }
-        self.sync_sanitizer_events(thread);
-        self.hsa.pool_free(thread, addr)?;
+        self.sanitize(thread, |s| s.on_pool_free(addr));
+        let a0 = self.anchor(thread);
+        let out = self.hsa.pool_free(thread, addr)?;
+        let block = AddrRange::new(addr, out.pages * self.mem().page_size().bytes());
+        self.charge(
+            thread,
+            a0,
+            EventKind::PoolFree {
+                range: block,
+                cost: out.cost,
+            },
+        );
         Ok(())
     }
 
@@ -358,19 +330,7 @@ impl OmpRuntime {
     pub fn declare_target_global(&mut self, thread: usize, len: u64) -> Result<GlobalId, OmpError> {
         let host = self.hsa.host_alloc(thread, len)?;
         let device = if self.config.globals_as_copy() {
-            let a0 = self.anchor(thread);
-            let d = self.pool_allocate_recovered(thread, len)?;
-            let pages = self.mem().page_size().pages_covering(d, len);
-            let cost = self.mem().cost().pool_alloc_cost(pages);
-            self.charge(
-                thread,
-                a0,
-                EventKind::PoolAlloc {
-                    range: AddrRange::new(host, len),
-                    cost,
-                },
-            );
-            Some(d)
+            Some(self.pool_alloc(thread, len, Some(AddrRange::new(host, len)))?)
         } else {
             None
         };
@@ -475,10 +435,7 @@ impl OmpRuntime {
                     .iter()
                     .map(|r| (*r, self.mapping.presence(r)))
                     .collect();
-                if let Some(s) = &mut self.sanitizer {
-                    s.on_update(thread as u32, &tov, &fromv);
-                }
-                self.sync_sanitizer_events(thread);
+                self.sanitize(thread, |s| s.on_update(thread as u32, &tov, &fromv));
             }
             for r in to {
                 let dev = self.require_translation(r)?;
@@ -555,10 +512,7 @@ impl OmpRuntime {
         for e in &maps {
             self.begin_map(thread, e)?;
         }
-        if let Some(s) = &mut self.sanitizer {
-            s.on_kernel(thread as u32, &maps, &raw_accesses);
-        }
-        self.sync_sanitizer_events(thread);
+        self.sanitize(thread, |s| s.on_kernel(thread as u32, &maps, &raw_accesses));
 
         // Globals: Copy-style handling issues a system-to-system transfer
         // per target (map(always, to) semantics); USM indirects.
@@ -593,13 +547,7 @@ impl OmpRuntime {
         let a0 = self.anchor(thread);
         let xnack = self.xnack;
         let (out, token) = self.with_retry(thread, RecoveryAction::RetriedDispatch, |hsa| {
-            if nowait {
-                hsa.dispatch_kernel_nowait(thread, compute, &access, xnack)
-                    .map(|(out, token)| (out, Some(token)))
-            } else {
-                hsa.dispatch_kernel(thread, compute, &access, xnack)
-                    .map(|out| (out, None))
-            }
+            hsa.dispatch_kernel(thread, compute, &access, xnack, nowait)
         })?;
         let cost = self.mem().cost();
         let fault_stall = cost.fault_stall(out.replayed_pages, out.zero_filled_pages);
@@ -665,12 +613,6 @@ impl OmpRuntime {
         self.pending_nowait.iter().map(Vec::len).sum()
     }
 
-    /// True when this runtime records MapIR instead of executing the data
-    /// environment (built with [`RuntimeBuilder::capture`](crate::RuntimeBuilder::capture)).
-    pub fn is_capturing(&self) -> bool {
-        self.capture.is_some()
-    }
-
     /// Take the MapIR captured so far (capture mode only; `None` otherwise
     /// or when already taken).
     pub fn take_mapir(&mut self) -> Option<MapIr> {
@@ -691,10 +633,7 @@ impl OmpRuntime {
     pub fn sanitizer_finalize(&mut self) -> &[Diagnostic] {
         if self.sanitizer.is_some() {
             let live = self.live_snapshot();
-            if let Some(s) = &mut self.sanitizer {
-                s.end_of_program(&live);
-            }
-            self.sync_sanitizer_events(0);
+            self.sanitize(0, |s| s.end_of_program(&live));
         }
         self.sanitizer_diagnostics()
     }
@@ -756,19 +695,17 @@ impl OmpRuntime {
         self.charge(thread, self.anchor(thread), EventKind::Recovery { event });
     }
 
-    /// Record sanitizer diagnostics found since the last sync as verdict
-    /// events (instantaneous at `thread`'s cursor). Called after every
-    /// sanitizer hook site.
-    fn sync_sanitizer_events(&mut self, thread: usize) {
-        let Some(s) = &self.sanitizer else { return };
-        let diags = s.diagnostics();
-        if diags.len() > self.san_seen {
-            let a = self.anchor(thread);
-            for d in &diags[self.san_seen..] {
-                self.recorder
-                    .record(thread as u32, a, a, EventKind::Sanitizer { code: d.code });
-            }
-            self.san_seen = diags.len();
+    /// Run one sanitizer hook (sanitizer on) and record each diagnostic it
+    /// found as a verdict event, instantaneous at `thread`'s cursor. Every
+    /// hook runs through here.
+    fn sanitize(&mut self, thread: usize, hook: impl FnOnce(&mut MapSanitizer)) {
+        let a = self.anchor(thread);
+        let Some(s) = &mut self.sanitizer else { return };
+        let seen = s.diagnostics().len();
+        hook(s);
+        for d in &s.diagnostics()[seen..] {
+            self.recorder
+                .record(thread as u32, a, a, EventKind::Sanitizer { code: d.code });
         }
     }
 
@@ -855,59 +792,42 @@ impl OmpRuntime {
 
     /// Finish the run: resolve the schedule and collect all statistics.
     pub fn finish(self) -> RunReport {
-        self.finish_with(&RunOptions::noiseless())
+        self.finish_replicated(&RunOptions::noiseless(), &[0]).0
     }
 
-    /// Finish once per seed: the recorded program is scheduled repeatedly
-    /// under different noise seeds (the paper's N-runs methodology).
-    /// Returns the full report for the first seed plus every makespan.
+    /// Finish once per seed: run the end-of-program sanitizer scan, collect
+    /// the counters, and schedule the recorded program under each noise
+    /// seed (the paper's N-runs methodology). Returns the full report for
+    /// the first seed plus every makespan, in seed order.
     pub fn finish_replicated(
-        self,
+        mut self,
         opts: &RunOptions,
         seeds: &[u64],
     ) -> (RunReport, Vec<VirtDuration>) {
-        self.finish_by(|hsa| {
-            let results = hsa.finish_many(opts, seeds);
-            let makespans = results.iter().map(|r| r.makespan()).collect();
-            let first = results.into_iter().next().expect("at least one seed");
-            (first, makespans)
-        })
-    }
-
-    /// Finish with explicit scheduling options (noise model, seed).
-    pub fn finish_with(self, opts: &RunOptions) -> RunReport {
-        self.finish_by(|hsa| (hsa.finish(opts), ())).0
-    }
-
-    /// The one body behind both finishes: run the end-of-program sanitizer
-    /// scan, collect the counters, and let `resolve` schedule the recorded
-    /// streams (the report takes its schedule from the result it returns).
-    fn finish_by<T>(
-        mut self,
-        resolve: impl FnOnce(HsaRuntime) -> (HsaRunResult, T),
-    ) -> (RunReport, T) {
         self.sanitizer_finalize();
         let sanitizer = self.sanitizer.take().map(MapSanitizer::into_report);
         let mem_stats = self.hsa.mem().stats();
         let fault_stats = self.hsa.fault_stats();
         let mapping_cache = self.lookup.stats();
         let (ledger, telemetry) = self.recorder.into_report();
-        let (result, extra) = resolve(self.hsa);
+        let schedules = self.hsa.finish(opts, seeds);
+        let makespans = schedules.iter().map(Schedule::makespan).collect();
+        let schedule = schedules.into_iter().next().expect("one schedule per seed");
         let report = RunReport {
             config: self.config,
             threads: self.threads,
-            makespan: result.makespan(),
-            api_stats: result.api_stats,
+            makespan: schedule.makespan(),
+            api_stats: ApiStats::from_schedule(&schedule),
             ledger,
             mem_stats,
-            schedule: result.schedule,
+            schedule,
             fault_stats,
             degraded_from: self.degraded_from,
             sanitizer,
             telemetry,
             mapping_cache,
         };
-        (report, extra)
+        (report, makespans)
     }
 
     // ---- internals ----
@@ -927,10 +847,9 @@ impl OmpRuntime {
         with_handler: bool,
     ) -> Result<(), OmpError> {
         let a0 = self.anchor(thread);
-        self.with_retry(thread, RecoveryAction::RetriedCopy, |hsa| {
+        let cost = self.with_retry(thread, RecoveryAction::RetriedCopy, |hsa| {
             hsa.async_copy(thread, src, dst, len, with_handler)
         })?;
-        let cost = self.mem().transfer_duration(src, dst, len);
         // Attribute the copy to its host-side extent: the destination for
         // device-to-host transfers, the source otherwise.
         let range = if with_handler {
@@ -953,7 +872,12 @@ impl OmpRuntime {
 
     /// Run one HSA call under the recovery policy: injected transient
     /// failures back off and retry until the attempt budget runs out, and a
-    /// call that succeeds after retries is logged as `action`.
+    /// call that succeeds after retries is logged as `action`. Real VRAM
+    /// exhaustion, which only pool allocations report, is relieved by
+    /// evicting resident unified-memory pages (discrete systems), then
+    /// retried; when eviction frees nothing the original out-of-memory
+    /// error propagates, so the policy never spins on a hopeless
+    /// allocation.
     fn with_retry<T>(
         &mut self,
         thread: usize,
@@ -961,60 +885,21 @@ impl OmpRuntime {
         mut call: impl FnMut(&mut HsaRuntime) -> Result<T, MemError>,
     ) -> Result<T, OmpError> {
         let mut attempt: u32 = 0;
+        let mut evicted_total: u64 = 0;
         loop {
             match call(&mut self.hsa) {
                 Ok(v) => {
-                    if attempt > 0 {
-                        self.charge_recovery(thread, attempt + 1, action);
-                    }
-                    return Ok(v);
-                }
-                Err(MemError::Injected { kind }) => {
-                    attempt += 1;
-                    if attempt >= MAX_ATTEMPTS {
-                        return Err(OmpError::RecoveryExhausted {
-                            kind,
-                            attempts: attempt,
-                        });
-                    }
-                    self.charge_backoff(thread, attempt);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Virtual-time retry delay between attempts, charged to the issuing
-    /// thread and the recovery ledger.
-    fn charge_backoff(&mut self, thread: usize, attempt: u32) {
-        let a0 = self.anchor(thread);
-        let d = BACKOFF.delay(attempt);
-        self.hsa.recovery_wait(thread, d);
-        self.charge(thread, a0, EventKind::Backoff { attempt, delay: d });
-    }
-
-    /// Pool allocation under the recovery policy: injected transient
-    /// failures back off and retry; real VRAM exhaustion on discrete systems
-    /// is relieved by evicting resident unified-memory pages, then retried.
-    /// When eviction frees nothing the original out-of-memory error
-    /// propagates — the policy never spins on a hopeless allocation.
-    fn pool_allocate_recovered(&mut self, thread: usize, len: u64) -> Result<VirtAddr, OmpError> {
-        let mut attempt: u32 = 0;
-        let mut evicted_total: u64 = 0;
-        loop {
-            match self.hsa.pool_allocate(thread, len) {
-                Ok(addr) => {
                     if attempt > 0 {
                         let action = if evicted_total > 0 {
                             RecoveryAction::EvictedThenRetriedAlloc {
                                 pages: evicted_total,
                             }
                         } else {
-                            RecoveryAction::RetriedAlloc
+                            action
                         };
                         self.charge_recovery(thread, attempt + 1, action);
                     }
-                    return Ok(addr);
+                    return Ok(v);
                 }
                 Err(MemError::Injected { kind }) => {
                     attempt += 1;
@@ -1053,6 +938,42 @@ impl OmpRuntime {
                 Err(e) => return Err(e.into()),
             }
         }
+    }
+
+    /// Virtual-time retry delay between attempts, charged to the issuing
+    /// thread and the recovery ledger.
+    fn charge_backoff(&mut self, thread: usize, attempt: u32) {
+        let a0 = self.anchor(thread);
+        let d = BACKOFF.delay(attempt);
+        self.hsa.recovery_wait(thread, d);
+        self.charge(thread, a0, EventKind::Backoff { attempt, delay: d });
+    }
+
+    /// Pool-allocate `len` bytes under the recovery policy and charge the
+    /// cost the allocation returned to `site`, the host extent it serves;
+    /// `None` charges the allocated block itself.
+    fn pool_alloc(
+        &mut self,
+        thread: usize,
+        len: u64,
+        site: Option<AddrRange>,
+    ) -> Result<VirtAddr, OmpError> {
+        let a0 = self.anchor(thread);
+        let out = self.with_retry(thread, RecoveryAction::RetriedAlloc, |hsa| {
+            hsa.pool_allocate(thread, len)
+        })?;
+        let range = site.unwrap_or_else(|| {
+            AddrRange::new(out.addr, out.pages * self.mem().page_size().bytes())
+        });
+        self.charge(
+            thread,
+            a0,
+            EventKind::PoolAlloc {
+                range,
+                cost: out.cost,
+            },
+        );
+        Ok(out.addr)
     }
 
     /// Pre-dispatch fault handling: consume a scheduled mid-run XNACK loss,
@@ -1101,10 +1022,7 @@ impl OmpRuntime {
             },
         );
         let presence = self.mapping.presence(&e.range);
-        if let Some(s) = &mut self.sanitizer {
-            s.on_map_enter(thread as u32, e, presence);
-        }
-        self.sync_sanitizer_events(thread);
+        self.sanitize(thread, |s| s.on_map_enter(thread as u32, e, presence));
         match presence {
             Presence::Partial => return Err(OmpError::PartialOverlap { range: e.range }),
             Presence::Present => {
@@ -1140,18 +1058,7 @@ impl OmpRuntime {
                     self.mapping.insert(e.range, e.range.start);
                     self.lookup.invalidate();
                 } else {
-                    let a0 = self.anchor(thread);
-                    let dev = self.pool_allocate_recovered(thread, e.range.len)?;
-                    let pages = self.mem().page_size().pages_covering(dev, e.range.len);
-                    let cost = self.mem().cost().pool_alloc_cost(pages);
-                    self.charge(
-                        thread,
-                        a0,
-                        EventKind::PoolAlloc {
-                            range: e.range,
-                            cost,
-                        },
-                    );
+                    let dev = self.pool_alloc(thread, e.range.len, Some(e.range))?;
                     self.mapping.insert(e.range, dev);
                     self.lookup.invalidate();
                     if e.dir.copies_to() {
@@ -1194,11 +1101,10 @@ impl OmpRuntime {
                 Some(m) => m.refcount == 1 || delete,
                 None => true,
             };
-            if let Some(s) = &mut self.sanitizer {
-                s.on_map_exit(thread as u32, e, presence, disappearing);
-            }
+            self.sanitize(thread, |s| {
+                s.on_map_exit(thread as u32, e, presence, disappearing)
+            });
         }
-        self.sync_sanitizer_events(thread);
         if self.config.is_zero_copy() {
             if self.mapping.release(&e.range, delete)?.is_some() {
                 self.lookup.invalidate();
@@ -1220,19 +1126,14 @@ impl OmpRuntime {
         }
         if let Some(removed) = self.mapping.release(&e.range, delete)? {
             self.lookup.invalidate();
-            let pages = self
-                .mem()
-                .page_size()
-                .pages_covering(removed.payload, removed.host.len);
-            let cost = self.mem().cost().pool_free_cost(pages);
             let a0 = self.anchor(thread);
-            self.hsa.pool_free(thread, removed.payload)?;
+            let out = self.hsa.pool_free(thread, removed.payload)?;
             self.charge(
                 thread,
                 a0,
                 EventKind::PoolFree {
                     range: removed.host,
-                    cost,
+                    cost: out.cost,
                 },
             );
         }
@@ -1775,12 +1676,13 @@ mod tests {
                 TargetRegion::new("k", VirtDuration::from_micros(5)).map(MapEntry::tofrom(range));
             r.target(0, region).unwrap();
         }
-        let stats = r.fault_stats();
-        assert!(stats.total_injected() > 0, "soak spec injected nothing");
         assert!(r.ledger().retries >= r.ledger().recoveries);
         assert!(r.ledger().recovery_backoff > VirtDuration::ZERO);
         let report = r.finish();
-        assert!(report.fault_stats.total_injected() > 0);
+        assert!(
+            report.fault_stats.total_injected() > 0,
+            "soak spec injected nothing"
+        );
         let episodes = recovery_events(&report);
         assert!(!episodes.is_empty());
         assert_eq!(report.ledger.recoveries as usize, episodes.len());
@@ -1889,7 +1791,6 @@ mod tests {
             .capture(true)
             .build()
             .unwrap();
-        assert!(r.is_capturing());
         issue_small_program(&mut r);
         // No data-environment execution happened.
         assert_eq!(r.live_mappings(), 0);
@@ -2115,7 +2016,7 @@ mod tests {
             .build()
             .unwrap();
         redundant_remap_program(&mut r, 10);
-        let (hits, misses) = r.mapping_cache_stats();
+        let (hits, misses) = r.finish().mapping_cache;
         // The enter's eligibility probe misses (extent absent), the first
         // kernel probe misses (the enter's insert flushed the cache), and
         // the nine repeats hit.

@@ -78,6 +78,31 @@ fn fold_equals_ledger_under_every_configuration() {
     }
 }
 
+/// `omp_target_free` charges the pool free it scheduled, and the free and
+/// `omp_target_alloc`'s allocation share one site: the allocated block.
+#[test]
+fn omp_target_free_charges_its_pool_free_to_the_allocated_block() {
+    let cost = CostModel::mi300a_no_thp();
+    for config in RuntimeConfig::ALL {
+        let mut rt = builder(config)
+            .telemetry(TelemetryMode::ring())
+            .build()
+            .unwrap();
+        let d = rt.omp_target_alloc(0, 5000).unwrap();
+        rt.omp_target_free(0, d).unwrap();
+        let report = rt.finish();
+        let label = config.label();
+        assert_eq!(report.ledger.mm_free, cost.pool_free_cost(2), "{label}");
+        let sites = attribution(&report.telemetry.expect("ring was on")).sites;
+        let [site] = &sites[..] else {
+            panic!("{label}: one site expected, got {sites:?}")
+        };
+        assert_eq!(site.range, AddrRange::new(d, 8192), "{label}");
+        assert_eq!(site.ledger.mm_alloc, cost.pool_alloc_cost(2), "{label}");
+        assert_eq!(site.ledger.mm_free, cost.pool_free_cost(2), "{label}");
+    }
+}
+
 #[test]
 fn fold_equals_ledger_under_fault_injection() {
     for config in RuntimeConfig::ALL {

@@ -2,37 +2,22 @@
 //!
 //! `HsaRuntime` is the recording facade the OpenMP layer drives: every call
 //! performs its *functional* effect against [`ApuMemory`] immediately (so
-//! memory semantics are real) and records timed operations into per-thread
-//! streams. `finish()` resolves the streams against the socket's shared
-//! resources and returns the schedule plus rocprof-style API statistics.
+//! memory semantics are real), records timed operations into per-thread
+//! streams, and returns what it scheduled: a pool allocation its
+//! [`AllocOutcome`], a pool free its [`FreeOutcome`], a copy its DMA time.
+//! `finish()` resolves the streams against the socket's shared resources,
+//! once per noise seed.
 
 use crate::api::HsaApiKind;
-use crate::stats::ApiStats;
 use crate::topology::{Resources, Topology};
 use apu_mem::{
-    AddrRange, ApuMemory, CostModel, GpuAccessOutcome, MemError, MemOptions, PrefaultOutcome,
-    VirtAddr, XnackMode,
+    AddrRange, AllocOutcome, ApuMemory, CostModel, FreeOutcome, GpuAccessOutcome, MemError,
+    MemOptions, PrefaultOutcome, SystemKind, VirtAddr, XnackMode,
 };
 use sim_des::{
     schedule, AsyncToken, FaultKind, FaultPlan, FaultStats, Machine, Op, OpStreams, RunOptions,
     Schedule, Tag, VirtDuration,
 };
-
-/// Completed-run artifacts.
-#[derive(Debug)]
-pub struct HsaRunResult {
-    /// The resolved schedule (makespan, per-op latencies, utilization).
-    pub schedule: Schedule,
-    /// Per-API call statistics (paper Table I analog).
-    pub api_stats: ApiStats,
-}
-
-impl HsaRunResult {
-    /// Total virtual execution time.
-    pub fn makespan(&self) -> VirtDuration {
-        self.schedule.makespan()
-    }
-}
 
 /// The recording HSA/ROCr runtime for one run on one APU socket.
 #[derive(Debug)]
@@ -50,14 +35,9 @@ pub struct HsaRuntime {
 }
 
 impl HsaRuntime {
-    /// The canonical constructor: a runtime over a system of the given kind
-    /// with typed memory options. All other constructors delegate here.
-    pub fn with_options(
-        cost: CostModel,
-        topo: Topology,
-        kind: apu_mem::SystemKind,
-        opts: MemOptions,
-    ) -> Self {
+    /// A runtime over a fresh system of the given kind with typed memory
+    /// options.
+    pub fn new(cost: CostModel, topo: Topology, kind: SystemKind, opts: MemOptions) -> Self {
         let (machine, res) = topo.machine();
         HsaRuntime {
             mem: ApuMemory::with_options(cost, kind, opts),
@@ -67,21 +47,6 @@ impl HsaRuntime {
             next_token: 0,
             fault: None,
         }
-    }
-
-    /// A runtime over a fresh socket.
-    pub fn new(cost: CostModel, topo: Topology) -> Self {
-        Self::with_options(cost, topo, apu_mem::SystemKind::Apu, MemOptions::default())
-    }
-
-    /// A runtime with a custom HBM capacity (tests).
-    pub fn with_capacity(cost: CostModel, topo: Topology, capacity: u64) -> Self {
-        Self::with_options(
-            cost,
-            topo,
-            apu_mem::SystemKind::Apu,
-            MemOptions::default().capacity(capacity),
-        )
     }
 
     /// Attach an injected-failure schedule. Callers normally attach *after*
@@ -190,7 +155,7 @@ impl HsaRuntime {
         // Runtime-internal structures: device environment, queues, printf
         // buffers, and the initial copies populating them.
         for i in 0..16 {
-            let a = self.pool_allocate(thread, 64 * 1024)?;
+            let a = self.pool_allocate(thread, 64 * 1024)?.addr;
             if i < 3 {
                 let h = self.host_alloc(thread, 64 * 1024)?;
                 self.async_copy(thread, h, a, 64 * 1024, false)?;
@@ -233,7 +198,9 @@ impl HsaRuntime {
 
     /// `hsa_amd_memory_pool_allocate`: device memory from the single HBM;
     /// the driver bulk-populates the GPU page table (XNACK-off behaviour).
-    pub fn pool_allocate(&mut self, thread: usize, len: u64) -> Result<VirtAddr, MemError> {
+    /// Returns the allocation, whose `cost` is what the call scheduled
+    /// beyond the runtime-lock service.
+    pub fn pool_allocate(&mut self, thread: usize, len: u64) -> Result<AllocOutcome, MemError> {
         let failed_service = self.lock_service() + self.mem.cost().pool_alloc_base;
         self.inject(
             thread,
@@ -250,11 +217,12 @@ impl HsaRuntime {
                 self.lock_service() + out.cost,
             ),
         );
-        Ok(out.addr)
+        Ok(out)
     }
 
-    /// `hsa_amd_memory_pool_free`.
-    pub fn pool_free(&mut self, thread: usize, addr: VirtAddr) -> Result<(), MemError> {
+    /// `hsa_amd_memory_pool_free`. Returns the free, whose `cost` is what
+    /// the call scheduled beyond the runtime-lock service.
+    pub fn pool_free(&mut self, thread: usize, addr: VirtAddr) -> Result<FreeOutcome, MemError> {
         let out = self.mem.pool_free(addr)?;
         self.streams.push(
             thread,
@@ -264,14 +232,14 @@ impl HsaRuntime {
                 self.lock_service() + out.cost,
             ),
         );
-        Ok(())
+        Ok(out)
     }
 
     /// `hsa_amd_memory_async_copy` + completion wait: content moves now;
     /// the DMA time serves on a copy engine inside the `signal_wait` op, so
     /// one thread's copy can hide behind another thread's kernel.
     /// `with_handler` models copies registered with an async completion
-    /// callback (`signal_async_handler`).
+    /// callback (`signal_async_handler`). Returns the DMA time scheduled.
     pub fn async_copy(
         &mut self,
         thread: usize,
@@ -279,7 +247,7 @@ impl HsaRuntime {
         dst: VirtAddr,
         len: u64,
         with_handler: bool,
-    ) -> Result<(), MemError> {
+    ) -> Result<VirtDuration, MemError> {
         let failed_service = self.lock_service() + self.mem.cost().copy_submit;
         self.inject(
             thread,
@@ -314,7 +282,7 @@ impl HsaRuntime {
                 Op::local(HsaApiKind::SignalAsyncHandler.tag(), handler),
             );
         }
-        Ok(())
+        Ok(dma_time)
     }
 
     /// `hsa_amd_svm_attributes_set`: host-side GPU page-table prefault of
@@ -337,79 +305,58 @@ impl HsaRuntime {
         Ok(out)
     }
 
-    /// Dispatch a kernel and wait for completion.
+    /// Dispatch a kernel. Without `nowait` the thread waits for completion;
+    /// with it (`target nowait`) the GPU service is submitted at the
+    /// thread's current virtual clock, the thread continues, and the
+    /// returned token goes to [`await_kernels`](Self::await_kernels) (same
+    /// thread) to block on completion.
     ///
     /// `compute` is the kernel's modeled execution time; `access` is its
-    /// accessed-address set, resolved against the GPU page table under
-    /// `xnack`. First-touch XNACK replays stall the kernel: their cost is
-    /// added to the GPU service time, exactly the paper's MI overhead.
+    /// accessed-address set, resolved at dispatch against the GPU page
+    /// table under `xnack`. First-touch XNACK replays stall the kernel:
+    /// their cost is added to the GPU service time, exactly the paper's MI
+    /// overhead.
     pub fn dispatch_kernel(
         &mut self,
         thread: usize,
         compute: VirtDuration,
         access: &[AddrRange],
         xnack: XnackMode,
-    ) -> Result<GpuAccessOutcome, MemError> {
-        let failed_service = self.lock_service() + self.mem.cost().kernel_dispatch;
+        nowait: bool,
+    ) -> Result<(GpuAccessOutcome, Option<AsyncToken>), MemError> {
+        // A failed dispatch serves the same time under the lock.
+        let dispatch = self.lock_service() + self.mem.cost().kernel_dispatch;
         self.inject(
             thread,
             FaultKind::QueueFull,
             HsaApiKind::KernelDispatch,
-            failed_service,
+            dispatch,
         )?;
         let out = self.mem.gpu_access(access, xnack)?;
-        let cost = self.mem.cost();
-        let dispatch = cost.kernel_dispatch;
-        let wait_svc = cost.signal_wait_service;
-
+        let lock = self.res.runtime_lock;
+        let gpu = compute + out.stall;
+        if nowait {
+            let token = AsyncToken(self.next_token);
+            self.next_token += 1;
+            self.streams.push(
+                thread,
+                Op::new(HsaApiKind::KernelDispatch.tag())
+                    .then_service(lock, dispatch)
+                    .then_async_service(self.res.gpu, gpu, token),
+            );
+            return Ok((out, Some(token)));
+        }
         self.streams.push(
             thread,
-            Op::service(
-                HsaApiKind::KernelDispatch.tag(),
-                self.res.runtime_lock,
-                self.lock_service() + dispatch,
-            ),
+            Op::service(HsaApiKind::KernelDispatch.tag(), lock, dispatch),
         );
         self.streams.push(
             thread,
             Op::new(HsaApiKind::SignalWaitScacquire.tag())
-                .then_service(self.res.gpu, compute + out.stall)
-                .then_local(wait_svc),
+                .then_service(self.res.gpu, gpu)
+                .then_local(self.mem.cost().signal_wait_service),
         );
-        Ok(out)
-    }
-
-    /// Dispatch a kernel **without waiting** (`target nowait`): the GPU
-    /// service is submitted at the thread's current virtual clock and the
-    /// thread continues; pass the returned token to
-    /// [`await_kernels`](Self::await_kernels) (same thread) to block on
-    /// completion. Access-set resolution (faults) happens at dispatch.
-    pub fn dispatch_kernel_nowait(
-        &mut self,
-        thread: usize,
-        compute: VirtDuration,
-        access: &[AddrRange],
-        xnack: XnackMode,
-    ) -> Result<(GpuAccessOutcome, AsyncToken), MemError> {
-        let failed_service = self.lock_service() + self.mem.cost().kernel_dispatch;
-        self.inject(
-            thread,
-            FaultKind::QueueFull,
-            HsaApiKind::KernelDispatch,
-            failed_service,
-        )?;
-        let out = self.mem.gpu_access(access, xnack)?;
-        let cost = self.mem.cost();
-        let dispatch = cost.kernel_dispatch;
-        let token = AsyncToken(self.next_token);
-        self.next_token += 1;
-        self.streams.push(
-            thread,
-            Op::new(HsaApiKind::KernelDispatch.tag())
-                .then_service(self.res.runtime_lock, self.lock_service() + dispatch)
-                .then_async_service(self.res.gpu, compute + out.stall, token),
-        );
-        Ok((out, token))
+        Ok((out, None))
     }
 
     /// Block `thread` until the given async kernels complete (`taskwait`):
@@ -464,75 +411,90 @@ impl HsaRuntime {
         evicted
     }
 
-    /// Resolve all recorded streams. `noise` options are augmented with the
-    /// syscall-class tag of `svm_attributes_set` for outlier injection.
-    pub fn finish(self, opts: &RunOptions) -> HsaRunResult {
-        let sv = HsaApiKind::SvmAttributesSet as u32;
-        let opts = (*opts).syscall_tags(sv, sv);
-        let schedule = schedule(self.machine, self.streams, &opts);
-        let api_stats = ApiStats::from_schedule(&schedule);
-        HsaRunResult {
-            schedule,
-            api_stats,
-        }
-    }
-
     /// Resolve the recorded streams once per seed (the paper's N-runs
-    /// methodology: the program is identical across runs; OS noise differs).
-    /// Much cheaper than re-recording the workload for every repeat.
-    pub fn finish_many(self, opts: &RunOptions, seeds: &[u64]) -> Vec<HsaRunResult> {
-        assert!(!seeds.is_empty(), "at least one seed");
+    /// methodology: the program is identical across runs; OS noise
+    /// differs), returning one schedule per seed in order. `opts` is
+    /// augmented with the syscall-class tag of `svm_attributes_set` for
+    /// outlier injection. The last seed schedules the streams themselves,
+    /// so a single-seed finish copies nothing.
+    pub fn finish(self, opts: &RunOptions, seeds: &[u64]) -> Vec<Schedule> {
+        let (&last, rest) = seeds.split_last().expect("at least one seed");
         let sv = HsaApiKind::SvmAttributesSet as u32;
         let base = (*opts).syscall_tags(sv, sv);
-        let mut results = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            let mut o = base;
-            o.seed = seed;
-            let sched = schedule(self.machine.clone(), self.streams.clone(), &o);
-            let api_stats = ApiStats::from_schedule(&sched);
-            results.push(HsaRunResult {
-                schedule: sched,
-                api_stats,
-            });
-        }
-        results
+        let seeded = |seed| RunOptions { seed, ..base };
+        let mut schedules: Vec<Schedule> = rest
+            .iter()
+            .map(|&seed| schedule(self.machine.clone(), self.streams.clone(), &seeded(seed)))
+            .collect();
+        schedules.push(schedule(self.machine, self.streams, &seeded(last)));
+        schedules
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::ApiStats;
 
     fn rt() -> HsaRuntime {
-        HsaRuntime::with_capacity(CostModel::mi300a_no_thp(), Topology::default(), 1 << 30)
+        HsaRuntime::new(
+            CostModel::mi300a_no_thp(),
+            Topology::default(),
+            SystemKind::Apu,
+            MemOptions::default().capacity(1 << 30),
+        )
+    }
+
+    /// The one noiseless schedule of a finished runtime.
+    fn finish(r: HsaRuntime) -> Schedule {
+        let [schedule] = r
+            .finish(&RunOptions::noiseless(), &[0])
+            .try_into()
+            .expect("one schedule per seed");
+        schedule
+    }
+
+    fn stats(r: HsaRuntime) -> ApiStats {
+        ApiStats::from_schedule(&finish(r))
     }
 
     #[test]
     fn pool_alloc_records_call_and_populates_gpu_pt() {
         let mut r = rt();
         let a = r.pool_allocate(0, 10_000).unwrap();
+        assert_eq!(a.pages, 3);
         assert!(r.mem().gpu_pt().len() >= 3);
-        r.pool_free(0, a).unwrap();
-        let res = r.finish(&RunOptions::noiseless());
-        assert_eq!(res.api_stats.get(HsaApiKind::MemoryPoolAllocate).calls, 1);
-        assert_eq!(res.api_stats.get(HsaApiKind::MemoryPoolFree).calls, 1);
-        assert!(res.makespan() > VirtDuration::ZERO);
+        let f = r.pool_free(0, a.addr).unwrap();
+        // Each call returns the cost it scheduled behind the lock service.
+        let cost = r.mem().cost().clone();
+        assert_eq!(a.cost, cost.pool_alloc_cost(3));
+        assert_eq!(f.cost, cost.pool_free_cost(3));
+        let stats = stats(r);
+        let svc = cost.runtime_call_service;
+        let alloc = stats.get(HsaApiKind::MemoryPoolAllocate);
+        let free = stats.get(HsaApiKind::MemoryPoolFree);
+        assert_eq!((alloc.calls, alloc.total_latency), (1, svc + a.cost));
+        assert_eq!((free.calls, free.total_latency), (1, svc + f.cost));
     }
 
     #[test]
     fn async_copy_moves_content_and_counts_calls() {
         let mut r = rt();
         let h = r.host_alloc(0, 4096).unwrap();
-        let d = r.pool_allocate(0, 4096).unwrap();
+        let d = r.pool_allocate(0, 4096).unwrap().addr;
         r.mem_mut().cpu_write(h, b"payload").unwrap();
-        r.async_copy(0, h, d, 7, true).unwrap();
+        let dma = r.async_copy(0, h, d, 7, true).unwrap();
+        assert_eq!(dma, r.mem().cost().copy_duration(7));
         let mut buf = [0u8; 7];
         r.mem_mut().gpu_read(d, &mut buf).unwrap();
         assert_eq!(&buf, b"payload");
-        let res = r.finish(&RunOptions::noiseless());
-        assert_eq!(res.api_stats.get(HsaApiKind::MemoryAsyncCopy).calls, 1);
-        assert_eq!(res.api_stats.get(HsaApiKind::SignalAsyncHandler).calls, 1);
-        assert_eq!(res.api_stats.get(HsaApiKind::SignalWaitScacquire).calls, 1);
+        let wait_svc = r.mem().cost().signal_wait_service;
+        let stats = stats(r);
+        assert_eq!(stats.get(HsaApiKind::MemoryAsyncCopy).calls, 1);
+        assert_eq!(stats.get(HsaApiKind::SignalAsyncHandler).calls, 1);
+        // The wait serves the returned DMA time.
+        let wait = stats.get(HsaApiKind::SignalWaitScacquire);
+        assert_eq!((wait.calls, wait.total_latency), (1, dma + wait_svc));
     }
 
     #[test]
@@ -541,14 +503,35 @@ mod tests {
         let h = r.host_alloc(0, 8192).unwrap();
         let range = AddrRange::new(h, 8192);
         let compute = VirtDuration::from_micros(100);
-        let out = r
-            .dispatch_kernel(0, compute, &[range], XnackMode::Enabled)
+        let (out, token) = r
+            .dispatch_kernel(0, compute, &[range], XnackMode::Enabled, false)
             .unwrap();
         assert_eq!(out.faulted_pages(), 2);
-        let res = r.finish(&RunOptions::noiseless());
-        let wait = res.api_stats.get(HsaApiKind::SignalWaitScacquire);
+        assert_eq!(token, None);
+        let wait = stats(r).get(HsaApiKind::SignalWaitScacquire);
         // Wait latency covers compute + fault stall.
         assert!(wait.total_latency > compute);
+    }
+
+    #[test]
+    fn nowait_dispatch_records_one_op_and_awaits_its_token() {
+        let mut r = rt();
+        let compute = VirtDuration::from_micros(50);
+        let (_, token) = r
+            .dispatch_kernel(0, compute, &[], XnackMode::Disabled, true)
+            .unwrap();
+        let token = token.expect("a nowait dispatch returns its token");
+        // One dispatch op carries the lock service and the async GPU
+        // service; the wait comes only from `await_kernels`.
+        assert_eq!(r.thread_ops(0), 1);
+        r.await_kernels(0, &[token]);
+        assert_eq!(r.thread_ops(0), 2);
+        let wait_svc = r.mem().cost().signal_wait_service;
+        let schedule = finish(r);
+        let stats = ApiStats::from_schedule(&schedule);
+        assert_eq!(stats.get(HsaApiKind::KernelDispatch).calls, 1);
+        assert_eq!(stats.get(HsaApiKind::SignalWaitScacquire).calls, 1);
+        assert!(schedule.makespan() >= compute + wait_svc);
     }
 
     #[test]
@@ -561,6 +544,7 @@ mod tests {
                 VirtDuration::from_micros(1),
                 &[AddrRange::new(h, 4096)],
                 XnackMode::Disabled,
+                false,
             )
             .unwrap_err();
         assert!(matches!(err, MemError::GpuFatalFault { .. }));
@@ -570,31 +554,30 @@ mod tests {
     fn copies_overlap_kernels_across_threads() {
         // Thread 0 runs a long kernel; thread 1 copies concurrently.
         let mut r = rt();
-        let d1 = r.pool_allocate(0, 1 << 20).unwrap();
+        let d1 = r.pool_allocate(0, 1 << 20).unwrap().addr;
         let h = r.host_alloc(1, 1 << 20).unwrap();
-        let d2 = r.pool_allocate(1, 1 << 20).unwrap();
+        let d2 = r.pool_allocate(1, 1 << 20).unwrap().addr;
         let kernel = VirtDuration::from_millis(10);
         r.dispatch_kernel(
             0,
             kernel,
             &[AddrRange::new(d1, 1 << 20)],
             XnackMode::Disabled,
+            false,
         )
         .unwrap();
         r.async_copy(1, h, d2, 1 << 20, false).unwrap();
-        let res = r.finish(&RunOptions::noiseless());
+        let schedule = finish(r);
         // The copy (on thread 1) completes while the kernel (thread 0) is
         // still running: data-transfer latency hiding.
-        let kernel_end = res
-            .schedule
+        let kernel_end = schedule
             .records()
             .iter()
             .filter(|x| x.thread == 0 && x.tag == HsaApiKind::SignalWaitScacquire.tag())
             .map(|x| x.end)
             .max()
             .unwrap();
-        let copy_end = res
-            .schedule
+        let copy_end = schedule
             .records()
             .iter()
             .filter(|x| x.thread == 1 && x.tag == HsaApiKind::SignalWaitScacquire.tag())
@@ -603,10 +586,8 @@ mod tests {
             .unwrap();
         assert!(copy_end < kernel_end);
         assert_eq!(
-            res.schedule
-                .thread_finish(0)
-                .since(sim_des::VirtInstant::ZERO),
-            res.makespan()
+            schedule.thread_finish(0).since(sim_des::VirtInstant::ZERO),
+            schedule.makespan()
         );
     }
 
@@ -614,7 +595,7 @@ mod tests {
     fn device_init_emits_expected_call_mix() {
         let mut r = rt();
         r.device_init(0).unwrap();
-        let stats = r.finish(&RunOptions::noiseless()).api_stats;
+        let stats = stats(r);
         assert_eq!(stats.get(HsaApiKind::QueueCreate).calls, 1);
         assert_eq!(stats.get(HsaApiKind::CodeObjectLoad).calls, 1);
         assert_eq!(stats.get(HsaApiKind::MemoryPoolAllocate).calls, 16);
@@ -628,32 +609,38 @@ mod tests {
         let out = r.svm_prefault(0, AddrRange::new(h, 16 * 4096)).unwrap();
         assert_eq!(out.new_pages(), 16);
         // Now GPU access never faults even with XNACK disabled.
-        let o = r
+        let (o, _) = r
             .dispatch_kernel(
                 0,
                 VirtDuration::from_micros(1),
                 &[AddrRange::new(h, 16 * 4096)],
                 XnackMode::Disabled,
+                false,
             )
             .unwrap();
         assert_eq!(o.faulted_pages(), 0);
-        let stats = r.finish(&RunOptions::noiseless()).api_stats;
-        assert_eq!(stats.get(HsaApiKind::SvmAttributesSet).calls, 1);
+        assert_eq!(stats(r).get(HsaApiKind::SvmAttributesSet).calls, 1);
     }
 
     #[test]
     fn recorded_counts_match_schedule() {
         let mut r = rt();
         let h = r.host_alloc(0, 4096).unwrap();
-        let d = r.pool_allocate(0, 4096).unwrap();
+        let d = r.pool_allocate(0, 4096).unwrap().addr;
         r.async_copy(0, h, d, 100, true).unwrap();
-        r.dispatch_kernel(0, VirtDuration::from_micros(5), &[], XnackMode::Disabled)
-            .unwrap();
+        r.dispatch_kernel(
+            0,
+            VirtDuration::from_micros(5),
+            &[],
+            XnackMode::Disabled,
+            false,
+        )
+        .unwrap();
         // Every recorded op but the host allocation's untagged one is an API
         // call, and the statistics count each call from its op's tag.
         let recorded = r.thread_ops(0) as u64;
-        let res = r.finish(&RunOptions::noiseless());
-        assert_eq!(res.api_stats.total_calls(), recorded - 1);
-        assert_eq!(res.api_stats.get(HsaApiKind::SignalWaitScacquire).calls, 2);
+        let stats = stats(r);
+        assert_eq!(stats.total_calls(), recorded - 1);
+        assert_eq!(stats.get(HsaApiKind::SignalWaitScacquire).calls, 2);
     }
 }

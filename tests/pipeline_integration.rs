@@ -7,7 +7,7 @@ use mi300a_zerocopy::analysis::{measure, measure_all_configs, ExperimentConfig};
 use mi300a_zerocopy::hsa::{HsaApiKind, Topology};
 use mi300a_zerocopy::mem::CostModel;
 use mi300a_zerocopy::omp::{OmpRuntime, RuntimeConfig};
-use mi300a_zerocopy::sim::{NoiseModel, VirtDuration};
+use mi300a_zerocopy::sim::{NoiseModel, RunOptions, VirtDuration};
 use mi300a_zerocopy::workloads::spec::{Ep, Lbm, SpC, Stencil};
 use mi300a_zerocopy::workloads::{NioSize, QmcPack, Workload};
 
@@ -153,9 +153,24 @@ fn replicated_finish_matches_single_finish() {
         rt
     };
     let single = build().finish();
-    let (first, makespans) =
-        build().finish_replicated(&mi300a_zerocopy::sim::RunOptions::noiseless(), &[0, 1, 2]);
+    let (first, makespans) = build().finish_replicated(&RunOptions::noiseless(), &[0, 1, 2]);
     assert_eq!(single.makespan, first.makespan);
     // Noiseless: every replica identical.
     assert!(makespans.iter().all(|&m| m == single.makespan));
+
+    // Noisy: each replica is the run its seed alone schedules, in seed
+    // order, and the report is the first seed's run.
+    let noisy = RunOptions::with_noise(NoiseModel::os_interference(), 0);
+    let seeds = [7, 8, 9];
+    let alone: Vec<VirtDuration> = seeds
+        .iter()
+        .map(|&s| build().finish_replicated(&noisy, &[s]).1[0])
+        .collect();
+    let (first, makespans) = build().finish_replicated(&noisy, &seeds);
+    assert_eq!(makespans, alone);
+    assert_eq!(first.makespan, alone[0]);
+    assert!(
+        alone.iter().any(|&m| m != alone[0]),
+        "noise moved no makespan: {alone:?}"
+    );
 }
