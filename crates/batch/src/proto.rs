@@ -31,6 +31,7 @@
 //! [`render_report`]: crate::render_report
 
 use crate::request::SweepRequest;
+use omp_offload::modes::Tokens;
 use std::fmt;
 use std::io::BufRead;
 
@@ -102,45 +103,33 @@ pub enum Verb {
 }
 
 impl Verb {
-    /// Every verb, in canonical order.
-    pub const ALL: [Verb; 8] = [
-        Verb::Ping,
-        Verb::Capture,
-        Verb::Sweep,
-        Verb::Result,
-        Verb::Stats,
-        Verb::Metrics,
-        Verb::Gc,
-        Verb::Shutdown,
-    ];
+    /// The wire token of each verb, in canonical order (echoed lower-case,
+    /// [`Verb::lower`], in `OK` responses).
+    pub const TOKENS: Tokens<Verb, 8> = Tokens {
+        what: "verb",
+        table: [
+            (Verb::Ping, "PING"),
+            (Verb::Capture, "CAPTURE"),
+            (Verb::Sweep, "SWEEP"),
+            (Verb::Result, "RESULT"),
+            (Verb::Stats, "STATS"),
+            (Verb::Metrics, "METRICS"),
+            (Verb::Gc, "GC"),
+            (Verb::Shutdown, "SHUTDOWN"),
+        ],
+    };
 
-    /// Wire token (upper-case in request headers, lower-case echoes in `OK`
-    /// responses use [`Verb::lower`]).
+    /// Every verb, in canonical order.
+    pub const ALL: [Verb; 8] = Self::TOKENS.values();
+
+    /// Wire token, as request headers spell it.
     pub fn token(self) -> &'static str {
-        match self {
-            Verb::Ping => "PING",
-            Verb::Capture => "CAPTURE",
-            Verb::Sweep => "SWEEP",
-            Verb::Result => "RESULT",
-            Verb::Stats => "STATS",
-            Verb::Metrics => "METRICS",
-            Verb::Gc => "GC",
-            Verb::Shutdown => "SHUTDOWN",
-        }
+        Self::TOKENS.token(self)
     }
 
     /// Lower-case token, echoed in `OK` response headers.
-    pub fn lower(self) -> &'static str {
-        match self {
-            Verb::Ping => "ping",
-            Verb::Capture => "capture",
-            Verb::Sweep => "sweep",
-            Verb::Result => "result",
-            Verb::Stats => "stats",
-            Verb::Metrics => "metrics",
-            Verb::Gc => "gc",
-            Verb::Shutdown => "shutdown",
-        }
+    pub fn lower(self) -> String {
+        self.token().to_ascii_lowercase()
     }
 
     /// Parse either casing's token.
@@ -521,7 +510,7 @@ mod tests {
     fn verb_tokens_round_trip_both_casings() {
         for v in Verb::ALL {
             assert_eq!(Verb::from_token(v.token()), Some(v));
-            assert_eq!(Verb::from_token(v.lower()), Some(v));
+            assert_eq!(Verb::from_token(&v.lower()), Some(v));
         }
         assert_eq!(Verb::from_token("Ping"), None);
     }

@@ -23,6 +23,7 @@
 //! one cache entry, not two.
 
 use omp_offload::digest::Fnv1a;
+use omp_offload::modes::Tokens;
 use omp_offload::{MapIr, RuntimeConfig};
 use std::fmt;
 use std::str::FromStr;
@@ -51,18 +52,21 @@ pub enum CostPreset {
 }
 
 impl CostPreset {
-    /// Every preset, in canonical order.
-    pub const ALL: [CostPreset; 2] = [CostPreset::Mi300a, CostPreset::Mi300aNoThp];
+    /// The canonical-encoding token of each preset: the one spelling.
+    pub const TOKENS: Tokens<CostPreset, 2> = Tokens {
+        what: "cost preset",
+        table: [
+            (CostPreset::Mi300a, "mi300a"),
+            (CostPreset::Mi300aNoThp, "mi300a_no_thp"),
+        ],
+    };
 
-    /// The accepted token set, for usage strings.
-    pub const EXPECTED: &'static str = "mi300a | mi300a_no_thp";
+    /// Every preset, in canonical order.
+    pub const ALL: [CostPreset; 2] = Self::TOKENS.values();
 
     /// Stable canonical-encoding token.
     pub fn token(self) -> &'static str {
-        match self {
-            CostPreset::Mi300a => "mi300a",
-            CostPreset::Mi300aNoThp => "mi300a_no_thp",
-        }
+        Self::TOKENS.token(self)
     }
 
     /// Materialize the preset.
@@ -84,15 +88,7 @@ impl FromStr for CostPreset {
     type Err = ModeParseError;
 
     fn from_str(s: &str) -> Result<Self, ModeParseError> {
-        match s {
-            "mi300a" => Ok(CostPreset::Mi300a),
-            "mi300a_no_thp" => Ok(CostPreset::Mi300aNoThp),
-            other => Err(ModeParseError {
-                what: "cost preset",
-                got: other.to_string(),
-                expected: Self::EXPECTED,
-            }),
-        }
+        Self::TOKENS.parse(s)
     }
 }
 

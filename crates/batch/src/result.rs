@@ -11,7 +11,7 @@
 //! contract at `-j {1,4,8}`, cold and warm.
 
 use omp_offload::telemetry::{rank_profiles, KernelProfile, SiteProfile};
-use omp_offload::{LedgerUnit, OverheadLedger, LEDGER_FIELDS};
+use omp_offload::{LedgerField, LedgerUnit, OverheadLedger, LEDGER_FIELDS};
 use sim_des::VirtDuration;
 use std::fmt::Write as _;
 
@@ -93,6 +93,45 @@ fn ledger_key(unit: LedgerUnit) -> &'static str {
     }
 }
 
+/// A `site` row's columns after its extent, in wire order: `allocs` is the
+/// profile's own count, every other column the [`LEDGER_FIELDS`] field of
+/// that name. The one column list the writer and the reader walk.
+const SITE_COLUMNS: &str = "maps allocs copies bytes_copied maps_elided \
+    mm_alloc mm_copy mm_free mm_prefault mm_map mm_saved prefault_calls";
+
+/// A `kernelrow`'s columns after its name: [`LEDGER_FIELDS`] names.
+const KERNEL_COLUMNS: &str =
+    "kernels kernel_compute mi_fault_stall tlb_stall replayed_pages zero_filled_pages";
+
+/// The [`LEDGER_FIELDS`] field row column `c` names (`None` for `allocs`).
+fn ledger_column(c: &str) -> Option<&'static LedgerField> {
+    let field = LEDGER_FIELDS.iter().find(|f| f.name == c);
+    assert!(
+        field.is_some() || c == "allocs",
+        "row column {c} is no ledger field"
+    );
+    field
+}
+
+/// Append one row's `columns`, read from `allocs` and `ledger`.
+fn write_columns(out: &mut String, columns: &str, allocs: u64, ledger: &OverheadLedger) {
+    for c in columns.split_whitespace() {
+        let v = ledger_column(c).map_or(allocs, |f| (f.get)(ledger));
+        let _ = write!(out, " {v}");
+    }
+    out.push('\n');
+}
+
+/// Set one row's `columns` from `values`, into `allocs` and `ledger`.
+fn read_columns(columns: &str, values: &[u64], allocs: &mut u64, ledger: &mut OverheadLedger) {
+    for (c, &v) in columns.split_whitespace().zip(values) {
+        match ledger_column(c) {
+            Some(f) => (f.set)(ledger, v),
+            None => *allocs = v,
+        }
+    }
+}
+
 impl SweepResult {
     /// Serialize to the line-oriented `sweepresult v2` text form. The
     /// output is canonical: equal results serialize to equal bytes.
@@ -112,25 +151,8 @@ impl SweepResult {
         let _ = writeln!(out, "telemetry_events {}", self.telemetry_events);
         let _ = writeln!(out, "dropped_events {}", self.dropped_events);
         for s in &self.sites {
-            let l = &s.ledger;
-            let _ = writeln!(
-                out,
-                "site {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-                s.range.start.as_u64(),
-                s.range.len,
-                l.maps,
-                s.allocs,
-                l.copies,
-                l.bytes_copied,
-                l.maps_elided,
-                l.mm_alloc.as_nanos(),
-                l.mm_copy.as_nanos(),
-                l.mm_free.as_nanos(),
-                l.mm_prefault.as_nanos(),
-                l.mm_map.as_nanos(),
-                l.mm_saved.as_nanos(),
-                l.prefault_calls,
-            );
+            let _ = write!(out, "site {} {}", s.range.start.as_u64(), s.range.len);
+            write_columns(&mut out, SITE_COLUMNS, s.allocs, &s.ledger);
         }
         for t in &self.tenant_rows {
             let _ = writeln!(
@@ -148,17 +170,8 @@ impl SweepResult {
                 .chars()
                 .map(|c| if c.is_whitespace() { '_' } else { c })
                 .collect();
-            let l = &k.ledger;
-            let _ = writeln!(
-                out,
-                "kernelrow {name} {} {} {} {} {} {}",
-                l.kernels,
-                l.kernel_compute.as_nanos(),
-                l.mi_fault_stall.as_nanos(),
-                l.tlb_stall.as_nanos(),
-                l.replayed_pages,
-                l.zero_filled_pages,
-            );
+            let _ = write!(out, "kernelrow {name}");
+            write_columns(&mut out, KERNEL_COLUMNS, 0, &k.ledger);
         }
         out
     }
@@ -205,27 +218,14 @@ impl SweepResult {
                 "dropped_events" => r.dropped_events = num(rest)?,
                 "site" => {
                     let v: Vec<u64> = rest.split_whitespace().map(num).collect::<Result<_, _>>()?;
-                    if v.len() != 14 {
-                        return Err(format!("line {}: site needs 14 fields", no + 2));
+                    let width = 2 + SITE_COLUMNS.split_whitespace().count();
+                    if v.len() != width {
+                        return Err(format!("line {}: site needs {width} fields", no + 2));
                     }
-                    r.sites.push(SiteProfile {
-                        range: apu_mem::AddrRange::new(apu_mem::VirtAddr(v[0]), v[1]),
-                        allocs: v[3],
-                        ledger: OverheadLedger {
-                            maps: v[2],
-                            copies: v[4],
-                            bytes_copied: v[5],
-                            maps_elided: v[6],
-                            mm_alloc: VirtDuration::from_nanos(v[7]),
-                            mm_copy: VirtDuration::from_nanos(v[8]),
-                            mm_free: VirtDuration::from_nanos(v[9]),
-                            mm_prefault: VirtDuration::from_nanos(v[10]),
-                            mm_map: VirtDuration::from_nanos(v[11]),
-                            mm_saved: VirtDuration::from_nanos(v[12]),
-                            prefault_calls: v[13],
-                            ..OverheadLedger::default()
-                        },
-                    });
+                    let mut site =
+                        SiteProfile::new(apu_mem::AddrRange::new(apu_mem::VirtAddr(v[0]), v[1]));
+                    read_columns(SITE_COLUMNS, &v[2..], &mut site.allocs, &mut site.ledger);
+                    r.sites.push(site);
                 }
                 "tenant" => {
                     let mut tok = rest.split_whitespace();
@@ -258,21 +258,13 @@ impl SweepResult {
                         .ok_or_else(|| format!("line {}: kernelrow needs a name", no + 2))?
                         .to_string();
                     let v: Vec<u64> = tok.map(num).collect::<Result<_, _>>()?;
-                    if v.len() != 6 {
-                        return Err(format!("line {}: kernelrow needs 6 numbers", no + 2));
+                    let width = KERNEL_COLUMNS.split_whitespace().count();
+                    if v.len() != width {
+                        return Err(format!("line {}: kernelrow needs {width} numbers", no + 2));
                     }
-                    r.kernel_rows.push(KernelProfile {
-                        name,
-                        ledger: OverheadLedger {
-                            kernels: v[0],
-                            kernel_compute: VirtDuration::from_nanos(v[1]),
-                            mi_fault_stall: VirtDuration::from_nanos(v[2]),
-                            tlb_stall: VirtDuration::from_nanos(v[3]),
-                            replayed_pages: v[4],
-                            zero_filled_pages: v[5],
-                            ..OverheadLedger::default()
-                        },
-                    });
+                    let mut ledger = OverheadLedger::default();
+                    read_columns(KERNEL_COLUMNS, &v, &mut 0, &mut ledger);
+                    r.kernel_rows.push(KernelProfile { name, ledger });
                 }
                 other => return Err(format!("line {}: unknown key {other:?}", no + 2)),
             }
@@ -467,18 +459,13 @@ kernelrow axpy 3 5000 0 9 0 0
         assert!(SweepResult::parse("sweepresult v2\nsite 1 2 3 4 5 6 7 8 9 10 11 12 13").is_err());
     }
 
-    /// A one-event stream of each kind that charges a site, and of a kernel
-    /// completion: its one attribution row carries the stream's whole
-    /// ledger and survives `to_text` then `parse` exactly.
-    #[test]
-    fn attribution_rows_of_every_charging_kind_round_trip() {
-        use omp_offload::telemetry::{
-            attribution, fold, ElideProbe, Event, EventKind, TelemetryReport,
-        };
+    /// One event of each kind that charges a site, and a kernel completion.
+    fn charging_kinds() -> Vec<omp_offload::telemetry::EventKind> {
+        use omp_offload::telemetry::{ElideProbe, EventKind};
         use omp_offload::MapDir;
         let us = VirtDuration::from_micros;
         let range = AddrRange::new(VirtAddr(0x4000), 4096);
-        let kinds = [
+        vec![
             EventKind::MapBegin {
                 range,
                 dir: MapDir::To,
@@ -518,19 +505,35 @@ kernelrow axpy 3 5000 0 9 0 0
                 replayed_pages: 3,
                 zero_filled_pages: 1,
             },
-        ];
-        for kind in kinds {
-            let report = TelemetryReport {
-                events: vec![Event {
-                    seq: 0,
-                    thread: 0,
-                    anchor: 0,
-                    anchor_end: 1,
-                    kind: kind.clone(),
-                }],
-                dropped_events: 0,
-                capacity: 1,
-            };
+        ]
+    }
+
+    /// A one-event stream of `kind`.
+    fn one_event(
+        kind: omp_offload::telemetry::EventKind,
+    ) -> omp_offload::telemetry::TelemetryReport {
+        use omp_offload::telemetry::{Event, TelemetryReport};
+        TelemetryReport {
+            events: vec![Event {
+                seq: 0,
+                thread: 0,
+                anchor: 0,
+                anchor_end: 1,
+                kind,
+            }],
+            dropped_events: 0,
+            capacity: 1,
+        }
+    }
+
+    /// A one-event stream of each charging kind: its one attribution row
+    /// carries the stream's whole ledger and survives `to_text` then
+    /// `parse` exactly.
+    #[test]
+    fn attribution_rows_of_every_charging_kind_round_trip() {
+        use omp_offload::telemetry::{attribution, fold};
+        for kind in charging_kinds() {
+            let report = one_event(kind.clone());
             let attr = attribution(&report);
             let rows: Vec<OverheadLedger> = attr
                 .sites
@@ -546,6 +549,54 @@ kernelrow axpy 3 5000 0 9 0 0
             };
             assert_eq!(SweepResult::parse(&r.to_text()), Ok(r), "{kind:?}");
         }
+    }
+
+    /// Every ledger field a site's events change is a `site` column, and
+    /// every field a kernel completion changes a `kernelrow` column, so
+    /// neither row can drop a charge (as v1 site rows dropped
+    /// `prefault_calls`); and both rows round-trip with every column set.
+    #[test]
+    fn row_columns_cover_every_field_attribution_charges() {
+        use omp_offload::telemetry::attribution;
+        for kind in charging_kinds() {
+            let attr = attribution(&one_event(kind.clone()));
+            let (columns, row) = match (&attr.sites[..], &attr.kernels[..]) {
+                ([site], []) => (SITE_COLUMNS, site.ledger),
+                ([], [kernel]) => (KERNEL_COLUMNS, kernel.ledger),
+                _ => panic!("{kind:?} files one row"),
+            };
+            for f in LEDGER_FIELDS.iter().filter(|f| (f.get)(&row) != 0) {
+                let mut names = columns.split_whitespace();
+                assert!(names.any(|c| c == f.name), "{} of {kind:?}", f.name);
+            }
+        }
+        let mut site = SiteProfile::new(AddrRange::new(VirtAddr(4096), 8192));
+        let mut kernel = KernelProfile {
+            name: "k".into(),
+            ledger: OverheadLedger::default(),
+        };
+        let site_values: Vec<u64> = (100..112).collect();
+        read_columns(
+            SITE_COLUMNS,
+            &site_values,
+            &mut site.allocs,
+            &mut site.ledger,
+        );
+        read_columns(
+            KERNEL_COLUMNS,
+            &[200, 201, 202, 203, 204, 205],
+            &mut 0,
+            &mut kernel.ledger,
+        );
+        let r = SweepResult {
+            sites: vec![site],
+            kernel_rows: vec![kernel],
+            ..SweepResult::default()
+        };
+        let text = r.to_text();
+        assert!(text.contains("\nsite 4096 8192 100 101 102 103 104 105 106 107 108 109 110 111\n"));
+        assert!(text.ends_with("\nkernelrow k 200 201 202 203 204 205\n"));
+        assert_eq!(SweepResult::parse(&text), Ok(r));
     }
 
     #[test]

@@ -113,26 +113,33 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
+    /// Every `STATS` key beside its counter, in wire order: the one key
+    /// list [`info`](Self::info) writes and [`from_info`](Self::from_info)
+    /// reads. Existing keys stay in place (scripts grep them
+    /// positionally); new keys append at the end.
+    fn keyed(&mut self) -> [(&'static str, &mut u64); 10] {
+        [
+            ("requests", &mut self.requests),
+            ("hits", &mut self.hits),
+            ("simulated", &mut self.simulated),
+            ("in_flight", &mut self.in_flight),
+            ("captures", &mut self.captures),
+            ("evicted", &mut self.evicted),
+            ("busy_rejections", &mut self.busy_rejections),
+            ("malformed", &mut self.malformed),
+            ("coalesced", &mut self.coalesced),
+            ("uptime_ms", &mut self.uptime_ms),
+        ]
+    }
+
     /// The `k=v` info pairs a `STATS` response carries, in wire order.
     /// [`from_info`](Self::from_info) inverts this exactly.
     pub fn info(&self) -> Vec<(String, String)> {
-        // Existing keys stay in place (scripts grep them positionally);
-        // new fields append at the end.
-        [
-            ("requests", self.requests),
-            ("hits", self.hits),
-            ("simulated", self.simulated),
-            ("in_flight", self.in_flight),
-            ("captures", self.captures),
-            ("evicted", self.evicted),
-            ("busy_rejections", self.busy_rejections),
-            ("malformed", self.malformed),
-            ("coalesced", self.coalesced),
-            ("uptime_ms", self.uptime_ms),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect()
+        let mut s = *self;
+        s.keyed()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
     }
 
     /// Parse a `STATS` response's info pairs back into a snapshot.
@@ -144,18 +151,8 @@ impl ServerStats {
             let v: u64 = v
                 .parse()
                 .map_err(|e| format!("stats key {k}: bad value {v:?}: {e}"))?;
-            match k.as_str() {
-                "requests" => s.requests = v,
-                "hits" => s.hits = v,
-                "simulated" => s.simulated = v,
-                "in_flight" => s.in_flight = v,
-                "captures" => s.captures = v,
-                "evicted" => s.evicted = v,
-                "busy_rejections" => s.busy_rejections = v,
-                "malformed" => s.malformed = v,
-                "coalesced" => s.coalesced = v,
-                "uptime_ms" => s.uptime_ms = v,
-                _ => {}
+            if let Some((_, field)) = s.keyed().into_iter().find(|(key, _)| key == k) {
+                *field = v;
             }
         }
         Ok(s)
@@ -243,7 +240,7 @@ impl ServeMetrics {
                 .iter()
                 .flat_map(|(verb, cold, h)| {
                     let temp = if *cold { "cold" } else { "warm" };
-                    h.samples(&[label("verb", verb.lower()), label("temp", temp)])
+                    h.samples(&[label("verb", &verb.lower()), label("temp", temp)])
                 })
                 .collect(),
         });

@@ -681,6 +681,61 @@ fn result_verb_errors_and_admission_control() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `RESULT` body and `STATS` snapshot `client` gets for `req` after
+/// `PING` and the capture upload, then the server's clean shutdown.
+fn ping_upload_result_stats(
+    mut client: Client,
+    handle: omp_batch::ServerHandle,
+    req: &SweepRequest,
+) -> (String, ServerStats) {
+    assert_eq!(client.ping().unwrap().info_get("proto"), Some("1"));
+    upload_captures(&mut client, std::slice::from_ref(req));
+    let body = client
+        .result(&req.name, req)
+        .expect("result roundtrip")
+        .into_ok_body()
+        .expect("RESULT answered");
+    let stats = client.stats().expect("stats roundtrip");
+    let stats = ServerStats::from_info(stats.info()).expect("STATS info parses");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server exits cleanly");
+    (body, stats)
+}
+
+#[test]
+fn tcp_transport_answers_like_the_unix_socket() {
+    let req = &smoke_corpus()[0];
+    let dir = scratch_dir("tcp");
+    let sock = dir.join("serve.sock");
+    let unix = Server::bind_unix(&sock, ServerConfig::default()).expect("bind unix");
+    let unix_handle = unix.spawn();
+    let client = Client::connect_unix(&sock).expect("connect unix");
+    let (unix_body, unix_stats) = ping_upload_result_stats(client, unix_handle, req);
+
+    // Port 0: the OS picks a free port, read back through `tcp_addr`.
+    let tcp = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).expect("bind tcp");
+    let addr = tcp.tcp_addr().expect("a TCP-bound server has an address");
+    assert!(addr.ip().is_loopback() && addr.port() != 0, "{addr}");
+    let tcp_handle = tcp.spawn();
+    let client = Client::connect_tcp(&addr.to_string()).expect("connect tcp");
+    let (tcp_body, tcp_stats) = ping_upload_result_stats(client, tcp_handle, req);
+
+    assert_eq!(tcp_body, unix_body, "TCP and Unix RESULT bodies differ");
+    assert_eq!(tcp_body, execute(req).expect("offline execute").to_text());
+    assert_eq!((tcp_stats.captures, tcp_stats.simulated), (1, 1));
+    assert_eq!(
+        ServerStats {
+            uptime_ms: 0,
+            ..tcp_stats
+        },
+        ServerStats {
+            uptime_ms: 0,
+            ..unix_stats
+        }
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn timed_out_sweeps_still_finish_into_the_cache() {
     let corpus = corpus();

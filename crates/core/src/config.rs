@@ -1,6 +1,7 @@
 //! The four runtime configurations (paper Section IV) and the run
 //! environment that selects between them.
 
+use crate::modes::{ModeParseError, Tokens};
 use apu_mem::XnackMode;
 use std::fmt;
 
@@ -29,13 +30,27 @@ pub enum RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// All configurations, in the order the paper's tables list them.
-    pub const ALL: [RuntimeConfig; 4] = [
-        RuntimeConfig::LegacyCopy,
-        RuntimeConfig::UnifiedSharedMemory,
-        RuntimeConfig::ImplicitZeroCopy,
-        RuntimeConfig::EagerMaps,
+    /// Machine tokens of the CLI, the `PROTO v1` wire format and the
+    /// canonical sweep-request encoding, in the paper's table order; not
+    /// the human-facing [`label`](Self::label).
+    pub const TOKENS: Tokens<RuntimeConfig, 4> = Tokens {
+        what: "config",
+        table: [
+            (RuntimeConfig::LegacyCopy, "copy"),
+            (RuntimeConfig::UnifiedSharedMemory, "usm"),
+            (RuntimeConfig::ImplicitZeroCopy, "izc"),
+            (RuntimeConfig::EagerMaps, "eager"),
+        ],
+    };
+
+    /// CLI aliases that parse but never print.
+    const ALIASES: [(RuntimeConfig, &'static str); 2] = [
+        (RuntimeConfig::ImplicitZeroCopy, "implicit"),
+        (RuntimeConfig::EagerMaps, "em"),
     ];
+
+    /// All configurations, in the order the paper's tables list them.
+    pub const ALL: [RuntimeConfig; 4] = Self::TOKENS.values();
 
     /// The three zero-copy configurations compared against Copy.
     pub const ZERO_COPY: [RuntimeConfig; 3] = [
@@ -83,40 +98,24 @@ impl RuntimeConfig {
         }
     }
 
-    /// Stable machine token, shared by the CLI, the `PROTO v1` wire format,
-    /// and the canonical sweep-request encoding. Round-trips through
-    /// [`FromStr`](std::str::FromStr); distinct from [`label`](Self::label),
-    /// which is the human-facing table heading.
+    /// Stable machine token; round-trips through
+    /// [`FromStr`](std::str::FromStr).
     pub fn token(self) -> &'static str {
-        match self {
-            RuntimeConfig::LegacyCopy => "copy",
-            RuntimeConfig::UnifiedSharedMemory => "usm",
-            RuntimeConfig::ImplicitZeroCopy => "izc",
-            RuntimeConfig::EagerMaps => "eager",
-        }
+        Self::TOKENS.token(self)
     }
-
-    /// The accepted token set, for usage strings.
-    pub const EXPECTED: &'static str = "copy | usm | izc | eager";
 }
 
 impl std::str::FromStr for RuntimeConfig {
-    type Err = crate::modes::ModeParseError;
+    type Err = ModeParseError;
 
     /// Parse a config token, case-insensitively, accepting the CLI aliases
     /// `implicit` (for `izc`) and `em` (for `eager`). Canonical printing is
     /// always [`token`](RuntimeConfig::token).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_lowercase().as_str() {
-            "copy" => Ok(RuntimeConfig::LegacyCopy),
-            "usm" => Ok(RuntimeConfig::UnifiedSharedMemory),
-            "izc" | "implicit" => Ok(RuntimeConfig::ImplicitZeroCopy),
-            "eager" | "em" => Ok(RuntimeConfig::EagerMaps),
-            other => Err(crate::modes::ModeParseError {
-                what: "config",
-                got: other.to_string(),
-                expected: Self::EXPECTED,
-            }),
+        let s = s.to_lowercase();
+        match Self::ALIASES.iter().find(|(_, a)| *a == s) {
+            Some(&(config, _)) => Ok(config),
+            None => Self::TOKENS.parse(&s),
         }
     }
 }

@@ -230,15 +230,10 @@ pub mod msg {
 
     /// MC007: redundant re-map.
     pub fn redundant_remap(dir: MapDir) -> String {
-        let d = match dir {
-            MapDir::To => "to",
-            MapDir::From => "from",
-            MapDir::ToFrom => "tofrom",
-            MapDir::Alloc => "alloc",
-        };
         format!(
-            "`{d}` re-map of an already-present extent transfers nothing (refcount bump \
-             only) — zero-copy promotion candidate"
+            "`{}` re-map of an already-present extent transfers nothing (refcount bump \
+             only) — zero-copy promotion candidate",
+            dir.token()
         )
     }
 }

@@ -212,7 +212,7 @@ impl MapIr {
                     let _ = writeln!(
                         out,
                         "{t} enter {} {} {} {}",
-                        dir_str(entry.dir),
+                        entry.dir.token(),
                         entry.always as u8,
                         entry.range.start.as_u64(),
                         entry.range.len
@@ -222,7 +222,7 @@ impl MapIr {
                     let _ = writeln!(
                         out,
                         "{t} exit {} {} {} {} {}",
-                        dir_str(entry.dir),
+                        entry.dir.token(),
                         entry.always as u8,
                         *delete as u8,
                         entry.range.start.as_u64(),
@@ -256,7 +256,7 @@ impl MapIr {
                         let _ = write!(
                             out,
                             " {} {} {} {}",
-                            dir_str(e.dir),
+                            e.dir.token(),
                             e.always as u8,
                             e.range.start.as_u64(),
                             e.range.len
@@ -323,13 +323,14 @@ impl MapIr {
                     entry: next_entry(&mut tok).ok_or_else(|| ctx("entry"))?,
                 },
                 "exit" => {
-                    let dir = parse_dir(tok.next().ok_or_else(|| ctx("dir"))?)
+                    let dir = MapDir::TOKENS
+                        .get(tok.next().ok_or_else(|| ctx("dir"))?)
                         .ok_or_else(|| ctx("dir"))?;
                     let always = next_num::<u8>(&mut tok).ok_or_else(|| ctx("always"))? != 0;
                     let delete = next_num::<u8>(&mut tok).ok_or_else(|| ctx("delete"))? != 0;
                     let range = next_range(&mut tok).ok_or_else(|| ctx("range"))?;
                     MapOp::MapExit {
-                        entry: make_entry(dir, always, range),
+                        entry: MapEntry { range, dir, always },
                         delete,
                     }
                 }
@@ -381,39 +382,6 @@ impl MapIr {
     }
 }
 
-fn dir_str(dir: MapDir) -> &'static str {
-    match dir {
-        MapDir::To => "to",
-        MapDir::From => "from",
-        MapDir::ToFrom => "tofrom",
-        MapDir::Alloc => "alloc",
-    }
-}
-
-fn parse_dir(s: &str) -> Option<MapDir> {
-    match s {
-        "to" => Some(MapDir::To),
-        "from" => Some(MapDir::From),
-        "tofrom" => Some(MapDir::ToFrom),
-        "alloc" => Some(MapDir::Alloc),
-        _ => None,
-    }
-}
-
-fn make_entry(dir: MapDir, always: bool, range: AddrRange) -> MapEntry {
-    let e = match dir {
-        MapDir::To => MapEntry::to(range),
-        MapDir::From => MapEntry::from(range),
-        MapDir::ToFrom => MapEntry::tofrom(range),
-        MapDir::Alloc => MapEntry::alloc(range),
-    };
-    if always {
-        e.always()
-    } else {
-        e
-    }
-}
-
 fn next_num<'a, T: std::str::FromStr>(tok: &mut impl Iterator<Item = &'a str>) -> Option<T> {
     tok.next()?.parse().ok()
 }
@@ -425,10 +393,10 @@ fn next_range<'a>(tok: &mut impl Iterator<Item = &'a str>) -> Option<AddrRange> 
 }
 
 fn next_entry<'a>(tok: &mut impl Iterator<Item = &'a str>) -> Option<MapEntry> {
-    let dir = parse_dir(tok.next()?)?;
+    let dir = MapDir::TOKENS.get(tok.next()?)?;
     let always = next_num::<u8>(tok)? != 0;
     let range = next_range(tok)?;
-    Some(make_entry(dir, always, range))
+    Some(MapEntry { range, dir, always })
 }
 
 #[cfg(test)]

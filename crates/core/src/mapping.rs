@@ -13,6 +13,7 @@
 //! optimizer each hold instances of it.
 
 use crate::error::OmpError;
+use crate::modes::Tokens;
 use apu_mem::{AddrRange, VirtAddr};
 use std::collections::BTreeMap;
 
@@ -30,6 +31,23 @@ pub enum MapDir {
 }
 
 impl MapDir {
+    /// The clause keyword of each direction: the one spelling MapIR text,
+    /// telemetry payloads and diagnostics print, and MapIR parsing reads.
+    pub const TOKENS: Tokens<MapDir, 4> = Tokens {
+        what: "map direction",
+        table: [
+            (MapDir::To, "to"),
+            (MapDir::From, "from"),
+            (MapDir::ToFrom, "tofrom"),
+            (MapDir::Alloc, "alloc"),
+        ],
+    };
+
+    /// The clause keyword (`to`, `from`, `tofrom`, `alloc`).
+    pub fn token(self) -> &'static str {
+        Self::TOKENS.token(self)
+    }
+
     /// Does entry to the data environment transfer host-to-device?
     pub fn copies_to(self) -> bool {
         matches!(self, MapDir::To | MapDir::ToFrom)

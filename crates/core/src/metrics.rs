@@ -36,6 +36,7 @@
 //! omp_pool_ops_total{worker="0",event="own_pop"} 2
 //! ```
 
+use crate::modes::Tokens;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -72,23 +73,20 @@ pub enum MetricKind {
 }
 
 impl MetricKind {
+    /// The exposition token of each kind, as `# TYPE` lines print and
+    /// parse it.
+    pub const TOKENS: Tokens<MetricKind, 3> = Tokens {
+        what: "metric kind",
+        table: [
+            (MetricKind::Counter, "counter"),
+            (MetricKind::Gauge, "gauge"),
+            (MetricKind::Histogram, "histogram"),
+        ],
+    };
+
     /// The exposition token (`counter` / `gauge` / `histogram`).
     pub fn token(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
-        }
-    }
-
-    /// Inverse of [`token`](Self::token).
-    pub fn from_token(s: &str) -> Option<Self> {
-        match s {
-            "counter" => Some(MetricKind::Counter),
-            "gauge" => Some(MetricKind::Gauge),
-            "histogram" => Some(MetricKind::Histogram),
-            _ => None,
-        }
+        Self::TOKENS.token(self)
     }
 
     /// Whether a series of this kind may carry the series-name `suffix`:
@@ -466,7 +464,9 @@ impl MetricsSnapshot {
                 if name != f.name {
                     return Err(err("TYPE family mismatch"));
                 }
-                f.kind = MetricKind::from_token(kind).ok_or_else(|| err("unknown kind"))?;
+                f.kind = MetricKind::TOKENS
+                    .get(kind)
+                    .ok_or_else(|| err("unknown kind"))?;
                 typed = true;
             } else {
                 let f = match snap.families.last_mut() {

@@ -6,9 +6,9 @@
 //! keys on. Before this module each of them hand-rolled its own
 //! `"off" | "online" | "plan"` matching, which is exactly how token sets
 //! drift apart. Now every surface goes through the [`FromStr`]/[`Display`](std::fmt::Display)
-//! impls here; the canonical token of a mode is defined once, and the
-//! anti-drift test at the bottom round-trips every variant through
-//! parse→display so a new variant cannot ship without a token.
+//! impls here, and each set's tokens are one [`Tokens`] table that prints,
+//! parses, lists and rejects; the anti-drift test at the bottom round-trips
+//! every variant through parse→display.
 //!
 //! Two of the parseable enums are *kinds* — [`ElideKind`] and
 //! [`TelemetryKind`] — rather than the runtime's own [`ElideMode`] and
@@ -34,8 +34,8 @@ pub struct ModeParseError {
     pub what: &'static str,
     /// The rejected input.
     pub got: String,
-    /// Human-readable accepted tokens (`"off | online | plan"`).
-    pub expected: &'static str,
+    /// The accepted tokens (`"off | online | plan | opt"`), from the table.
+    pub expected: String,
 }
 
 impl fmt::Display for ModeParseError {
@@ -49,6 +49,55 @@ impl fmt::Display for ModeParseError {
 }
 
 impl std::error::Error for ModeParseError {}
+
+/// One closed token set: every value beside its one spelling, in canonical
+/// order. The set's writer, reader, `ALL` list and accepted-set message all
+/// read this table, so no token is spelled twice.
+#[derive(Debug)]
+pub struct Tokens<T: 'static, const N: usize> {
+    /// What a token names, as [`ModeParseError::what`] reports it.
+    pub what: &'static str,
+    /// Every value with its token, in canonical order.
+    pub table: [(T, &'static str); N],
+}
+
+impl<T: Copy + PartialEq, const N: usize> Tokens<T, N> {
+    /// Every value, in canonical order.
+    pub const fn values(&self) -> [T; N] {
+        let mut out = [self.table[0].0; N];
+        let mut i = 1;
+        while i < N {
+            out[i] = self.table[i].0;
+            i += 1;
+        }
+        out
+    }
+
+    /// The token of `value`.
+    pub fn token(&self, value: T) -> &'static str {
+        let row = self.table.iter().find(|(v, _)| *v == value);
+        row.expect("every value has a row in its token table").1
+    }
+
+    /// The value spelled `token`, if any.
+    pub fn get(&self, token: &str) -> Option<T> {
+        self.table.iter().find(|(_, t)| *t == token).map(|r| r.0)
+    }
+
+    /// [`get`](Self::get), or the error naming every accepted token.
+    pub fn parse(&self, token: &str) -> Result<T, ModeParseError> {
+        self.get(token).ok_or_else(|| ModeParseError {
+            what: self.what,
+            got: token.to_string(),
+            expected: self.expected(),
+        })
+    }
+
+    /// The accepted set, `a | b | c`.
+    pub fn expected(&self) -> String {
+        self.table.map(|(_, t)| t).join(" | ")
+    }
+}
 
 /// Elision strategy, as named on every parsing surface. Resolves to a
 /// concrete [`ElideMode`] at the execution edge: `Plan` derives the plan
@@ -68,26 +117,24 @@ pub enum ElideKind {
 }
 
 impl ElideKind {
+    /// The only spelling of each kind: the CLI, the wire format, and the
+    /// cache key all print and parse exactly these tokens.
+    pub const TOKENS: Tokens<ElideKind, 4> = Tokens {
+        what: "elide mode",
+        table: [
+            (ElideKind::Off, "off"),
+            (ElideKind::Online, "online"),
+            (ElideKind::Plan, "plan"),
+            (ElideKind::Opt, "opt"),
+        ],
+    };
+
     /// Every variant, in canonical order (for exhaustive round-trip tests).
-    pub const ALL: [ElideKind; 4] = [
-        ElideKind::Off,
-        ElideKind::Online,
-        ElideKind::Plan,
-        ElideKind::Opt,
-    ];
+    pub const ALL: [ElideKind; 4] = Self::TOKENS.values();
 
-    /// The accepted token set, for usage strings.
-    pub const EXPECTED: &'static str = "off | online | plan | opt";
-
-    /// Stable canonical token. This is the *only* spelling: the CLI, the
-    /// wire format, and the cache key all print and parse exactly this.
+    /// Stable canonical token.
     pub fn token(self) -> &'static str {
-        match self {
-            ElideKind::Off => "off",
-            ElideKind::Online => "online",
-            ElideKind::Plan => "plan",
-            ElideKind::Opt => "opt",
-        }
+        Self::TOKENS.token(self)
     }
 
     /// Resolve to a concrete [`ElideMode`], synthesizing the plan through
@@ -114,17 +161,7 @@ impl FromStr for ElideKind {
     type Err = ModeParseError;
 
     fn from_str(s: &str) -> Result<Self, ModeParseError> {
-        match s {
-            "off" => Ok(ElideKind::Off),
-            "online" => Ok(ElideKind::Online),
-            "plan" => Ok(ElideKind::Plan),
-            "opt" => Ok(ElideKind::Opt),
-            other => Err(ModeParseError {
-                what: "elide mode",
-                got: other.to_string(),
-                expected: Self::EXPECTED,
-            }),
-        }
+        Self::TOKENS.parse(s)
     }
 }
 
@@ -140,18 +177,18 @@ pub enum TelemetryKind {
 }
 
 impl TelemetryKind {
-    /// Every variant, in canonical order.
-    pub const ALL: [TelemetryKind; 2] = [TelemetryKind::Off, TelemetryKind::Ring];
+    /// The only spelling of each kind.
+    pub const TOKENS: Tokens<TelemetryKind, 2> = Tokens {
+        what: "telemetry mode",
+        table: [(TelemetryKind::Off, "off"), (TelemetryKind::Ring, "ring")],
+    };
 
-    /// The accepted token set, for usage strings.
-    pub const EXPECTED: &'static str = "off | ring";
+    /// Every variant, in canonical order.
+    pub const ALL: [TelemetryKind; 2] = Self::TOKENS.values();
 
     /// Stable canonical token.
     pub fn token(self) -> &'static str {
-        match self {
-            TelemetryKind::Off => "off",
-            TelemetryKind::Ring => "ring",
-        }
+        Self::TOKENS.token(self)
     }
 
     /// Resolve to a concrete [`TelemetryMode`].
@@ -173,15 +210,7 @@ impl FromStr for TelemetryKind {
     type Err = ModeParseError;
 
     fn from_str(s: &str) -> Result<Self, ModeParseError> {
-        match s {
-            "off" => Ok(TelemetryKind::Off),
-            "ring" => Ok(TelemetryKind::Ring),
-            other => Err(ModeParseError {
-                what: "telemetry mode",
-                got: other.to_string(),
-                expected: Self::EXPECTED,
-            }),
-        }
+        Self::TOKENS.parse(s)
     }
 }
 
@@ -198,9 +227,6 @@ pub enum CacheMode {
 }
 
 impl CacheMode {
-    /// The accepted operand shape, for usage strings.
-    pub const EXPECTED: &'static str = "DIR | off";
-
     /// The conventional on-disk location, `.apusim-cache/` in `base`.
     pub fn default_dir(base: &Path) -> CacheMode {
         CacheMode::Dir(base.join(".apusim-cache"))
@@ -290,6 +316,13 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "unknown elide mode 'bogus' (expected off | online | plan | opt)"
+        );
+        // Configs parse case-insensitively, so the rejection names the
+        // lower-cased token.
+        let c = "BOGUS".parse::<RuntimeConfig>().unwrap_err();
+        assert_eq!(
+            c.to_string(),
+            "unknown config 'bogus' (expected copy | usm | izc | eager)"
         );
         assert!("ringg".parse::<TelemetryKind>().is_err());
         assert!("".parse::<ElideKind>().is_err());

@@ -19,7 +19,9 @@ use crate::sanitize::{MapSanitizer, SanitizerReport};
 use crate::table::{MapLookupCache, MappingTable};
 use crate::telemetry::{ElideProbe, EventKind, Recorder, TelemetryReport};
 use crate::trace::{OverheadLedger, RecoveryAction, RecoveryEvent};
-use apu_mem::{AddrRange, ApuMemory, CostModel, MemError, MemStats, VirtAddr, XnackMode};
+use apu_mem::{
+    AddrRange, ApuMemory, CostModel, FreeOutcome, MemError, MemStats, VirtAddr, XnackMode,
+};
 use hsa_rocr::{ApiStats, HsaRuntime, Topology};
 use sim_des::{AsyncToken, Backoff, FaultStats, RunOptions, Schedule, VirtDuration};
 use std::sync::Arc;
@@ -917,22 +919,20 @@ impl OmpRuntime {
                 }) => {
                     attempt += 1;
                     let deficit = requested.saturating_sub(available).max(1);
-                    let pages = deficit.div_ceil(self.mem().page_size().bytes());
+                    let wanted = deficit.div_ceil(self.mem().page_size().bytes());
                     let a0 = self.anchor(thread);
-                    let evicted = if attempt < MAX_ATTEMPTS {
-                        self.hsa.evict_um_pages(thread, pages.max(1))
-                    } else {
-                        0
-                    };
-                    if evicted == 0 {
+                    let evicted = (attempt < MAX_ATTEMPTS)
+                        .then(|| self.hsa.evict_um_pages(thread, wanted.max(1)))
+                        .filter(|out| out.pages > 0);
+                    let Some(FreeOutcome { pages, cost }) = evicted else {
                         return Err(MemError::OutOfMemory {
                             requested,
                             available,
                         }
                         .into());
-                    }
-                    evicted_total += evicted;
-                    self.charge(thread, a0, EventKind::Evicted { pages: evicted });
+                    };
+                    evicted_total += pages;
+                    self.charge(thread, a0, EventKind::Evicted { pages, cost });
                     self.charge_backoff(thread, attempt);
                 }
                 Err(e) => return Err(e.into()),
@@ -1746,9 +1746,32 @@ mod tests {
         let dev = r.omp_target_alloc(0, 4 * 4096).unwrap();
         assert!(dev.0 > 0);
         assert!(r.ledger().evicted_for_retry > 0);
-        assert!(recovery_events(&r.finish())
+        let report = r.finish();
+        assert!(recovery_events(&report)
             .iter()
             .any(|e| matches!(e.action, RecoveryAction::EvictedThenRetriedAlloc { .. })));
+        // The ledger charges what the schedule's recovery ops took, less
+        // the runtime-lock service of each eviction: backoff waits and
+        // evictions alike reach `recovery_backoff`.
+        let tag = hsa_rocr::HsaApiKind::RecoveryBackoff.tag();
+        let scheduled: VirtDuration = report
+            .schedule
+            .records()
+            .iter()
+            .filter(|op| op.tag == tag)
+            .map(|op| op.latency())
+            .sum();
+        let evictions = report
+            .telemetry
+            .as_ref()
+            .expect("ring was on")
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Evicted { .. }))
+            .count() as u64;
+        assert!(evictions > 0);
+        let lock = CostModel::mi300a_no_thp().runtime_call_service;
+        assert_eq!(report.ledger.recovery_backoff, scheduled - lock * evictions);
     }
 
     #[test]

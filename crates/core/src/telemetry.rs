@@ -215,12 +215,15 @@ pub enum EventKind {
         delay: VirtDuration,
     },
     /// Unified-memory pages evicted from VRAM to relieve pool exhaustion
-    /// (`evicted_for_retry`). Separate from the episode's
-    /// [`EventKind::Recovery`] so the counter stays exact even when the
-    /// episode ultimately fails.
+    /// (`evicted_for_retry`, and the teardown into `recovery_backoff`, the
+    /// recovery work the eviction's op is tagged as). Separate from the
+    /// episode's [`EventKind::Recovery`] so the counter stays exact even
+    /// when the episode ultimately fails.
     Evicted {
         /// Pages evicted by this pass.
         pages: u64,
+        /// Page-table teardown time charged.
+        cost: VirtDuration,
     },
     /// A recovery episode resolved, or a degradation engaged
     /// (`recoveries` / `degradations`).
@@ -274,7 +277,7 @@ impl EventKind {
                 always,
             } => {
                 let mut f = range(r);
-                f.push(("dir", FieldVal::Str(dir_str(*dir).into())));
+                f.push(("dir", FieldVal::Str(dir.token().into())));
                 f.push(("always", FieldVal::Bool(*always)));
                 f
             }
@@ -284,7 +287,7 @@ impl EventKind {
                 delete,
             } => {
                 let mut f = range(r);
-                f.push(("dir", FieldVal::Str(dir_str(*dir).into())));
+                f.push(("dir", FieldVal::Str(dir.token().into())));
                 f.push(("delete", FieldVal::Bool(*delete)));
                 f
             }
@@ -359,7 +362,10 @@ impl EventKind {
                 ("attempt", FieldVal::U64(u64::from(*attempt))),
                 ("delay_ns", FieldVal::U64(delay.as_nanos())),
             ],
-            EventKind::Evicted { pages } => vec![("pages", FieldVal::U64(*pages))],
+            EventKind::Evicted { pages, cost } => vec![
+                ("pages", FieldVal::U64(*pages)),
+                ("cost_ns", FieldVal::U64(cost.as_nanos())),
+            ],
             EventKind::Recovery { event } => {
                 let mut f = vec![("attempts", FieldVal::U64(u64::from(event.attempts)))];
                 match event.action {
@@ -553,7 +559,10 @@ impl OverheadLedger {
                 self.retries += 1;
                 self.recovery_backoff += *delay;
             }
-            EventKind::Evicted { pages } => self.evicted_for_retry += *pages,
+            EventKind::Evicted { pages, cost } => {
+                self.evicted_for_retry += *pages;
+                self.recovery_backoff += *cost;
+            }
             EventKind::Recovery { event } => match event.action {
                 RecoveryAction::XnackLost | RecoveryAction::StartupDegradation { .. } => {
                     self.degradations += 1;
@@ -662,15 +671,6 @@ pub fn resolve(report: &TelemetryReport, schedule: &Schedule) -> Vec<TimedEvent>
             event: e.clone(),
         })
         .collect()
-}
-
-fn dir_str(dir: MapDir) -> &'static str {
-    match dir {
-        MapDir::To => "to",
-        MapDir::From => "from",
-        MapDir::ToFrom => "tofrom",
-        MapDir::Alloc => "alloc",
-    }
 }
 
 /// Escape `s` for a JSON string literal: quote, backslash, `\n`, `\r` and
@@ -945,24 +945,25 @@ mod tests {
         AddrRange::new(VirtAddr(start), len)
     }
 
+    /// An eviction of `pages` that charges no teardown time.
+    fn evicted(pages: u64) -> EventKind {
+        EventKind::Evicted {
+            pages,
+            cost: VirtDuration::ZERO,
+        }
+    }
+
     #[test]
     fn ring_drops_oldest_and_counts_at_the_capacity_boundary() {
         let mut ring = EventRing::new(3);
         for i in 0..3 {
-            ring.push(
-                0,
-                i,
-                i,
-                EventKind::Evicted {
-                    pages: u64::from(i),
-                },
-            );
+            ring.push(0, i, i, evicted(u64::from(i)));
         }
         // Exactly full: nothing dropped yet.
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 0);
         // One past capacity: the oldest event (seq 0) is evicted, accounted.
-        ring.push(0, 3, 3, EventKind::Evicted { pages: 3 });
+        ring.push(0, 3, 3, evicted(3));
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 1);
         let report = ring.into_report();
@@ -978,8 +979,8 @@ mod tests {
     #[test]
     fn ring_capacity_zero_is_clamped_to_one() {
         let mut ring = EventRing::new(0);
-        ring.push(0, 0, 0, EventKind::Evicted { pages: 1 });
-        ring.push(0, 0, 0, EventKind::Evicted { pages: 2 });
+        ring.push(0, 0, 0, evicted(1));
+        ring.push(0, 0, 0, evicted(2));
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.dropped(), 1);
     }
@@ -1048,7 +1049,13 @@ mod tests {
                     delay: us(8),
                 },
             ),
-            ev(7, EventKind::Evicted { pages: 16 }),
+            ev(
+                7,
+                EventKind::Evicted {
+                    pages: 16,
+                    cost: us(11),
+                },
+            ),
             ev(
                 8,
                 EventKind::Recovery {
@@ -1157,7 +1164,8 @@ mod tests {
                 replayed_pages: 7,
                 zero_filled_pages: 2,
                 prefault_calls: 1,
-                recovery_backoff: us(8),
+                // The backoff wait plus the eviction's teardown.
+                recovery_backoff: us(8 + 11),
                 recovery_prefault: us(4),
                 retries: 1,
                 // RetriedAlloc takes the recovery arm, XnackLost the
@@ -1188,7 +1196,7 @@ mod tests {
 {"type":"event","seq":8,"thread":2,"anchor":8,"anchor_end":9,"kind":"kernel_complete","name":"stencil \"hot\"\nloop","compute_ns":7000,"fault_stall_ns":8000,"tlb_stall_ns":1000,"stall_ns":19000,"replayed_pages":3,"zero_filled_pages":1}
 {"type":"event","seq":9,"thread":2,"anchor":9,"anchor_end":10,"kind":"elide","start":80,"len":64,"probe":"miss","lookup_ns":1000,"saved_ns":9000}
 {"type":"event","seq":10,"thread":2,"anchor":10,"anchor_end":11,"kind":"backoff","attempt":3,"delay_ns":10000}
-{"type":"event","seq":11,"thread":2,"anchor":11,"anchor_end":12,"kind":"evicted","pages":12}
+{"type":"event","seq":11,"thread":2,"anchor":11,"anchor_end":12,"kind":"evicted","pages":12,"cost_ns":11000}
 {"type":"event","seq":12,"thread":2,"anchor":12,"anchor_end":13,"kind":"recovery","attempts":1,"action":"evicted_then_retried_alloc","pages":12}
 {"type":"event","seq":13,"thread":2,"anchor":13,"anchor_end":14,"kind":"recovery","attempts":0,"action":"startup_degradation","from":"USM","to":"Copy"}
 {"type":"event","seq":14,"thread":2,"anchor":14,"anchor_end":15,"kind":"sanitizer","code":"MC007"}
@@ -1255,7 +1263,10 @@ mod tests {
                 attempt: 3,
                 delay: us(10),
             },
-            EventKind::Evicted { pages: 12 },
+            EventKind::Evicted {
+                pages: 12,
+                cost: us(11),
+            },
             EventKind::Recovery {
                 event: RecoveryEvent {
                     thread: 2,
@@ -1466,14 +1477,14 @@ mod tests {
                     thread: 0,
                     anchor: 0,
                     anchor_end: 1,
-                    kind: EventKind::Evicted { pages: 1 },
+                    kind: evicted(1),
                 },
                 Event {
                     seq: 1,
                     thread: 0,
                     anchor: 1,
                     anchor_end: 2,
-                    kind: EventKind::Evicted { pages: 2 },
+                    kind: evicted(2),
                 },
                 // Unknown thread and overlong anchors clamp, never panic.
                 Event {
@@ -1481,7 +1492,7 @@ mod tests {
                     thread: 7,
                     anchor: 9,
                     anchor_end: 9,
-                    kind: EventKind::Evicted { pages: 3 },
+                    kind: evicted(3),
                 },
             ],
             dropped_events: 0,

@@ -53,7 +53,9 @@ pub struct OverheadLedger {
     pub zero_filled_pages: u64,
     /// Prefault syscalls issued.
     pub prefault_calls: u64,
-    /// Virtual time spent in recovery backoff waits between retries.
+    /// Virtual time spent in recovery backoff waits between retries, and
+    /// in tearing down the unified-memory pages evicted to relieve pool
+    /// exhaustion.
     pub recovery_backoff: VirtDuration,
     /// Virtual time spent prefaulting access sets after XNACK was lost
     /// mid-run (the degraded Eager-Maps-style dispatch path).

@@ -12,8 +12,9 @@
 //! effect (operations are recorded into per-thread streams, later resolved
 //! against the socket's shared resources: the serialized runtime stack, the
 //! SDMA engines and the GPU kernel slots), and returns what it scheduled:
-//! `pool_allocate` an [`AllocOutcome`](apu_mem::AllocOutcome), `pool_free` a
-//! [`FreeOutcome`](apu_mem::FreeOutcome), `async_copy` its DMA time and
+//! `pool_allocate` an [`AllocOutcome`](apu_mem::AllocOutcome), `pool_free`
+//! and `evict_um_pages` a [`FreeOutcome`](apu_mem::FreeOutcome),
+//! `async_copy` its DMA time and
 //! `dispatch_kernel` the access set's fault outcome (and, `nowait`, its
 //! completion token). So a caller charges each call's cost without working
 //! it out again. `finish(opts, seeds)` schedules the streams once per noise

@@ -4,7 +4,8 @@
 //! performs its *functional* effect against [`ApuMemory`] immediately (so
 //! memory semantics are real), records timed operations into per-thread
 //! streams, and returns what it scheduled: a pool allocation its
-//! [`AllocOutcome`], a pool free its [`FreeOutcome`], a copy its DMA time.
+//! [`AllocOutcome`], a pool free or an eviction its [`FreeOutcome`], a
+//! copy its DMA time.
 //! `finish()` resolves the streams against the socket's shared resources,
 //! once per noise seed.
 
@@ -393,22 +394,23 @@ impl HsaRuntime {
     }
 
     /// Eviction-then-retry support: evict up to `max_pages` unified-memory
-    /// pages from VRAM (discrete only), charging the page-table teardown
-    /// under the runtime lock as recovery work. Returns pages evicted.
-    pub fn evict_um_pages(&mut self, thread: usize, max_pages: u64) -> u64 {
-        let evicted = self.mem.evict_um_pages(max_pages);
-        if evicted > 0 {
-            let cost = self.mem.cost().pool_free_cost(evicted);
+    /// pages from VRAM (discrete only), scheduling the page-table teardown
+    /// under the runtime lock as recovery work. Returns the eviction, whose
+    /// `cost` is what the call scheduled beyond the runtime-lock service
+    /// (nothing is scheduled when no page was evicted).
+    pub fn evict_um_pages(&mut self, thread: usize, max_pages: u64) -> FreeOutcome {
+        let out = self.mem.evict_um_pages(max_pages);
+        if out.pages > 0 {
             self.streams.push(
                 thread,
                 Op::service(
                     HsaApiKind::RecoveryBackoff.tag(),
                     self.res.runtime_lock,
-                    self.lock_service() + cost,
+                    self.lock_service() + out.cost,
                 ),
             );
         }
-        evicted
+        out
     }
 
     /// Resolve the recorded streams once per seed (the paper's N-runs

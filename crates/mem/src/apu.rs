@@ -528,16 +528,21 @@ impl ApuMemory {
     /// VRAM, oldest first (same FIFO order as oversubscription eviction).
     /// Evicted pages lose their GPU translation and re-migrate on their
     /// next GPU touch; CPU translations are untouched, so content is
-    /// preserved. Returns the number of pages actually evicted — `0` on an
-    /// APU or when nothing is resident, which recovery policies use to
-    /// decide whether an eviction-then-retry attempt is worth making.
-    pub fn evict_um_pages(&mut self, max_pages: u64) -> u64 {
-        if self.discrete().is_none() {
-            return 0;
-        }
-        let evicted = self.evict_oldest(max_pages);
-        self.stats.evicted_pages += evicted;
-        evicted
+    /// preserved. Returns the pages actually evicted — `0` on an APU or
+    /// when nothing is resident, which recovery policies use to decide
+    /// whether an eviction-then-retry attempt is worth making — costed as a
+    /// pool free of that many pages (zero for none).
+    pub fn evict_um_pages(&mut self, max_pages: u64) -> FreeOutcome {
+        let pages = match self.discrete() {
+            Some(_) => self.evict_oldest(max_pages),
+            None => 0,
+        };
+        self.stats.evicted_pages += pages;
+        let cost = match pages {
+            0 => VirtDuration::ZERO,
+            _ => self.cost.pool_free_cost(pages),
+        };
+        FreeOutcome { pages, cost }
     }
 
     /// Evict up to `n` of the oldest resident unified-memory pages: each
@@ -1336,7 +1341,7 @@ mod tests {
         for n in [1, 5, 13, 30, 40] {
             let (mut bulk, ra, rb) = fragmented();
             let (mut single, _, _) = fragmented();
-            assert_eq!(bulk.evict_um_pages(n), n.min(30), "n = {n}");
+            assert_eq!(bulk.evict_um_pages(n).pages, n.min(30), "n = {n}");
             for _ in 0..n {
                 single.evict_um_pages(1);
             }

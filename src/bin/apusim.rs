@@ -90,6 +90,7 @@ use mi300a_zerocopy::workloads::{
     spec::{Bt, Ep, Lbm, SpC, Stencil},
     MiniCg, NioSize, OpenFoamMini, QmcPack, Stream, Workload,
 };
+use std::num::{NonZeroU32, NonZeroUsize};
 
 /// Exit 2 with a one-line diagnostic and the usage text.
 fn usage_error(msg: &str) -> ! {
@@ -121,14 +122,15 @@ fn parsed<'a, T: std::str::FromStr>(it: &mut impl Iterator<Item = &'a String>, f
     raw.parse().unwrap_or_else(|_| bad_value(flag, raw))
 }
 
-/// [`parsed`] for a comma-separated list.
-fn parsed_list<'a, T: std::str::FromStr>(
+/// [`parsed`] for a comma-separated list, each item parsed as a `P` (such
+/// as a non-zero count) and kept as a `T`.
+fn parsed_list<'a, P: std::str::FromStr + Into<T>, T>(
     it: &mut impl Iterator<Item = &'a String>,
     flag: &str,
 ) -> Vec<T> {
     let raw = value(it, flag);
     raw.split(',')
-        .map(str::parse)
+        .map(|s| s.parse::<P>().map(Into::into))
         .collect::<Result<_, _>>()
         .unwrap_or_else(|_| bad_value(flag, raw))
 }
@@ -241,7 +243,7 @@ fn cmd_list() {
     println!("  stream         BabelStream-style microbenchmark (--scale)");
     println!("  openfoam       unified_shared_memory mini-solver (--scale; izc/usm only)");
     println!("  cg, cg-nowait  HPCG-class CG solver, optionally nowait-pipelined (--scale)");
-    println!("configs: copy | usm | izc | eager");
+    println!("configs: {}", RuntimeConfig::TOKENS.expected());
 }
 
 fn cmd_costs() {
@@ -323,8 +325,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--jobs" | "-j" => jobs = parsed(&mut it, a),
-            "--sizes" => sizes = parsed_list(&mut it, a),
-            "--threads" => threads = parsed_list(&mut it, a),
+            "--sizes" => sizes = parsed_list::<NonZeroU32, _>(&mut it, a),
+            "--threads" => threads = parsed_list::<NonZeroUsize, _>(&mut it, a),
             "--steps" => steps = parsed(&mut it, a),
             _ => unknown_argument(a),
         }
@@ -381,7 +383,7 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--config" => config = parse_config(value(&mut it, a)),
-            "--threads" => threads = parsed(&mut it, a),
+            "--threads" => threads = parsed::<NonZeroUsize>(&mut it, a).get(),
             "--scale" => scale = parsed(&mut it, a),
             "--steps" => steps = parsed(&mut it, a),
             "--discrete" => discrete = true,
@@ -745,7 +747,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 fn info_line(resp: &batch::Response) -> String {
     match resp {
         batch::Response::Ok { verb, info, .. } => {
-            let mut line = verb.lower().to_string();
+            let mut line = verb.lower();
             for (k, v) in info {
                 line.push_str(&format!(" {k}={v}"));
             }

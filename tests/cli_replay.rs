@@ -100,20 +100,36 @@ fn a_missing_capture_exits_1_with_one_line_naming_its_path() {
 
 #[test]
 fn a_malformed_option_value_exits_2_naming_the_flag_and_the_value() {
-    let out = Command::new(env!("CARGO_BIN_EXE_apusim"))
-        .args(["run", "stencil", "--threads", "x"])
-        .output()
-        .expect("spawn apusim");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let mut lines = stderr.lines();
-    assert_eq!(
-        lines.next(),
-        Some("apusim: bad value 'x' for --threads"),
-        "{stderr}"
-    );
-    assert_eq!(lines.next(), Some("usage:"), "{stderr}");
-    assert!(out.stdout.is_empty(), "{out:?}");
+    // A zero thread count or size is malformed too: rejected while
+    // parsing, before any run starts.
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["run", "stencil", "--threads", "x"],
+            "bad value 'x' for --threads",
+        ),
+        (
+            &["run", "stencil", "--threads", "0"],
+            "bad value '0' for --threads",
+        ),
+        (&["sweep", "--threads", "0"], "bad value '0' for --threads"),
+        (&["sweep", "--sizes", "0"], "bad value '0' for --sizes"),
+    ];
+    for (args, diagnostic) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_apusim"))
+            .args(args)
+            .output()
+            .expect("spawn apusim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let mut lines = stderr.lines();
+        assert_eq!(
+            lines.next(),
+            Some(format!("apusim: {diagnostic}").as_str()),
+            "{stderr}"
+        );
+        assert_eq!(lines.next(), Some("usage:"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+    }
 }
 
 #[test]

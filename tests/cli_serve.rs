@@ -3,7 +3,8 @@
 //! garbage frame gets `ERR`; `METRICS` holds the four instrument families,
 //! restates no `STATS` counter and agrees with `STATS` where they meet;
 //! `--gc` succeeds; `--shutdown` drains the server and removes its socket;
-//! and `cache gc --dry-run` accepts the store the server wrote.
+//! and `cache gc --dry-run` accepts the store the server wrote. Over
+//! `--tcp` the served report is the same bytes, and the server drains too.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -178,5 +179,50 @@ fn served_sweeps_match_offline_replay_and_the_server_drains() {
     assert!(status.success(), "apusim serve exited with {status}");
     assert!(!dir.join(SOCK).exists(), "socket removed on shutdown");
     ok(&dir, "cache gc --cache serve-cache --dry-run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn served_sweeps_over_tcp_match_offline_replay() {
+    let dir = std::env::temp_dir().join(format!("apusim-cli-serve-tcp-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    ok(&dir, "run stream --scale 0.05 --capture s.mapir");
+    // `--cache off` routes one capture through the batched sweep path.
+    let offline = ok(&dir, "replay s.mapir --config izc --cache off");
+
+    let child = Command::new(env!("CARGO_BIN_EXE_apusim"))
+        .current_dir(&dir)
+        .args(["serve", "--tcp", "127.0.0.1:0", "--cache", "off"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn apusim serve");
+    let mut server = Serving(child);
+    // The OS picks the port; serve names it on its first stderr line.
+    let mut banner = String::new();
+    BufReader::new(server.0.stderr.as_mut().expect("piped stderr"))
+        .read_line(&mut banner)
+        .expect("read the listening line");
+    let addr = banner
+        .trim_end()
+        .strip_prefix("apusim serve: listening on tcp ")
+        .unwrap_or_else(|| panic!("no TCP address in {banner:?}"))
+        .to_string();
+
+    let request = |verb: &str| ok(&dir, &format!("request --tcp {addr} {verb}"));
+    request("--ping");
+    assert_eq!(
+        request("s.mapir --config izc"),
+        offline,
+        "served report over TCP differs from offline replay"
+    );
+    let stats = request("--stats");
+    assert!(stats.contains("hits=0 simulated=1"), "{stats}");
+    request("--shutdown");
+    let status = poll("the server never drained", || {
+        server.0.try_wait().expect("poll server")
+    });
+    assert!(status.success(), "apusim serve exited with {status}");
     let _ = std::fs::remove_dir_all(&dir);
 }
