@@ -36,6 +36,12 @@ pub fn cache_salt() -> u64 {
     h.finish()
 }
 
+/// The line between an entry's canonical request block and its result.
+const SEPARATOR: &str = "---\n";
+
+/// An entry file's extension, `<digest>.sweep`.
+const EXT: &str = "sweep";
+
 /// What one [`ResultCache::gc`] pass did (or, dry-run, would do).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcSummary {
@@ -92,10 +98,16 @@ impl ResultCache {
         self.dir.is_some()
     }
 
+    /// An entry's first line, for [`store`](Self::store) and
+    /// [`lookup`](Self::lookup) alike.
+    fn header(&self) -> String {
+        format!("apusim-cache v1 salt={:016x}", self.salt)
+    }
+
     fn entry_path(&self, req: &SweepRequest) -> Option<PathBuf> {
         self.dir
             .as_ref()
-            .map(|d| d.join(format!("{:016x}.sweep", req.digest())))
+            .map(|d| d.join(format!("{:016x}.{EXT}", req.digest())))
     }
 
     /// Look `req` up. Returns the stored result only when the entry's salt
@@ -108,7 +120,7 @@ impl ResultCache {
         let text = fs::read_to_string(&path).ok()?;
         let mut lines = text.splitn(2, '\n');
         let header = lines.next()?;
-        if header != format!("apusim-cache v1 salt={:016x}", self.salt) {
+        if header != self.header() {
             return None;
         }
         let body = lines.next()?;
@@ -118,7 +130,7 @@ impl ResultCache {
             return None;
         }
         let rest = &body[canonical.len()..];
-        let result_block = rest.strip_prefix("---\n")?;
+        let result_block = rest.strip_prefix(SEPARATOR)?;
         let result = SweepResult::parse(result_block).ok()?;
         // LRU recency: best-effort, a read-only cache still hits.
         if let Ok(f) = fs::File::options().append(true).open(&path) {
@@ -138,8 +150,8 @@ impl ResultCache {
         let dir = path.parent().expect("entry path has a parent");
         fs::create_dir_all(dir)?;
         let payload = format!(
-            "apusim-cache v1 salt={:016x}\n{}---\n{}",
-            self.salt,
+            "{}\n{}{SEPARATOR}{}",
+            self.header(),
             req.canonical(),
             result.to_text(),
         );
@@ -157,22 +169,38 @@ impl ResultCache {
         stored
     }
 
-    /// Total bytes the store's `.sweep` entries occupy right now (0 for a
-    /// disabled or never-written store). Same scan the GC pass uses, so
-    /// the `METRICS` cache-size gauge and `GC`'s `bytes_kept` agree.
-    pub fn size_bytes(&self) -> u64 {
+    /// Every entry file as `(mtime, path, bytes)`, the one scan `size_bytes`
+    /// and `gc` share; an entry evicted mid-scan is skipped.
+    fn entries(&self) -> std::io::Result<Vec<(SystemTime, PathBuf, u64)>> {
         let Some(dir) = self.dir.as_ref() else {
-            return 0;
+            return Ok(Vec::new());
         };
-        let Ok(entries) = fs::read_dir(dir) else {
-            return 0;
+        let entries = match fs::read_dir(dir) {
+            Ok(rd) => rd,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(e),
         };
-        entries
-            .flatten()
-            .filter(|e| e.path().extension().is_some_and(|x| x == "sweep"))
-            .filter_map(|e| e.metadata().ok())
-            .map(|m| m.len())
-            .sum()
+        let mut files = Vec::new();
+        for entry in entries {
+            let entry = entry?;
+            let path = entry.path();
+            if path.extension().is_none_or(|e| e != EXT) {
+                continue;
+            }
+            let Ok(meta) = entry.metadata() else {
+                continue;
+            };
+            let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+            files.push((mtime, path, meta.len()));
+        }
+        Ok(files)
+    }
+
+    /// Total bytes the store's entries occupy right now (0 when unreadable),
+    /// as the `METRICS` cache-size gauge and `GC`'s `bytes_kept` report it.
+    pub fn size_bytes(&self) -> u64 {
+        let files = self.entries().unwrap_or_default();
+        files.iter().map(|&(_, _, len)| len).sum()
     }
 
     /// Evict least-recently-used entries until the directory's `.sweep`
@@ -186,29 +214,7 @@ impl ResultCache {
             dry_run,
             ..GcSummary::default()
         };
-        let Some(dir) = self.dir.as_ref() else {
-            return Ok(summary);
-        };
-        let entries = match fs::read_dir(dir) {
-            Ok(rd) => rd,
-            // A cache that was never stored to has nothing to evict.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(summary),
-            Err(e) => return Err(e),
-        };
-        let mut files: Vec<(SystemTime, PathBuf, u64)> = Vec::new();
-        for entry in entries {
-            let entry = entry?;
-            let path = entry.path();
-            if path.extension().is_none_or(|e| e != "sweep") {
-                continue;
-            }
-            let meta = match entry.metadata() {
-                Ok(m) => m,
-                Err(_) => continue, // raced with a concurrent eviction
-            };
-            let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-            files.push((mtime, path, meta.len()));
-        }
+        let mut files = self.entries()?;
         files.sort();
         summary.scanned = files.len();
         let mut total: u64 = files.iter().map(|&(_, _, len)| len).sum();

@@ -30,10 +30,12 @@
 //! [`SweepResult::to_text`]: crate::SweepResult::to_text
 //! [`render_report`]: crate::render_report
 
-use crate::request::SweepRequest;
+use crate::request::{closes_block, SweepRequest};
 use omp_offload::modes::Tokens;
+use omp_offload::MapIr;
 use std::fmt;
 use std::io::BufRead;
+use std::sync::Arc;
 
 /// Wire-format version, spoken in every request header. Independent of the
 /// canonical-encoding versions it frames (those invalidate the cache; this
@@ -159,10 +161,7 @@ pub struct Frame {
 impl Frame {
     /// A frame with a body (the body gains a trailing newline if missing).
     pub fn new(verb: Verb, body: impl Into<String>) -> Frame {
-        let mut body = body.into();
-        if !body.is_empty() && !body.ends_with('\n') {
-            body.push('\n');
-        }
+        let body = normalize_body(body.into());
         Frame { verb, body }
     }
 
@@ -238,11 +237,7 @@ pub enum Response {
 impl Response {
     /// An `OK` response with no info pairs.
     pub fn ok(verb: Verb, body: impl Into<String>) -> Response {
-        Response::Ok {
-            verb,
-            info: Vec::new(),
-            body: normalize_body(body.into()),
-        }
+        Response::ok_with(verb, Vec::new(), body)
     }
 
     /// An `OK` response carrying `key=value` info pairs.
@@ -355,11 +350,53 @@ impl Response {
     }
 }
 
+/// The key of a stanza's display-name line, `name <label>`.
+const NAME_KEY: &str = "name";
+
 /// One sweep-cell stanza: the optional display-name line plus the exact
 /// canonical request block. This is the unit the `SWEEP` and `RESULT`
 /// bodies are made of, and the only way a cell is ever spelled on the wire.
 pub fn sweep_stanza(name: &str, req: &SweepRequest) -> String {
-    format!("name {}\n{}", name.replace('\n', " "), req.canonical())
+    let name = name.replace('\n', " ");
+    format!("{NAME_KEY} {name}\n{}", req.canonical())
+}
+
+/// Split a `SWEEP`/`RESULT` body into cells, the inverse of
+/// [`sweep_stanza`]: an optional name line (else `cell<i>`), then a request
+/// block up to its closing line; `resolve` looks capture digests up.
+pub(crate) fn parse_stanzas(
+    body: &str,
+    resolve: impl Fn(u64) -> Option<Arc<MapIr>>,
+) -> Result<Vec<SweepRequest>, String> {
+    let mut lines = body.lines().peekable();
+    let mut out: Vec<SweepRequest> = Vec::new();
+    while let Some(&first) = lines.peek() {
+        let name = match first.split_once(' ').filter(|(k, _)| *k == NAME_KEY) {
+            Some((_, label)) => {
+                lines.next();
+                label.to_string()
+            }
+            None => format!("cell{}", out.len()),
+        };
+        let mut block = String::new();
+        loop {
+            let line = lines
+                .next()
+                .ok_or_else(|| format!("truncated request stanza for '{name}'"))?;
+            block.push_str(line);
+            block.push('\n');
+            if closes_block(line) {
+                break;
+            }
+        }
+        let req =
+            SweepRequest::from_canonical(name, &block, &resolve).map_err(|e| e.to_string())?;
+        out.push(req);
+    }
+    if out.is_empty() {
+        return Err("empty request body".to_string());
+    }
+    Ok(out)
 }
 
 fn normalize_body(mut body: String) -> String {

@@ -25,7 +25,7 @@
 use omp_offload::digest::Fnv1a;
 use omp_offload::modes::Tokens;
 use omp_offload::{MapIr, RuntimeConfig};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -185,44 +185,37 @@ pub struct SweepRequest {
 /// choke point. Obtained from [`SweepRequest::builder`].
 #[derive(Debug, Clone)]
 pub struct SweepRequestBuilder {
-    name: String,
-    ir: Arc<MapIr>,
-    preset: CostPreset,
-    config: RuntimeConfig,
-    elide: ElideKind,
-    fault_seed: Option<u64>,
-    telemetry: TelemetryKind,
-    tenants: u32,
+    req: SweepRequest,
 }
 
 impl SweepRequestBuilder {
     /// Cost-model preset (default: the calibrated MI300A model).
     pub fn preset(mut self, preset: CostPreset) -> Self {
-        self.preset = preset;
+        self.req.preset = preset;
         self
     }
 
     /// Runtime configuration (default: Implicit Zero-Copy).
     pub fn config(mut self, config: RuntimeConfig) -> Self {
-        self.config = config;
+        self.req.config = config;
         self
     }
 
     /// Elision strategy (default: off).
     pub fn elide(mut self, elide: ElideKind) -> Self {
-        self.elide = elide;
+        self.req.elide = elide;
         self
     }
 
     /// Deterministic fault-plan seed (default: healthy run).
     pub fn fault_seed(mut self, seed: u64) -> Self {
-        self.fault_seed = Some(seed);
+        self.req.fault_seed = Some(seed);
         self
     }
 
     /// Telemetry collection mode (default: off).
     pub fn telemetry(mut self, telemetry: TelemetryKind) -> Self {
-        self.telemetry = telemetry;
+        self.req.telemetry = telemetry;
         self
     }
 
@@ -230,7 +223,7 @@ impl SweepRequestBuilder {
     /// table (default 1). Validated against the tenant-pool VA-window
     /// capacity at [`build`](Self::build).
     pub fn tenants(mut self, tenants: u32) -> Self {
-        self.tenants = tenants;
+        self.req.tenants = tenants;
         self
     }
 
@@ -243,33 +236,114 @@ impl SweepRequestBuilder {
     /// the static checker flags as MC005 — it would fault on real
     /// hardware).
     pub fn build(self) -> Result<SweepRequest, RequestError> {
-        if self.name.is_empty() {
+        let req = self.req;
+        if req.name.is_empty() {
             return Err(RequestError::EmptyName);
         }
-        if self.ir.is_empty() {
+        if req.ir.is_empty() {
             return Err(RequestError::EmptyCapture);
         }
-        if !omp_mapcheck::admissible_configs(&self.ir).contains(&self.config) {
-            return Err(RequestError::RawAccessNeedsXnack {
-                config: self.config,
-            });
+        if !omp_mapcheck::admissible_configs(&req.ir).contains(&req.config) {
+            return Err(RequestError::RawAccessNeedsXnack { config: req.config });
         }
-        if self.tenants == 0 || self.tenants > omp_offload::MAX_TENANTS {
+        if req.tenants == 0 || req.tenants > omp_offload::MAX_TENANTS {
             return Err(RequestError::BadTenantCount {
-                tenants: self.tenants,
+                tenants: req.tenants,
             });
         }
-        Ok(SweepRequest {
-            name: self.name,
-            ir: self.ir,
-            preset: self.preset,
-            config: self.config,
-            elide: self.elide,
-            fault_seed: self.fault_seed,
-            telemetry: self.telemetry,
-            tenants: self.tenants,
-        })
+        Ok(req)
     }
+}
+
+/// The block's first line, for its writer and its reader.
+fn header() -> String {
+    format!("sweepreq v{REQUEST_VERSION}")
+}
+
+/// One line after the header: its key, the value a request writes (`None`
+/// omits the line), and how a decoded value lands.
+struct Key {
+    name: &'static str,
+    get: fn(&SweepRequest) -> Option<String>,
+    set: fn(&mut Decoded, &str) -> Result<(), String>,
+}
+
+/// A block decoded so far: the request (its `ir` still empty) and the
+/// `(digest, records)` its `capture` line claims.
+struct Decoded {
+    req: SweepRequest,
+    capture: (u64, usize),
+}
+
+/// The line of a token-valued field; a rejection names the accepted set.
+macro_rules! token_key {
+    ($f:ident) => {
+        Key {
+            name: stringify!($f),
+            get: |r| Some(r.$f.token().to_string()),
+            set: |d, v| {
+                d.req.$f = v.parse().map_err(|e: ModeParseError| e.to_string())?;
+                Ok(())
+            },
+        }
+    };
+}
+
+/// The block's lines in order: the one key list [`SweepRequest::canonical`]
+/// writes, [`SweepRequest::from_canonical`] walks (so a missing, repeated or
+/// misplaced key is malformed) and [`closes_block`] ends a stanza at. The
+/// single-tenant default omits its `tenants` line, keeping pre-tenant
+/// blocks byte-identical; the capture enters as its digest and record
+/// count, not its body.
+const KEYS: [Key; 7] = [
+    token_key!(preset),
+    token_key!(config),
+    token_key!(elide),
+    Key {
+        name: "fault",
+        get: |r| Some(r.fault_seed.map_or("none".into(), |s| s.to_string())),
+        set: |d, v| {
+            d.req.fault_seed = match v {
+                "none" => None,
+                seed => Some(seed.parse().map_err(|_| format!("bad fault seed '{v}'"))?),
+            };
+            Ok(())
+        },
+    },
+    token_key!(telemetry),
+    Key {
+        name: "tenants",
+        get: |r| (r.tenants > 1).then(|| r.tenants.to_string()),
+        set: |d, v| {
+            d.req.tenants = v.parse().map_err(|_| format!("bad tenant count '{v}'"))?;
+            Ok(())
+        },
+    },
+    Key {
+        name: "capture",
+        get: |r| {
+            let digest = SweepRequest::capture_digest(&r.ir);
+            Some(format!("{digest:016x} {}", r.ir.len()))
+        },
+        set: |d, v| {
+            let (digest, len) = v
+                .split_once(' ')
+                .ok_or("capture line needs '<digest> <records>'")?;
+            d.capture = (
+                u64::from_str_radix(digest, 16)
+                    .map_err(|_| format!("bad capture digest '{digest}'"))?,
+                len.parse()
+                    .map_err(|_| format!("bad capture record count '{len}'"))?,
+            );
+            Ok(())
+        },
+    },
+];
+
+/// Whether `line` is a block's last (`capture`) line, where a stanza ends.
+pub(crate) fn closes_block(line: &str) -> bool {
+    let last = KEYS[KEYS.len() - 1].name;
+    line.split_once(' ').is_some_and(|(k, _)| k == last)
 }
 
 impl SweepRequest {
@@ -278,14 +352,16 @@ impl SweepRequest {
     /// telemetry off.
     pub fn builder(name: impl Into<String>, ir: Arc<MapIr>) -> SweepRequestBuilder {
         SweepRequestBuilder {
-            name: name.into(),
-            ir,
-            preset: CostPreset::Mi300a,
-            config: RuntimeConfig::ImplicitZeroCopy,
-            elide: ElideKind::Off,
-            fault_seed: None,
-            telemetry: TelemetryKind::Off,
-            tenants: 1,
+            req: SweepRequest {
+                name: name.into(),
+                ir,
+                preset: CostPreset::Mi300a,
+                config: RuntimeConfig::ImplicitZeroCopy,
+                elide: ElideKind::Off,
+                fault_seed: None,
+                telemetry: TelemetryKind::Off,
+                tenants: 1,
+            },
         }
     }
 
@@ -298,34 +374,18 @@ impl SweepRequest {
         h.finish()
     }
 
-    /// The canonical encoding: every result-determining field, one per
-    /// line, in fixed order. The capture itself enters as the FNV-1a digest
-    /// of its stable `mapir v1` text plus its record count — the capture
-    /// body is *not* inlined, keeping cache entries small. This is the only
+    /// The canonical encoding: the header, then every result-determining
+    /// field, one `KEYS` line each, in fixed order. This is the only
     /// encoder: the cache stores it, the wire format ships it, and
     /// [`from_canonical`](Self::from_canonical) inverts it.
     pub fn canonical(&self) -> String {
-        let mut block = format!(
-            "sweepreq v{}\npreset {}\nconfig {}\nelide {}\nfault {}\ntelemetry {}\n",
-            REQUEST_VERSION,
-            self.preset.token(),
-            self.config.token(),
-            self.elide.token(),
-            self.fault_seed
-                .map_or_else(|| "none".to_string(), |s| s.to_string()),
-            self.telemetry.token(),
-        );
-        // The single-tenant default is encoded by *omission* so every
-        // pre-tenant cache entry and wire block stays byte-identical (no
-        // REQUEST_VERSION bump, no cache self-invalidation).
-        if self.tenants > 1 {
-            block.push_str(&format!("tenants {}\n", self.tenants));
+        let mut block = header();
+        block.push('\n');
+        for key in &KEYS {
+            if let Some(value) = (key.get)(self) {
+                let _ = writeln!(block, "{} {value}", key.name);
+            }
         }
-        block.push_str(&format!(
-            "capture {:016x} {}\n",
-            Self::capture_digest(&self.ir),
-            self.ir.len(),
-        ));
         block
     }
 
@@ -340,96 +400,43 @@ impl SweepRequest {
         text: &str,
         resolve: impl FnOnce(u64) -> Option<Arc<MapIr>>,
     ) -> Result<SweepRequest, RequestError> {
+        let bad = RequestError::Malformed;
         let mut lines = text.lines();
-        let bad = |msg: &str| RequestError::Malformed(msg.to_string());
+        let header = header();
         match lines.next() {
-            Some(l) if l == format!("sweepreq v{REQUEST_VERSION}") => {}
-            other => {
-                return Err(bad(&format!(
-                    "bad header {other:?} (expected 'sweepreq v{REQUEST_VERSION}')"
-                )))
+            Some(l) if l == header => {}
+            other => return Err(bad(format!("bad header {other:?} (expected '{header}')"))),
+        }
+        let mut block = Decoded {
+            req: SweepRequest::builder(name, Arc::default()).req,
+            capture: (0, 0),
+        };
+        let mut line = lines.next();
+        for key in &KEYS {
+            match line.and_then(|l| l.split_once(' ')) {
+                Some((k, v)) if k == key.name => {
+                    (key.set)(&mut block, v).map_err(bad)?;
+                    line = lines.next();
+                }
+                // A line the request decoded so far would not write (the
+                // single-tenant default's) may be absent.
+                _ if (key.get)(&block.req).is_none() => {}
+                other => return Err(bad(format!("expected '{} ...', got {other:?}", key.name))),
             }
         }
-        let mut field = |key: &'static str| -> Result<String, RequestError> {
-            match lines.next().and_then(|l| l.split_once(' ')) {
-                Some((k, v)) if k == key => Ok(v.to_string()),
-                other => Err(bad(&format!("expected '{key} ...', got {other:?}"))),
-            }
-        };
-        let preset: CostPreset = field("preset")?
-            .parse()
-            .map_err(|e: ModeParseError| bad(&e.to_string()))?;
-        let config_tok = field("config")?;
-        let config: RuntimeConfig = config_tok
-            .parse()
-            .map_err(|_| bad(&format!("unknown config token '{config_tok}'")))?;
-        let elide: ElideKind = field("elide")?
-            .parse()
-            .map_err(|e: ModeParseError| bad(&e.to_string()))?;
-        let fault_raw = field("fault")?;
-        let fault_seed = if fault_raw == "none" {
-            None
-        } else {
-            Some(
-                fault_raw
-                    .parse::<u64>()
-                    .map_err(|_| bad(&format!("bad fault seed '{fault_raw}'")))?,
-            )
-        };
-        let telemetry: TelemetryKind = field("telemetry")?
-            .parse()
-            .map_err(|e: ModeParseError| bad(&e.to_string()))?;
-        // Optional `tenants N` line (emitted only for N > 1), then the
-        // terminal capture line.
-        let next = lines
-            .next()
-            .ok_or_else(|| bad("expected 'tenants ...' or 'capture ...'"))?;
-        let (tenants, capture_line) = if let Some(v) = next.strip_prefix("tenants ") {
-            let n: u32 = v
-                .parse()
-                .map_err(|_| bad(&format!("bad tenant count '{v}'")))?;
-            let cap = match lines.next().and_then(|l| l.split_once(' ')) {
-                Some(("capture", rest)) => rest.to_string(),
-                other => return Err(bad(&format!("expected 'capture ...', got {other:?}"))),
-            };
-            (n, cap)
-        } else if let Some(v) = next.strip_prefix("capture ") {
-            (1, v.to_string())
-        } else {
-            return Err(bad(&format!(
-                "expected 'tenants ...' or 'capture ...', got '{next}'"
-            )));
-        };
-        let (digest_hex, len_str) = capture_line
-            .split_once(' ')
-            .ok_or_else(|| bad("capture line needs '<digest> <records>'"))?;
-        let digest = u64::from_str_radix(digest_hex, 16)
-            .map_err(|_| bad(&format!("bad capture digest '{digest_hex}'")))?;
-        let len: usize = len_str
-            .parse()
-            .map_err(|_| bad(&format!("bad capture record count '{len_str}'")))?;
-        if let Some(extra) = lines.next() {
-            if !extra.trim().is_empty() {
-                return Err(bad(&format!("trailing content '{extra}'")));
-            }
+        if let Some(extra) = line.filter(|l| !l.trim().is_empty()) {
+            return Err(bad(format!("trailing content '{extra}'")));
         }
+        let (digest, len) = block.capture;
         let ir = resolve(digest).ok_or(RequestError::UnknownCapture { digest })?;
         if ir.len() != len {
-            return Err(bad(&format!(
+            return Err(bad(format!(
                 "capture {digest:016x} has {} records, request claims {len}",
                 ir.len()
             )));
         }
-        let mut b = SweepRequest::builder(name, ir)
-            .preset(preset)
-            .config(config)
-            .elide(elide)
-            .telemetry(telemetry)
-            .tenants(tenants);
-        if let Some(seed) = fault_seed {
-            b = b.fault_seed(seed);
-        }
-        b.build()
+        block.req.ir = ir;
+        SweepRequestBuilder { req: block.req }.build()
     }
 
     /// The request digest: FNV-1a over the canonical encoding. This is the
@@ -478,6 +485,45 @@ mod tests {
         assert!(a
             .canonical()
             .starts_with("sweepreq v2\npreset mi300a\nconfig copy\n"));
+    }
+
+    #[test]
+    fn canonical_bytes_are_pinned() {
+        // Cache keys and wire stanzas are these bytes: the builder defaults,
+        // and every field off its default.
+        let defaults = SweepRequest::builder("w", small_ir()).build().unwrap();
+        let every = SweepRequest::builder("w", small_ir())
+            .preset(CostPreset::Mi300aNoThp)
+            .config(RuntimeConfig::EagerMaps)
+            .elide(ElideKind::Opt)
+            .fault_seed(42)
+            .telemetry(TelemetryKind::Ring)
+            .tenants(4)
+            .build()
+            .unwrap();
+        let golden_defaults = "sweepreq v2
+preset mi300a
+config izc
+elide off
+fault none
+telemetry off
+capture 8ba9f93b3e94ebe8 1
+";
+        let golden_every = "sweepreq v2
+preset mi300a_no_thp
+config eager
+elide opt
+fault 42
+telemetry ring
+tenants 4
+capture 8ba9f93b3e94ebe8 1
+";
+        for (req, golden) in [(defaults, golden_defaults), (every, golden_every)] {
+            assert_eq!(req.canonical(), golden);
+            let ir = Arc::clone(&req.ir);
+            let back = SweepRequest::from_canonical("w", golden, |_| Some(ir)).unwrap();
+            assert_eq!(back.canonical(), golden);
+        }
     }
 
     #[test]
@@ -575,6 +621,23 @@ mod tests {
             format!("{head} 999\n")
         };
         assert!(matches!(ok(&bad_count), Err(RequestError::Malformed(_))));
+        // The keys come once each, in order, and `capture` closes the block.
+        let c = base.canonical();
+        let capture_at = c.find("capture ").unwrap();
+        for block in [
+            c.replace(
+                "preset mi300a\nconfig copy\n",
+                "config copy\npreset mi300a\n",
+            ),
+            c.replace("elide off\n", "elide off\nelide off\n"),
+            c[..capture_at].to_string(),
+            format!("{c}tenants 4\n"),
+        ] {
+            assert!(
+                matches!(ok(&block), Err(RequestError::Malformed(_))),
+                "{block}"
+            );
+        }
         let unresolved = SweepRequest::from_canonical("w", &base.canonical(), |_| None);
         assert!(matches!(
             unresolved,

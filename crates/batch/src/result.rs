@@ -11,7 +11,7 @@
 //! contract at `-j {1,4,8}`, cold and warm.
 
 use omp_offload::telemetry::{rank_profiles, KernelProfile, SiteProfile};
-use omp_offload::{LedgerField, LedgerUnit, OverheadLedger, LEDGER_FIELDS};
+use omp_offload::{KernelOp, LedgerField, LedgerUnit, OverheadLedger, LEDGER_FIELDS};
 use sim_des::VirtDuration;
 use std::fmt::Write as _;
 
@@ -132,15 +132,70 @@ fn read_columns(columns: &str, values: &[u64], allocs: &mut u64, ledger: &mut Ov
     }
 }
 
+/// The form's first line, for its writer and its reader.
+fn header() -> String {
+    format!("sweepresult v{RESULT_VERSION}")
+}
+
+/// One scalar line: its key, accessors over the raw `u64`, and whether the
+/// value is 16 hex digits (the digest) rather than decimal.
+struct Scalar {
+    name: &'static str,
+    get: fn(&SweepResult) -> u64,
+    set: fn(&mut SweepResult, u64),
+    hex: bool,
+}
+
+/// The decimal scalar line of the `u64` field `$f`.
+macro_rules! scalar {
+    ($f:ident) => {
+        Scalar {
+            name: stringify!($f),
+            get: |r| r.$f,
+            set: |r, v| r.$f = v,
+            hex: false,
+        }
+    };
+}
+
+/// The scalars written before the ledger lines, in wire order.
+const HEAD_SCALARS: [Scalar; 4] = [
+    scalar!(ops),
+    scalar!(kernels),
+    Scalar {
+        name: "makespan_ns",
+        get: |r| r.makespan.as_nanos(),
+        set: |r, v| r.makespan = VirtDuration::from_nanos(v),
+        hex: false,
+    },
+    Scalar {
+        hex: true,
+        ..scalar!(memory_digest)
+    },
+];
+
+/// The scalars written after the diagnostics, in wire order.
+const TAIL_SCALARS: [Scalar; 2] = [scalar!(telemetry_events), scalar!(dropped_events)];
+
+/// Append one line per scalar of `scalars`, read from `r`.
+fn write_scalars(out: &mut String, scalars: &[Scalar], r: &SweepResult) {
+    for s in scalars {
+        let (name, v) = (s.name, (s.get)(r));
+        let _ = if s.hex {
+            writeln!(out, "{name} {v:016x}")
+        } else {
+            writeln!(out, "{name} {v}")
+        };
+    }
+}
+
 impl SweepResult {
     /// Serialize to the line-oriented `sweepresult v2` text form. The
     /// output is canonical: equal results serialize to equal bytes.
     pub fn to_text(&self) -> String {
-        let mut out = format!("sweepresult v{RESULT_VERSION}\n");
-        let _ = writeln!(out, "ops {}", self.ops);
-        let _ = writeln!(out, "kernels {}", self.kernels);
-        let _ = writeln!(out, "makespan_ns {}", self.makespan.as_nanos());
-        let _ = writeln!(out, "memory_digest {:016x}", self.memory_digest);
+        let mut out = header();
+        out.push('\n');
+        write_scalars(&mut out, &HEAD_SCALARS, self);
         for f in &LEDGER_FIELDS {
             let key = ledger_key(f.unit);
             let _ = writeln!(out, "{key} {} {}", f.name, (f.get)(&self.ledger));
@@ -148,8 +203,7 @@ impl SweepResult {
         for d in &self.diagnostics {
             let _ = writeln!(out, "diag {}", esc(d));
         }
-        let _ = writeln!(out, "telemetry_events {}", self.telemetry_events);
-        let _ = writeln!(out, "dropped_events {}", self.dropped_events);
+        write_scalars(&mut out, &TAIL_SCALARS, self);
         for s in &self.sites {
             let _ = write!(out, "site {} {}", s.range.start.as_u64(), s.range.len);
             write_columns(&mut out, SITE_COLUMNS, s.allocs, &s.ledger);
@@ -165,12 +219,7 @@ impl SweepResult {
             );
         }
         for k in &self.kernel_rows {
-            let name: String = k
-                .name
-                .chars()
-                .map(|c| if c.is_whitespace() { '_' } else { c })
-                .collect();
-            let _ = write!(out, "kernelrow {name}");
+            let _ = write!(out, "kernelrow {}", KernelOp::name_token(&k.name));
             write_columns(&mut out, KERNEL_COLUMNS, 0, &k.ledger);
         }
         out
@@ -181,7 +230,7 @@ impl SweepResult {
     pub fn parse(text: &str) -> Result<SweepResult, String> {
         let mut lines = text.lines();
         match lines.next() {
-            Some(l) if l == format!("sweepresult v{RESULT_VERSION}") => {}
+            Some(l) if l == header() => {}
             other => return Err(format!("bad result header: {other:?}")),
         }
         let mut r = SweepResult::default();
@@ -195,14 +244,10 @@ impl SweepResult {
                 s.parse::<u64>()
                     .map_err(|_| format!("line {}: bad number {s:?}", no + 2))
             };
+            let hex = |s: &str| {
+                u64::from_str_radix(s, 16).map_err(|_| format!("line {}: bad digest {s:?}", no + 2))
+            };
             match key {
-                "ops" => r.ops = num(rest)?,
-                "kernels" => r.kernels = num(rest)?,
-                "makespan_ns" => r.makespan = VirtDuration::from_nanos(num(rest)?),
-                "memory_digest" => {
-                    r.memory_digest = u64::from_str_radix(rest, 16)
-                        .map_err(|_| format!("line {}: bad digest {rest:?}", no + 2))?;
-                }
                 "ledger_ns" | "ledger" => {
                     let (f, v) = rest
                         .split_once(' ')
@@ -214,8 +259,6 @@ impl SweepResult {
                     (field.set)(&mut r.ledger, num(v)?);
                 }
                 "diag" => r.diagnostics.push(unesc(rest)),
-                "telemetry_events" => r.telemetry_events = num(rest)?,
-                "dropped_events" => r.dropped_events = num(rest)?,
                 "site" => {
                     let v: Vec<u64> = rest.split_whitespace().map(num).collect::<Result<_, _>>()?;
                     let width = 2 + SITE_COLUMNS.split_whitespace().count();
@@ -238,8 +281,7 @@ impl SweepResult {
                     let digest = tok
                         .next()
                         .ok_or_else(|| format!("line {}: tenant needs a digest", no + 2))?;
-                    let memory_digest = u64::from_str_radix(digest, 16)
-                        .map_err(|_| format!("line {}: bad digest {digest:?}", no + 2))?;
+                    let memory_digest = hex(digest)?;
                     let v: Vec<u64> = tok.map(num).collect::<Result<_, _>>()?;
                     if v.len() != 2 {
                         return Err(format!("line {}: tenant needs 2 numbers", no + 2));
@@ -266,7 +308,12 @@ impl SweepResult {
                     read_columns(KERNEL_COLUMNS, &v, &mut 0, &mut ledger);
                     r.kernel_rows.push(KernelProfile { name, ledger });
                 }
-                other => return Err(format!("line {}: unknown key {other:?}", no + 2)),
+                other => {
+                    let mut scalars = HEAD_SCALARS.iter().chain(&TAIL_SCALARS);
+                    let s = scalars.find(|s| s.name == other);
+                    let s = s.ok_or_else(|| format!("line {}: unknown key {other:?}", no + 2))?;
+                    (s.set)(&mut r, if s.hex { hex(rest)? } else { num(rest)? });
+                }
             }
         }
         Ok(r)

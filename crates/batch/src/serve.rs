@@ -37,7 +37,8 @@
 use crate::cache::ResultCache;
 use crate::driver::DriveStats;
 use crate::proto::{
-    sweep_stanza, Frame, ProtoError, Response, Verb, DEFAULT_MAX_FRAME_BYTES, PROTO_VERSION,
+    parse_stanzas, sweep_stanza, Frame, ProtoError, Response, Verb, DEFAULT_MAX_FRAME_BYTES,
+    PROTO_VERSION,
 };
 use crate::request::SweepRequest;
 use crate::result::SweepResult;
@@ -180,11 +181,11 @@ struct PoolWorker {
 }
 
 /// The server's wall-clock instruments: per-verb request latency (cold =
-/// at least one cell simulated, warm = everything answered from residency
-/// or the cache) and the work-stealing pool counters absorbed from every
-/// sweep's [`DriveStats`]. All of it depends on the schedule: it rides the
-/// `METRICS` verb only and never enters response bodies, so the
-/// byte-identity contract is untouched.
+/// the answer reports simulated cells, as a coalesced waiter reports its
+/// leader's; warm = everything else) and the work-stealing pool counters
+/// absorbed from every sweep's [`DriveStats`]. All of it depends on the
+/// schedule: it rides the `METRICS` verb only and never enters response
+/// bodies, so the byte-identity contract is untouched.
 struct ServeMetrics {
     /// One histogram per (verb, cold), in render order.
     latency: Vec<(Verb, bool, Histogram)>,
@@ -612,13 +613,11 @@ fn handle_connection(conn: Conn, shared: Arc<Shared>) {
                 let verb = frame.verb;
                 let is_shutdown = verb == Verb::Shutdown;
                 let handled_at = Instant::now();
-                let resp = handle_frame(frame, &shared);
+                let (resp, cold) = handle_frame(frame, &shared);
                 // Latency is observed after the response is built, so a
                 // METRICS body reflects every request before this one.
                 let micros = u64::try_from(handled_at.elapsed().as_micros()).unwrap_or(u64::MAX);
-                shared
-                    .metrics
-                    .observe_latency(verb, response_is_cold(&resp), micros);
+                shared.metrics.observe_latency(verb, cold, micros);
                 if writer.write_all(resp.to_wire().as_bytes()).is_err() {
                     break;
                 }
@@ -649,33 +648,18 @@ fn handle_connection(conn: Conn, shared: Arc<Shared>) {
     }
 }
 
-/// Whether a response carries cold work: a `SWEEP` or `RESULT` answer
-/// with a `simulated=N` info pair, `N > 0`. Cache hits, coalesced waits
-/// and every other verb are warm (`STATS` carries a `simulated` counter
-/// too, but simulates nothing).
-fn response_is_cold(resp: &Response) -> bool {
-    match resp {
-        Response::Ok {
-            verb: Verb::Sweep | Verb::Result,
-            info,
-            ..
-        } => info
-            .iter()
-            .any(|(k, v)| k == "simulated" && v.parse::<u64>().is_ok_and(|n| n > 0)),
-        _ => false,
-    }
-}
-
-fn handle_frame(frame: Frame, shared: &Arc<Shared>) -> Response {
-    match frame.verb {
+/// Answer one frame, and say whether the answer is cold: a `SWEEP` or
+/// `RESULT` that reports simulated cells, a coalesced waiter's included
+/// (it reports the leader's). Every other answer is warm.
+fn handle_frame(frame: Frame, shared: &Arc<Shared>) -> (Response, bool) {
+    let resp = match frame.verb {
+        Verb::Sweep | Verb::Result => return handle_sweep(frame.verb, &frame.body, shared),
         Verb::Ping => Response::ok_with(
             Verb::Ping,
             vec![("proto".into(), PROTO_VERSION.to_string())],
             "",
         ),
         Verb::Capture => handle_capture(&frame.body, shared),
-        Verb::Sweep => handle_sweep(Verb::Sweep, &frame.body, shared),
-        Verb::Result => handle_sweep(Verb::Result, &frame.body, shared),
         Verb::Stats => Response::ok_with(Verb::Stats, shared.stats().info(), ""),
         Verb::Metrics => handle_metrics(shared),
         Verb::Gc => handle_gc(shared),
@@ -686,7 +670,8 @@ fn handle_frame(frame: Frame, shared: &Arc<Shared>) -> Response {
             // OK before the server process can exit.
             Response::ok(Verb::Shutdown, "")
         }
-    }
+    };
+    (resp, false)
 }
 
 fn handle_capture(body: &str, shared: &Arc<Shared>) -> Response {
@@ -717,52 +702,17 @@ fn handle_capture(body: &str, shared: &Arc<Shared>) -> Response {
     )
 }
 
-/// Split a `SWEEP`/`RESULT` body into cells: each stanza is an optional
-/// `name <label>` line followed by a canonical request block, which always
-/// ends with its `capture` line (the block grew an optional `tenants` line
-/// in v2, so stanzas are capture-terminated rather than fixed-length).
-fn parse_stanzas(body: &str, shared: &Arc<Shared>) -> Result<Vec<SweepRequest>, String> {
-    let mut lines = body.lines().peekable();
-    let mut out: Vec<SweepRequest> = Vec::new();
-    while let Some(&first) = lines.peek() {
-        let name = match first.strip_prefix("name ") {
-            Some(label) => {
-                lines.next();
-                label.to_string()
-            }
-            None => format!("cell{}", out.len()),
-        };
-        let mut block = String::new();
-        loop {
-            let line = lines
-                .next()
-                .ok_or_else(|| format!("truncated request stanza for '{name}'"))?;
-            block.push_str(line);
-            block.push('\n');
-            if line.starts_with("capture ") {
-                break;
-            }
-        }
-        let resolve = |d| shared.captures.lock().unwrap().get(&d).cloned();
-        let req = SweepRequest::from_canonical(name, &block, resolve).map_err(|e| e.to_string())?;
-        out.push(req);
-    }
-    if out.is_empty() {
-        return Err("empty request body".to_string());
-    }
-    Ok(out)
-}
-
-fn handle_sweep(verb: Verb, body: &str, shared: &Arc<Shared>) -> Response {
-    let corpus = match parse_stanzas(body, shared) {
+/// Run (or join) one `SWEEP`/`RESULT`; the flag is [`handle_frame`]'s.
+fn handle_sweep(verb: Verb, body: &str, shared: &Arc<Shared>) -> (Response, bool) {
+    let resolve = |d| shared.captures.lock().unwrap().get(&d).cloned();
+    let corpus = match parse_stanzas(body, resolve) {
         Ok(c) => c,
-        Err(e) => return Response::err(e),
+        Err(e) => return (Response::err(e), false),
     };
     if verb == Verb::Result && corpus.len() != 1 {
-        return Response::err(format!(
-            "RESULT takes exactly one request stanza, got {}",
-            corpus.len()
-        ));
+        let n = corpus.len();
+        let e = format!("RESULT takes exactly one request stanza, got {n}");
+        return (Response::err(e), false);
     }
     // Coalescing: a corpus identical (by content digests) to one already
     // running parks on that run instead of re-simulating it. The key folds
@@ -779,10 +729,11 @@ fn handle_sweep(verb: Verb, body: &str, shared: &Arc<Shared>) -> Response {
     let n = corpus.len() as u64;
     if let Err((cur, max)) = shared.try_admit(n) {
         shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-        return Response::Busy {
+        let busy = Response::Busy {
             in_flight: cur,
             max,
         };
+        return (busy, false);
     }
     // Admit-before-register: a key in the in-flight map always stands for
     // admitted, running work, so waiters can never park on a sweep that
@@ -833,12 +784,13 @@ fn sweep_worker(
 
 /// Park on an in-flight sweep until its worker publishes, then render this
 /// connection's response — leader and coalesced waiters share this path.
+/// The answer is cold when it reports simulated cells.
 fn wait_for_sweep(
     verb: Verb,
     corpus: &[SweepRequest],
     inflight: &Inflight,
     shared: &Arc<Shared>,
-) -> Response {
+) -> (Response, bool) {
     let deadline = Instant::now() + shared.cfg.timeout;
     let mut done = inflight.done.lock().unwrap();
     while done.is_none() {
@@ -846,31 +798,32 @@ fn wait_for_sweep(
             .checked_duration_since(Instant::now())
             .filter(|d| !d.is_zero())
         else {
-            return Response::err(format!(
+            let e = format!(
                 "timeout after {}ms (the sweep continues server-side and will \
                  be cached; retry to collect it)",
                 shared.cfg.timeout.as_millis()
-            ));
+            );
+            return (Response::err(e), false);
         };
         done = inflight.cv.wait_timeout(done, remaining).unwrap().0;
     }
     let (results, hits, simulated) = match done.as_ref().expect("loop exits on Some") {
         Ok((results, hits, simulated)) => (Arc::clone(results), *hits, *simulated),
-        Err(e) => return Response::err(e.clone()),
+        Err(e) => return (Response::err(e.clone()), false),
     };
-    let info = vec![
+    let mut info = vec![
         ("cells".into(), corpus.len().to_string()),
         ("hits".into(), hits.to_string()),
         ("simulated".into(), simulated.to_string()),
     ];
-    match verb {
+    let resp = match verb {
         Verb::Result => {
-            let mut info = info;
             info.push(("digest".into(), format!("{:016x}", corpus[0].digest())));
             Response::ok_with(Verb::Result, info, results[0].to_text())
         }
         _ => Response::ok_with(Verb::Sweep, info, render_report(corpus, &results)),
-    }
+    };
+    (resp, simulated > 0)
 }
 
 /// [`crate::run_sweep`] against the server's open cache, plus the
@@ -1059,6 +1012,7 @@ mod tests {
         assert!(worker.join().is_err(), "the sweep closure panics");
         assert!(shared.inflight.lock().unwrap().is_empty());
         assert_eq!(shared.in_flight.load(Ordering::Relaxed), 0);
-        assert_eq!(waiter.join().unwrap(), Response::err("sweep panicked"));
+        let failed = (Response::err("sweep panicked"), false);
+        assert_eq!(waiter.join().unwrap(), failed);
     }
 }

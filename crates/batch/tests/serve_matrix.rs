@@ -319,6 +319,20 @@ fn identical_inflight_sweeps_coalesce_onto_one_run() {
     assert_eq!(info_u64(&stats, "hits"), 0);
     assert_eq!(info_u64(&stats, "in_flight"), 0);
 
+    // The waiter's response reports the leader's simulated cells, so its
+    // latency is cold too: two cold sweeps, no warm one.
+    let body = client.metrics().expect("metrics").into_ok_body().unwrap();
+    let snap = MetricsSnapshot::parse(&body).expect("metrics body parses");
+    let lat = |temp: &str| {
+        let labels = [("verb", "sweep"), ("temp", temp)];
+        snap.value("omp_serve_latency_us", "_count", &labels)
+    };
+    assert_eq!(
+        (lat("cold"), lat("warm")),
+        (Some(2), Some(0)),
+        "leader and waiter are cold"
+    );
+
     client.shutdown().expect("shutdown");
     handle.join().expect("server exits cleanly");
     let _ = std::fs::remove_dir_all(&dir);

@@ -38,6 +38,14 @@ pub struct KernelOp {
 }
 
 impl KernelOp {
+    /// `name` as one token of a whitespace-tokenized text form (MapIR,
+    /// `sweepresult` rows): whitespace becomes `_`.
+    pub fn name_token(name: &str) -> String {
+        name.chars()
+            .map(|c| if c.is_whitespace() { '_' } else { c })
+            .collect()
+    }
+
     /// Host ranges the kernel reads: `to`/`tofrom` maps (the device copy is
     /// expected to hold host data) plus every raw access.
     pub fn reads(&self) -> Vec<AddrRange> {
@@ -237,16 +245,10 @@ impl MapIr {
                     out.push('\n');
                 }
                 MapOp::Kernel(k) => {
-                    // Kernel names are identifiers; keep the format
-                    // whitespace-tokenized regardless.
-                    let name: String = k
-                        .name
-                        .chars()
-                        .map(|c| if c.is_whitespace() { '_' } else { c })
-                        .collect();
                     let _ = write!(
                         out,
-                        "{t} kernel {name} {} {} {} {}",
+                        "{t} kernel {} {} {} {} {}",
+                        KernelOp::name_token(&k.name),
                         k.nowait as u8,
                         k.maps.len(),
                         k.raw.len(),
@@ -376,9 +378,29 @@ impl MapIr {
                 "taskwait" => MapOp::Taskwait,
                 other => return Err(format!("line {}: unknown op {other:?}", no + 1)),
             };
+            let overflows = |r: &AddrRange| r.start.as_u64().checked_add(r.len).is_none();
+            if let Some(r) = ranges(&op).into_iter().find(overflows) {
+                let (start, len) = (r.start.as_u64(), r.len);
+                return Err(format!("line {}: range {start} +{len} overflows", no + 1));
+            }
             ir.push(thread, op);
         }
         Ok(ir)
+    }
+}
+
+/// Every range `op` names.
+fn ranges(op: &MapOp) -> Vec<AddrRange> {
+    match op {
+        MapOp::HostAlloc { range }
+        | MapOp::PoolAlloc { range }
+        | MapOp::HostWrite { range }
+        | MapOp::HostRead { range }
+        | MapOp::GlobalDecl { host: range, .. } => vec![*range],
+        MapOp::MapEnter { entry } | MapOp::MapExit { entry, .. } => vec![entry.range],
+        MapOp::Update { to, from } => [&to[..], from].concat(),
+        MapOp::Kernel(k) => [k.maps.iter().map(|e| e.range).collect(), k.raw.clone()].concat(),
+        MapOp::HostFree { .. } | MapOp::PoolFree { .. } | MapOp::Taskwait => Vec::new(),
     }
 }
 
@@ -499,6 +521,14 @@ mod tests {
         assert!(MapIr::parse("not mapir").is_err());
         assert!(MapIr::parse("mapir v1\n0 enter to").is_err());
         assert!(MapIr::parse("mapir v1\n0 frobnicate 1 2").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_range_past_the_address_space() {
+        let err = MapIr::parse("mapir v1\n0 host_write 18446744073709551000 4096").unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
+        // The last range that ends inside the address space parses.
+        assert!(MapIr::parse("mapir v1\n0 host_write 18446744073709547519 4096").is_ok());
     }
 
     #[test]

@@ -386,9 +386,15 @@ impl ApuMemory {
         self.cost.page_size.bytes()
     }
 
-    fn round_up(&self, len: u64) -> u64 {
+    /// `len` rounded up to whole pages; out of memory past the address space.
+    fn round_up(&self, len: u64) -> Result<u64, MemError> {
         let ps = self.page_bytes();
-        len.div_ceil(ps) * ps
+        len.div_ceil(ps)
+            .checked_mul(ps)
+            .ok_or(MemError::OutOfMemory {
+                requested: len,
+                available: self.phys.capacity() - self.phys.allocated(),
+            })
     }
 
     /// First page index and page count covering `range` (empty -> count 0).
@@ -418,7 +424,7 @@ impl ApuMemory {
         if len == 0 {
             return Err(MemError::ZeroSizedAllocation);
         }
-        let alen = self.round_up(len);
+        let alen = self.round_up(len)?;
         let phys = self.phys.alloc(alen, self.page_bytes())?;
         let addr = VirtAddr(self.host_brk);
         self.host_brk += alen + self.page_bytes(); // guard gap
@@ -475,13 +481,13 @@ impl ApuMemory {
         if len == 0 {
             return Err(MemError::ZeroSizedAllocation);
         }
-        let alen = self.round_up(len);
+        let alen = self.round_up(len)?;
         if let Some(d) = self.discrete() {
             // Resident unified-memory pages physically occupy VRAM too; a
             // pool allocation that would not fit beside them fails, and the
             // runtime's eviction-then-retry recovery may push them out.
             let um_bytes = self.um_resident.len_pages() * self.page_bytes();
-            if self.vram_used + um_bytes + alen > d.vram_bytes {
+            if alen > d.vram_bytes.saturating_sub(self.vram_used + um_bytes) {
                 return Err(MemError::OutOfMemory {
                     requested: alen,
                     available: d.vram_bytes.saturating_sub(self.vram_used + um_bytes),
@@ -1121,6 +1127,25 @@ mod tests {
     fn oom_propagates() {
         let mut m = ApuMemory::with_capacity(CostModel::mi300a_no_thp(), 8 * 4096);
         assert!(m.host_alloc(16 * 4096).is_err());
+    }
+
+    #[test]
+    fn sizes_near_the_address_space_limit_are_out_of_memory() {
+        // u64::MAX does not round up to whole pages; u64::MAX - 8191 does,
+        // but overflows when added to the allocator's next free byte or to
+        // the VRAM a discrete device already holds.
+        for len in [u64::MAX, u64::MAX - 8191] {
+            let discrete = SystemKind::Discrete(DiscreteSpec::mi200_class());
+            for kind in [SystemKind::Apu, discrete] {
+                let cost = CostModel::mi300a_no_thp();
+                let mut m = ApuMemory::with_options(cost, kind, MemOptions::default());
+                m.pool_alloc(8192).unwrap();
+                for r in [m.host_alloc(len), m.pool_alloc(len)] {
+                    let oom = matches!(r, Err(MemError::OutOfMemory { requested, .. }) if requested >= len);
+                    assert!(oom, "{len}: {r:?}");
+                }
+            }
+        }
     }
 
     #[test]

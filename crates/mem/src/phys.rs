@@ -89,7 +89,7 @@ impl PhysicalMemory {
             }
         }
         let aligned = (self.next + align - 1) & !(align - 1);
-        if aligned + len > self.capacity {
+        if len > self.capacity.saturating_sub(aligned) {
             return Err(MemError::OutOfMemory {
                 requested: len,
                 available: self.capacity.saturating_sub(self.next),

@@ -1,26 +1,9 @@
 //! `apusim` — command-line driver for the simulated APU OpenMP stack.
 //!
-//! ```text
-//! apusim list
-//! apusim costs
-//! apusim sweep [--sizes 2,8,32] [--threads 1,4,8] [--steps N] [--jobs N]
-//! apusim env [--no-apu] [--no-xnack] [--apu-maps] [--eager] [--usm]
-//! apusim run <workload> [--config copy|usm|izc|eager] [--threads N]
-//!            [--scale F] [--steps N] [--discrete] [--mem-report]
-//!            [--trace FILE [--trace-format chrome|jsonl]] [--capture FILE.mapir]
-//! apusim replay FILE.mapir... [--config copy|usm|izc|eager]
-//!               [--elide off|online|plan|opt] [--jobs N] [--cache DIR|off]
-//!               [--trace FILE [--trace-format chrome|jsonl]]
-//! apusim optimize IN.mapir [-o OUT.mapir] [--report]
-//! apusim check [--json] [NAME]
-//! apusim serve [--socket PATH | --tcp ADDR] [--jobs N] [--cache DIR|off]
-//!              [--cache-max-bytes SIZE] [--max-inflight N] [--timeout-ms N]
-//! apusim request [--socket PATH | --tcp ADDR] [FILE.mapir...]
-//!                [--config C] [--elide K] [--telemetry K] [--fault SEED]
-//!                [--preset P] [--ping] [--stats] [--metrics] [--gc]
-//!                [--shutdown]
-//! apusim cache gc [--cache DIR] [--max-bytes SIZE] [--dry-run]
-//! ```
+//! Run `apusim` alone for the usage text. It is written once, in
+//! `usage_error`, and lists the `--config`, `--elide` and `--trace-format`
+//! tokens from their `Tokens` tables (`RuntimeConfig::TOKENS`,
+//! `ElideKind::TOKENS` and this binary's `TRACE_FORMATS`).
 //!
 //! `run` executes one workload under one configuration and prints the
 //! makespan, the MM/MI ledger and the HSA call statistics; `--trace` turns
@@ -82,9 +65,10 @@ use mi300a_zerocopy::analysis::ExperimentConfig;
 use mi300a_zerocopy::batch;
 use mi300a_zerocopy::hsa::Topology;
 use mi300a_zerocopy::mem::{CostModel, DiscreteSpec, SystemKind};
+use mi300a_zerocopy::omp::modes::Tokens;
 use mi300a_zerocopy::omp::{
-    replay, replay_threads, telemetry, MapIr, OmpRuntime, RunEnv, RunReport, RuntimeConfig,
-    TelemetryMode,
+    replay, replay_threads, telemetry, ElideKind, MapIr, ModeParseError, OmpRuntime, RunEnv,
+    RunReport, RuntimeConfig, TelemetryMode,
 };
 use mi300a_zerocopy::workloads::{
     spec::{Bt, Ep, Lbm, SpC, Stencil},
@@ -95,8 +79,11 @@ use std::num::{NonZeroU32, NonZeroUsize};
 /// Exit 2 with a one-line diagnostic and the usage text.
 fn usage_error(msg: &str) -> ! {
     eprintln!("apusim: {msg}");
+    let config = RuntimeConfig::TOKENS.expected();
+    let elide = ElideKind::TOKENS.expected();
+    let trace = TRACE_FORMATS.expected();
     eprintln!(
-        "usage:\n  apusim list\n  apusim costs\n  apusim sweep [--sizes 2,8,32] [--threads 1,4,8] [--steps N] [--jobs N]\n  apusim env [--no-apu] [--no-xnack] [--apu-maps] [--eager] [--usm]\n  apusim run <workload> [--config copy|usm|izc|eager] [--threads N] [--scale F] [--steps N] [--discrete] [--mem-report] [--trace FILE [--trace-format chrome|jsonl]] [--capture FILE.mapir]\n  apusim replay FILE.mapir... [--config copy|usm|izc|eager] [--elide off|online|plan|opt] [--jobs N] [--cache DIR|off] [--trace FILE [--trace-format chrome|jsonl]]\n  apusim optimize IN.mapir [-o OUT.mapir] [--report]\n  apusim check [--json] [NAME]\n  apusim serve [--socket PATH | --tcp ADDR] [--jobs N] [--cache DIR|off] [--cache-max-bytes SIZE] [--max-inflight N] [--timeout-ms N]\n  apusim request [--socket PATH | --tcp ADDR] [FILE.mapir...] [--config C] [--elide K] [--telemetry K] [--fault SEED] [--preset P] [--ping] [--stats] [--metrics] [--gc] [--shutdown]\n  apusim cache gc [--cache DIR] [--max-bytes SIZE] [--dry-run]"
+        "usage:\n  apusim list\n  apusim costs\n  apusim sweep [--sizes 2,8,32] [--threads 1,4,8] [--steps N] [--jobs N]\n  apusim env [--no-apu] [--no-xnack] [--apu-maps] [--eager] [--usm]\n  apusim run <workload> [--config {config}] [--threads N] [--scale F] [--steps N] [--discrete] [--mem-report] [--trace FILE [--trace-format {trace}]] [--capture FILE.mapir]\n  apusim replay FILE.mapir... [--config {config}] [--elide {elide}] [--jobs N] [--cache DIR|off] [--trace FILE [--trace-format {trace}]]\n  apusim optimize IN.mapir [-o OUT.mapir] [--report]\n  apusim check [--json] [NAME]\n  apusim serve [--socket PATH | --tcp ADDR] [--jobs N] [--cache DIR|off] [--cache-max-bytes SIZE] [--max-inflight N] [--timeout-ms N]\n  apusim request [--socket PATH | --tcp ADDR] [FILE.mapir...] [--config C] [--elide K] [--telemetry K] [--fault SEED] [--preset P] [--ping] [--stats] [--metrics] [--gc] [--shutdown]\n  apusim cache gc [--cache DIR] [--max-bytes SIZE] [--dry-run]"
     );
     std::process::exit(2);
 }
@@ -170,15 +157,29 @@ fn read_capture(path: &str) -> Result<MapIr, AtPath> {
     MapIr::parse(&text).map_err(at(path))
 }
 
-fn parse_config(s: &str) -> RuntimeConfig {
-    parse_mode(s)
+/// What `--trace` writes: the merged Chrome/Perfetto timeline, or the raw
+/// event stream as JSONL.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum TraceFormat {
+    Chrome,
+    Jsonl,
 }
 
-fn parse_trace_format(s: &str) -> &'static str {
-    match s {
-        "chrome" => "chrome",
-        "jsonl" => "jsonl",
-        other => usage_error(&format!("unknown trace format '{other}' (chrome | jsonl)")),
+/// The `--trace-format` tokens: the one spelling the option parses, the
+/// usage text lists and the trace summary line prints.
+const TRACE_FORMATS: Tokens<TraceFormat, 2> = Tokens {
+    what: "trace format",
+    table: [
+        (TraceFormat::Chrome, "chrome"),
+        (TraceFormat::Jsonl, "jsonl"),
+    ],
+};
+
+impl std::str::FromStr for TraceFormat {
+    type Err = ModeParseError;
+
+    fn from_str(s: &str) -> Result<Self, ModeParseError> {
+        TRACE_FORMATS.parse(s)
     }
 }
 
@@ -187,7 +188,7 @@ fn parse_trace_format(s: &str) -> &'static str {
 /// never silent.
 fn write_trace(
     path: &str,
-    format: &str,
+    format: TraceFormat,
     report: &RunReport,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let telemetry = report
@@ -195,15 +196,16 @@ fn write_trace(
         .as_ref()
         .expect("--trace builds the runtime with the telemetry ring on");
     let (out, hint) = match format {
-        "jsonl" => (telemetry::to_jsonl(telemetry), ""),
-        _ => (
+        TraceFormat::Jsonl => (telemetry::to_jsonl(telemetry), ""),
+        TraceFormat::Chrome => (
             merged_chrome_trace(&report.schedule, telemetry),
             " — open in chrome://tracing or Perfetto",
         ),
     };
     std::fs::write(path, out).map_err(at(path))?;
     println!(
-        "\nwrote {format} trace to {path}: {} event(s), {} dropped{hint}",
+        "\nwrote {} trace to {path}: {} event(s), {} dropped{hint}",
+        TRACE_FORMATS.token(format),
         telemetry.events.len(),
         telemetry.dropped_events
     );
@@ -377,21 +379,26 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut discrete = false;
     let mut mem_report = false;
     let mut trace_path: Option<String> = None;
-    let mut trace_format = "chrome";
+    let mut trace_format = TraceFormat::Chrome;
     let mut capture_path: Option<String> = None;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--config" => config = parse_config(value(&mut it, a)),
+            "--config" => config = parse_mode(value(&mut it, a)),
             "--threads" => threads = parsed::<NonZeroUsize>(&mut it, a).get(),
-            "--scale" => scale = parsed(&mut it, a),
+            "--scale" => {
+                // Only a positive number sizes a workload; NaN is neither.
+                let raw = value(&mut it, a);
+                scale = raw.parse().unwrap_or(f64::NAN);
+                if !(scale.is_finite() && scale > 0.0) {
+                    bad_value(a, raw);
+                }
+            }
             "--steps" => steps = parsed(&mut it, a),
             "--discrete" => discrete = true,
             "--mem-report" => mem_report = true,
             "--trace" => trace_path = Some(value(&mut it, a).clone()),
-            "--trace-format" => {
-                trace_format = parse_trace_format(value(&mut it, a));
-            }
+            "--trace-format" => trace_format = parse_mode(value(&mut it, a)),
             "--capture" => capture_path = Some(value(&mut it, a).clone()),
             _ => unknown_argument(a),
         }
@@ -459,20 +466,18 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 fn cmd_replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut paths: Vec<String> = Vec::new();
     let mut config = RuntimeConfig::ImplicitZeroCopy;
-    let mut elide_arg = String::from("off");
+    let mut elide = ElideKind::Off;
     let mut trace_path: Option<String> = None;
-    let mut trace_format = "chrome";
+    let mut trace_format = TraceFormat::Chrome;
     let mut jobs: Option<usize> = None;
     let mut cache_arg: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--config" => config = parse_config(value(&mut it, a)),
-            "--elide" => elide_arg = value(&mut it, a).clone(),
+            "--config" => config = parse_mode(value(&mut it, a)),
+            "--elide" => elide = parse_mode(value(&mut it, a)),
             "--trace" => trace_path = Some(value(&mut it, a).clone()),
-            "--trace-format" => {
-                trace_format = parse_trace_format(value(&mut it, a));
-            }
+            "--trace-format" => trace_format = parse_mode(value(&mut it, a)),
             "--jobs" | "-j" => jobs = Some(parsed(&mut it, a)),
             "--cache" => cache_arg = Some(value(&mut it, a).clone()),
             other if !other.starts_with("--") => paths.push(other.to_string()),
@@ -489,7 +494,7 @@ fn cmd_replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         if trace_path.is_some() {
             usage_error("--trace applies to single-file replay only");
         }
-        return cmd_replay_batch(&paths, config, &elide_arg, jobs.unwrap_or(1), cache_arg);
+        return cmd_replay_batch(&paths, config, elide, jobs.unwrap_or(1), cache_arg);
     }
     // The same request and cell recipe a batch cell runs: the request gate
     // refuses configurations the capture cannot run under, and `opt`
@@ -498,7 +503,7 @@ fn cmd_replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let ir = read_capture(path)?;
     let req = batch::SweepRequest::builder(path.clone(), std::sync::Arc::new(ir))
         .config(config)
-        .elide(parse_mode(&elide_arg))
+        .elide(elide)
         .telemetry(if trace_path.is_some() {
             batch::TelemetryKind::Ring
         } else {
@@ -543,11 +548,10 @@ fn cmd_replay(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 fn cmd_replay_batch(
     paths: &[String],
     config: RuntimeConfig,
-    elide_arg: &str,
+    elide: ElideKind,
     jobs: usize,
     cache_arg: Option<String>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let elide: batch::ElideKind = parse_mode(elide_arg);
     let mut corpus = Vec::with_capacity(paths.len());
     for path in paths {
         let ir = read_capture(path)?;
@@ -720,7 +724,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                     usage_error("bad --cache-max-bytes (want N, NK, NM, or NG)")
                 }));
             }
-            "--max-inflight" => cfg.max_inflight = parsed(&mut it, a),
+            "--max-inflight" => cfg.max_inflight = parsed::<NonZeroUsize>(&mut it, a).get(),
             "--timeout-ms" => {
                 cfg.timeout = std::time::Duration::from_millis(parsed(&mut it, a));
             }
@@ -775,7 +779,7 @@ fn cmd_request(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut tcp: Option<String> = None;
     let mut paths: Vec<String> = Vec::new();
     let mut config = RuntimeConfig::ImplicitZeroCopy;
-    let mut elide = batch::ElideKind::Off;
+    let mut elide = ElideKind::Off;
     let mut telemetry = batch::TelemetryKind::Off;
     let mut preset = batch::CostPreset::Mi300a;
     let mut fault: Option<u64> = None;
@@ -786,7 +790,7 @@ fn cmd_request(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         match a.as_str() {
             "--socket" => socket = value(&mut it, a).clone(),
             "--tcp" => tcp = Some(value(&mut it, a).clone()),
-            "--config" => config = parse_config(value(&mut it, a)),
+            "--config" => config = parse_mode(value(&mut it, a)),
             "--elide" => elide = parse_mode(value(&mut it, a)),
             "--telemetry" => telemetry = parse_mode(value(&mut it, a)),
             "--preset" => preset = parse_mode(value(&mut it, a)),

@@ -102,7 +102,10 @@ fn a_missing_capture_exits_1_with_one_line_naming_its_path() {
 fn a_malformed_option_value_exits_2_naming_the_flag_and_the_value() {
     // A zero thread count or size is malformed too: rejected while
     // parsing, before any run starts.
-    let cases: [(&[&str], &str); 4] = [
+    // So is a scale that names no positive size, and a zero admission
+    // bound: `serve` exits before it binds (its socket's directory does
+    // not exist).
+    let cases: [(&[&str], &str); 9] = [
         (
             &["run", "stencil", "--threads", "x"],
             "bad value 'x' for --threads",
@@ -113,6 +116,32 @@ fn a_malformed_option_value_exits_2_naming_the_flag_and_the_value() {
         ),
         (&["sweep", "--threads", "0"], "bad value '0' for --threads"),
         (&["sweep", "--sizes", "0"], "bad value '0' for --sizes"),
+        (
+            &["run", "stream", "--scale", "nan"],
+            "bad value 'nan' for --scale",
+        ),
+        (
+            &["run", "stream", "--scale", "0"],
+            "bad value '0' for --scale",
+        ),
+        (
+            &["run", "stream", "--scale", "-1"],
+            "bad value '-1' for --scale",
+        ),
+        (
+            &["run", "stream", "--scale", "inf"],
+            "bad value 'inf' for --scale",
+        ),
+        (
+            &[
+                "serve",
+                "--socket",
+                "no-such-dir/s.sock",
+                "--max-inflight",
+                "0",
+            ],
+            "bad value '0' for --max-inflight",
+        ),
     ];
     for (args, diagnostic) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_apusim"))
@@ -129,6 +158,25 @@ fn a_malformed_option_value_exits_2_naming_the_flag_and_the_value() {
         );
         assert_eq!(lines.next(), Some("usage:"), "{stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+    }
+}
+
+#[test]
+fn a_capture_no_address_space_holds_exits_1_with_one_line() {
+    // An allocation of u64::MAX bytes is out of memory; a range that ends
+    // past the address space is no range, and parsing names its line.
+    let cases = [
+        ("0 host_alloc 0 18446744073709551615", "out of HBM"),
+        ("0 host_alloc 4096 18446744073709551615", "line 2: "),
+    ];
+    for (record, diagnostic) in cases {
+        let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_replay_huge.mapir");
+        std::fs::write(&path, format!("mapir v1\n{record}\n")).expect("write capture");
+        let out = replay(&path, "copy", "off");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{record}: {out:?}");
+        assert_eq!(stderr.lines().count(), 1, "{record}: {stderr}");
+        assert!(stderr.contains(diagnostic), "{record}: {stderr}");
     }
 }
 
