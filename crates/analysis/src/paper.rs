@@ -41,7 +41,8 @@ pub struct PaperConfig {
     pub spec_scale: f64,
     /// QMCPack steps for the Table I call-count run.
     pub table1_steps: usize,
-    /// Sweep worker count (`repro --jobs`); `0` = one per available core.
+    /// Sweep worker count (`repro --jobs`; `0` is one per core, as
+    /// [`omp_batch::resolve_jobs`] reads every `--jobs`).
     /// Whatever the value, sweep outputs are byte-identical — the batch
     /// driver launders the schedule out (see `omp_batch`).
     pub jobs: usize,
@@ -81,19 +82,6 @@ impl PaperConfig {
             table1_steps: 150,
             jobs: 0,
         }
-    }
-
-    /// Resolve [`jobs`](Self::jobs) for a sweep of `cells` cells: explicit
-    /// counts pass through, `0` takes one worker per available core.
-    pub fn worker_count(&self, cells: usize) -> usize {
-        let jobs = if self.jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.jobs
-        };
-        jobs.min(cells.max(1))
     }
 
     fn qmc_exp(&self) -> ExperimentConfig {
@@ -146,7 +134,7 @@ pub fn qmc_sweep(cfg: &PaperConfig) -> Result<Vec<QmcCell>, OmpError> {
             grid.push((size, threads));
         }
     }
-    omp_batch::drive(grid.len(), cfg.worker_count(grid.len()), |i| {
+    omp_batch::drive(grid.len(), omp_batch::resolve_jobs(cfg.jobs), |i| {
         let (size, threads) = grid[i];
         let w = QmcPack::nio(size).with_steps(cfg.qmc_steps);
         measure_all_configs(&w, threads, &exp).map(|measurements| QmcCell {
@@ -300,7 +288,7 @@ pub fn table2(cfg: &PaperConfig) -> Result<(Table, f64), OmpError> {
     let suite = spec_suite(cfg.spec_scale);
     // One driver cell per benchmark; each owns its simulated machines.
     let measured: Vec<Result<(String, Vec<Measurement>), OmpError>> =
-        omp_batch::drive(suite.len(), cfg.worker_count(suite.len()), |i| {
+        omp_batch::drive(suite.len(), omp_batch::resolve_jobs(cfg.jobs), |i| {
             let w = &suite[i];
             Ok((w.name(), measure_all_configs(w.as_ref(), 1, &cfg.exp)?))
         });

@@ -94,6 +94,14 @@ impl DriveStats {
     }
 }
 
+/// The worker count of every `--jobs N` surface: `0` is one per available core.
+pub fn resolve_jobs(jobs: usize) -> usize {
+    match jobs {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
+}
+
 /// Run `f` over `0..n` with `jobs` workers and return the results in index
 /// order. `jobs <= 1` (or `n <= 1`) runs serially on the caller's thread
 /// with no queues, locks, or spawns — the baseline the determinism matrix
@@ -198,6 +206,15 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn jobs_zero_is_one_worker_per_core_and_counts_pass_through() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_jobs(0), cores);
+        for jobs in [1, 2, 3, 64] {
+            assert_eq!(resolve_jobs(jobs), jobs);
+        }
+    }
 
     #[test]
     fn serial_path_preserves_order() {

@@ -52,7 +52,7 @@ pub mod serve;
 pub mod sweep;
 
 pub use cache::{cache_salt, CacheMode, GcSummary, ResultCache};
-pub use driver::{drive, drive_stats, DriveStats, WorkerStats};
+pub use driver::{drive, drive_stats, resolve_jobs, DriveStats, WorkerStats};
 pub use proto::{Frame, ProtoError, Response, Verb, PROTO_VERSION};
 pub use request::{
     CostPreset, ElideKind, ModeParseError, RequestError, SweepRequest, SweepRequestBuilder,

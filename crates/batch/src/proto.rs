@@ -22,9 +22,12 @@
 //! known keywords, or padded workload columns). Frames are bounded: a
 //! reader enforces a byte limit so a malformed or malicious peer cannot
 //! balloon server memory, and every parse failure is a clean
-//! [`ProtoError`], never a panic — the property test in
-//! `tests/proto_prop.rs` feeds arbitrary bytes through the reader to pin
-//! that.
+//! [`ProtoError`], never a panic. The one body the server parses itself,
+//! a `CAPTURE`'s `mapir v1` text, fails the same way: a malformed capture
+//! is a `line N: …` error the server answers with `ERR`. The property
+//! tests in `crates/batch/tests/proto_prop.rs` feed arbitrary bytes through
+//! the readers and capture-shaped text through `MapIr::parse` and a live
+//! server's `CAPTURE` to pin both.
 //!
 //! [`SweepRequest::canonical`]: crate::SweepRequest::canonical
 //! [`SweepResult::to_text`]: crate::SweepResult::to_text
@@ -44,6 +47,19 @@ pub const PROTO_VERSION: u32 = 1;
 
 /// Frame terminator line.
 pub const END: &str = "END";
+
+/// A request head's words before its verb, for its writer and its reader.
+fn request_head() -> String {
+    format!("PROTO v{PROTO_VERSION}")
+}
+
+/// The first word of each response head, for its writer and its reader.
+const OK: &str = "OK";
+const ERR: &str = "ERR";
+const BUSY: &str = "BUSY";
+
+/// The keys of a `BUSY` head's `key=value` pairs, in wire order.
+const BUSY_KEYS: [&str; 2] = ["in_flight", "max"];
 
 /// Default per-frame byte bound readers enforce.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 64 << 20;
@@ -165,23 +181,10 @@ impl Frame {
         Frame { verb, body }
     }
 
-    /// A body-less frame.
-    pub fn bare(verb: Verb) -> Frame {
-        Frame {
-            verb,
-            body: String::new(),
-        }
-    }
-
     /// Serialize to wire bytes (header, body, terminator).
     pub fn to_wire(&self) -> String {
-        format!(
-            "PROTO v{} {}\n{}{}\n",
-            PROTO_VERSION,
-            self.verb.token(),
-            self.body,
-            END
-        )
+        let (head, verb, body) = (request_head(), self.verb.token(), &self.body);
+        format!("{head} {verb}\n{body}{END}\n")
     }
 
     /// Read one frame off `r`. `Ok(None)` on clean end-of-stream before any
@@ -192,13 +195,11 @@ impl Frame {
         let Some(header) = read_line(r, max_bytes)? else {
             return Ok(None);
         };
-        let verb_tok = header
-            .strip_prefix(&format!("PROTO v{PROTO_VERSION} "))
-            .ok_or_else(|| {
-                ProtoError::new(format!(
-                    "bad frame header (expected 'PROTO v{PROTO_VERSION} <VERB>')"
-                ))
-            })?;
+        let head = request_head();
+        let verb_tok = header.strip_prefix(&head).and_then(|h| h.strip_prefix(' '));
+        let verb_tok = verb_tok.ok_or_else(|| {
+            ProtoError::new(format!("bad frame header (expected '{head} <VERB>')"))
+        })?;
         let verb = Verb::from_token(verb_tok)
             .ok_or_else(|| ProtoError::new(format!("unknown verb '{verb_tok}'")))?;
         let body = read_body(r, max_bytes)?;
@@ -291,7 +292,7 @@ impl Response {
     pub fn to_wire(&self) -> String {
         match self {
             Response::Ok { verb, info, body } => {
-                let mut head = format!("OK {}", verb.lower());
+                let mut head = format!("{OK} {}", verb.lower());
                 for (k, v) in info {
                     head.push(' ');
                     head.push_str(k);
@@ -300,9 +301,10 @@ impl Response {
                 }
                 format!("{head}\n{body}{END}\n")
             }
-            Response::Err { message } => format!("ERR {message}\n{END}\n"),
+            Response::Err { message } => format!("{ERR} {message}\n{END}\n"),
             Response::Busy { in_flight, max } => {
-                format!("BUSY in_flight={in_flight} max={max}\n{END}\n")
+                let [k_in_flight, k_max] = BUSY_KEYS;
+                format!("{BUSY} {k_in_flight}={in_flight} {k_max}={max}\n{END}\n")
             }
         }
     }
@@ -315,39 +317,43 @@ impl Response {
         let Some(header) = read_line(r, max_bytes)? else {
             return Ok(None);
         };
-        if let Some(rest) = header.strip_prefix("OK ") {
-            let mut toks = rest.split(' ');
-            let verb_tok = toks.next().unwrap_or_default();
-            let verb = Verb::from_token(verb_tok)
-                .ok_or_else(|| ProtoError::new(format!("unknown response verb '{verb_tok}'")))?;
-            let mut info = Vec::new();
-            for t in toks {
-                let (k, v) = t
-                    .split_once('=')
-                    .ok_or_else(|| ProtoError::new(format!("bad info token '{t}'")))?;
-                info.push((k.to_string(), v.to_string()));
+        let (word, rest) = header.split_once(' ').unwrap_or_default();
+        let mut toks = rest.split(' ');
+        let resp = match word {
+            OK => {
+                let verb_tok = toks.next().unwrap_or_default();
+                let verb = Verb::from_token(verb_tok).ok_or_else(|| {
+                    ProtoError::new(format!("unknown response verb '{verb_tok}'"))
+                })?;
+                let info = read_pairs(toks)?;
+                let body = read_body(r, max_bytes)?;
+                return Ok(Some(Response::Ok { verb, info, body }));
             }
-            let body = read_body(r, max_bytes)?;
-            Ok(Some(Response::Ok { verb, info, body }))
-        } else if let Some(message) = header.strip_prefix("ERR ") {
-            let message = message.to_string();
-            expect_end(r, max_bytes)?;
-            Ok(Some(Response::Err { message }))
-        } else if let Some(rest) = header.strip_prefix("BUSY ") {
-            let parse = |key: &str, tok: Option<&str>| -> Result<u64, ProtoError> {
-                tok.and_then(|t| t.strip_prefix(&format!("{key}=")))
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| ProtoError::new(format!("bad BUSY header '{rest}'")))
-            };
-            let mut toks = rest.split(' ');
-            let in_flight = parse("in_flight", toks.next())?;
-            let max = parse("max", toks.next())?;
-            expect_end(r, max_bytes)?;
-            Ok(Some(Response::Busy { in_flight, max }))
-        } else {
-            Err(ProtoError::new("bad response header"))
-        }
+            ERR => Response::err(rest),
+            BUSY => {
+                let info = read_pairs(toks)?;
+                let value = |k| info.iter().find(|(key, _)| key == k)?.1.parse().ok();
+                let bad = || ProtoError::new(format!("bad BUSY header '{rest}'"));
+                let [in_flight, max] = BUSY_KEYS.map(|k| value(k).ok_or_else(bad));
+                let (in_flight, max) = (in_flight?, max?);
+                Response::Busy { in_flight, max }
+            }
+            _ => return Err(ProtoError::new("bad response header")),
+        };
+        expect_end(r, max_bytes)?;
+        Ok(Some(resp))
     }
+}
+
+/// The `key=value` pairs of a response head (`OK` info, `BUSY` counts).
+fn read_pairs<'a>(
+    toks: impl Iterator<Item = &'a str>,
+) -> Result<Vec<(String, String)>, ProtoError> {
+    toks.map(|t| match t.split_once('=') {
+        Some((k, v)) => Ok((k.to_string(), v.to_string())),
+        None => Err(ProtoError::new(format!("bad info token '{t}'"))),
+    })
+    .collect()
 }
 
 /// The key of a stanza's display-name line, `name <label>`.

@@ -10,6 +10,7 @@
 //! in every downstream report. The determinism matrix test pins that
 //! contract at `-j {1,4,8}`, cold and warm.
 
+use apu_mem::{AddrRange, VirtAddr};
 use omp_offload::telemetry::{rank_profiles, KernelProfile, SiteProfile};
 use omp_offload::{KernelOp, LedgerField, LedgerUnit, OverheadLedger, LEDGER_FIELDS};
 use sim_des::VirtDuration;
@@ -85,14 +86,6 @@ fn unesc(s: &str) -> String {
     out
 }
 
-/// The line key a ledger field is serialized under.
-fn ledger_key(unit: LedgerUnit) -> &'static str {
-    match unit {
-        LedgerUnit::Ns => "ledger_ns",
-        LedgerUnit::Count => "ledger",
-    }
-}
-
 /// A `site` row's columns after its extent, in wire order: `allocs` is the
 /// profile's own count, every other column the [`LEDGER_FIELDS`] field of
 /// that name. The one column list the writer and the reader walk.
@@ -137,90 +130,166 @@ fn header() -> String {
     format!("sweepresult v{RESULT_VERSION}")
 }
 
-/// One scalar line: its key, accessors over the raw `u64`, and whether the
-/// value is 16 hex digits (the digest) rather than decimal.
-struct Scalar {
-    name: &'static str,
-    get: fn(&SweepResult) -> u64,
-    set: fn(&mut SweepResult, u64),
-    hex: bool,
+/// A decimal field.
+fn num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("bad number {s:?}"))
 }
 
-/// The decimal scalar line of the `u64` field `$f`.
+/// A 16-hex-digit digest field.
+fn hex(s: &str) -> Result<u64, String> {
+    u64::from_str_radix(s, 16).map_err(|_| format!("bad digest {s:?}"))
+}
+
+/// Exactly `n` decimal fields.
+fn nums<'a>(fields: impl Iterator<Item = &'a str>, n: usize) -> Result<Vec<u64>, String> {
+    let v: Vec<u64> = fields.map(num).collect::<Result<_, _>>()?;
+    if v.len() != n {
+        return Err(format!("{n} numbers expected, got {}", v.len()));
+    }
+    Ok(v)
+}
+
+/// One kind of line after the header: its key, every line of it a result
+/// writes (each starts with `key`, handed in so [`LINES`] spells it once),
+/// and how one line's text after the key lands.
+struct Line {
+    key: &'static str,
+    write: fn(&SweepResult, &str, &mut String) -> std::fmt::Result,
+    read: fn(&mut SweepResult, &str) -> Result<(), String>,
+}
+
+/// The line of the decimal `u64` field `$f`.
 macro_rules! scalar {
     ($f:ident) => {
-        Scalar {
-            name: stringify!($f),
-            get: |r| r.$f,
-            set: |r, v| r.$f = v,
-            hex: false,
+        Line {
+            key: stringify!($f),
+            write: |r, key, out| writeln!(out, "{key} {}", r.$f),
+            read: |r, text| num(text).map(|v| r.$f = v),
         }
     };
 }
 
-/// The scalars written before the ledger lines, in wire order.
-const HEAD_SCALARS: [Scalar; 4] = [
+/// The lines of the [`LEDGER_FIELDS`] counted in `$unit`, one per field in
+/// list order: the key, the field's name and its raw value.
+macro_rules! ledger {
+    ($key:literal, $unit:ident) => {
+        Line {
+            key: $key,
+            write: |r, key, out| {
+                let mut fields = LEDGER_FIELDS.iter().filter(|f| f.unit == LedgerUnit::$unit);
+                fields.try_for_each(|f| writeln!(out, "{key} {} {}", f.name, (f.get)(&r.ledger)))
+            },
+            read: |r, text| {
+                let (name, v) = text.split_once(' ').unwrap_or_default();
+                let f = LEDGER_FIELDS.iter().find(|f| f.name == name);
+                let f = f.filter(|f| f.unit == LedgerUnit::$unit);
+                let f = f.ok_or_else(|| format!("unknown ledger field {name:?}"))?;
+                num(v).map(|v| (f.set)(&mut r.ledger, v))
+            },
+        }
+    };
+}
+
+/// Every kind of line after the header, in wire order: the one key list
+/// [`SweepResult::to_text`] writes and [`SweepResult::parse`] looks each
+/// line's key up in. Scalars, the ledger, then the repeated rows:
+/// diagnostics, attribution sites, tenants and attribution kernels.
+const LINES: [Line; 12] = [
     scalar!(ops),
     scalar!(kernels),
-    Scalar {
-        name: "makespan_ns",
-        get: |r| r.makespan.as_nanos(),
-        set: |r, v| r.makespan = VirtDuration::from_nanos(v),
-        hex: false,
+    Line {
+        key: "makespan_ns",
+        write: |r, key, out| writeln!(out, "{key} {}", r.makespan.as_nanos()),
+        read: |r, text| num(text).map(|v| r.makespan = VirtDuration::from_nanos(v)),
     },
-    Scalar {
-        hex: true,
-        ..scalar!(memory_digest)
+    Line {
+        key: "memory_digest",
+        write: |r, key, out| writeln!(out, "{key} {:016x}", r.memory_digest),
+        read: |r, text| hex(text).map(|v| r.memory_digest = v),
+    },
+    ledger!("ledger_ns", Ns),
+    ledger!("ledger", Count),
+    Line {
+        key: "diag",
+        write: |r, key, out| {
+            let mut diags = r.diagnostics.iter();
+            diags.try_for_each(|d| writeln!(out, "{key} {}", esc(d)))
+        },
+        read: |r, text| {
+            r.diagnostics.push(unesc(text));
+            Ok(())
+        },
+    },
+    scalar!(telemetry_events),
+    scalar!(dropped_events),
+    Line {
+        key: "site",
+        write: |r, key, out| {
+            for s in &r.sites {
+                write!(out, "{key} {} {}", s.range.start.as_u64(), s.range.len)?;
+                write_columns(out, SITE_COLUMNS, s.allocs, &s.ledger);
+            }
+            Ok(())
+        },
+        read: |r, text| {
+            let width = 2 + SITE_COLUMNS.split_whitespace().count();
+            let v = nums(text.split_whitespace(), width)?;
+            let mut site = SiteProfile::new(AddrRange::new(VirtAddr(v[0]), v[1]));
+            read_columns(SITE_COLUMNS, &v[2..], &mut site.allocs, &mut site.ledger);
+            r.sites.push(site);
+            Ok(())
+        },
+    },
+    Line {
+        key: "tenant",
+        write: |r, key, out| {
+            r.tenant_rows.iter().try_for_each(|t| {
+                let (id, digest, ns) = (t.tenant, t.memory_digest, t.makespan.as_nanos());
+                writeln!(out, "{key} {id} {digest:016x} {ns} {}", t.maps)
+            })
+        },
+        read: |r, text| {
+            let mut f = text.split_whitespace();
+            let (id, digest) = (f.next().unwrap_or_default(), f.next().unwrap_or_default());
+            let v = nums(f, 2)?;
+            r.tenant_rows.push(TenantRow {
+                tenant: num(id)?,
+                memory_digest: hex(digest)?,
+                makespan: VirtDuration::from_nanos(v[0]),
+                maps: v[1],
+            });
+            Ok(())
+        },
+    },
+    Line {
+        key: "kernelrow",
+        write: |r, key, out| {
+            for k in &r.kernel_rows {
+                write!(out, "{key} {}", KernelOp::name_token(&k.name))?;
+                write_columns(out, KERNEL_COLUMNS, 0, &k.ledger);
+            }
+            Ok(())
+        },
+        read: |r, text| {
+            let mut f = text.split_whitespace();
+            let name = f.next().unwrap_or_default().to_string();
+            let v = nums(f, KERNEL_COLUMNS.split_whitespace().count())?;
+            let mut ledger = OverheadLedger::default();
+            read_columns(KERNEL_COLUMNS, &v, &mut 0, &mut ledger);
+            r.kernel_rows.push(KernelProfile { name, ledger });
+            Ok(())
+        },
     },
 ];
 
-/// The scalars written after the diagnostics, in wire order.
-const TAIL_SCALARS: [Scalar; 2] = [scalar!(telemetry_events), scalar!(dropped_events)];
-
-/// Append one line per scalar of `scalars`, read from `r`.
-fn write_scalars(out: &mut String, scalars: &[Scalar], r: &SweepResult) {
-    for s in scalars {
-        let (name, v) = (s.name, (s.get)(r));
-        let _ = if s.hex {
-            writeln!(out, "{name} {v:016x}")
-        } else {
-            writeln!(out, "{name} {v}")
-        };
-    }
-}
-
 impl SweepResult {
-    /// Serialize to the line-oriented `sweepresult v2` text form. The
-    /// output is canonical: equal results serialize to equal bytes.
+    /// Serialize to the line-oriented `sweepresult v2` text form: the
+    /// header, then every `LINES` row's lines. The output is canonical:
+    /// equal results serialize to equal bytes.
     pub fn to_text(&self) -> String {
-        let mut out = header();
-        out.push('\n');
-        write_scalars(&mut out, &HEAD_SCALARS, self);
-        for f in &LEDGER_FIELDS {
-            let key = ledger_key(f.unit);
-            let _ = writeln!(out, "{key} {} {}", f.name, (f.get)(&self.ledger));
-        }
-        for d in &self.diagnostics {
-            let _ = writeln!(out, "diag {}", esc(d));
-        }
-        write_scalars(&mut out, &TAIL_SCALARS, self);
-        for s in &self.sites {
-            let _ = write!(out, "site {} {}", s.range.start.as_u64(), s.range.len);
-            write_columns(&mut out, SITE_COLUMNS, s.allocs, &s.ledger);
-        }
-        for t in &self.tenant_rows {
-            let _ = writeln!(
-                out,
-                "tenant {} {:016x} {} {}",
-                t.tenant,
-                t.memory_digest,
-                t.makespan.as_nanos(),
-                t.maps,
-            );
-        }
-        for k in &self.kernel_rows {
-            let _ = write!(out, "kernelrow {}", KernelOp::name_token(&k.name));
-            write_columns(&mut out, KERNEL_COLUMNS, 0, &k.ledger);
+        let mut out = format!("{}\n", header());
+        for line in &LINES {
+            let _ = (line.write)(self, line.key, &mut out);
         }
         out
     }
@@ -234,87 +303,14 @@ impl SweepResult {
             other => return Err(format!("bad result header: {other:?}")),
         }
         let mut r = SweepResult::default();
-        for (no, line) in lines.enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
-            let num = |s: &str| {
-                s.parse::<u64>()
-                    .map_err(|_| format!("line {}: bad number {s:?}", no + 2))
+        let lines = lines.map(str::trim).enumerate();
+        for (no, text) in lines.filter(|(_, l)| !l.is_empty()) {
+            let (key, rest) = text.split_once(' ').unwrap_or((text, ""));
+            let read = match LINES.iter().find(|l| l.key == key) {
+                Some(line) => (line.read)(&mut r, rest),
+                None => Err(format!("unknown key {key:?}")),
             };
-            let hex = |s: &str| {
-                u64::from_str_radix(s, 16).map_err(|_| format!("line {}: bad digest {s:?}", no + 2))
-            };
-            match key {
-                "ledger_ns" | "ledger" => {
-                    let (f, v) = rest
-                        .split_once(' ')
-                        .ok_or_else(|| format!("line {}: bad {key}", no + 2))?;
-                    let field = LEDGER_FIELDS
-                        .iter()
-                        .find(|d| d.name == f && ledger_key(d.unit) == key)
-                        .ok_or_else(|| format!("line {}: unknown ledger field {f:?}", no + 2))?;
-                    (field.set)(&mut r.ledger, num(v)?);
-                }
-                "diag" => r.diagnostics.push(unesc(rest)),
-                "site" => {
-                    let v: Vec<u64> = rest.split_whitespace().map(num).collect::<Result<_, _>>()?;
-                    let width = 2 + SITE_COLUMNS.split_whitespace().count();
-                    if v.len() != width {
-                        return Err(format!("line {}: site needs {width} fields", no + 2));
-                    }
-                    let mut site =
-                        SiteProfile::new(apu_mem::AddrRange::new(apu_mem::VirtAddr(v[0]), v[1]));
-                    read_columns(SITE_COLUMNS, &v[2..], &mut site.allocs, &mut site.ledger);
-                    r.sites.push(site);
-                }
-                "tenant" => {
-                    let mut tok = rest.split_whitespace();
-                    let id = tok
-                        .next()
-                        .ok_or_else(|| format!("line {}: tenant needs an id", no + 2))?;
-                    let id: u32 = id
-                        .parse()
-                        .map_err(|_| format!("line {}: bad tenant id {id:?}", no + 2))?;
-                    let digest = tok
-                        .next()
-                        .ok_or_else(|| format!("line {}: tenant needs a digest", no + 2))?;
-                    let memory_digest = hex(digest)?;
-                    let v: Vec<u64> = tok.map(num).collect::<Result<_, _>>()?;
-                    if v.len() != 2 {
-                        return Err(format!("line {}: tenant needs 2 numbers", no + 2));
-                    }
-                    r.tenant_rows.push(TenantRow {
-                        tenant: id,
-                        memory_digest,
-                        makespan: VirtDuration::from_nanos(v[0]),
-                        maps: v[1],
-                    });
-                }
-                "kernelrow" => {
-                    let mut tok = rest.split_whitespace();
-                    let name = tok
-                        .next()
-                        .ok_or_else(|| format!("line {}: kernelrow needs a name", no + 2))?
-                        .to_string();
-                    let v: Vec<u64> = tok.map(num).collect::<Result<_, _>>()?;
-                    let width = KERNEL_COLUMNS.split_whitespace().count();
-                    if v.len() != width {
-                        return Err(format!("line {}: kernelrow needs {width} numbers", no + 2));
-                    }
-                    let mut ledger = OverheadLedger::default();
-                    read_columns(KERNEL_COLUMNS, &v, &mut 0, &mut ledger);
-                    r.kernel_rows.push(KernelProfile { name, ledger });
-                }
-                other => {
-                    let mut scalars = HEAD_SCALARS.iter().chain(&TAIL_SCALARS);
-                    let s = scalars.find(|s| s.name == other);
-                    let s = s.ok_or_else(|| format!("line {}: unknown key {other:?}", no + 2))?;
-                    (s.set)(&mut r, if s.hex { hex(rest)? } else { num(rest)? });
-                }
-            }
+            read.map_err(|e| format!("line {}: {e}", no + 2))?;
         }
         Ok(r)
     }
@@ -357,7 +353,6 @@ pub fn merge_attribution(results: &[SweepResult]) -> (Vec<SiteProfile>, Vec<Kern
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apu_mem::{AddrRange, VirtAddr};
 
     fn sample() -> SweepResult {
         let mut r = SweepResult {

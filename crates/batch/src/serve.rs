@@ -35,7 +35,7 @@
 //! most un-renamed work, never serve a torn entry.
 
 use crate::cache::ResultCache;
-use crate::driver::DriveStats;
+use crate::driver::{resolve_jobs, DriveStats};
 use crate::proto::{
     parse_stanzas, sweep_stanza, Frame, ProtoError, Response, Verb, DEFAULT_MAX_FRAME_BYTES,
     PROTO_VERSION,
@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Result store the server answers from and feeds.
     pub cache: CacheMode,
-    /// Work-stealing workers per sweep (the offline `-j N`).
+    /// Work-stealing workers per sweep (the offline `-j N`; [`resolve_jobs`]).
     pub jobs: usize,
     /// Admission bound: total sweep cells running or queued across all
     /// connections before requests get `BUSY`.
@@ -202,7 +202,7 @@ impl ServeMetrics {
                 latency.push((verb, true, Histogram::new(LATENCY_BOUNDS_US)));
             }
         }
-        let pool = (0..jobs.max(1)).map(|_| PoolWorker::default()).collect();
+        let pool = (0..jobs).map(|_| PoolWorker::default()).collect();
         ServeMetrics { latency, pool }
     }
 
@@ -324,7 +324,8 @@ struct Inflight {
 }
 
 impl Shared {
-    fn new(addr: SelfAddr, cfg: ServerConfig) -> Shared {
+    fn new(addr: SelfAddr, mut cfg: ServerConfig) -> Shared {
+        cfg.jobs = resolve_jobs(cfg.jobs);
         Shared {
             cache: ResultCache::open(&cfg.cache),
             addr,
@@ -938,7 +939,7 @@ impl Client {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<Response, ProtoError> {
-        self.roundtrip(&Frame::bare(Verb::Ping))
+        self.roundtrip(&Frame::new(Verb::Ping, ""))
     }
 
     /// Upload a capture (its `mapir v1` text); returns the server's
@@ -964,23 +965,23 @@ impl Client {
 
     /// Counter snapshot.
     pub fn stats(&mut self) -> Result<Response, ProtoError> {
-        self.roundtrip(&Frame::bare(Verb::Stats))
+        self.roundtrip(&Frame::new(Verb::Stats, ""))
     }
 
     /// Prometheus-style metrics exposition; the `OK` body is the text
     /// (parseable with [`MetricsSnapshot::parse`]).
     pub fn metrics(&mut self) -> Result<Response, ProtoError> {
-        self.roundtrip(&Frame::bare(Verb::Metrics))
+        self.roundtrip(&Frame::new(Verb::Metrics, ""))
     }
 
     /// Trigger cache GC against the server's configured byte budget.
     pub fn gc(&mut self) -> Result<Response, ProtoError> {
-        self.roundtrip(&Frame::bare(Verb::Gc))
+        self.roundtrip(&Frame::new(Verb::Gc, ""))
     }
 
     /// Ask the server to drain and exit.
     pub fn shutdown(&mut self) -> Result<Response, ProtoError> {
-        self.roundtrip(&Frame::bare(Verb::Shutdown))
+        self.roundtrip(&Frame::new(Verb::Shutdown, ""))
     }
 }
 

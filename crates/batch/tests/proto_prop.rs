@@ -7,11 +7,23 @@
 //! lives in one module, and these properties keep hand-rolled client
 //! implementations honest about what the server will accept.
 //!
+//! The one body the server parses itself, a `CAPTURE`'s `mapir v1` text,
+//! is held to the same rule: capture-shaped text with real op keywords,
+//! counts up to `u64::MAX`, and truncated or overlong lines parses to a
+//! capture or fails with a clean error, through `MapIr::parse` and through
+//! a live server, which then keeps answering. Every capture of both sweep
+//! corpora round-trips through its text exactly.
+//!
 //! [`ProtoError`]: omp_batch::ProtoError
 
-use omp_batch::{Frame, ProtoError, Response, Verb, PROTO_VERSION};
+use omp_batch::{
+    full_corpus, smoke_corpus, Client, Frame, ProtoError, Response, Server, ServerConfig, Verb,
+    PROTO_VERSION,
+};
+use omp_offload::MapIr;
 use proptest::prelude::*;
 use std::io::BufReader;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 const BOUND: usize = 64 << 10;
 
@@ -138,5 +150,90 @@ proptest! {
             Ok(Some(_)) => prop_assert!(false, "truncated frame parsed as complete"),
             Err(_) => {}
         }
+    }
+}
+
+/// One line of each MapIR op, as `to_text` writes them.
+const OP_LINES: [&str; 12] = [
+    "0 host_alloc 4096 8192",
+    "0 host_free 4096",
+    "0 pool_alloc 1073741824 4096",
+    "0 pool_free 1073741824",
+    "0 host_write 4096 8192",
+    "0 host_read 4096 64",
+    "0 global 0 1048576 8",
+    "0 enter to 0 4096 8192",
+    "0 exit from 0 1 4096 8192",
+    "0 update 1 0 4096 64",
+    "1 kernel axpy 1 2 1 1 alloc 0 4096 8192 tofrom 1 64 8 1073741824 4096 0",
+    "1 taskwait",
+];
+
+/// Numbers a mutated token takes: counts and flags at their edges, a count
+/// that sizes 24 TiB of maps, and `u64::MAX`.
+const NUMBERS: [u64; 6] = [0, 1, 2, 4096, 1 << 40, u64::MAX];
+
+/// One capture-shaped line: an op line kept whole, truncated after `at`
+/// tokens, extended by `at` numbers, or with its token `at` (a keyword or
+/// a count among them) replaced by another op's keyword or a number.
+fn capture_line() -> impl Strategy<Value = String> {
+    (0..OP_LINES.len(), 0u8..5, 0usize..16, 0..NUMBERS.len()).prop_map(|(op, how, at, n)| {
+        let mut toks: Vec<String> = OP_LINES[op].split(' ').map(String::from).collect();
+        let len = toks.len();
+        match how {
+            1 => toks.truncate(at % len),
+            2 => toks.extend((0..at).map(|i| NUMBERS[(n + i) % NUMBERS.len()].to_string())),
+            3 => toks[at % len] = OP_LINES[at % 12].split(' ').nth(1).unwrap().to_string(),
+            4 => toks[at % len] = NUMBERS[n].to_string(),
+            _ => {}
+        }
+        toks.join(" ")
+    })
+}
+
+/// A client of one server that every capture-body case talks to.
+fn capture_client() -> MutexGuard<'static, Client> {
+    static CLIENT: OnceLock<Mutex<Client>> = OnceLock::new();
+    let client = CLIENT.get_or_init(|| {
+        let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let addr = server.tcp_addr().expect("a TCP address").to_string();
+        drop(server.spawn());
+        Mutex::new(Client::connect_tcp(&addr).expect("connect"))
+    });
+    client.lock().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Capture-shaped text parses to a capture or fails cleanly, and the
+    /// server answers its CAPTURE with OK exactly when it parses to a
+    /// non-empty capture, then answers PING: no input panics or aborts
+    /// the parser or the server.
+    #[test]
+    fn capture_bodies_parse_or_fail_cleanly(header in 0u8..8, lines in proptest::collection::vec(capture_line(), 0..6)) {
+        let mut text = if header == 0 { String::new() } else { "mapir v1\n".to_string() };
+        for line in lines {
+            text.push_str(&line);
+            text.push('\n');
+        }
+        let parsed = MapIr::parse(&text);
+        if let Ok(ir) = &parsed {
+            prop_assert_eq!(MapIr::parse(&ir.to_text()).as_ref(), Ok(ir));
+        }
+        let mut client = capture_client();
+        let resp = client.capture(&text).expect("the server answers every CAPTURE");
+        let accepted = matches!(resp, Response::Ok { .. });
+        prop_assert_eq!(accepted, parsed.is_ok_and(|ir| !ir.is_empty()), "{:?} for {}", resp, text);
+        prop_assert!(client.ping().is_ok_and(|r| matches!(r, Response::Ok { .. })));
+    }
+}
+
+#[test]
+fn every_corpus_capture_round_trips_through_its_text() {
+    for req in smoke_corpus().iter().chain(&full_corpus()) {
+        let text = req.ir.to_text();
+        let back = MapIr::parse(&text).expect("a capture's text parses");
+        assert_eq!(back.to_text(), text, "{}", req.name);
     }
 }

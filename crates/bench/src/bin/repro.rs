@@ -418,7 +418,7 @@ fn main() {
         } else {
             omp_batch::smoke_corpus()
         };
-        let jobs = args.cfg.worker_count(corpus.len());
+        let jobs = omp_batch::resolve_jobs(args.cfg.jobs);
         let outcome = omp_batch::run_sweep(&corpus, jobs, &args.cache).expect("sweep");
         print!("{}", omp_batch::render_report(&corpus, &outcome.results));
         println!();

@@ -17,8 +17,10 @@
 //! be stored next to a workload and re-checked without re-running it.
 
 use crate::mapping::{MapDir, MapEntry};
+use crate::modes::Tokens;
 use apu_mem::{AddrRange, VirtAddr};
 use std::fmt::Write as _;
+use std::mem::discriminant;
 
 /// A kernel launch as captured in MapIR.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,32 +46,6 @@ impl KernelOp {
         name.chars()
             .map(|c| if c.is_whitespace() { '_' } else { c })
             .collect()
-    }
-
-    /// Host ranges the kernel reads: `to`/`tofrom` maps (the device copy is
-    /// expected to hold host data) plus every raw access.
-    pub fn reads(&self) -> Vec<AddrRange> {
-        let mut out: Vec<AddrRange> = self
-            .maps
-            .iter()
-            .filter(|e| e.dir.copies_to())
-            .map(|e| e.range)
-            .collect();
-        out.extend(self.raw.iter().copied());
-        out
-    }
-
-    /// Host ranges the kernel writes: `from`/`tofrom` maps (results flow
-    /// back on exit) plus every raw access.
-    pub fn writes(&self) -> Vec<AddrRange> {
-        let mut out: Vec<AddrRange> = self
-            .maps
-            .iter()
-            .filter(|e| e.dir.copies_from())
-            .map(|e| e.range)
-            .collect();
-        out.extend(self.raw.iter().copied());
-        out
     }
 }
 
@@ -187,238 +163,253 @@ impl MapIr {
             .filter(|r| matches!(r.op, MapOp::Kernel(_)))
             .count()
     }
+}
 
-    /// Serialize to the line-oriented `mapir v1` text format. Round-trips
-    /// through [`parse`](Self::parse).
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("mapir v1\n");
-        for r in &self.records {
-            let t = r.thread;
-            match &r.op {
-                MapOp::HostAlloc { range } => {
-                    let _ = writeln!(out, "{t} host_alloc {} {}", range.start.as_u64(), range.len);
-                }
-                MapOp::HostFree { addr } => {
-                    let _ = writeln!(out, "{t} host_free {}", addr.as_u64());
-                }
-                MapOp::PoolAlloc { range } => {
-                    let _ = writeln!(out, "{t} pool_alloc {} {}", range.start.as_u64(), range.len);
-                }
-                MapOp::PoolFree { addr } => {
-                    let _ = writeln!(out, "{t} pool_free {}", addr.as_u64());
-                }
-                MapOp::HostWrite { range } => {
-                    let _ = writeln!(out, "{t} host_write {} {}", range.start.as_u64(), range.len);
-                }
-                MapOp::HostRead { range } => {
-                    let _ = writeln!(out, "{t} host_read {} {}", range.start.as_u64(), range.len);
-                }
-                MapOp::GlobalDecl { id, host } => {
-                    let _ = writeln!(out, "{t} global {id} {} {}", host.start.as_u64(), host.len);
-                }
-                MapOp::MapEnter { entry } => {
-                    let _ = writeln!(
-                        out,
-                        "{t} enter {} {} {} {}",
-                        entry.dir.token(),
-                        entry.always as u8,
-                        entry.range.start.as_u64(),
-                        entry.range.len
-                    );
-                }
-                MapOp::MapExit { entry, delete } => {
-                    let _ = writeln!(
-                        out,
-                        "{t} exit {} {} {} {} {}",
-                        entry.dir.token(),
-                        entry.always as u8,
-                        *delete as u8,
-                        entry.range.start.as_u64(),
-                        entry.range.len
-                    );
-                }
-                MapOp::Update { to, from } => {
-                    let _ = write!(out, "{t} update {} {}", to.len(), from.len());
-                    for r in to.iter().chain(from.iter()) {
-                        let _ = write!(out, " {} {}", r.start.as_u64(), r.len);
-                    }
-                    out.push('\n');
-                }
-                MapOp::Kernel(k) => {
-                    let _ = write!(
-                        out,
-                        "{t} kernel {} {} {} {} {}",
-                        KernelOp::name_token(&k.name),
-                        k.nowait as u8,
-                        k.maps.len(),
-                        k.raw.len(),
-                        k.globals.len()
-                    );
-                    for e in &k.maps {
-                        let _ = write!(
-                            out,
-                            " {} {} {} {}",
-                            e.dir.token(),
-                            e.always as u8,
-                            e.range.start.as_u64(),
-                            e.range.len
-                        );
-                    }
-                    for r in &k.raw {
-                        let _ = write!(out, " {} {}", r.start.as_u64(), r.len);
-                    }
-                    for g in &k.globals {
-                        let _ = write!(out, " {g}");
-                    }
-                    out.push('\n');
-                }
-                MapOp::Taskwait => {
-                    let _ = writeln!(out, "{t} taskwait");
-                }
+/// The format's first line.
+const HEADER: &str = "mapir v1";
+
+/// The blank range and map entry a [`Reader`] fills in.
+const NO_RANGE: AddrRange = AddrRange::new(VirtAddr(0), 0);
+const NO_ENTRY: MapEntry = MapEntry::to(NO_RANGE);
+
+/// Each op's keyword beside a blank op of its kind: the one keyword list
+/// the writer finds an op's keyword in and the reader fills a blank from.
+#[rustfmt::skip]
+static OPS: [(&str, MapOp); 12] = [
+    ("host_alloc", MapOp::HostAlloc { range: NO_RANGE }),
+    ("host_free", MapOp::HostFree { addr: VirtAddr(0) }),
+    ("pool_alloc", MapOp::PoolAlloc { range: NO_RANGE }),
+    ("pool_free", MapOp::PoolFree { addr: VirtAddr(0) }),
+    ("host_write", MapOp::HostWrite { range: NO_RANGE }),
+    ("host_read", MapOp::HostRead { range: NO_RANGE }),
+    ("global", MapOp::GlobalDecl { id: 0, host: NO_RANGE }),
+    ("enter", MapOp::MapEnter { entry: NO_ENTRY }),
+    ("exit", MapOp::MapExit { entry: NO_ENTRY, delete: false }),
+    ("update", MapOp::Update { to: Vec::new(), from: Vec::new() }),
+    ("kernel", MapOp::Kernel(KernelOp {
+        name: String::new(), maps: Vec::new(), raw: Vec::new(), globals: Vec::new(), nowait: false,
+    })),
+    ("taskwait", MapOp::Taskwait),
+];
+
+/// The one spelling of a flag (`always`, `delete`, `nowait`).
+const FLAGS: Tokens<bool, 2> = Tokens {
+    what: "flag",
+    table: [(false, "0"), (true, "1")],
+};
+
+/// Every op's fields after its keyword, in wire order: the one layout that
+/// [`MapIr::to_text`] writes and [`MapIr::parse`] reads. `$c` is a
+/// [`Writer`] over a `&MapOp` or a [`Reader`] over a `&mut MapOp`, so the
+/// same patterns bind shared or unique references to the same fields. Two
+/// layouts are irregular: `exit` writes `delete` between `always` and the
+/// range, and `update` and `kernel` write every list's count before any
+/// list's items (`n` holds the lengths the writer writes, and the reader
+/// reads the counts over them).
+macro_rules! layout {
+    (entry $e:expr, $c:ident) => {{
+        let MapEntry { range, dir, always } = $e;
+        $c.token(&MapDir::TOKENS, dir)?;
+        $c.token(&FLAGS, always)?;
+        $c.range(range)
+    }};
+    ($op:expr, $c:ident) => {
+        match $op {
+            MapOp::HostAlloc { range }
+            | MapOp::PoolAlloc { range }
+            | MapOp::HostWrite { range }
+            | MapOp::HostRead { range } => $c.range(range),
+            MapOp::HostFree { addr: VirtAddr(a) } | MapOp::PoolFree { addr: VirtAddr(a) } => {
+                $c.num(a)
             }
+            MapOp::GlobalDecl { id, host } => {
+                $c.num(id)?;
+                $c.range(host)
+            }
+            MapOp::MapEnter { entry } => layout!(entry entry, $c),
+            MapOp::MapExit { entry, delete } => {
+                let MapEntry { range, dir, always } = entry;
+                $c.token(&MapDir::TOKENS, dir)?;
+                $c.token(&FLAGS, always)?;
+                $c.token(&FLAGS, delete)?;
+                $c.range(range)
+            }
+            MapOp::Update { to, from } => {
+                let mut n = [to.len(), from.len()];
+                n.iter_mut().try_for_each(|n| $c.num(n))?;
+                $c.items(to, n[0], NO_RANGE, |c, r| c.range(r))?;
+                $c.items(from, n[1], NO_RANGE, |c, r| c.range(r))
+            }
+            MapOp::Kernel(k) => {
+                let KernelOp { name, maps, raw, globals, nowait } = k;
+                $c.name(name)?;
+                $c.token(&FLAGS, nowait)?;
+                let mut n = [maps.len(), raw.len(), globals.len()];
+                n.iter_mut().try_for_each(|n| $c.num(n))?;
+                $c.items(maps, n[0], NO_ENTRY, |c, e| layout!(entry e, c))?;
+                $c.items(raw, n[1], NO_RANGE, |c, r| c.range(r))?;
+                $c.items(globals, n[2], 0, |c, g| c.num(g))
+            }
+            MapOp::Taskwait => Ok(()),
+        }
+    };
+}
+
+impl MapIr {
+    /// Serialize to the line-oriented `mapir v1` text format: the header,
+    /// then per record its thread, its op's keyword and the op's fields.
+    /// Round-trips through [`parse`](Self::parse).
+    pub fn to_text(&self) -> String {
+        let mut out = format!("{HEADER}\n");
+        for r in &self.records {
+            let _ = Writer(&mut out).record(r);
         }
         out
     }
 
-    /// Parse the `mapir v1` text format produced by
-    /// [`to_text`](Self::to_text).
+    /// Parse the `mapir v1` text format, accepting exactly what
+    /// [`to_text`](Self::to_text) writes (blank lines aside): a missing,
+    /// malformed or left-over token is a `line N: …` error. Counted items
+    /// are read one at a time from the tokens their line holds, so a count
+    /// never sizes an allocation.
     pub fn parse(text: &str) -> Result<MapIr, String> {
         let mut lines = text.lines().enumerate();
         match lines.next() {
-            Some((_, "mapir v1")) => {}
+            Some((_, HEADER)) => {}
             other => return Err(format!("bad header: {:?}", other.map(|(_, l)| l))),
         }
         let mut ir = MapIr::new();
-        for (no, line) in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut tok = line.split_whitespace();
-            let ctx = |what: &str| format!("line {}: missing {what}", no + 1);
-            let thread: u32 = next_num(&mut tok).ok_or_else(|| ctx("thread"))?;
-            let kind = tok.next().ok_or_else(|| ctx("op"))?;
-            let op = match kind {
-                "host_alloc" => MapOp::HostAlloc {
-                    range: next_range(&mut tok).ok_or_else(|| ctx("range"))?,
-                },
-                "host_free" => MapOp::HostFree {
-                    addr: VirtAddr(next_num(&mut tok).ok_or_else(|| ctx("addr"))?),
-                },
-                "pool_alloc" => MapOp::PoolAlloc {
-                    range: next_range(&mut tok).ok_or_else(|| ctx("range"))?,
-                },
-                "pool_free" => MapOp::PoolFree {
-                    addr: VirtAddr(next_num(&mut tok).ok_or_else(|| ctx("addr"))?),
-                },
-                "host_write" => MapOp::HostWrite {
-                    range: next_range(&mut tok).ok_or_else(|| ctx("range"))?,
-                },
-                "host_read" => MapOp::HostRead {
-                    range: next_range(&mut tok).ok_or_else(|| ctx("range"))?,
-                },
-                "global" => MapOp::GlobalDecl {
-                    id: next_num::<u64>(&mut tok).ok_or_else(|| ctx("id"))? as usize,
-                    host: next_range(&mut tok).ok_or_else(|| ctx("range"))?,
-                },
-                "enter" => MapOp::MapEnter {
-                    entry: next_entry(&mut tok).ok_or_else(|| ctx("entry"))?,
-                },
-                "exit" => {
-                    let dir = MapDir::TOKENS
-                        .get(tok.next().ok_or_else(|| ctx("dir"))?)
-                        .ok_or_else(|| ctx("dir"))?;
-                    let always = next_num::<u8>(&mut tok).ok_or_else(|| ctx("always"))? != 0;
-                    let delete = next_num::<u8>(&mut tok).ok_or_else(|| ctx("delete"))? != 0;
-                    let range = next_range(&mut tok).ok_or_else(|| ctx("range"))?;
-                    MapOp::MapExit {
-                        entry: MapEntry { range, dir, always },
-                        delete,
-                    }
-                }
-                "update" => {
-                    let nto: usize = next_num::<u64>(&mut tok).ok_or_else(|| ctx("nto"))? as usize;
-                    let nfrom: usize =
-                        next_num::<u64>(&mut tok).ok_or_else(|| ctx("nfrom"))? as usize;
-                    let mut ranges = Vec::with_capacity(nto + nfrom);
-                    for _ in 0..nto + nfrom {
-                        ranges.push(next_range(&mut tok).ok_or_else(|| ctx("range"))?);
-                    }
-                    let from = ranges.split_off(nto);
-                    MapOp::Update { to: ranges, from }
-                }
-                "kernel" => {
-                    let name = tok.next().ok_or_else(|| ctx("name"))?.to_string();
-                    let nowait = next_num::<u8>(&mut tok).ok_or_else(|| ctx("nowait"))? != 0;
-                    let nmaps = next_num::<u64>(&mut tok).ok_or_else(|| ctx("nmaps"))? as usize;
-                    let nraw = next_num::<u64>(&mut tok).ok_or_else(|| ctx("nraw"))? as usize;
-                    let nglobals =
-                        next_num::<u64>(&mut tok).ok_or_else(|| ctx("nglobals"))? as usize;
-                    let mut maps = Vec::with_capacity(nmaps);
-                    for _ in 0..nmaps {
-                        maps.push(next_entry(&mut tok).ok_or_else(|| ctx("map"))?);
-                    }
-                    let mut raw = Vec::with_capacity(nraw);
-                    for _ in 0..nraw {
-                        raw.push(next_range(&mut tok).ok_or_else(|| ctx("raw"))?);
-                    }
-                    let mut globals = Vec::with_capacity(nglobals);
-                    for _ in 0..nglobals {
-                        globals
-                            .push(next_num::<u64>(&mut tok).ok_or_else(|| ctx("global"))? as usize);
-                    }
-                    MapOp::Kernel(KernelOp {
-                        name,
-                        maps,
-                        raw,
-                        globals,
-                        nowait,
-                    })
-                }
-                "taskwait" => MapOp::Taskwait,
-                other => return Err(format!("line {}: unknown op {other:?}", no + 1)),
-            };
-            let overflows = |r: &AddrRange| r.start.as_u64().checked_add(r.len).is_none();
-            if let Some(r) = ranges(&op).into_iter().find(overflows) {
-                let (start, len) = (r.start.as_u64(), r.len);
-                return Err(format!("line {}: range {start} +{len} overflows", no + 1));
-            }
-            ir.push(thread, op);
+        for (no, line) in lines.filter(|(_, l)| !l.trim().is_empty()) {
+            let record = Reader(line.split_whitespace()).record();
+            ir.records
+                .push(record.map_err(|e| format!("line {}: {e}", no + 1))?);
         }
         Ok(ir)
     }
 }
 
-/// Every range `op` names.
-fn ranges(op: &MapOp) -> Vec<AddrRange> {
-    match op {
-        MapOp::HostAlloc { range }
-        | MapOp::PoolAlloc { range }
-        | MapOp::HostWrite { range }
-        | MapOp::HostRead { range }
-        | MapOp::GlobalDecl { host: range, .. } => vec![*range],
-        MapOp::MapEnter { entry } | MapOp::MapExit { entry, .. } => vec![entry.range],
-        MapOp::Update { to, from } => [&to[..], from].concat(),
-        MapOp::Kernel(k) => [k.maps.iter().map(|e| e.range).collect(), k.raw.clone()].concat(),
-        MapOp::HostFree { .. } | MapOp::PoolFree { .. } | MapOp::Taskwait => Vec::new(),
+/// Writes one record's line.
+struct Writer<'a>(&'a mut String);
+
+impl Writer<'_> {
+    fn record(mut self, r: &MapRecord) -> std::fmt::Result {
+        let kind = discriminant(&r.op);
+        let row = OPS.iter().find(|(_, op)| discriminant(op) == kind);
+        let keyword = row.expect("every op has a row").0;
+        write!(self.0, "{} {keyword}", r.thread)?;
+        layout!(&r.op, self)?;
+        writeln!(self.0)
+    }
+
+    fn num(&mut self, v: &impl std::fmt::Display) -> std::fmt::Result {
+        write!(self.0, " {v}")
+    }
+
+    /// A token already spelled, pushed without formatting.
+    fn word(&mut self, word: &str) -> std::fmt::Result {
+        self.0.push(' ');
+        self.0.push_str(word);
+        Ok(())
+    }
+
+    fn token<T: Copy + PartialEq, const N: usize>(
+        &mut self,
+        table: &Tokens<T, N>,
+        v: &T,
+    ) -> std::fmt::Result {
+        self.word(table.token(*v))
+    }
+
+    fn name(&mut self, name: &str) -> std::fmt::Result {
+        self.word(&KernelOp::name_token(name))
+    }
+
+    fn range(&mut self, r: &AddrRange) -> std::fmt::Result {
+        self.num(&r.start.as_u64())?;
+        self.num(&r.len)
+    }
+
+    /// Every item of a list; the count and the blank are the reader's.
+    fn items<T>(
+        &mut self,
+        items: &[T],
+        _count: usize,
+        _blank: T,
+        mut item: impl FnMut(&mut Self, &T) -> std::fmt::Result,
+    ) -> std::fmt::Result {
+        items.iter().try_for_each(|v| item(self, v))
     }
 }
 
-fn next_num<'a, T: std::str::FromStr>(tok: &mut impl Iterator<Item = &'a str>) -> Option<T> {
-    tok.next()?.parse().ok()
-}
+/// Reads one record from the tokens of its line.
+struct Reader<'a>(std::str::SplitWhitespace<'a>);
 
-fn next_range<'a>(tok: &mut impl Iterator<Item = &'a str>) -> Option<AddrRange> {
-    let start: u64 = next_num(tok)?;
-    let len: u64 = next_num(tok)?;
-    Some(AddrRange::new(VirtAddr(start), len))
-}
+impl<'a> Reader<'a> {
+    fn record(mut self) -> Result<MapRecord, String> {
+        let mut thread = 0;
+        self.num(&mut thread)?;
+        let keyword = self.next("op")?;
+        let row = OPS.iter().find(|(k, _)| *k == keyword);
+        let (_, blank) = row.ok_or_else(|| format!("unknown op {keyword:?}"))?;
+        let mut op = blank.clone();
+        layout!(&mut op, self)?;
+        match self.0.next() {
+            Some(extra) => Err(format!("unexpected {extra:?} after the op")),
+            None => Ok(MapRecord { thread, op }),
+        }
+    }
 
-fn next_entry<'a>(tok: &mut impl Iterator<Item = &'a str>) -> Option<MapEntry> {
-    let dir = MapDir::TOKENS.get(tok.next()?)?;
-    let always = next_num::<u8>(tok)? != 0;
-    let range = next_range(tok)?;
-    Some(MapEntry { range, dir, always })
+    fn next(&mut self, what: &str) -> Result<&'a str, String> {
+        self.0.next().ok_or_else(|| format!("missing {what}"))
+    }
+
+    fn num<T: std::str::FromStr>(&mut self, v: &mut T) -> Result<(), String> {
+        let t = self.next("number")?;
+        *v = t.parse().map_err(|_| format!("bad number {t:?}"))?;
+        Ok(())
+    }
+
+    fn token<T: Copy + PartialEq, const N: usize>(
+        &mut self,
+        table: &Tokens<T, N>,
+        v: &mut T,
+    ) -> Result<(), String> {
+        let t = self.next(table.what)?;
+        *v = table.parse(t).map_err(|e| e.to_string())?;
+        Ok(())
+    }
+
+    fn name(&mut self, name: &mut String) -> Result<(), String> {
+        *name = self.next("name")?.to_string();
+        Ok(())
+    }
+
+    /// The one range reader: a range must end inside the address space.
+    fn range(&mut self, r: &mut AddrRange) -> Result<(), String> {
+        let (mut start, mut len) = (0u64, 0u64);
+        self.num(&mut start)?;
+        self.num(&mut len)?;
+        if start.checked_add(len).is_none() {
+            return Err(format!("range {start} +{len} overflows"));
+        }
+        *r = AddrRange::new(VirtAddr(start), len);
+        Ok(())
+    }
+
+    /// Read `count` items one at a time, each from `blank`: a count larger
+    /// than the line's tokens fails when they run out.
+    fn items<T: Copy>(
+        &mut self,
+        items: &mut Vec<T>,
+        count: usize,
+        blank: T,
+        mut item: impl FnMut(&mut Self, &mut T) -> Result<(), String>,
+    ) -> Result<(), String> {
+        (0..count).try_for_each(|_| {
+            let mut v = blank;
+            item(self, &mut v).map(|()| items.push(v))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -517,6 +508,68 @@ mod tests {
     }
 
     #[test]
+    fn text_bytes_are_pinned() {
+        // Capture digests, request digests and cache keys hash these bytes.
+        let golden = "mapir v1
+0 host_alloc 4096 8192
+0 host_write 4096 8192
+0 global 0 1048576 8
+0 enter to 0 4096 8192
+1 kernel axpy 1 2 1 1 alloc 0 4096 8192 tofrom 1 64 8 1073741824 4096 0
+1 taskwait
+0 update 1 0 4096 64
+0 exit from 0 1 4096 8192
+0 pool_alloc 1073741824 4096
+0 pool_free 1073741824
+0 host_read 4096 64
+0 host_free 4096
+";
+        assert_eq!(sample().to_text(), golden);
+        assert_eq!(MapIr::parse(golden), Ok(sample()));
+    }
+
+    /// `parse(text)` fails naming line 2, the line after the header.
+    fn line_2_error(op: &str) -> String {
+        let err = MapIr::parse(&format!("mapir v1\n{op}")).unwrap_err();
+        assert!(err.starts_with("line 2: "), "{op}: {err}");
+        err
+    }
+
+    #[test]
+    fn a_count_past_the_line_is_a_parse_error_not_an_allocation() {
+        // A Vec::with_capacity of this count asked for 24 TiB and aborted.
+        line_2_error("0 kernel k 0 1099511627776 0 0");
+        let max = u64::MAX;
+        line_2_error(&format!("0 kernel k 0 0 {max} 0"));
+        line_2_error(&format!("0 kernel k 0 0 0 {max} 7"));
+        line_2_error(&format!("0 update {max} 0 4096 64"));
+        line_2_error(&format!("0 update 0 {max}"));
+        // One count too many runs out of tokens too.
+        line_2_error("0 update 2 0 4096 64");
+        line_2_error("0 kernel k 0 1 1 0 to 0 4096 64");
+    }
+
+    #[test]
+    fn a_token_left_after_an_op_is_a_parse_error() {
+        line_2_error("0 taskwait 1");
+        line_2_error("0 host_free 4096 8192");
+        line_2_error("0 enter to 0 4096 8192 0");
+        line_2_error("0 update 1 0 4096 64 4096");
+        line_2_error("0 kernel k 0 0 0 1 3 4");
+    }
+
+    #[test]
+    fn a_flag_other_than_0_or_1_is_a_parse_error() {
+        let err = line_2_error("0 enter to 2 4096 8192");
+        assert!(err.contains("'2'"), "{err}");
+        line_2_error("0 exit from 0 7 4096 8192");
+        line_2_error("0 kernel k yes 0 0 0");
+        line_2_error("0 kernel k 0 1 0 0 alloc -1 0 8");
+        // The two flag spellings parse.
+        assert!(MapIr::parse("mapir v1\n0 exit from 1 0 4096 8192\n").is_ok());
+    }
+
+    #[test]
     fn parse_rejects_garbage() {
         assert!(MapIr::parse("not mapir").is_err());
         assert!(MapIr::parse("mapir v1\n0 enter to").is_err());
@@ -529,24 +582,6 @@ mod tests {
         assert!(err.starts_with("line 2: "), "{err}");
         // The last range that ends inside the address space parses.
         assert!(MapIr::parse("mapir v1\n0 host_write 18446744073709547519 4096").is_ok());
-    }
-
-    #[test]
-    fn read_write_sets_follow_directions() {
-        let k = KernelOp {
-            name: "k".into(),
-            maps: vec![
-                MapEntry::to(r(0, 8)),
-                MapEntry::from(r(16, 8)),
-                MapEntry::tofrom(r(32, 8)),
-                MapEntry::alloc(r(48, 8)),
-            ],
-            raw: vec![r(64, 8)],
-            globals: vec![],
-            nowait: false,
-        };
-        assert_eq!(k.reads(), vec![r(0, 8), r(32, 8), r(64, 8)]);
-        assert_eq!(k.writes(), vec![r(16, 8), r(32, 8), r(64, 8)]);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub struct MapEntry {
 
 impl MapEntry {
     /// `map(to: ...)`.
-    pub fn to(range: AddrRange) -> Self {
+    pub const fn to(range: AddrRange) -> Self {
         MapEntry {
             range,
             dir: MapDir::To,

@@ -118,7 +118,7 @@ pub struct AddrRange {
 
 impl AddrRange {
     /// Create a new instance.
-    pub fn new(start: VirtAddr, len: u64) -> Self {
+    pub const fn new(start: VirtAddr, len: u64) -> Self {
         AddrRange { start, len }
     }
 

@@ -566,7 +566,7 @@ fn cmd_replay_batch(
         Some(arg) => parse_mode(&arg),
         None => batch::CacheMode::default_dir(std::path::Path::new(".")),
     };
-    let outcome = batch::run_sweep(&corpus, jobs.max(1), &cache)?;
+    let outcome = batch::run_sweep(&corpus, batch::resolve_jobs(jobs), &cache)?;
     print!("{}", batch::render_report(&corpus, &outcome.results));
     eprintln!(
         "cache: {} hit(s), {} simulated ({:.0}% hit rate)",
@@ -694,15 +694,18 @@ fn cmd_check(args: &[String]) -> ! {
 /// dials when neither `--socket` nor `--tcp` is given.
 const DEFAULT_SOCKET: &str = ".apusim-serve.sock";
 
-/// Parse a byte size with an optional `K`/`M`/`G` suffix (powers of 1024).
-fn parse_size(s: &str) -> Option<u64> {
-    let (digits, mult) = match s.chars().last()? {
-        'k' | 'K' => (&s[..s.len() - 1], 1u64 << 10),
-        'm' | 'M' => (&s[..s.len() - 1], 1u64 << 20),
-        'g' | 'G' => (&s[..s.len() - 1], 1u64 << 30),
-        _ => (s, 1u64),
+/// The byte size after option `flag`, with an optional `K`/`M`/`G` suffix
+/// (powers of 1024); a missing or malformed one exits 2 like [`parsed`].
+fn parsed_size<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> u64 {
+    let raw = value(it, flag);
+    let (digits, mult) = match raw.chars().last() {
+        Some('k' | 'K') => (&raw[..raw.len() - 1], 1u64 << 10),
+        Some('m' | 'M') => (&raw[..raw.len() - 1], 1u64 << 20),
+        Some('g' | 'G') => (&raw[..raw.len() - 1], 1u64 << 30),
+        _ => (raw.as_str(), 1u64),
     };
-    digits.parse::<u64>().ok().and_then(|n| n.checked_mul(mult))
+    let size = digits.parse::<u64>().ok().and_then(|n| n.checked_mul(mult));
+    size.unwrap_or_else(|| bad_value(flag, raw))
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
@@ -719,11 +722,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "--tcp" => tcp = Some(value(&mut it, a).clone()),
             "--jobs" | "-j" => cfg.jobs = parsed(&mut it, a),
             "--cache" => cfg.cache = parse_mode(value(&mut it, a)),
-            "--cache-max-bytes" => {
-                cfg.cache_max_bytes = Some(parse_size(value(&mut it, a)).unwrap_or_else(|| {
-                    usage_error("bad --cache-max-bytes (want N, NK, NM, or NG)")
-                }));
-            }
+            "--cache-max-bytes" => cfg.cache_max_bytes = Some(parsed_size(&mut it, a)),
             "--max-inflight" => cfg.max_inflight = parsed::<NonZeroUsize>(&mut it, a).get(),
             "--timeout-ms" => {
                 cfg.timeout = std::time::Duration::from_millis(parsed(&mut it, a));
@@ -875,10 +874,7 @@ fn cmd_cache(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--cache" => cache = parse_mode(value(&mut it, a)),
-            "--max-bytes" => {
-                max_bytes = parse_size(value(&mut it, a))
-                    .unwrap_or_else(|| usage_error("bad --max-bytes (want N, NK, NM, or NG)"));
-            }
+            "--max-bytes" => max_bytes = parsed_size(&mut it, a),
             "--dry-run" => dry_run = true,
             _ => unknown_argument(a),
         }

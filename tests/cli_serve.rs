@@ -5,10 +5,13 @@
 //! `--gc` succeeds; `--shutdown` drains the server and removes its socket;
 //! and `cache gc --dry-run` accepts the store the server wrote. Over
 //! `--tcp` the served report is the same bytes, and the server drains too.
+//! A capture the MapIR reader rejects gets `ERR` and the server keeps
+//! answering; `--jobs 0` serves one pool worker per core; a malformed byte
+//! size exits 2 naming the option and the value.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
@@ -58,6 +61,47 @@ fn poll<T>(what: &str, mut until: impl FnMut() -> Option<T>) -> T {
     }
 }
 
+/// A fresh scratch directory for the test `tag`.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("apusim-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// Start `apusim serve --socket SOCK` plus `args` in `dir`, once it answers
+/// `--ping`.
+fn serve(dir: &Path, args: &str) -> Serving {
+    let child = Command::new(env!("CARGO_BIN_EXE_apusim"))
+        .current_dir(dir)
+        .args(["serve", "--socket", SOCK])
+        .args(args.split_whitespace())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn apusim serve");
+    let mut server = Serving(child);
+    poll("the server never answered --ping", || {
+        if let Some(status) = server.0.try_wait().expect("poll server") {
+            panic!("the server exited before answering: {status}");
+        }
+        apusim(dir, &format!("request --socket {SOCK} --ping"))
+            .status
+            .success()
+            .then_some(())
+    });
+    server
+}
+
+/// Send `--shutdown` and wait for the server to drain and exit 0.
+fn shut_down(dir: &Path, mut server: Serving) {
+    ok(dir, &format!("request --socket {SOCK} --shutdown"));
+    let status = poll("the server never drained", || {
+        server.0.try_wait().expect("poll server")
+    });
+    assert!(status.success(), "apusim serve exited with {status}");
+}
+
 /// The value of `key=N` in a `STATS` line.
 fn stat(stats: &str, key: &str) -> u64 {
     stats
@@ -81,9 +125,7 @@ fn sum(metrics: &str, series: &str, label: &str) -> u64 {
 
 #[test]
 fn served_sweeps_match_offline_replay_and_the_server_drains() {
-    let dir = std::env::temp_dir().join(format!("apusim-cli-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let dir = scratch("serve");
     ok(&dir, "run stream --scale 0.05 --capture s1.mapir");
     ok(&dir, "run ep --scale 0.02 --capture s2.mapir");
     // Two capture files, so the offline reference runs the batched sweep
@@ -93,24 +135,7 @@ fn served_sweeps_match_offline_replay_and_the_server_drains() {
         "replay s1.mapir s2.mapir --config izc --cache replay-cache",
     );
 
-    let child = Command::new(env!("CARGO_BIN_EXE_apusim"))
-        .current_dir(&dir)
-        .args(["serve", "--socket", SOCK, "--cache", "serve-cache"])
-        .args(["--cache-max-bytes", "64M"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn apusim serve");
-    let mut server = Serving(child);
-    poll("the server never answered --ping", || {
-        if let Some(status) = server.0.try_wait().expect("poll server") {
-            panic!("the server exited before answering: {status}");
-        }
-        apusim(&dir, &format!("request --socket {SOCK} --ping"))
-            .status
-            .success()
-            .then_some(())
-    });
+    let server = serve(&dir, "--cache serve-cache --cache-max-bytes 64M");
 
     let request = |verb: &str| ok(&dir, &format!("request --socket {SOCK} {verb}"));
     let cold = request("s1.mapir s2.mapir --config izc");
@@ -172,11 +197,7 @@ fn served_sweeps_match_offline_replay_and_the_server_drains() {
     );
 
     request("--gc");
-    request("--shutdown");
-    let status = poll("the server never drained", || {
-        server.0.try_wait().expect("poll server")
-    });
-    assert!(status.success(), "apusim serve exited with {status}");
+    shut_down(&dir, server);
     assert!(!dir.join(SOCK).exists(), "socket removed on shutdown");
     ok(&dir, "cache gc --cache serve-cache --dry-run");
     let _ = std::fs::remove_dir_all(&dir);
@@ -184,9 +205,7 @@ fn served_sweeps_match_offline_replay_and_the_server_drains() {
 
 #[test]
 fn served_sweeps_over_tcp_match_offline_replay() {
-    let dir = std::env::temp_dir().join(format!("apusim-cli-serve-tcp-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let dir = scratch("serve-tcp");
     ok(&dir, "run stream --scale 0.05 --capture s.mapir");
     // `--cache off` routes one capture through the batched sweep path.
     let offline = ok(&dir, "replay s.mapir --config izc --cache off");
@@ -224,5 +243,68 @@ fn served_sweeps_over_tcp_match_offline_replay() {
         server.0.try_wait().expect("poll server")
     });
     assert!(status.success(), "apusim serve exited with {status}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_malformed_capture_gets_err_and_the_server_keeps_answering() {
+    let dir = scratch("bad-capture");
+    ok(&dir, "run stream --scale 0.05 --capture s.mapir");
+    let offline = ok(&dir, "replay s.mapir --config izc --cache off");
+    // A kernel that claims 2^40 maps and holds none: a reader that sized a
+    // buffer by the count asked for 24 TiB and aborted the server.
+    let bad = "mapir v1\n0 kernel k 0 1099511627776 0 0\n";
+    std::fs::write(dir.join("bad.mapir"), bad).expect("write bad.mapir");
+    let server = serve(&dir, "--cache off");
+
+    let out = apusim(&dir, &format!("request --socket {SOCK} bad.mapir"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("apusim request: error: bad capture: line 2: "),
+        "{stderr}"
+    );
+    ok(&dir, &format!("request --socket {SOCK} --ping"));
+    let served = ok(
+        &dir,
+        &format!("request --socket {SOCK} s.mapir --config izc"),
+    );
+    assert_eq!(served, offline, "the server answers a sweep after the ERR");
+    shut_down(&dir, server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn jobs_zero_serves_one_pool_worker_per_core() {
+    let dir = scratch("jobs-zero");
+    let server = serve(&dir, "--jobs 0 --cache off");
+    let metrics = ok(&dir, &format!("request --socket {SOCK} --metrics"));
+    let series = metrics
+        .lines()
+        .filter(|l| l.starts_with("omp_pool_queue_depth_hwm{"))
+        .count();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(series, cores, "{metrics}");
+    shut_down(&dir, server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_malformed_byte_size_exits_2_naming_the_option_and_the_value() {
+    let dir = scratch("bad-size");
+    for (args, flag, value) in [
+        (
+            "serve --socket no-such-dir/s.sock --cache-max-bytes x",
+            "--cache-max-bytes",
+            "x",
+        ),
+        ("cache gc --max-bytes 12Q", "--max-bytes", "12Q"),
+    ] {
+        let out = apusim(&dir, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        let line = format!("apusim: bad value '{value}' for {flag}\n");
+        assert!(stderr.starts_with(&line), "{args}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
